@@ -68,6 +68,34 @@ def peak_rss_mb(pid: int | str = "self") -> float:
     raise RuntimeError(f"no VmHWM line for process {pid}")
 
 
+CLOCK_TICKS = os.sysconf("SC_CLK_TCK")
+
+
+def process_cpu_s(pid: int) -> float:
+    """User plus system CPU seconds of a process, finished threads included.
+
+    The kernel leaves out time the hypervisor gave to other machines, so on
+    a shared host this is steadier than wall time.
+    """
+    with open(f"/proc/{pid}/stat") as handle:
+        fields = handle.read().rsplit(")", 1)[1].split()
+    return (int(fields[11]) + int(fields[12])) / CLOCK_TICKS
+
+
+def cpu_ticks() -> list[int]:
+    """The machine's CPU time counters (``/proc/stat``, all CPUs)."""
+    with open("/proc/stat") as handle:
+        return [int(field) for field in handle.readline().split()[1:]]
+
+
+def steal_pct(before: list[int], after: list[int]) -> float:
+    """Share of busy CPU time the hypervisor gave to other machines."""
+    delta = [b - a for a, b in zip(before, after)]
+    # user nice system idle iowait irq softirq steal ...
+    busy = sum(delta[:3]) + sum(delta[5:8])
+    return 100.0 * delta[7] / busy if len(delta) > 7 and busy else 0.0
+
+
 def directory_bytes(path: Path) -> int:
     return sum(p.stat().st_size for p in Path(path).rglob("*") if p.is_file())
 
@@ -156,16 +184,27 @@ class Tracer:
     def total(self, name: str, parent: str | None = "*") -> float:
         return float(sum(self.durations(name, parent)))
 
-    def dump(self, path: Path) -> None:
+    def dump(self, path: Path | str, extra: dict | None = None) -> None:
+        """Write the spans and counts, plus the keys of ``extra``, as JSON."""
+        path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(
             json.dumps(
                 {
                     "spans": [list(span) for span in self.spans],
                     "counts": dict(self.counts),
+                    **(extra or {}),
                 }
             )
         )
+
+    @classmethod
+    def from_log(cls, log: dict) -> "Tracer":
+        """A tracer holding the spans and counts that :meth:`dump` wrote."""
+        tracer = cls()
+        tracer.spans = [tuple(span) for span in log["spans"]]
+        tracer.counts.update(log["counts"])
+        return tracer
 
 
 # ----------------------------------------------------------------------

@@ -32,9 +32,16 @@ BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 
 def small_taxi(name: str) -> taxi.TaxiWorkload:
     workload = taxi.WORKLOADS[name]
+    # Its own name, so no reference recorded for the full size applies.
     return dataclasses.replace(
-        workload, n_events=600, scale=0.2, window_ops=max(workload.window_ops // 10, 2)
+        workload, name=f"{name}_smoke", n_events=600, scale=0.2,
+        window_ops=max(workload.window_ops // 10, 2),
     )
+
+
+#: End-to-end metrics every workload prints without a bound (see METRICS.md).
+UNGATED = {"setup_wall_s", "events_per_cpu_s", "events_per_s", "op_ms_p50", "op_ms_tail",
+           "read_ms_p50", "read_ms_tail", "drain_s"}
 
 
 def assert_metrics(metrics, section: str) -> None:
@@ -42,12 +49,15 @@ def assert_metrics(metrics, section: str) -> None:
     emitted = {name: entry["unit"] for name, entry in metrics.values.items()}
     assert emitted == expected
     assert all(np.isfinite(entry["value"]) for entry in metrics.values.values())
+    if section == "end_to_end":
+        assert UNGATED <= set(metrics.ungated)
+        assert all(entry["value"] > 0 for entry in metrics.ungated.values())
 
 
 @pytest.mark.parametrize("name", list(taxi.WORKLOADS))
 @pytest.mark.parametrize("trace", [False, True])
 def test_taxi_workload_emits_every_metric(name, trace, monkeypatch):
-    monkeypatch.setattr(taxi, "READ_EVERY", 40)  # enough reads in the quiet windows
+    monkeypatch.setattr(taxi, "READ_EVERY", 40)  # several reads in a smoke-size pass
     metrics, result, _ = taxi.run(name, 3, 0.5, trace, workload=small_taxi(name))
     assert result["correct"] and result["attempted"] > 0 and result["failed"] == 0
     assert_metrics(metrics, "per_layer" if trace else "end_to_end")
@@ -92,6 +102,36 @@ def test_taxi_check_rejects_corrupted_results(name, tmp_path):
             taxi.check_passes([missed], *reference)
 
 
+@pytest.mark.parametrize("name", list(taxi.WORKLOADS))
+def test_reference_check_rejects_a_changed_result(name):
+    workload = small_taxi(name)
+    model, _, _ = taxi.reference_replay(taxi.make_inputs(5, workload), workload)
+    fitness, factors = float(model.fitness()), model.factors
+    recorded = taxi.reference_record(fitness, factors)
+    assert taxi.check_reference(recorded, fitness, factors) == "bit-identical"
+    assert taxi.check_reference(None, fitness, factors).startswith("no recorded")
+    rounded = [f.copy() for f in factors]
+    rounded[0][0, 0] = np.nextafter(rounded[0][0, 0], np.inf)
+    assert taxi.check_reference(recorded, fitness, rounded).startswith("within")
+    changed = [f.copy() for f in factors]
+    changed[0][0, 0] += 1e-3
+    with pytest.raises(CheckFailed):
+        taxi.check_reference(recorded, fitness, changed)
+    with pytest.raises(CheckFailed):
+        taxi.check_reference(recorded, fitness * (1 + 1e-5), factors)
+
+
+@pytest.mark.parametrize("name", list(taxi.WORKLOADS))
+def test_recorded_reference_matches_a_fresh_replay(name):
+    workload = taxi.WORKLOADS[name]
+    recorded = taxi.recorded_reference(name, 0)
+    assert recorded is not None, "references.json has no entry for seed 0"
+    model, _, _ = taxi.reference_replay(taxi.make_inputs(0, workload), workload)
+    assert taxi.check_reference(recorded, float(model.fitness()), model.factors) == (
+        "bit-identical"
+    )
+
+
 def test_service_check_rejects_corrupted_results():
     plan = service_load.make_plan(4, 2.0, tenants=2)
     tenant = plan.tenants[0]
@@ -118,6 +158,28 @@ def test_service_check_rejects_corrupted_results():
             service_load.check_service(
                 plan, case_served, case_applied, case_fitness, case_counters, reference
             )
+
+
+def test_read_loop_counts_wire_errors_as_failed():
+    class BrokenClient:
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            pass
+
+        def request(self, op, **fields):
+            raise ConnectionResetError("reset by peer")
+
+    class BrokenServer:
+        def connect(self):
+            return BrokenClient()
+
+    schedule = [(0.0, "fitness", "tenant-0", 0), (0.0, "factors", "tenant-1", 0)]
+    results, counters = [], {"failed": 0, "errors": []}
+    service_load.read_loop(BrokenServer(), schedule, results, counters)
+    assert len(results) == len(schedule)
+    assert counters["failed"] == len(schedule)
 
 
 def test_expected_events_match_a_window_replay():

@@ -10,7 +10,6 @@ recorded spans, counts and join logs are written to ``OUT.json``.
 
 from __future__ import annotations
 
-import json
 import sys
 
 from common import SRC, Tracer
@@ -33,15 +32,7 @@ def main(argv: list[str]) -> int:
     try:
         return serve(service_args)
     finally:
-        with open(spans_path, "w") as handle:
-            json.dump(
-                {
-                    "spans": [list(span) for span in tracer.spans],
-                    "counts": dict(tracer.counts),
-                    **log,
-                },
-                handle,
-            )
+        tracer.dump(spans_path, extra=log)
 
 
 if __name__ == "__main__":

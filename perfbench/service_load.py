@@ -16,10 +16,7 @@ Phases of the measured server:
    ``fitness``, ``anomalies`` and ``factors`` queries at fixed offsets inside
    each burst period.  Latencies count from the scheduled send time;
 3. closed loop: the remaining chunks sent back to back, then a flush of
-   every tenant — the service's capacity in events per second.
-
-Other tenants of a shared machine slow whole seconds of a run, so latency
-and drain figures come from the quiet half of the open-loop cycles.
+   every tenant — the service's capacity, in events per server CPU second.
 
 Outputs are checked against the generator: one tenant's served factors must
 equal an in-process sequential :class:`StreamSession` replay bit for bit,
@@ -44,8 +41,8 @@ from pathlib import Path
 
 import numpy as np
 
-from common import OUT, SRC, Metrics, directory_bytes, median, pct, peak_rss_mb, relabel
-from common import require
+from common import OUT, SRC, Metrics, Tracer, cpu_ticks, directory_bytes, median, pct
+from common import peak_rss_mb, process_cpu_s, relabel, require, steal_pct
 
 from repro import ContinuousStreamProcessor, WindowConfig, decompose
 from repro.data.generators import SyntheticStreamConfig, generate_stream
@@ -83,11 +80,8 @@ QUEUE_LIMIT = 64
 SETUP_TRIALS = 3
 #: Capacity assumed when sizing the closed-loop phase (events/s).
 NOMINAL_EVENTS_PER_S = 2000.0
-OPEN_SHARE = 0.65
-CLOSED_SHARE = 0.2
-#: Share of open-loop cycles (by drain time) kept as quiet; see
-#: :func:`quiet_cycles`.
-QUIET_SHARE = 0.5
+OPEN_SHARE = 0.5
+CLOSED_SHARE = 0.3
 #: Generator seed of tenant 0's base stream; the run seed relabels it.
 BASE_SEED = 100
 OP_TAIL = 90.0
@@ -284,6 +278,9 @@ class Server:
     def peak_rss_mb(self) -> float:
         return peak_rss_mb(self.process.pid)
 
+    def cpu_s(self) -> float:
+        return process_cpu_s(self.process.pid)
+
     def stop(self, client: Connection) -> None:
         """Graceful shutdown through ``client`` (checkpoints every stream)."""
         try:
@@ -304,8 +301,13 @@ class Server:
 
 
 def set_up(plan: Plan, root: Path, spans: Path | None = None):
-    """Start a server and bring every tenant live; returns (server, client, seconds)."""
+    """Start a server and bring every tenant live.
+
+    Returns ``(server, client, wall seconds, CPU seconds)``; the CPU time is
+    the server process's plus this thread's.
+    """
     started = time.perf_counter()
+    cpu_started = time.thread_time()
     server = Server(root, spans)
     try:
         client = server.connect()
@@ -314,10 +316,11 @@ def set_up(plan: Plan, root: Path, spans: Path | None = None):
             client.request("ingest", stream=tenant, records=records_to_wire(plan.warm[tenant]),
                            seq=1)
             client.request("start_stream", stream=tenant)
+        cpu = server.cpu_s() + time.thread_time() - cpu_started
     except BaseException:
         server.kill()
         raise
-    return server, client, time.perf_counter() - started
+    return server, client, time.perf_counter() - started, cpu
 
 
 def flush_all(client: Connection, plan: Plan, counters: dict) -> dict:
@@ -331,16 +334,22 @@ def flush_all(client: Connection, plan: Plan, counters: dict) -> dict:
     return applied
 
 
-def closed_loop(client: Connection, plan: Plan, counters: dict, first: int) -> float:
+def closed_loop(server: Server, client: Connection, plan: Plan, counters: dict,
+                first: int) -> tuple[int, float, float]:
     """Chunks ``first`` to ``first + n_closed`` of every tenant back to back,
-    then a flush of every tenant; returns events applied per second."""
+    then a flush of every tenant.
+
+    Returns ``(events applied, wall seconds, server CPU seconds)``.
+    """
     before = flush_all(client, plan, counters)
+    cpu_started = server.cpu_s()
     started = time.perf_counter()
     for position in range(first, first + plan.n_closed):
         send_burst(client, plan, position, counters)
     after = flush_all(client, plan, counters)
     elapsed = time.perf_counter() - started
-    return sum(after[t] - before[t] for t in plan.tenants) / elapsed
+    cpu = server.cpu_s() - cpu_started
+    return sum(after[t] - before[t] for t in plan.tenants), elapsed, cpu
 
 
 def send_burst(client: Connection, plan: Plan, position: int, counters: dict) -> list:
@@ -388,7 +397,11 @@ def sleep_until(due: float) -> None:
 
 
 def read_loop(server: Server, schedule, results: list, counters: dict) -> None:
-    """The read connection: one query per scheduled slot, in order."""
+    """The read connection: one query per scheduled slot, in order.
+
+    A query that fails, on the wire or in the server, counts as failed and
+    the loop goes on, so every slot leaves a result.
+    """
     with server.connect() as client:
         for due, op, tenant, burst in schedule:
             sleep_until(due)
@@ -401,6 +414,9 @@ def read_loop(server: Server, schedule, results: list, counters: dict) -> None:
             except ServiceError as error:
                 counters["failed"] += 1
                 counters["errors"].append(f"{op} {tenant}: {error.code}")
+            except (OSError, ValueError) as error:
+                counters["failed"] += 1
+                counters["errors"].append(f"{op} {tenant}: {type(error).__name__}: {error}")
             done = time.perf_counter()
             results.append((op, tenant, done - due, sent - due, burst))
 
@@ -432,23 +448,10 @@ def open_loop(server: Server, client: Connection, plan: Plan, counters: dict):
     finally:
         reader.join(timeout=150)
     require(not reader.is_alive(), "the read connection did not finish its schedule")
+    require(len(reads) == len(schedule),
+            f"the read connection stopped after {len(reads)} of {len(schedule)} queries")
     counters["attempted"] += len(schedule)
     return cycles, reads, lateness
-
-
-def quiet_cycles(cycles: list, reads: list):
-    """Ack latencies, drains and read latencies of the quiet cycles.
-
-    On a shared machine, other tenants slow whole seconds of a run by up to
-    2x.  The quiet cycles are those whose drain is at or below the
-    ``QUIET_SHARE`` quantile of all drains.
-    """
-    threshold = pct([drain for _, drain in cycles], 100 * QUIET_SHARE)
-    quiet = [i for i, (_, drain) in enumerate(cycles) if drain <= threshold]
-    acks = [a for i in quiet for a in cycles[i][0]]
-    drains = [cycles[i][1] for i in quiet]
-    quiet_reads = [r[2] for r in reads if r[4] in set(quiet)]
-    return acks, drains, quiet_reads
 
 
 # ----------------------------------------------------------------------
@@ -518,25 +521,26 @@ def run(workload_name: str, seed: int, seconds: float, trace: bool,
 
 
 def _run(plan: Plan, work: Path, seed: int, trace: bool, counters: dict):
+    ticks = cpu_ticks()
     setups = []
-    eps_untraced = None
+    untraced_capacity = None
     # Extra set-ups on fresh servers; in a traced run the first one also
     # measures untraced capacity for the overhead figure.
     for trial in range(SETUP_TRIALS - 1):
-        server, client, seconds_ = set_up(plan, work / f"setup-{trial}")
-        setups.append(seconds_)
+        server, client, wall, cpu = set_up(plan, work / f"setup-{trial}")
+        setups.append((wall, cpu))
         try:
             if trace and trial == 0:
-                eps_untraced = closed_loop(client, plan, counters, first=0)
+                untraced_capacity = closed_loop(server, client, plan, counters, first=0)
         finally:
             server.stop(client)
     root = work / "main"
     spans_path = work / "spans.json"
-    server, client, seconds_ = set_up(plan, root, spans_path if trace else None)
-    setups.append(seconds_)
+    server, client, wall, cpu = set_up(plan, root, spans_path if trace else None)
+    setups.append((wall, cpu))
     try:
         cycles, reads, lateness = open_loop(server, client, plan, counters)
-        eps = closed_loop(client, plan, counters, first=plan.n_bursts)
+        capacity = closed_loop(server, client, plan, counters, first=plan.n_bursts)
         applied = flush_all(client, plan, counters)
         fitness = {t: client.request("fitness", stream=t)["fitness"] for t in plan.tenants}
         served = client.request("factors", stream=plan.tenants[0])["factors"]
@@ -563,6 +567,7 @@ def _run(plan: Plan, work: Path, seed: int, trace: bool, counters: dict):
             restarted.stop(restarted_client)
         listed = {row["stream"] for row in streams}
         require(listed == set(plan.tenants), f"recovered streams {sorted(listed)}")
+    steal = steal_pct(ticks, cpu_ticks())
 
     check_service(plan, served, applied, fitness, counters,
                   reference_factors(plan, plan.tenants[0]))
@@ -573,19 +578,23 @@ def _run(plan: Plan, work: Path, seed: int, trace: bool, counters: dict):
                 f"{applied[tenant]}")
     relative = float(np.mean([fitness[t] / offline[t][0] for t in plan.tenants]))
 
-    acks, drains, quiet_reads = quiet_cycles(cycles, reads)
-    ack_ms = [a * 1e3 for a in acks]
-    read_ms = [r * 1e3 for r in quiet_reads]
+    ack_ms = [a * 1e3 for acks, _ in cycles for a in acks]
+    read_ms = [r[2] * 1e3 for r in reads]
+    drains = [drain for _, drain in cycles]
+    events, capacity_wall, capacity_cpu = capacity
     details = {
         "tenants": f"{len(plan.tenants)} x (initial window + "
                    f"{plan.n_bursts} open-loop + {plan.n_closed} closed-loop chunks "
                    f"of {CHUNK_RECORDS} records)",
         "open_loop": f"{plan.n_bursts} bursts every {BURST_PERIOD_S} s, "
                      f"{len(QUERY_OFFSETS)} queries per burst period",
+        "closed_loop": f"{events} events in {capacity_wall:.3f} s wall, "
+                       f"{capacity_cpu:.3f} s server CPU",
         "fitness_mean": repr(float(np.mean(list(fitness.values())))),
         "ingest_send_late_ms_max": round(max(lateness) * 1e3, 3),
-        "cycle_drain_s": [round(drain, 4) for _, drain in cycles],
+        "cycle_drain_s": [round(drain, 4) for drain in drains],
         "read_late_ms_p50": round(pct([r[3] for r in reads], 50) * 1e3, 3),
+        "steal_pct": round(steal, 2),
         "failed_ratio": counters["failed"] / max(counters["attempted"], 1),
         "overload_rejections": sum(t["overload_rejections"] for t in telemetry.values()),
         "checkpoints_written": sum(t["checkpoints_written"] for t in telemetry.values()),
@@ -597,73 +606,79 @@ def _run(plan: Plan, work: Path, seed: int, trace: bool, counters: dict):
     }
     metrics = Metrics()
     if not trace:
-        metrics.add("setup_s", median(setups), "s", f"median of {len(setups)} server set-ups")
-        metrics.add("events_per_s", eps, "1/s",
-                    f"closed loop, {plan.n_closed} chunks per tenant")
+        metrics.add("setup_s", median([cpu for _, cpu in setups]), "s",
+                    f"CPU time (server + client), median of {len(setups)} server set-ups")
         metrics.add("relative_fitness", relative, "ratio", "mean over tenants")
         metrics.add("peak_rss_mb", server_rss, "MB", "server process")
-        metrics.add("op_ms_p50", pct(ack_ms, 50), "ms", f"ingest ack p50 of {len(ack_ms)}")
+        metrics.add("events_per_cpu_s", events / capacity_cpu, "1/s",
+                    f"closed loop, {plan.n_closed} chunks per tenant, per server CPU second",
+                    gated=False)
+        metrics.add("setup_wall_s", median([wall for wall, _ in setups]), "s",
+                    f"median of {len(setups)} server set-ups", gated=False)
+        metrics.add("events_per_s", events / capacity_wall, "1/s",
+                    "closed loop, per wall second", gated=False)
+        metrics.add("op_ms_p50", pct(ack_ms, 50), "ms",
+                    f"ingest ack p50 of {len(ack_ms)}", gated=False)
         metrics.add("op_ms_tail", pct(ack_ms, OP_TAIL), "ms",
                     f"ingest ack p{OP_TAIL:g} of {len(ack_ms)}", gated=False)
-        metrics.add("read_ms_p50", pct(read_ms, 50), "ms", f"query p50 of {len(read_ms)}")
+        metrics.add("read_ms_p50", pct(read_ms, 50), "ms",
+                    f"query p50 of {len(read_ms)}", gated=False)
         metrics.add("read_ms_tail", pct(read_ms, READ_TAIL), "ms",
                     f"query p{READ_TAIL:g} of {len(read_ms)}", gated=False)
         metrics.add("drain_s", median(drains), "s",
-                    f"burst to all flushes returned, median of {len(drains)} quiet cycles",
+                    f"burst to all flushes returned, median of {len(drains)} cycles",
                     gated=False)
     else:
         log = json.loads(spans_path.read_text())
-        layer_metrics(metrics, log, reads, telemetry, counters, eps, eps_untraced,
+        untraced_events, _, untraced_cpu = untraced_capacity
+        overhead = (untraced_events / untraced_cpu) / (events / capacity_cpu) - 1.0
+        layer_metrics(metrics, log, reads, telemetry, counters, overhead,
                       directory_bytes(root) / len(plan.tenants), recover_s)
-        (OUT / f"service_tcp-seed{seed}-spans.json").write_text(json.dumps(log))
+        shutil.copyfile(spans_path, OUT / f"service_tcp-seed{seed}-spans.json")
     return metrics, result, details
 
 
 def layer_metrics(metrics: Metrics, log: dict, reads: list, telemetry: dict,
-                  counters: dict, eps: float, eps_untraced: float,
-                  bytes_per_stream: float, recover_s: float) -> None:
+                  counters: dict, overhead: float, bytes_per_stream: float,
+                  recover_s: float) -> None:
     """Per-layer numbers from the traced server's spans and join logs."""
-    spans = log["spans"]
-    counts = log["counts"]
-
-    def durations(name, parent="*"):
-        return [e - s for n, s, e, p in spans if n == name and (parent == "*" or p == parent)]
-
-    def total(name, parent="*"):
-        return float(sum(durations(name, parent)))
-
+    tracer = Tracer.from_log(log)
     events = sum(t["events_applied"] for t in telemetry.values())
     batches = sum(t["batches_applied"] for t in telemetry.values())
     per_event = 1e6 / events
-    update = total("core.update")
-    kernel_in_update = sum(total(f"kernels.{k}", "core.update") for k in KERNEL_NAMES)
+    update = tracer.total("core.update")
+    kernel_in_update = sum(
+        tracer.total(f"kernels.{k}", parent="core.update") for k in KERNEL_NAMES
+    )
     metrics.add("core.update_us_per_event", update * per_event, "us")
     metrics.add("core.glue_us_per_event", (update - kernel_in_update) * per_event, "us")
     for name in KERNEL_NAMES:
-        kernel = durations(f"kernels.{name}")
+        kernel = tracer.durations(f"kernels.{name}")
         metrics.add(f"kernels.{name}.calls", len(kernel), "count", "whole server run")
         metrics.add(f"kernels.{name}.us_per_event", sum(kernel) * per_event, "us")
     metrics.add("kernels.share", kernel_in_update / update if update else 0.0, "ratio",
                 "kernel time / update time")
-    metrics.add("stream.drain_us_per_event", total("stream.next") * per_event, "us")
+    metrics.add("stream.drain_us_per_event", tracer.total("stream.next") * per_event, "us")
     metrics.add("stream.events_per_batch", events / batches, "count")
-    metrics.add("stream.bootstrap_s", median(durations("stream.bootstrap")), "s",
+    metrics.add("stream.bootstrap_s", median(tracer.durations("stream.bootstrap")), "s",
                 "per tenant start")
-    metrics.add("als.init_s", median(durations("als.decompose")), "s", "per tenant start")
-    scoring = total("anomaly.score_batch")
+    metrics.add("als.init_s", median(tracer.durations("als.decompose")), "s",
+                "per tenant start")
+    scoring = tracer.total("anomaly.score_batch")
     metrics.add("anomaly.score_us_per_event",
-                (scoring - total("core.update", "anomaly.score_batch")) * per_event, "us")
-    metrics.add("anomaly.reconstruct_calls", len(durations("anomaly.reconstruct")), "count",
-                "whole server run")
+                (scoring - tracer.total("core.update", "anomaly.score_batch")) * per_event,
+                "us")
+    metrics.add("anomaly.reconstruct_calls", len(tracer.durations("anomaly.reconstruct")),
+                "count", "whole server run")
     queries = log["queries"]
     fitness_ms = [(e - s) * 1e3 for op, _, s, e in queries if op == "fitness"]
     metrics.add("metrics.fitness_ms", median(fitness_ms), "ms", "fitness query compute")
-    records = counts.get("protocol.ingest_records", 0)
-    protocol = total("protocol.decode_ingest") + total("protocol.parse_records")
+    records = tracer.counts.get("protocol.ingest_records", 0)
+    protocol = tracer.total("protocol.decode_ingest") + tracer.total("protocol.parse_records")
     metrics.add("service.protocol.us_per_record", protocol * 1e6 / records, "us",
                 "decode + parse of ingest lines")
     metrics.add("service.protocol.bytes_per_record",
-                counts.get("protocol.ingest_bytes", 0) / records, "bytes")
+                tracer.counts.get("protocol.ingest_bytes", 0) / records, "bytes")
     acks = log["acks"]
     waits = [
         (start - acks[f"{stream}/{seq}"]) * 1e3
@@ -698,16 +713,16 @@ def layer_metrics(metrics: Metrics, log: dict, reads: list, telemetry: dict,
     metrics.add("service.overload_rejections",
                 sum(t["overload_rejections"] for t in telemetry.values()), "count")
     metrics.add("service.deferred_errors", counters["deferred"], "count")
-    saves = durations("checkpoint.save")
+    saves = tracer.durations("checkpoint.save")
     metrics.add("checkpoint.writes", len(saves), "count", "incl. the shutdown sweep")
     metrics.add("checkpoint.save_ms_p50", pct(saves, 50) * 1e3, "ms")
     metrics.add("checkpoint.bytes_per_stream", bytes_per_stream, "bytes")
     metrics.add("checkpoint.recover_s", recover_s, "s", "restart until all tenants listed")
-    metrics.add("trace.overhead_pct", (eps_untraced / eps - 1.0) * 100.0, "%",
-                "closed-loop capacity, untraced vs traced server")
+    metrics.add("trace.overhead_pct", overhead * 100.0, "%",
+                "closed-loop events per server CPU second, untraced vs traced server")
     inside_apply = (
-        total("stream.next", "session.apply_chunk")
-        + total("anomaly.score_batch", "session.apply_chunk")
+        tracer.total("stream.next", "session.apply_chunk")
+        + tracer.total("anomaly.score_batch", "session.apply_chunk")
     )
     metrics.add("trace.accounted_pct", 100.0 * inside_apply / apply_s, "%",
                 "drain + scoring spans / apply_chunk spans")

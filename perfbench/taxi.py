@@ -15,19 +15,24 @@ replays the first ``n_events`` events, reads the window fitness every
 ``READ_EVERY`` events (a client polling the model, as in the paper's
 fitness-over-time study), and finally checkpoints processor and model (the
 durability barrier at the end of the stream).  A run repeats passes until
-its time is used up; every pass must end in bit-identical factors.
+its time is used up; every pass must end in bit-identical factors, which
+must also match the reference recorded for the seed in ``references.json``.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
+import hashlib
+import json
 import shutil
 import time
+from pathlib import Path
 
 import numpy as np
 
-from common import OUT, Metrics, Tracer, directory_bytes
-from common import median, pct, peak_rss_mb, relabel, require
+from common import OUT, Metrics, Tracer, cpu_ticks, directory_bytes
+from common import median, pct, peak_rss_mb, relabel, require, steal_pct
 from hooks import TIMED_BACKEND, register_timed_backend, timed_next, traced_score_batch
 
 from repro import (
@@ -48,10 +53,17 @@ ALS_ITERATIONS = 10
 #: ALS sweeps of the offline reference behind ``relative_fitness``.
 REFERENCE_ALS_ITERATIONS = 20
 READ_EVERY = 200
-#: Share of the windows kept as quiet (see :func:`quiet_samples`).
-QUIET_SHARE = 0.25
 BATCH_WINDOW = 2.0
 DETECTOR_WARMUP = 50
+#: Recorded fitness and factor fingerprints, per workload and seed
+#: (written by ``record_references.py``).
+REFERENCES = Path(__file__).with_name("references.json")
+#: Relative tolerance of the recorded-reference check.  A build that
+#: reorders floating-point work may move the last digits; a wrong result
+#: moves them by far more.
+REFERENCE_RTOL = 1e-6
+#: Columns of the (wall, thread CPU) clock pairs a pass records.
+WALL, CPU = 0, 1
 
 
 @dataclasses.dataclass(frozen=True)
@@ -61,7 +73,7 @@ class TaxiWorkload:
     engine: str  # "events" or "batched"
     op_name: str
     op_tail: float  # percentile reported as op_ms_tail
-    window_ops: int  # ops per quiet-window candidate (about 0.1 s)
+    window_ops: int  # ops per stream position (about 0.1 s)
     read_tail: float = 90.0
     n_events: int = 8000
     scale: float = 1.0
@@ -80,7 +92,8 @@ WORKLOADS = {
 @dataclasses.dataclass
 class PassResult:
     traced: bool
-    setup_s: float
+    #: (wall, CPU) seconds of the set-up.
+    setup_s: tuple
     bootstrap_s: float
     als_s: float
     replay_s: float
@@ -88,21 +101,28 @@ class PassResult:
     n_events: int
     n_batches: int
     n_scores: int
-    op_s: list  # duration of each op
-    op_end: list  # clock at the end of each op
+    #: (wall, CPU) seconds of each op.
+    op_s: np.ndarray
+    #: (wall, CPU) clocks at the replay start and after each op and its reads.
+    marks: np.ndarray
     op_events: list  # events each op applied
-    read_s: list
-    read_at: list  # index of the op each read preceded
+    #: (wall, CPU) seconds of each fitness read.
+    read_s: np.ndarray
     reads: list
-    replay_start: float
     fitness: float
     factors: list
     checkpoint_bytes: int = 0
 
 
+@functools.lru_cache(maxsize=1)
+def base_dataset(scale: float):
+    """The unrelabelled synthetic stream (seed-independent, so built once)."""
+    return generate_dataset("nyc_taxi", scale)
+
+
 def make_inputs(seed: int, workload: TaxiWorkload):
     """The synthetic NY-Taxi stream relabelled by ``seed`` (not timed)."""
-    base, spec = generate_dataset("nyc_taxi", workload.scale)
+    base, spec = base_dataset(workload.scale)
     stream = MultiAspectStream(
         relabel(base, spec.mode_sizes, seed),
         mode_sizes=spec.mode_sizes,
@@ -117,9 +137,14 @@ def make_inputs(seed: int, workload: TaxiWorkload):
 
 
 def set_up(inputs, workload: TaxiWorkload, backend: str = "auto"):
-    """Window bootstrap, ALS init and ``initialize``; returns the state and times."""
+    """Window bootstrap, ALS init and ``initialize``.
+
+    Returns the processor, the model and ``((wall, CPU) set-up seconds,
+    bootstrap seconds, ALS seconds)``.
+    """
     stream, spec, config = inputs
     clock = time.perf_counter
+    cpu_started = time.thread_time()
     started = clock()
     processor = ContinuousStreamProcessor(stream, config)
     bootstrapped = clock()
@@ -135,48 +160,54 @@ def set_up(inputs, workload: TaxiWorkload, backend: str = "auto"):
         SNSConfig(rank=spec.rank, theta=spec.theta, eta=spec.eta, backend=backend),
     )
     model.initialize(processor.window, initial)
-    ended = clock()
-    return processor, model, (ended - started, bootstrapped - started, decomposed - bootstrapped)
+    setup = (clock() - started, time.thread_time() - cpu_started)
+    return processor, model, (setup, bootstrapped - started, decomposed - bootstrapped)
 
 
 def run_pass(inputs, workload: TaxiWorkload, tracer: Tracer | None, checkpoint_dir) -> PassResult:
     """One set-up, replay, read and checkpoint cycle."""
     clock = time.perf_counter
+    cpu_clock = time.thread_time
     processor, model, (setup_s, bootstrap_s, als_s) = set_up(
         inputs, workload, TIMED_BACKEND if tracer else "auto"
     )
     fitness = model.fitness
     if tracer:
         fitness = tracer.wrap("metrics.fitness", model.fitness)
-    op_s: list[float] = []
-    op_end: list[float] = []
+    op_s: list = []
+    marks: list = []
     op_events: list[int] = []
-    read_s: list[float] = []
-    read_at: list[int] = []
+    read_s: list = []
     reads: list[float] = []
     n_events = n_batches = 0
     next_read = READ_EVERY
     detector = None
-    replay_started = clock()
+
+    def read_due() -> tuple[float, float]:
+        """Read the fitness at every ``READ_EVERY`` events; returns the clocks."""
+        nonlocal next_read
+        while n_events >= next_read:
+            started = clock(), cpu_clock()
+            reads.append(fitness())
+            read_s.append((clock() - started[WALL], cpu_clock() - started[CPU]))
+            next_read += READ_EVERY
+        return clock(), cpu_clock()
+
+    marks.append((clock(), cpu_clock()))
+    replay_started = marks[0][WALL]
     if workload.engine == "events":
         update = tracer.wrap("core.update", model.update) if tracer else model.update
         events = processor.events(max_events=workload.n_events)
         if tracer:
             events = timed_next(events, tracer)
         for _, delta in events:
-            started = clock()
+            started = clock(), cpu_clock()
             update(delta)
-            ended = clock()
-            op_s.append(ended - started)
-            op_end.append(ended)
+            ended = clock(), cpu_clock()
+            op_s.append((ended[WALL] - started[WALL], ended[CPU] - started[CPU]))
             op_events.append(1)
             n_events += 1
-            if n_events == next_read:
-                started = clock()
-                reads.append(fitness())
-                read_s.append(clock() - started)
-                read_at.append(len(op_s))
-                next_read += READ_EVERY
+            marks.append(read_due() if n_events >= next_read else ended)
         n_batches = n_events
     else:
         detector = ZScoreDetector(warmup=DETECTOR_WARMUP)
@@ -187,20 +218,14 @@ def run_pass(inputs, workload: TaxiWorkload, tracer: Tracer | None, checkpoint_d
         if tracer:
             batches = timed_next(batches, tracer)
         for batch in batches:
-            started = clock()
+            started = clock(), cpu_clock()
             score(model, batch, detector)
-            ended = clock()
-            op_s.append(ended - started)
-            op_end.append(ended)
+            ended = clock(), cpu_clock()
+            op_s.append((ended[WALL] - started[WALL], ended[CPU] - started[CPU]))
             op_events.append(batch.n_events)
             n_events += batch.n_events
             n_batches += 1
-            while n_events >= next_read:
-                started = clock()
-                reads.append(fitness())
-                read_s.append(clock() - started)
-                read_at.append(len(op_s))
-                next_read += READ_EVERY
+            marks.append(read_due() if n_events >= next_read else ended)
     replay_s = clock() - replay_started
     extra = {"detector": detector.state_dict()} if detector is not None else None
     started = clock()
@@ -216,50 +241,86 @@ def run_pass(inputs, workload: TaxiWorkload, tracer: Tracer | None, checkpoint_d
         n_events=n_events,
         n_batches=n_batches,
         n_scores=detector.count if detector is not None else 0,
-        op_s=op_s,
-        op_end=op_end,
+        op_s=np.array(op_s, dtype=np.float64).reshape(-1, 2),
+        marks=np.array(marks, dtype=np.float64),
         op_events=op_events,
-        read_s=read_s,
-        read_at=read_at,
+        read_s=np.array(read_s, dtype=np.float64).reshape(-1, 2),
         reads=reads,
-        replay_start=replay_started,
         fitness=float(model.fitness()),
         factors=[factor.copy() for factor in model.factors],
         checkpoint_bytes=directory_bytes(checkpoint_dir),
     )
 
 
-def quiet_samples(passes: list[PassResult], window_ops: int):
-    """Per-event times, op latencies and read latencies of the quiet windows.
+def position_best(passes: list[PassResult], window_ops: int, column: int):
+    """Replay time, op times and read times, position by position.
 
-    On a shared machine, other tenants slow whole seconds of a run by up to
-    2x.  Each pass is cut into windows of ``window_ops`` consecutive ops
-    (with the drain between them); the fastest quarter of the windows by wall
-    time per event are the quiet ones, and the end-to-end statistics use
-    only the samples inside them.
+    Every pass replays the same events, so the stream is cut into windows of
+    ``window_ops`` ops at fixed positions, and each window counts with the
+    least time any pass took for it (on the clock in ``column``).  Other
+    tenants of a shared machine slow whole seconds of a run; this keeps their
+    effect out while every part of the stream still counts once.  Returns
+    ``(seconds, op seconds of the chosen windows, best seconds per read)``.
     """
-    windows = []
-    for result in passes:
-        for low in range(0, len(result.op_s) - window_ops + 1, window_ops):
-            high = low + window_ops
-            began = result.op_end[low - 1] if low else result.replay_start
-            # Reads are left out of the ranking, so windows holding one are
-            # as likely to count as quiet as the others.
-            reading = sum(
-                read for read, at in zip(result.read_s, result.read_at) if low <= at < high
-            )
-            elapsed = result.op_end[high - 1] - began - reading
-            windows.append((result, low, high, elapsed / sum(result.op_events[low:high])))
-    threshold = pct([w[3] for w in windows], 100 * QUIET_SHARE)
-    quiet = [w for w in windows if w[3] <= threshold]
-    ops = [x for result, low, high, _ in quiet for x in result.op_s[low:high]]
-    reads = [
-        read
-        for result, low, high, _ in quiet
-        for read, at in zip(result.read_s, result.read_at)
-        if low <= at < high
-    ]
-    return [w[3] for w in quiet], ops, reads, len(windows)
+    n_ops = len(passes[0].op_events)
+    starts = list(range(0, max(n_ops - window_ops, 0) + 1, window_ops))
+    seconds = 0.0
+    ops: list[float] = []
+    for low, high in zip(starts, starts[1:] + [n_ops]):
+        best = min(passes, key=lambda p: p.marks[high, column] - p.marks[low, column])
+        seconds += best.marks[high, column] - best.marks[low, column]
+        ops.extend(best.op_s[low:high, column])
+    reads = np.min([p.read_s[:, column] for p in passes], axis=0)
+    return seconds, ops, reads.tolist()
+
+
+# ----------------------------------------------------------------------
+# Checks
+# ----------------------------------------------------------------------
+def fingerprint(factors) -> dict:
+    """A digest of the factors' bits, and sums that move with their values."""
+    digest = hashlib.sha256()
+    weights = np.random.default_rng(0)
+    sums = []
+    for factor in factors:
+        factor = np.ascontiguousarray(factor, dtype=np.float64)
+        digest.update(factor.tobytes())
+        sums += [float(np.sum(factor * factor)),
+                 float(np.sum(factor * weights.standard_normal(factor.shape)))]
+    return {"digest": digest.hexdigest(), "sums": sums}
+
+
+def reference_record(fitness: float, factors) -> dict:
+    return {"fitness": repr(float(fitness)), **fingerprint(factors)}
+
+
+def recorded_reference(workload_name: str, seed: int) -> dict | None:
+    if not REFERENCES.is_file():
+        return None
+    return json.loads(REFERENCES.read_text()).get(workload_name, {}).get(str(seed))
+
+
+def check_reference(recorded: dict | None, fitness: float, factors) -> str:
+    """Raise :class:`CheckFailed` unless the result matches the recorded one.
+
+    Returns how it matched: bit for bit, within ``REFERENCE_RTOL``, or not
+    at all because no reference is recorded for the seed.
+    """
+    if recorded is None:
+        return "no recorded reference for this seed"
+    current = reference_record(fitness, factors)
+    if current == recorded:
+        return "bit-identical"
+    expected = float(recorded["fitness"])
+    require(abs(fitness - expected) <= REFERENCE_RTOL * abs(expected),
+            f"fitness {fitness!r} != recorded reference {recorded['fitness']}")
+    require(
+        len(current["sums"]) == len(recorded["sums"])
+        and all(abs(a - b) <= REFERENCE_RTOL * max(1.0, abs(b))
+                for a, b in zip(current["sums"], recorded["sums"])),
+        "factors differ from the recorded reference",
+    )
+    return f"within {REFERENCE_RTOL:g} of the recorded reference"
 
 
 def reference_replay(inputs, workload: TaxiWorkload):
@@ -289,6 +350,8 @@ def check_passes(passes: list[PassResult], reference_factors, reference_fitness:
         label = f"pass {position}"
         require(result.n_events == workload.n_events,
                 f"{label} applied {result.n_events} events, expected {workload.n_events}")
+        require(result.op_events == passes[0].op_events,
+                f"{label} split the events into other ops than pass 0")
         require(np.isfinite(result.fitness) and 0.0 < result.fitness <= 1.0,
                 f"{label} fitness {result.fitness} is outside (0, 1]")
         require(result.fitness == reference_fitness,
@@ -306,6 +369,9 @@ def check_passes(passes: list[PassResult], reference_factors, reference_fitness:
                     f"replay has {reference_arrivals}")
 
 
+# ----------------------------------------------------------------------
+# The run
+# ----------------------------------------------------------------------
 def run(workload_name: str, seed: int, seconds: float, trace: bool,
         workload: TaxiWorkload | None = None) -> tuple[Metrics, dict, dict]:
     """Measure one workload; returns (metrics, result counts, details)."""
@@ -316,6 +382,7 @@ def run(workload_name: str, seed: int, seconds: float, trace: bool,
     checkpoint_dir = OUT / f"{workload.name}-seed{seed}-checkpoint"
     clock = time.perf_counter
     passes: list[PassResult] = []
+    ticks = cpu_ticks()
     deadline = clock() + seconds
     last = 0.0
     # Untraced runs repeat passes while another fits; traced runs alternate
@@ -331,6 +398,7 @@ def run(workload_name: str, seed: int, seconds: float, trace: bool,
                      checkpoint_dir)
         )
         last = clock() - started
+    steal = steal_pct(ticks, cpu_ticks())
 
     started = clock()
     restored_processor, restored_model, _ = restore_run(checkpoint_dir)
@@ -338,6 +406,8 @@ def run(workload_name: str, seed: int, seconds: float, trace: bool,
     model, processor, arrivals = reference_replay(inputs, workload)
     reference_fitness = float(model.fitness())
     check_passes(passes, model.factors, reference_fitness, arrivals, workload)
+    matched = check_reference(recorded_reference(workload.name, seed),
+                              reference_fitness, model.factors)
     require(
         all(np.array_equal(a, b) for a, b in zip(restored_model.factors, model.factors)),
         "the checkpoint restored different factors",
@@ -349,47 +419,56 @@ def run(workload_name: str, seed: int, seconds: float, trace: bool,
 
     untraced = [p for p in passes if not p.traced]
     traced = [p for p in passes if p.traced]
-    quiet, ops, reads, n_windows = quiet_samples(untraced, workload.window_ops)
-    eps_untraced = median([p.n_events / p.replay_s for p in untraced])
     attempted = sum(len(p.op_s) + len(p.read_s) for p in passes)
     details = {
         "passes": f"{len(untraced)} untraced, {len(traced)} traced, "
                   f"{workload.n_events} events each",
         "fitness": repr(reference_fitness),
+        "reference": matched,
         "offline_als_fitness": repr(float(offline.fitness)),
         "batches_per_pass": passes[0].n_batches,
         "events_per_s_by_pass": [round(p.n_events / p.replay_s, 1) for p in passes],
-        "events_per_s_all_windows": round(eps_untraced, 1),
+        "steal_pct": round(steal, 2),
         "failed_ratio": 0.0,
     }
     metrics = Metrics()
     if not trace:
+        n_positions = -(-len(untraced[0].op_events) // workload.window_ops)
+        best = f"best of {len(untraced)} passes at each of {n_positions} positions"
+        replay, ops, reads = position_best(untraced, workload.window_ops, WALL)
+        cpu_replay, cpu_ops, _ = position_best(untraced, workload.window_ops, CPU)
         op_tail = f"p{workload.op_tail:g}"
-        metrics.add("setup_s", median([p.setup_s for p in untraced]), "s",
-                    f"median of {len(untraced)} set-ups")
-        metrics.add("events_per_s", 1.0 / median(quiet), "1/s",
-                    f"median of the quiet {len(quiet)} of {n_windows} windows")
+        metrics.add("setup_s", median([p.setup_s[CPU] for p in untraced]), "s",
+                    f"thread CPU time, median of {len(untraced)} set-ups")
         metrics.add("relative_fitness", relative_fitness, "ratio",
                     f"fitness {reference_fitness:.6f} / offline ALS {offline.fitness:.6f}")
         metrics.add("peak_rss_mb", peak_rss_mb(), "MB", "benchmark process")
+        metrics.add("events_per_cpu_s", workload.n_events / cpu_replay, "1/s",
+                    f"per thread CPU second, {best}", gated=False)
+        metrics.add("setup_wall_s", median([p.setup_s[WALL] for p in untraced]), "s",
+                    f"median of {len(untraced)} set-ups", gated=False)
+        metrics.add("events_per_s", workload.n_events / replay, "1/s",
+                    f"per wall second, {best}", gated=False)
         metrics.add("op_ms_p50", pct(ops, 50) * 1e3, "ms",
-                    f"{workload.op_name} p50 of {len(ops)}")
+                    f"{workload.op_name} p50 of {len(ops)}", gated=False)
         metrics.add("op_ms_tail", pct(ops, workload.op_tail) * 1e3, "ms",
                     f"{workload.op_name} {op_tail} of {len(ops)}", gated=False)
+        metrics.add("op_cpu_ms_p50", pct(cpu_ops, 50) * 1e3, "ms",
+                    f"{workload.op_name} thread CPU time p50 of {len(cpu_ops)}", gated=False)
         metrics.add("read_ms_p50", pct(reads, 50) * 1e3, "ms",
-                    f"fitness read p50 of {len(reads)}")
+                    f"fitness read p50 of {len(reads)}", gated=False)
         metrics.add("read_ms_tail", pct(reads, workload.read_tail) * 1e3, "ms",
                     f"fitness read p{workload.read_tail:g} of {len(reads)}", gated=False)
         metrics.add("drain_s", median([p.drain_s for p in untraced]), "s",
                     f"end-of-stream checkpoint, median of {len(untraced)}", gated=False)
     else:
-        layer_metrics(metrics, tracer, traced, eps_untraced, recover_s)
+        layer_metrics(metrics, tracer, traced, untraced, workload.window_ops, recover_s)
         tracer.dump(OUT / f"{workload.name}-seed{seed}-spans.json")
     return metrics, {"correct": True, "attempted": attempted, "failed": 0}, details
 
 
 def layer_metrics(metrics: Metrics, tracer: Tracer, traced: list[PassResult],
-                  eps_untraced: float, recover_s: float) -> None:
+                  untraced: list[PassResult], window_ops: int, recover_s: float) -> None:
     """Per-layer numbers from the traced passes' spans."""
     n_passes = len(traced)
     events = sum(p.n_events for p in traced)
@@ -425,8 +504,10 @@ def layer_metrics(metrics: Metrics, tracer: Tracer, traced: list[PassResult],
     metrics.add("checkpoint.save_ms_p50", median([p.drain_s for p in traced]) * 1e3, "ms")
     metrics.add("checkpoint.bytes_per_stream", float(traced[0].checkpoint_bytes), "bytes")
     metrics.add("checkpoint.recover_s", recover_s, "s", "restore_run of the last checkpoint")
-    eps_traced = median([p.n_events / p.replay_s for p in traced])
-    metrics.add("trace.overhead_pct", (eps_untraced / eps_traced - 1.0) * 100.0, "%")
+    untraced_s = position_best(untraced, window_ops, CPU)[0]
+    traced_s = position_best(traced, window_ops, CPU)[0]
+    metrics.add("trace.overhead_pct", (traced_s / untraced_s - 1.0) * 100.0, "%",
+                "replay thread CPU time, traced vs untraced passes, position by position")
     top_level = (
         tracer.total("stream.next")
         + tracer.total("metrics.fitness")
