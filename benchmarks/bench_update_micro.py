@@ -10,10 +10,10 @@ window).
 event engine (``run_batched`` / ``update_batch``) against the per-event loop
 — pure window replay and every variant, events/sec side by side — and writes
 the numbers to ``results/BENCH_update_micro.json``.  Its ``randomized``
-section measures the SNS-RND / SNS-RND+ engine path (vectorised flat-index
-sampling + batched updates) against the seed per-event path
-(``sampling="legacy"`` through the ``events()`` generator) and enforces the
->= 3x acceptance bar against the seed's recorded throughput.
+section measures the SNS-RND / SNS-RND+ per-event loop and engine path
+(vectorised flat-index sampling + batched updates) and enforces the >= 3x
+acceptance bar against the seed implementation's recorded per-event
+throughput.
 """
 
 from __future__ import annotations
@@ -45,12 +45,7 @@ BENCH_SCALE = 0.2
 #: (the values committed in BENCH_update_micro.json before the vectorised
 #: sampler landed), at this module's canonical workload (nyc_taxi @ 0.2,
 #: 1500 model events).  The engine-path acceptance bar is measured against
-#: these: the live ``sampling="legacy"`` sequential path reproduces the seed
-#: *algorithm* bit-for-bit but now runs ~20% faster than the seed did,
-#: because it shares the backend improvements that landed alongside the
-#: vectorised path (array slice gathers in mttkrp_row, buffered Gram
-#: updates, cached pinv ridge, COO caching) — so it understates the speedup
-#: over what the seed actually shipped.
+#: these.
 SEED_SEQUENTIAL_EVENTS_PER_SECOND = {
     "sns_rnd": 1341.3703187351832,
     "sns_rnd_plus": 1358.3879231710134,
@@ -113,27 +108,18 @@ def test_batched_vs_sequential_throughput(prepared_stream):
     n_model_events = scaled_events(1500, minimum=400)
 
     # ------------------------------------------------------------------
-    # Randomised variants: seed per-event path vs the vectorised engine path
+    # Randomised variants: per-event loop vs the engine path
     # ------------------------------------------------------------------
     # Measured first (before the machine warms up under the rest of the
-    # suite) and round-robin interleaved, so all three paths of one variant
-    # see comparable conditions.  Three measurements per variant: the seed
-    # per-event path (sampling="legacy" through the events() generator —
-    # same algorithm and draw stream as the seed; see
-    # SEED_SEQUENTIAL_EVENTS_PER_SECOND for why it is nonetheless faster
-    # than the seed's own recorded run), the vectorised sampler on the same
-    # per-event loop, and the engine path (vectorised sampling through
-    # run_batched / update_batch).
+    # suite) and round-robin interleaved, so both paths of one variant see
+    # comparable conditions: the per-event loop (the events() generator)
+    # and the engine path (run_batched / update_batch).
     randomized = {}
     for name in ("sns_rnd", "sns_rnd_plus"):
 
-        def run_randomized(sampling: str, batched: bool) -> float:
+        def run_randomized(batched: bool) -> float:
             sns_config = SNSConfig(
-                rank=spec.rank,
-                theta=spec.theta,
-                eta=spec.eta,
-                seed=0,
-                sampling=sampling,
+                rank=spec.rank, theta=spec.theta, eta=spec.eta, seed=0
             )
             processor = ContinuousStreamProcessor(stream, config)
             model = create_algorithm(name, sns_config)
@@ -146,28 +132,20 @@ def test_batched_vs_sequential_throughput(prepared_stream):
                     model.update(delta)
             return time.perf_counter() - start
 
-        legacy_seconds = float("inf")
         vectorized_seconds = float("inf")
         engine_seconds = float("inf")
         for _ in range(7):
-            legacy_seconds = min(legacy_seconds, run_randomized("legacy", False))
-            vectorized_seconds = min(
-                vectorized_seconds, run_randomized("vectorized", False)
-            )
-            engine_seconds = min(engine_seconds, run_randomized("vectorized", True))
-        legacy_sequential = n_model_events / legacy_seconds
+            vectorized_seconds = min(vectorized_seconds, run_randomized(False))
+            engine_seconds = min(engine_seconds, run_randomized(True))
         engine_path = n_model_events / engine_seconds
         seed_reference = SEED_SEQUENTIAL_EVENTS_PER_SECOND[name]
         randomized[name] = {
             "n_events": n_model_events,
-            "legacy_sequential_events_per_second": legacy_sequential,
             "vectorized_sequential_events_per_second": n_model_events
             / vectorized_seconds,
             "vectorized_batched_events_per_second": engine_path,
             "seed_recorded_sequential_events_per_second": seed_reference,
             "speedup_engine_vs_seed_per_event": engine_path / seed_reference,
-            "speedup_engine_vs_live_legacy_sequential": legacy_seconds
-            / engine_seconds,
         }
 
     def run_sequential() -> None:
@@ -233,18 +211,16 @@ def test_batched_vs_sequential_throughput(prepared_stream):
     lines += [
         "",
         "randomized variants: engine path (vectorized sampling + update_batch)",
-        f"{'variant':<16}{'seed(rec)':>10}{'legacy-seq':>11}{'vec-seq':>9}"
-        f"{'engine':>9}{'vs seed':>9}{'vs legacy':>10}",
+        f"{'variant':<16}{'seed(rec)':>10}{'vec-seq':>9}"
+        f"{'engine':>9}{'vs seed':>9}",
     ]
     for name, row in randomized.items():
         lines.append(
             f"{name:<16}"
             f"{row['seed_recorded_sequential_events_per_second']:>10.0f}"
-            f"{row['legacy_sequential_events_per_second']:>11.0f}"
             f"{row['vectorized_sequential_events_per_second']:>9.0f}"
             f"{row['vectorized_batched_events_per_second']:>9.0f}"
             f"{row['speedup_engine_vs_seed_per_event']:>8.2f}x"
-            f"{row['speedup_engine_vs_live_legacy_sequential']:>9.2f}x"
         )
     # What "auto" resolves to on this machine — the backend every model
     # above actually ran on — plus the thread pinning in effect, so two
@@ -272,17 +248,15 @@ def test_batched_vs_sequential_throughput(prepared_stream):
     # the randomised engine path must beat the seed's recorded per-event
     # throughput (same container family, same workload) by >= 3x.  On
     # scaled-down runs (CI quick mode / slow machines) absolute numbers and
-    # amortisation behave differently, so relaxed live regression floors
-    # apply instead.  The seed comparison is an absolute bar tied to the
+    # amortisation behave differently, so a relaxed engine-replay floor
+    # applies instead.  The seed comparison is an absolute bar tied to the
     # reference container the seed numbers were recorded on; on different
-    # hardware set REPRO_BENCH_SEED_BAR=0 to skip it (the relative floors
-    # still apply).  Model-path batched-vs-sequential speedups at equal
-    # config are informative only — exact per-event equivalence forbids
-    # reordering the factor math.
+    # hardware set REPRO_BENCH_SEED_BAR=0 to skip it.  Model-path
+    # batched-vs-sequential speedups are informative only — both engines
+    # run the same per-event update rule.
     canonical = bench_scale() >= 1.0 and n_model_events == 1500
     enforce_seed_bar = os.environ.get("REPRO_BENCH_SEED_BAR", "1") != "0"
     assert engine["speedup"] >= (3.0 if canonical else 2.0), report
-    for name, row in randomized.items():
-        assert row["speedup_engine_vs_live_legacy_sequential"] >= 1.5, report
-        if canonical and enforce_seed_bar:
+    if canonical and enforce_seed_bar:
+        for row in randomized.values():
             assert row["speedup_engine_vs_seed_per_event"] >= 3.0, report

@@ -55,10 +55,9 @@ def mttkrp_coo(
     """MTTKRP over prebuilt COO arrays (``(nnz, M)`` indices, ``(nnz,)`` values).
 
     Identical — operation for operation — to :func:`mttkrp` on the tensor
-    those arrays came from.  Callers that solve several modes against the
-    same tensor state (one ALS sweep, or SNS_MAT's per-event sweep inside
-    ``update_batch``) build the arrays once and amortise the
-    ``SparseTensor.to_coo_arrays`` conversion across modes.
+    those arrays came from, which gets them from the version-stamped
+    ``SparseTensor.to_coo_arrays`` cache, so solving several modes against
+    the same tensor state converts it once either way.
     """
     if kernels is None:
         kernels = numpy_backend()

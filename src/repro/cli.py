@@ -95,17 +95,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--sampling",
-        choices=("vectorized", "legacy"),
-        default="vectorized",
-        help=(
-            "slice sampler of the randomised variants (SNS-RND / SNS-RND+): "
-            "'vectorized' draws all θ coordinates in one batched pass (fast "
-            "default), 'legacy' reproduces the original per-draw stream "
-            "bit-for-bit"
-        ),
-    )
-    parser.add_argument(
         "--backend",
         choices=("auto", "numpy", "numba"),
         default="auto",
@@ -199,7 +188,6 @@ def _settings(args: argparse.Namespace) -> ExperimentSettings:
         n_checkpoints=args.n_checkpoints,
         seed=args.seed,
         batched=args.batched or args.shards > 1 or args.staleness > 0,
-        sampling=args.sampling,
         backend=args.backend,
         shards=args.shards,
         staleness=args.staleness,
@@ -247,7 +235,6 @@ def run(argv: Sequence[str] | None = None) -> str:
             "n_checkpoints": args.n_checkpoints,
             "seed": args.seed,
             "batched": args.batched or args.shards > 1 or args.staleness > 0,
-            "sampling": args.sampling,
             "backend": args.backend,
             "shards": args.shards,
             "staleness": args.staleness,

@@ -14,14 +14,14 @@ Every algorithm in :mod:`repro.core` follows the same life cycle:
 3. ``update_batch(batch)`` — react to a coalesced
    :class:`~repro.stream.deltas.DeltaBatch` of events drained by the batched
    engine (``ContinuousStreamProcessor.run_batched``).  Here the model owns
-   the window mutation and interleaves it with the factor updates, so the
-   result is exactly equivalent to the per-event path; the default loops over
-   the batch, and the deterministic variants override it to share per-event
-   setup (hoisted Hadamard-of-Gram inverses, one COO conversion per sweep).
+   the window mutation: it applies each event's entry changes and then runs
+   that event's update, so the result is bit-identical to the per-event path.
 
-The base class also centralises the bookkeeping helpers shared by several
-variants: rank-one Gram updates (Eq. 13 / Eqs. 24-25), previous-Gram updates
-(Eq. 17 / Eq. 26), pseudo-inverses of Hadamard-of-Gram matrices, and the
+Both entry points call the same per-event hook, :meth:`ContinuousCPD._update`,
+with the event's entry changes and categorical indices; each variant
+implements its update rule there, once.  The base class also centralises the
+bookkeeping helpers shared by several variants: rank-one Gram updates
+(Eq. 13 / Eqs. 24-25), pseudo-inverses of Hadamard-of-Gram matrices, and the
 fitness computation used by the evaluation.
 """
 
@@ -35,13 +35,17 @@ from typing import Any
 import numpy as np
 
 from repro.exceptions import ConfigurationError, NotFittedError, RankError, ShapeError
-from repro.kernels.api import flatten_row_overrides
 from repro.kernels.registry import resolve_backend
 from repro.stream.deltas import Delta, DeltaBatch
 from repro.stream.window import TensorWindow
 from repro.tensor.kruskal import KruskalTensor
 from repro.tensor.products import hadamard_all
 from repro.tensor.sparse import SparseTensor
+
+Coordinate = tuple[int, ...]
+
+#: One event's entry changes: ``((coordinate, value), ...)``, at most two.
+Entries = tuple[tuple[Coordinate, float], ...]
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -71,24 +75,13 @@ class SNSConfig:
         future work for SliceNStitch).  Ignored by the other variants.
     seed:
         Seed for the sampling generator of the randomised variants.
-    sampling:
-        Slice-sampling implementation used by the randomised variants
-        (``SNSRnd`` / ``SNSRndPlus``); ignored by the others.
-        ``"vectorized"`` (the default) draws the θ coordinates in bulk over
-        linearised slice offsets and hands the update rules an ``(n, M)``
-        int64 array — the engine-fast path.  ``"legacy"`` reproduces the
-        original per-draw tuple sampler bit-for-bit (same draw stream, same
-        goldens); both sample uniformly without replacement from the same
-        eligible set.
     backend:
         Kernel backend for the hot-path array math (see
         :mod:`repro.kernels`).  ``"auto"`` (the default) defers to the CLI
         ``--backend`` knob / the ``REPRO_KERNEL_BACKEND`` environment
         variable and otherwise auto-detects (numba when importable, else
         the numpy reference).  An execution detail, not a model
-        hyper-parameter: checkpoints restore across backends, and the
-        ``"legacy"`` sampler always runs the numpy reference to keep its
-        bit-for-bit pin.
+        hyper-parameter: checkpoints restore across backends.
     shards:
         Number of shared-nothing shards the batched update path partitions
         each :class:`~repro.stream.deltas.DeltaBatch` into (see
@@ -115,7 +108,6 @@ class SNSConfig:
     regularization: float = 1e-12
     nonnegative: bool = False
     seed: int | None = 0
-    sampling: str = "vectorized"
     backend: str = "auto"
     shards: int = 1
     staleness: int = 0
@@ -131,10 +123,6 @@ class SNSConfig:
             raise ConfigurationError(
                 f"regularization must be >= 0, got {self.regularization}"
             )
-        if self.sampling not in ("vectorized", "legacy"):
-            raise ConfigurationError(
-                f"sampling must be 'vectorized' or 'legacy', got {self.sampling!r}"
-            )
         if not isinstance(self.backend, str) or not self.backend:
             raise ConfigurationError(
                 f"backend must be a backend name or 'auto', got {self.backend!r}"
@@ -145,6 +133,27 @@ class SNSConfig:
             raise ConfigurationError(
                 f"staleness must be >= 0, got {self.staleness}"
             )
+
+    @classmethod
+    def from_dict(cls, payload: Mapping[str, Any]) -> "SNSConfig":
+        """Rebuild a config saved as a plain dict (e.g. in a checkpoint).
+
+        Keys the saved dict lacks take their defaults: checkpoints written
+        before a field existed were implicitly run with its default.
+        Checkpoints written while there were two slice samplers carry a
+        ``sampling`` key; ``"vectorized"`` is the sampler that remains and
+        is dropped, any other value raises :class:`ConfigurationError`
+        because that run cannot be continued exactly.
+        """
+        fields = dict(payload)
+        sampling = fields.pop("sampling", "vectorized")
+        if sampling != "vectorized":
+            raise ConfigurationError(
+                f"saved config has sampling={sampling!r}; only the "
+                "'vectorized' slice sampler exists, so this run cannot be "
+                "restored"
+            )
+        return cls(**fields)
 
 
 class ContinuousCPD(abc.ABC):
@@ -231,9 +240,8 @@ class ContinuousCPD(abc.ABC):
         """Name of the kernel backend actually executing the hot path.
 
         May differ from ``config.backend``: ``"auto"`` resolves to a
-        concrete backend, an unavailable backend degrades to ``"numpy"``,
-        and the legacy sampler pins the randomised variants to the
-        reference.
+        concrete backend, and an unavailable backend degrades to
+        ``"numpy"``.
         """
         return self._kernels.name
 
@@ -338,10 +346,10 @@ class ContinuousCPD(abc.ABC):
         Returns a nested dict of plain values and numpy arrays: the registry
         ``name``, the hyper-parameter ``config`` (as a plain dict), the
         ``n_updates`` counter, the numpy ``Generator`` bit-generator state
-        (so the sampling draw stream — legacy or vectorized — resumes on the
-        exact same draws), the factor and Gram matrices, and a variant-
-        specific ``aux`` dict (:meth:`_aux_state`).  Together with the
-        window this is everything needed to continue the run exactly; see
+        (so the slice sampler resumes on the exact same draws), the factor
+        and Gram matrices, and a variant-specific ``aux`` dict
+        (:meth:`_aux_state`).  Together with the window this is everything
+        needed to continue the run exactly; see
         :mod:`repro.stream.checkpoint` for the on-disk format.
         """
         self._require_initialized()
@@ -377,32 +385,24 @@ class ContinuousCPD(abc.ABC):
             raise ConfigurationError(
                 f"cannot load state of algorithm {name!r} into {self.name!r}"
             )
-        saved_config = state.get("config")
-        current_config = dataclasses.asdict(self._config)
-        # The kernel backend is an execution detail, not a model
-        # hyper-parameter: a checkpoint written on one backend restores on
-        # any other (and pre-backend checkpoints lack the key entirely).
-        current_config.pop("backend", None)
-        if saved_config is not None:
-            saved_config = {
-                key: value
-                for key, value in dict(saved_config).items()
-                if key != "backend"
-            }
-            # Checkpoints written before the sharded execution layer lack
-            # these keys; they were implicitly exact runs.
-            saved_config.setdefault("shards", 1)
-            saved_config.setdefault("staleness", 0)
-        if saved_config is not None and saved_config != current_config:
-            mismatched = sorted(
-                key
-                for key in set(saved_config) | set(current_config)
-                if saved_config.get(key) != current_config.get(key)
-            )
-            raise ConfigurationError(
-                f"checkpointed config does not match this instance "
-                f"(differs in {mismatched})"
-            )
+        if state.get("config") is not None:
+            saved_config = dataclasses.asdict(SNSConfig.from_dict(state["config"]))
+            current_config = dataclasses.asdict(self._config)
+            # The kernel backend is an execution detail, not a model
+            # hyper-parameter: a checkpoint written on one backend restores
+            # on any other.
+            saved_config.pop("backend")
+            current_config.pop("backend")
+            if saved_config != current_config:
+                mismatched = sorted(
+                    key
+                    for key in current_config
+                    if saved_config[key] != current_config[key]
+                )
+                raise ConfigurationError(
+                    f"checkpointed config does not match this instance "
+                    f"(differs in {mismatched})"
+                )
         factors = [
             np.array(factor, dtype=np.float64, copy=True)
             for factor in state["factors"]
@@ -460,7 +460,7 @@ class ContinuousCPD(abc.ABC):
     def update(self, delta: Delta) -> None:
         """Update the factor matrices in response to one window event."""
         self._require_initialized()
-        self._update(delta)
+        self._update(delta.entries, delta.categorical_indices)
         self._n_updates += 1
 
     def update_batch(self, batch: DeltaBatch) -> None:
@@ -468,42 +468,37 @@ class ContinuousCPD(abc.ABC):
 
         Contract — note the difference from :meth:`update`: the caller must
         **not** have applied the batch to the window.  ``update_batch`` owns
-        the window mutation so implementations can interleave it with factor
-        updates and preserve exact per-event semantics: each event's update
-        rule must observe the window as of *that* event, not the batch's
-        final state.
+        the window mutation so it can interleave it with factor updates and
+        preserve exact per-event semantics: each event's update rule must
+        observe the window as of *that* event, not the batch's final state.
 
         This is the plan → execute → merge dispatch point: with
         ``config.shards > 1`` (or ``staleness > 0``) the batch is handed to
-        the relaxed-consistency :class:`~repro.shard.executor.ShardedExecutor`;
-        otherwise the exact path :meth:`_update_batch_exact` runs, which is
-        the 1-shard/0-staleness special case of the same pipeline and is bit
-        for bit the historical behaviour.
+        the relaxed-consistency :class:`~repro.shard.executor.ShardedExecutor`.
+        Otherwise the exact path walks the batch's raw entry groups (no
+        per-event ``Delta`` objects), applies each event to the window and
+        runs the same :meth:`_update` as :meth:`update` — bit for bit the
+        per-event path.
         """
         self._require_initialized()
         if self._sharded is not None:
             self._sharded.update_batch(batch)
             return
-        self._update_batch_exact(batch)
-
-    def _update_batch_exact(self, batch: DeltaBatch) -> None:
-        """Exact batched replay — the 1-shard/0-staleness special case.
-
-        The default implementation replays the batch event by event, which
-        is equivalent — bit for bit — to the per-event path (``apply_delta``
-        followed by :meth:`update` for every event).  Subclasses override it
-        to share per-event setup and vectorise within-event work while
-        keeping that equivalence; see ``SNSMat``/``SNSVec``/``SNSVecPlus``.
-        """
-        window = self._window
-        for delta in batch.deltas:
-            window.apply_delta(delta)  # type: ignore[union-attr]
-            self._update(delta)
+        window = self.window
+        trusted = batch.trusted
+        for record, _step, entries in batch.entry_groups():
+            window.apply_entry_changes(entries, trusted=trusted)
+            self._update(entries, record.indices)
             self._n_updates += 1
 
     @abc.abstractmethod
-    def _update(self, delta: Delta) -> None:
-        """Algorithm-specific reaction to one event (window already updated)."""
+    def _update(self, entries: Entries, categorical_indices: tuple[int, ...]) -> None:
+        """The variant's update rule for one event.
+
+        ``entries`` are the event's entry changes ``ΔX`` (one or two), and
+        ``categorical_indices`` its ``(i_1, ..., i_{M-1})``; the window
+        already holds ``X + ΔX``.
+        """
 
     # ------------------------------------------------------------------
     # Evaluation helpers
@@ -565,51 +560,12 @@ class ContinuousCPD(abc.ABC):
             product *= factor[int(coordinate[other_mode]), :]
         return product
 
-    def _other_rows_product_batch(
-        self, mode: int, coordinates: Sequence[Sequence[int]]
-    ) -> np.ndarray:
-        """Row-wise Hadamard products of the other modes' factor rows.
-
-        Vectorised version of :meth:`_other_rows_product` for a batch of
-        coordinates; returns an ``(n, R)`` array.
-        """
-        index_array = np.asarray(coordinates, dtype=np.int64)
-        product = np.ones((index_array.shape[0], self.rank), dtype=np.float64)
-        for other_mode, factor in enumerate(self._factors):
-            if other_mode == mode:
-                continue
-            product *= factor[index_array[:, other_mode], :]
-        return product
-
-    def _reconstruction_batch(
-        self,
-        coordinates: Sequence[Sequence[int]],
-        row_overrides: dict[tuple[int, int], np.ndarray] | None = None,
-    ) -> np.ndarray:
-        """Reconstructed values at a batch of coordinates.
-
-        ``row_overrides`` maps ``(mode, index)`` to a replacement factor row;
-        the randomised variants use it to evaluate the reconstruction with the
-        rows as they were at the start of the current event (``X̃`` built from
-        ``A_prev``).
-        """
-        override_modes, override_indices, override_rows = flatten_row_overrides(
-            row_overrides, self.rank
-        )
-        return self._kernels.reconstruct_coords(
-            coordinates, self._factors, override_modes, override_indices, override_rows
-        )
-
     def _update_gram(self, mode: int, old_row: np.ndarray, new_row: np.ndarray) -> None:
         """Rank-one Gram maintenance: Eq. (13) (equivalently Eqs. 24-25).
 
         Written with scratch buffers instead of ``np.outer`` temporaries; the
         float operations (two outer products, one subtraction, one in-place
         add) are the same, so the result is bit-identical.
-
-        NOTE: ``RandomizedCPD._commit_row`` inlines this exact sequence on
-        the randomised hot path (a method call per row is measurable there)
-        — keep the two in sync when changing the update.
         """
         scratch_new = self._gram_scratch_new
         scratch_old = self._gram_scratch_old
@@ -618,19 +574,20 @@ class ContinuousCPD(abc.ABC):
         np.subtract(scratch_new, scratch_old, out=scratch_new)
         self._grams[mode] += scratch_new
 
-    def _affected_rows(self, delta: Delta) -> list[tuple[int, int]]:
-        """Rows of factor matrices affected by ``delta``: (mode, index) pairs.
+    def _affected_rows(
+        self, entries: Entries, categorical_indices: tuple[int, ...]
+    ) -> list[tuple[int, int]]:
+        """Rows of factor matrices affected by one event: (mode, index) pairs.
 
         Ordered as in Algorithm 3: the affected time-mode rows first (the
         subtraction's unit before the addition's unit), then one row per
         categorical mode.
         """
+        time_mode = self.time_mode
         rows: list[tuple[int, int]] = []
-        seen_time: set[int] = set()
-        for time_index in delta.time_indices:
-            if time_index not in seen_time:
-                rows.append((self.time_mode, time_index))
-                seen_time.add(time_index)
-        for mode, index in enumerate(delta.categorical_indices):
-            rows.append((mode, index))
+        for coordinate, _value in entries:
+            row = (time_mode, coordinate[-1])
+            if row not in rows:
+                rows.append(row)
+        rows.extend(enumerate(categorical_indices))
         return rows

@@ -8,21 +8,18 @@ started and ``X̄`` holds the residuals at θ sampled coordinates plus the
 explicit ``ΔX`` entries.  :class:`RandomizedCPD` centralises that machinery:
 
 * previous-Gram maintenance ``A_prev(m)' A(m)`` (Eq. 17 / Eq. 26),
-* the per-event core :meth:`_process_event` — affected rows, start-of-event
-  row snapshots (bucketed by mode for the reconstruction), the event's
-  exclusion set built once, and the time-mode matrices shared by the (up to
-  two) time rows of the event,
-* the sampling dispatch — ``SNSConfig.sampling = "vectorized"`` draws the θ
-  coordinates in bulk as an ``(n, M)`` int64 array consumed directly by the
-  fused residual kernel (no per-draw Python tuples), ``"legacy"`` reproduces
-  the original tuple-at-a-time draw stream and float operations bit-for-bit,
-* the batched engine entry point :meth:`update_batch`, which walks the
-  batch's raw entry groups (no per-event ``Delta`` objects), interleaves the
-  window mutation per event, and reuses per-batch prev-Gram snapshot buffers
-  — so batched results are bit-identical to the per-event path.
+* the per-event rule :meth:`_update` — the Gram snapshot, affected rows,
+  start-of-event row snapshots (bucketed by mode for the reconstruction), the
+  event's exclusion set built once, and the time-mode matrices shared by the
+  (up to two) time rows of the event,
+* the sampled residual: :class:`~repro.core.sampling.SliceSampler` draws the
+  θ coordinates in bulk as an ``(n, M)`` int64 array consumed directly by the
+  fused ``sampled_residual`` kernel (no per-draw Python tuples).
 
-Subclasses implement :meth:`_update_row` with their specific update rule
-(least squares for SNS_RND, clipped coordinate descent for SNS+_RND).
+``update`` and the exact ``update_batch`` path both call :meth:`_update`, so
+batched results are bit-identical to the per-event path.  Subclasses
+implement :meth:`_update_row` with their specific update rule (least squares
+for SNS_RND, clipped coordinate descent for SNS+_RND).
 """
 
 from __future__ import annotations
@@ -31,43 +28,16 @@ import abc
 
 import numpy as np
 
-from repro.core.base import ContinuousCPD, SNSConfig
-from repro.core.sampling import SliceSampler, sample_slice_coordinates
+from repro.core.base import ContinuousCPD, Coordinate, Entries
+from repro.core.sampling import SliceSampler
 from repro.exceptions import ConfigurationError
 from repro.kernels.api import flatten_mode_overrides
-from repro.kernels.registry import numpy_backend
-from repro.stream.deltas import Delta, DeltaBatch
-
-try:  # SciPy is optional: direct LAPACK wrappers skip numpy.linalg's
-    # per-call type/shape machinery (~3x cheaper for the R x R systems of
-    # the update rules).  The regularized solve itself lives in
-    # repro.kernels now; dtrtrs is still used by SNSRndPlus's triangular
-    # sweep, and dposv is kept importable for compatibility.
-    from scipy.linalg.lapack import dposv as _lapack_posv
-    from scipy.linalg.lapack import dtrtrs as _lapack_trtrs
-except ImportError:  # pragma: no cover - exercised only without scipy
-    _lapack_posv = None
-    _lapack_trtrs = None
-
-Coordinate = tuple[int, ...]
-
-#: One event's entry changes: ``((coordinate, value), ...)``, at most two.
-Entries = tuple[tuple[Coordinate, float], ...]
 
 
 class RandomizedCPD(ContinuousCPD):
     """Base class of the θ-bounded randomised variants."""
 
     shard_sampled = True
-
-    def __init__(self, config: SNSConfig) -> None:
-        super().__init__(config)
-        if config.sampling == "legacy":
-            # The legacy sampler's contract is bit-for-bit reproduction of
-            # the original draw stream *and* float operations; only the
-            # numpy reference honours that, so it overrides any configured
-            # backend for every kernel this model touches.
-            self._kernels = numpy_backend()
 
     def _post_initialize(self) -> None:
         # U(m) = A_prev(m)' A(m); refreshed to the plain Grams at every event.
@@ -81,11 +51,6 @@ class RandomizedCPD(ContinuousCPD):
         self._prev_gram_scratch = np.empty((rank, rank))
         self._row_diff_scratch = np.empty(rank)
         self._solve_scratch = np.empty((rank, rank))
-        # Per-mode tuple of the other modes, for the lean Hadamard helper.
-        order = self.order
-        self._other_modes = tuple(
-            tuple(n for n in range(order) if n != mode) for mode in range(order)
-        )
 
     @property
     def prev_grams(self) -> list[np.ndarray]:
@@ -118,76 +83,32 @@ class RandomizedCPD(ContinuousCPD):
     # ------------------------------------------------------------------
     # Algorithm 3 outline
     # ------------------------------------------------------------------
-    def _update(self, delta: Delta) -> None:
-        # Line 1 of Algorithm 3: snapshot the Grams at the start of the event.
+    def _update(self, entries: Entries, categorical_indices: tuple[int, ...]) -> None:
+        """Update every row affected by one event (Algorithm 3).
+
+        Line 1 snapshots the Grams; lines 2-4 update the affected rows (time
+        rows first, see ``_affected_rows``) with shared per-event setup: the
+        start-of-event row snapshots, the exclusion set (the event's
+        coordinates), the per-row degrees, and the time-mode matrices that
+        the (up to two) time rows of the event share — work that provably
+        cannot change between those rows, so sharing changes no results.
+        """
         for buffer, gram in zip(self._prev_grams, self._grams):
             np.copyto(buffer, gram)
-        # hoist=False: the sequential path is the per-event reference and,
-        # as everywhere else in the family (see SNSVec), does not share
-        # per-event matrices between rows — that is the engine's job.
-        self._process_event(delta.entries, delta.categorical_indices, hoist=False)
-
-    def _update_batch_exact(self, batch: DeltaBatch) -> None:
-        """Exact batched path, exactly equivalent to the per-event path.
-
-        Events are consumed as raw entry groups
-        (:meth:`DeltaBatch.entry_groups`) — no ``WindowEvent`` / ``Delta``
-        objects are materialised — and the window mutation is interleaved per
-        event so every update rule observes the window as of *its* event.
-        All remaining hoisting lives in :meth:`_process_event` and is shared
-        with the per-event path, so batched and sequential execution perform
-        identical float operations.
-        """
-        window = self.window
-        prev_grams = self._prev_grams
-        grams = self._grams
-        trusted = batch.trusted
-        for record, _step, entries in batch.entry_groups():
-            window.apply_entry_changes(entries, trusted=trusted)
-            for buffer, gram in zip(prev_grams, grams):
-                np.copyto(buffer, gram)
-            self._process_event(entries, record.indices, hoist=True)
-            self._n_updates += 1
-
-    def _process_event(
-        self,
-        entries: Entries,
-        categorical_indices: tuple[int, ...],
-        hoist: bool,
-    ) -> None:
-        """Update every row affected by one event (lines 2-4 of Algorithm 3).
-
-        Shared per-event setup: the affected-row list (time rows first, as
-        in ``_affected_rows``), the start-of-event row snapshots, the
-        exclusion set (the event's coordinates), and the per-row degrees.
-        With ``hoist=True`` (the batched engine) the time-mode matrices are
-        additionally computed once and shared by the (up to two) time rows
-        of the event — work that provably cannot change between those rows,
-        so sharing changes no results; the sequential path keeps the
-        family's per-row reference behaviour.
-        """
         factors = self._factors
         tensor = self.window.tensor
         time_mode = self.time_mode
-        affected: list[tuple[int, int]] = []
-        seen_time: set[int] = set()
-        for coordinate, _value in entries:
-            time_index = coordinate[-1]
-            if time_index not in seen_time:
-                affected.append((time_mode, time_index))
-                seen_time.add(time_index)
-        for mode, index in enumerate(categorical_indices):
-            affected.append((mode, index))
+        affected = self._affected_rows(entries, categorical_indices)
         prev_rows: dict[tuple[int, int], np.ndarray] = {
             (mode, index): factors[mode][index, :].copy()
             for mode, index in affected
         }
         degrees = [tensor.degree(mode, index) for mode, index in affected]
         delta_coordinates = [coordinate for coordinate, _value in entries]
-        # Time-mode matrices shared by the (up to two) time rows of this
-        # event; time rows come first in `affected`, so the cache is never
-        # read after a categorical update invalidated it.
-        time_shared: dict[str, np.ndarray] | None = {} if hoist else None
+        # Time-mode matrices shared by the time rows of this event; time
+        # rows come first in `affected`, so the cache is never read after a
+        # categorical update invalidated it.
+        time_shared: dict[str, np.ndarray] = {}
         # Rows already updated this event, bucketed by mode.  The X̃
         # reconstruction must use start-of-event rows, but the live factors
         # only differ from those on rows updated *earlier in this event* —
@@ -233,48 +154,41 @@ class RandomizedCPD(ContinuousCPD):
     ) -> None:
         """Write the updated row and maintain both Gram products.
 
-        Applies Eq. (13)/(24)-(25) — a deliberate inline of
-        :meth:`ContinuousCPD._update_gram` (a method call per row is
-        measurable on this hot path; keep the two in sync) — and the
-        previous-Gram update Eq. (17)/(26) as a buffered form of
-        ``prev_grams[mode] += np.outer(old_row, new_row - old_row)``.
-        Same float operations as the seed in both cases, no temporaries.
+        Applies Eq. (13)/(24)-(25) through :meth:`ContinuousCPD._update_gram`
+        and the previous-Gram update Eq. (17)/(26) as a buffered form of
+        ``prev_grams[mode] += np.outer(old_row, new_row - old_row)``.  Same
+        float operations as the seed in both cases, no temporaries.
         """
         self._factors[mode][index, :] = new_row
-        old_column = old_row[:, None]
-        scratch_new = self._gram_scratch_new
-        scratch_old = self._gram_scratch_old
-        np.multiply(new_row[:, None], new_row[None, :], out=scratch_new)
-        np.multiply(old_column, old_row[None, :], out=scratch_old)
-        np.subtract(scratch_new, scratch_old, out=scratch_new)
-        self._grams[mode] += scratch_new
+        self._update_gram(mode, old_row, new_row)
         np.subtract(new_row, old_row, out=self._row_diff_scratch)
         np.multiply(
-            old_column,
+            old_row[:, None],
             self._row_diff_scratch[None, :],
             out=self._prev_gram_scratch,
         )
         self._prev_grams[mode] += self._prev_gram_scratch
 
-    def _hadamard_fast(
-        self, mode: int, source: list[np.ndarray] | None = None
+    def _shared_hadamard(
+        self,
+        mode: int,
+        grams: list[np.ndarray],
+        time_shared: dict[str, np.ndarray] | None,
     ) -> np.ndarray:
-        """``*_{n != mode} source[n]`` via precomputed other-mode indices.
+        """``*_{n != mode} grams[n]``, computed once per event for time rows.
 
-        Same float operations as :meth:`_hadamard_of_grams` (identical
-        results), minus the per-call list comprehension — this runs once or
-        twice per row update on the randomised hot path.
+        ``time_shared`` is the event's time-row cache (``None`` for
+        categorical rows).  Time-row updates change only the time-mode Grams,
+        which this product skips, so both time rows of an event get the
+        same matrix.
         """
-        grams = self._grams if source is None else source
-        others = self._other_modes[mode]
-        if len(others) == 1:
-            return grams[others[0]]
-        if len(others) == 2:
-            return grams[others[0]] * grams[others[1]]
-        product = grams[others[0]] * grams[others[1]]
-        for other in others[2:]:
-            product *= grams[other]
-        return product
+        if time_shared is None:
+            return self._hadamard_of_grams(mode, grams)
+        key = "hadamard_prev" if grams is self._prev_grams else "hadamard"
+        hadamard = time_shared.get(key)
+        if hadamard is None:
+            hadamard = time_shared[key] = self._hadamard_of_grams(mode, grams)
+        return hadamard
 
     def _solve_regularized(self, matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         """``rhs @ (matrix + ridge)^-1`` for symmetric PSD ``matrix`` via one solve.
@@ -311,17 +225,12 @@ class RandomizedCPD(ContinuousCPD):
         added explicitly.
         """
         factors = self._factors
-        if self._config.sampling == "legacy":
-            contribution = self._legacy_sampled_residual(
-                mode, index, delta_coordinates, prev_rows
-            )
-        else:
-            samples = self._slice_sampler.sample(
-                mode, index, self._config.theta, self._rng, exclude=delta_coordinates
-            )
-            contribution = self._vectorized_sampled_residual(
-                mode, index, samples, prev_rows, overrides_by_mode, factors
-            )
+        samples = self._slice_sampler.sample(
+            mode, index, self._config.theta, self._rng, exclude=delta_coordinates
+        )
+        contribution = self._sampled_residual(
+            mode, index, samples, prev_rows, overrides_by_mode, factors
+        )
         for coordinate, value in entries:
             if coordinate[mode] != index:
                 continue
@@ -334,32 +243,7 @@ class RandomizedCPD(ContinuousCPD):
             contribution = contribution + value * product
         return contribution
 
-    def _legacy_sampled_residual(
-        self,
-        mode: int,
-        index: int,
-        delta_coordinates: list[Coordinate],
-        prev_rows: dict[tuple[int, int], np.ndarray],
-    ) -> np.ndarray:
-        """Residual term of the legacy sampler — draw stream and float
-        operations pinned bit-for-bit to the original implementation."""
-        tensor = self.window.tensor
-        samples = sample_slice_coordinates(
-            tensor.shape,
-            mode,
-            index,
-            self._config.theta,
-            self._rng,
-            exclude=delta_coordinates,
-        )
-        if not samples:
-            return np.zeros(self.rank, dtype=np.float64)
-        observed = np.array([tensor.get(c) for c in samples], dtype=np.float64)
-        reconstructed = self._reconstruction_batch(samples, prev_rows)
-        residuals = observed - reconstructed  # the x̄_J values
-        return residuals @ self._other_rows_product_batch(mode, samples)
-
-    def _vectorized_sampled_residual(
+    def _sampled_residual(
         self,
         mode: int,
         index: int,

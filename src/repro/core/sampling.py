@@ -6,23 +6,11 @@ i.e. uniformly from the Cartesian product of the *other* modes' index ranges.
 Coordinates of the current delta are excluded, as footnote 2 of the paper
 prescribes.
 
-Two implementations share this module:
-
-* :func:`sample_slice_coordinates` — the original per-draw sampler, returning
-  a list of Python coordinate tuples.  Its draw stream is kept bit-identical
-  to the seed implementation (``SNSConfig.sampling = "legacy"`` relies on
-  this to reproduce pinned goldens), with one bugfix: when rejection sampling
-  exhausts its attempt budget while eligible cells remain, it now falls back
-  to enumeration instead of silently under-delivering samples.
-* :func:`sample_slice_coordinates_array` — the vectorised flat-index sampler
-  (``SNSConfig.sampling = "vectorized"``, the default): one batched
-  ``Generator.integers`` / ``Generator.permutation`` draw over linearised
-  slice offsets, exclusion and dedup via flat-key set operations, and a
-  vectorised unranking into an ``(n, M)`` int64 coordinate array that the
-  batched update rules consume directly — no per-draw Python tuples.  The
-  draw *stream* differs from the legacy sampler (goldens were regenerated
-  when it became the default) but the *distribution* is the same: uniform
-  over the eligible cells, without replacement.
+:class:`SliceSampler` is the flat-index sampler: one batched draw over
+linearised slice offsets, exclusion and dedup via flat-key set operations,
+and a vectorised unranking into an ``(n, M)`` int64 coordinate array that the
+update rules consume directly — no per-draw Python tuples.  Draws are uniform
+over the eligible cells, without replacement.
 """
 
 from __future__ import annotations
@@ -35,16 +23,10 @@ from repro.exceptions import ShapeError
 
 Coordinate = tuple[int, ...]
 
-#: When the slice has at most this many cells the legacy sampler enumerates it
-#: and uses ``Generator.choice`` without replacement; above it, rejection
-#: sampling is cheaper and collision-free sampling is practically guaranteed.
+#: Slices with at most this many cells may be sampled by enumerating every
+#: eligible offset (see ``_DENSE_REQUEST_FRACTION``); larger slices always use
+#: rejection rounds.
 _ENUMERATION_LIMIT = 100_000
-
-#: Attempt budget of the legacy rejection sampler: ``PER_SAMPLE * count +
-#: BASE`` candidate draws before falling back to enumeration.  Module-level so
-#: tests can force the fallback deterministically.
-_REJECTION_ATTEMPTS_PER_SAMPLE = 50
-_REJECTION_ATTEMPTS_BASE = 100
 
 #: The vectorised sampler switches from batched rejection rounds to explicit
 #: enumeration when the requested count exceeds this fraction of the eligible
@@ -57,139 +39,6 @@ _DENSE_REQUEST_FRACTION = 0.25
 _VECTORIZED_MAX_ROUNDS = 32
 
 
-def _validate_slice(
-    shape: Sequence[int], mode: int, index: int
-) -> tuple[tuple[int, ...], list[int], list[int]]:
-    """Shared validation; returns ``(shape, other_modes, other_sizes)``."""
-    shape = tuple(int(n) for n in shape)
-    if not 0 <= mode < len(shape):
-        raise ShapeError(f"mode {mode} out of range for shape {shape}")
-    if not 0 <= index < shape[mode]:
-        raise ShapeError(f"index {index} out of range for mode {mode} ({shape[mode]})")
-    other_modes = [m for m in range(len(shape)) if m != mode]
-    other_sizes = [shape[m] for m in other_modes]
-    return shape, other_modes, other_sizes
-
-
-# ----------------------------------------------------------------------
-# Legacy sampler (per-draw tuples, draw stream pinned by the goldens)
-# ----------------------------------------------------------------------
-def sample_slice_coordinates(
-    shape: Sequence[int],
-    mode: int,
-    index: int,
-    count: int,
-    rng: np.random.Generator,
-    exclude: Sequence[Coordinate] = (),
-) -> list[Coordinate]:
-    """Sample up to ``count`` distinct coordinates with ``coordinate[mode] == index``.
-
-    Coordinates listed in ``exclude`` are never returned.  If the slice holds
-    fewer than ``count`` eligible cells, all of them are returned.
-    """
-    shape, other_modes, other_sizes = _validate_slice(shape, mode, index)
-    if count <= 0:
-        return []
-    slice_cells = int(np.prod(other_sizes, dtype=np.int64))
-    excluded = set(exclude)
-    eligible = slice_cells - sum(1 for c in excluded if c[mode] == index)
-    if eligible <= 0:
-        return []
-    count = min(count, eligible)
-    if slice_cells <= _ENUMERATION_LIMIT:
-        return _sample_by_enumeration(
-            shape, mode, index, other_modes, other_sizes, count, rng, excluded
-        )
-    return _sample_by_rejection(
-        shape, mode, index, other_modes, other_sizes, count, rng, excluded
-    )
-
-
-def _unrank(
-    flat: int, mode: int, index: int, other_modes: list[int], other_sizes: list[int]
-) -> Coordinate:
-    """Convert a flat offset over the other modes into a full coordinate."""
-    coordinate = [0] * (len(other_modes) + 1)
-    coordinate[mode] = index
-    remainder = int(flat)
-    for other_mode, size in zip(other_modes, other_sizes):
-        coordinate[other_mode] = remainder % size
-        remainder //= size
-    return tuple(coordinate)
-
-
-def _sample_by_enumeration(
-    shape: Sequence[int],
-    mode: int,
-    index: int,
-    other_modes: list[int],
-    other_sizes: list[int],
-    count: int,
-    rng: np.random.Generator,
-    excluded: set[Coordinate],
-) -> list[Coordinate]:
-    slice_cells = int(np.prod(other_sizes, dtype=np.int64))
-    # Oversample slightly so exclusions rarely force a second draw.
-    draw = min(slice_cells, count + len(excluded))
-    flats = rng.choice(slice_cells, size=draw, replace=False)
-    coordinates = []
-    for flat in flats:
-        coordinate = _unrank(int(flat), mode, index, other_modes, other_sizes)
-        if coordinate in excluded:
-            continue
-        coordinates.append(coordinate)
-        if len(coordinates) == count:
-            break
-    return coordinates
-
-
-def _sample_by_rejection(
-    shape: Sequence[int],
-    mode: int,
-    index: int,
-    other_modes: list[int],
-    other_sizes: list[int],
-    count: int,
-    rng: np.random.Generator,
-    excluded: set[Coordinate],
-) -> list[Coordinate]:
-    chosen: set[Coordinate] = set()
-    coordinates: list[Coordinate] = []
-    max_attempts = _REJECTION_ATTEMPTS_PER_SAMPLE * count + _REJECTION_ATTEMPTS_BASE
-    attempts = 0
-    while len(coordinates) < count and attempts < max_attempts:
-        attempts += 1
-        coordinate = [0] * (len(other_modes) + 1)
-        coordinate[mode] = index
-        for other_mode, size in zip(other_modes, other_sizes):
-            coordinate[other_mode] = int(rng.integers(0, size))
-        candidate = tuple(coordinate)
-        if candidate in excluded or candidate in chosen:
-            continue
-        chosen.add(candidate)
-        coordinates.append(candidate)
-    if len(coordinates) < count:
-        # The attempt budget ran out with eligible cells remaining (the caller
-        # clamped ``count`` to the eligible total).  Enumerate instead of
-        # under-delivering: draw the deficit from the cells not yet taken.
-        coordinates.extend(
-            _sample_by_enumeration(
-                shape,
-                mode,
-                index,
-                other_modes,
-                other_sizes,
-                count - len(coordinates),
-                rng,
-                excluded | chosen,
-            )
-        )
-    return coordinates
-
-
-# ----------------------------------------------------------------------
-# Vectorised sampler (flat offsets, (n, M) int64 output)
-# ----------------------------------------------------------------------
 class SliceSampler:
     """Vectorised slice sampler bound to one tensor shape.
 
@@ -239,10 +88,10 @@ class SliceSampler:
     ) -> np.ndarray:
         """Sample up to ``count`` distinct slice coordinates as an ``(n, M)`` array.
 
-        Same contract as :func:`sample_slice_coordinates` — coordinates with
-        ``coordinate[mode] == index``, never one listed in ``exclude``, all
-        eligible cells when fewer than ``count`` remain — drawn uniformly
-        without replacement over linearised slice offsets.
+        Every coordinate has ``coordinate[mode] == index`` and none is listed
+        in ``exclude``; when fewer than ``count`` cells are eligible, all of
+        them are returned.  Drawn uniformly without replacement over
+        linearised slice offsets.
         """
         shape = self._shape
         if not 0 <= mode < len(shape):
@@ -374,7 +223,7 @@ def sample_slice_coordinates_array(
     rng: np.random.Generator,
     exclude: Sequence[Coordinate] = (),
 ) -> np.ndarray:
-    """Vectorised :func:`sample_slice_coordinates`: returns an ``(n, M)`` array.
+    """Sample up to ``count`` slice coordinates as an ``(n, M)`` array.
 
     One-shot convenience wrapper over :class:`SliceSampler`; callers sampling
     repeatedly from the same shape (the randomised variants) should hold a

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.als.mttkrp import mttkrp, mttkrp_coo
-from repro.core.base import ContinuousCPD, SNSConfig
+from repro.als.mttkrp import mttkrp
+from repro.core.base import ContinuousCPD, Entries, SNSConfig
 from repro.exceptions import ConfigurationError
 from repro.core.normalization import combine_weights, normalize_columns
-from repro.stream.deltas import Delta, DeltaBatch
 from repro.tensor.kruskal import KruskalTensor
 
 
@@ -89,7 +88,7 @@ class SNSMat(ContinuousCPD):
     # ------------------------------------------------------------------
     # Update rule (Algorithm 2)
     # ------------------------------------------------------------------
-    def _update(self, delta: Delta) -> None:
+    def _update(self, entries: Entries, categorical_indices: tuple[int, ...]) -> None:
         tensor = self.window.tensor  # already equals X + ΔX
         for mode in range(self.order):
             numerator = mttkrp(tensor, self._factors, mode, kernels=self._kernels)
@@ -99,36 +98,3 @@ class SNSMat(ContinuousCPD):
             self._factors[mode] = normalized
             self._weights = norms
             self._grams[mode] = normalized.T @ normalized
-
-    def _update_batch_exact(self, batch: DeltaBatch) -> None:
-        """Exact batched path: one warm-started sweep per event.
-
-        Exactly equivalent to the per-event path — the window mutation is
-        interleaved so each sweep sees the window as of its event — but the
-        window's COO arrays are materialised once per event and shared by
-        all ``M`` mode solves of the sweep, instead of being rebuilt by
-        every :func:`mttkrp` call.  (The window does not change during a
-        sweep, so the arrays, and therefore the results, are identical.)
-        """
-        window = self.window
-        order = window.order
-        for delta in batch.deltas:
-            window.apply_delta(delta)
-            tensor = window.tensor
-            indices, values = tensor.to_coo_arrays()
-            for mode in range(order):
-                numerator = mttkrp_coo(
-                    indices,
-                    values,
-                    self._factors,
-                    mode,
-                    tensor.shape[mode],
-                    kernels=self._kernels,
-                )
-                hadamard = self._hadamard_of_grams(mode)
-                updated = numerator @ self._pinv(hadamard)  # Eq. (4)
-                normalized, norms = normalize_columns(updated)
-                self._factors[mode] = normalized
-                self._weights = norms
-                self._grams[mode] = normalized.T @ normalized
-            self._n_updates += 1

@@ -12,11 +12,9 @@ entries visited per row update at the user threshold ``θ``:
 With ``M``, ``R``, ``θ`` constant, each update takes constant time
 (Theorem 5).  Like SNS_VEC it does not normalise or clip and can be unstable.
 
-The sampling machinery, the per-event outline, and the batched engine entry
-point live in :class:`repro.core.randomized.RandomizedCPD`.  The vectorised
-path computes each row with one linear solve against the Hadamard-of-Grams
-system; the legacy path keeps the original pseudo-inverse formulation (and
-its float operations) bit-for-bit.
+The sampling machinery and the per-event outline live in
+:class:`repro.core.randomized.RandomizedCPD`.  Each row is computed with one
+linear solve against the Hadamard-of-Grams system.
 """
 
 from __future__ import annotations
@@ -24,9 +22,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.als.mttkrp import mttkrp_row
-from repro.core.randomized import Entries, RandomizedCPD
-
-Coordinate = tuple[int, ...]
+from repro.core.base import Coordinate, Entries
+from repro.core.randomized import RandomizedCPD
 
 
 class SNSRnd(RandomizedCPD):
@@ -52,81 +49,22 @@ class SNSRnd(RandomizedCPD):
         # Each affected row is updated exactly once per event, so the
         # start-of-event snapshot still equals the live row here.
         old_row = prev_rows[(mode, index)]
-        if self._config.sampling == "legacy":
-            new_row = self._legacy_new_row(
+        hadamard = self._shared_hadamard(mode, self._grams, time_shared)
+        if degree <= self._config.theta:
+            rhs = mttkrp_row(
+                tensor, self._factors, mode, index, kernels=self._kernels
+            )  # Eq. (12)
+        else:
+            # Eq. (16): approximate the window by X̃ + X̄ with θ samples.
+            hadamard_prev = self._shared_hadamard(mode, self._prev_grams, time_shared)
+            rhs = old_row @ hadamard_prev + self._sampled_contribution(
                 mode,
                 index,
-                degree,
-                old_row,
                 entries,
                 prev_rows,
                 overrides_by_mode,
                 delta_coordinates,
-                time_shared,
             )
-        else:
-            if time_shared is not None and "hadamard" in time_shared:
-                hadamard = time_shared["hadamard"]
-            else:
-                hadamard = self._hadamard_fast(mode)
-                if time_shared is not None:
-                    time_shared["hadamard"] = hadamard
-            if degree <= self._config.theta:
-                rhs = mttkrp_row(
-                    tensor, self._factors, mode, index, kernels=self._kernels
-                )  # Eq. (12)
-            else:
-                # Eq. (16): approximate the window by X̃ + X̄ with θ samples.
-                if time_shared is not None and "hadamard_prev" in time_shared:
-                    hadamard_prev = time_shared["hadamard_prev"]
-                else:
-                    hadamard_prev = self._hadamard_fast(mode, self._prev_grams)
-                    if time_shared is not None:
-                        time_shared["hadamard_prev"] = hadamard_prev
-                rhs = old_row @ hadamard_prev + self._sampled_contribution(
-                    mode,
-                    index,
-                    entries,
-                    prev_rows,
-                    overrides_by_mode,
-                    delta_coordinates,
-                )
-            new_row = self._solve_regularized(hadamard, rhs)
+        new_row = self._solve_regularized(hadamard, rhs)
         # Eq. (13) and Eq. (17): factor write plus both Gram updates.
         self._commit_row(mode, index, old_row, new_row)
-
-    def _legacy_new_row(
-        self,
-        mode: int,
-        index: int,
-        degree: int,
-        old_row: np.ndarray,
-        entries: Entries,
-        prev_rows: dict[tuple[int, int], np.ndarray],
-        overrides_by_mode: dict[int, list[tuple[int, np.ndarray]]],
-        delta_coordinates: list[Coordinate],
-        time_shared: dict[str, np.ndarray] | None,
-    ) -> np.ndarray:
-        """Original pseudo-inverse formulation, float operations pinned."""
-        if time_shared is not None and "pinv" in time_shared:
-            pinv_hadamard = time_shared["pinv"]
-        else:
-            pinv_hadamard = self._pinv(self._hadamard_of_grams(mode))
-            if time_shared is not None:
-                time_shared["pinv"] = pinv_hadamard
-        if degree <= self._config.theta:
-            numerator = mttkrp_row(
-                self.window.tensor, self._factors, mode, index, kernels=self._kernels
-            )
-            return numerator @ pinv_hadamard  # Eq. (12)
-        if time_shared is not None and "hadamard_prev" in time_shared:
-            hadamard_prev = time_shared["hadamard_prev"]
-        else:
-            hadamard_prev = self._hadamard_of_grams(mode, self._prev_grams)
-            if time_shared is not None:
-                time_shared["hadamard_prev"] = hadamard_prev
-        contribution = self._sampled_contribution(
-            mode, index, entries, prev_rows, overrides_by_mode, delta_coordinates
-        )
-        # Eq. (16), in the seed's exact evaluation order.
-        return old_row @ hadamard_prev @ pinv_hadamard + contribution @ pinv_hadamard

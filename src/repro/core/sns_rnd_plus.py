@@ -14,13 +14,11 @@ For each affected row:
 
 Every updated entry is clipped into ``[-η, η]``.
 
-The sampling machinery, the per-event outline, and the batched engine entry
-point live in :class:`repro.core.randomized.RandomizedCPD`.  On the
-vectorised path the coordinate-descent sweep is computed as one triangular
-solve — a Gauss-Seidel sweep in matrix form — and falls back to the
-reference entry-by-entry loop exactly when clipping (or a non-positive
-diagonal) would engage; the legacy path always runs the reference loop, whose
-float operations are pinned bit-for-bit.
+The sampling machinery and the per-event outline live in
+:class:`repro.core.randomized.RandomizedCPD`.  The coordinate-descent sweep
+is computed as one triangular solve — a Gauss-Seidel sweep in matrix form —
+and falls back to the reference entry-by-entry loop exactly when clipping
+(or a non-positive diagonal) would engage.
 """
 
 from __future__ import annotations
@@ -28,10 +26,15 @@ from __future__ import annotations
 import numpy as np
 
 from repro.als.mttkrp import mttkrp_row
-from repro.core.randomized import Entries, RandomizedCPD, _lapack_trtrs
+from repro.core.base import Coordinate, Entries
+from repro.core.randomized import RandomizedCPD
 from repro.core.rowmath import clipped_coordinate_descent
 
-Coordinate = tuple[int, ...]
+try:  # SciPy is optional: the direct LAPACK triangular solve skips
+    # numpy.linalg's per-call type/shape machinery for the R x R sweep.
+    from scipy.linalg.lapack import dtrtrs as _lapack_trtrs
+except ImportError:  # pragma: no cover - exercised only without scipy
+    _lapack_trtrs = None
 
 
 class SNSRndPlus(RandomizedCPD):
@@ -54,7 +57,6 @@ class SNSRndPlus(RandomizedCPD):
         self._cd_eta = float(self._config.eta)
         self._cd_lower = 0.0 if self._config.nonnegative else -self._cd_eta
         self._cd_ridge = float(self._config.regularization)
-        self._cd_legacy = self._config.sampling == "legacy"
 
     # ------------------------------------------------------------------
     # updateRowRan+ (Algorithm 5)
@@ -74,12 +76,7 @@ class SNSRndPlus(RandomizedCPD):
         # Each affected row is updated exactly once per event, so the
         # start-of-event snapshot still equals the live row here.
         old_row = prev_rows[(mode, index)]
-        if time_shared is not None and "hadamard" in time_shared:
-            hadamard = time_shared["hadamard"]
-        else:
-            hadamard = self._hadamard_fast(mode)
-            if time_shared is not None:
-                time_shared["hadamard"] = hadamard
+        hadamard = self._shared_hadamard(mode, self._grams, time_shared)
         if degree <= self._config.theta:
             # Eq. (21): exact data term over the row's non-zeros.
             numerator = mttkrp_row(
@@ -88,12 +85,7 @@ class SNSRndPlus(RandomizedCPD):
         else:
             # Eq. (23): e-term via the previous Grams plus sampled residuals
             # and the explicit ΔX contribution.
-            if time_shared is not None and "hadamard_prev" in time_shared:
-                hadamard_prev = time_shared["hadamard_prev"]
-            else:
-                hadamard_prev = self._hadamard_fast(mode, self._prev_grams)
-                if time_shared is not None:
-                    time_shared["hadamard_prev"] = hadamard_prev
+            hadamard_prev = self._shared_hadamard(mode, self._prev_grams, time_shared)
             numerator = old_row @ hadamard_prev + self._sampled_contribution(
                 mode, index, entries, prev_rows, overrides_by_mode, delta_coordinates
             )
@@ -115,19 +107,15 @@ class SNSRndPlus(RandomizedCPD):
     ) -> np.ndarray:
         """One clipped coordinate-descent sweep over the row.
 
-        The legacy path always runs the reference loop (pinned float
-        operations).  The vectorised path exploits that one unclipped
-        Gauss-Seidel sweep is the solution of the triangular system ``(L +
-        D + ridge·I) row_new = numerator - U row_old`` (``L``/``U`` the
-        strict triangles of the symmetric Hadamard-of-Grams matrix): it
-        solves that system once and accepts the result whenever every entry
-        lies inside the clipping box — in which case the sequential sweep
-        would never have clipped and computes the same values — falling back
-        to the reference loop otherwise (clipping engaged, non-positive
-        diagonal, or a singular triangle).
+        One unclipped Gauss-Seidel sweep is the solution of the triangular
+        system ``(L + D + ridge·I) row_new = numerator - U row_old``
+        (``L``/``U`` the strict triangles of the symmetric Hadamard-of-Grams
+        matrix): this solves that system once and accepts the result
+        whenever every entry lies inside the clipping box — in which case
+        the sequential sweep would never have clipped and computes the same
+        values — falling back to the reference loop otherwise (clipping
+        engaged, non-positive diagonal, or a singular triangle).
         """
-        if self._cd_legacy:
-            return self._coordinate_descent_reference(old_row, numerator, hadamard)
         eta = self._cd_eta
         lower_bound = self._cd_lower
         ridge = self._cd_ridge

@@ -19,8 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.als.mttkrp import mttkrp_row
-from repro.core.base import ContinuousCPD
-from repro.stream.deltas import Delta, DeltaBatch
+from repro.core.base import ContinuousCPD, Entries
 
 
 class SNSVec(ContinuousCPD):
@@ -31,58 +30,37 @@ class SNSVec(ContinuousCPD):
     # ------------------------------------------------------------------
     # Algorithm 3 outline
     # ------------------------------------------------------------------
-    def _update(self, delta: Delta) -> None:
-        for mode, index in self._affected_rows(delta):
-            if mode == self.time_mode:
-                self._update_time_row(index, delta)
+    def _update(self, entries: Entries, categorical_indices: tuple[int, ...]) -> None:
+        # Both time-row solves of a shift event use the Hadamard product of
+        # the *categorical* Gram matrices, which time-row updates never
+        # change, so one R x R inverse serves every time row of the event.
+        time_mode = self.time_mode
+        inverse: np.ndarray | None = None
+        for mode, index in self._affected_rows(entries, categorical_indices):
+            if mode == time_mode:
+                if inverse is None:
+                    inverse = self._pinv(self._hadamard_of_grams(mode))
+                self._update_time_row(index, entries, inverse)
             else:
                 self._update_categorical_row(mode, index)
-
-    def _update_batch_exact(self, batch: DeltaBatch) -> None:
-        """Exact batched path, exactly equivalent to the per-event path.
-
-        A shift event updates two time-mode rows, and both solves use the
-        Hadamard product of the *categorical* Gram matrices — which the
-        time-row updates themselves never change.  The per-event path
-        therefore computes the same ``R x R`` inverse twice; here it is
-        computed once per event and shared, which changes no values.
-        """
-        window = self.window
-        time_mode = self.time_mode
-        for delta in batch.deltas:
-            window.apply_delta(delta)
-            inverse: np.ndarray | None = None
-            for mode, index in self._affected_rows(delta):
-                if mode == time_mode:
-                    if inverse is None:
-                        inverse = self._pinv(self._hadamard_of_grams(mode))
-                    self._update_time_row(index, delta, inverse=inverse)
-                else:
-                    self._update_categorical_row(mode, index)
-            self._n_updates += 1
 
     # ------------------------------------------------------------------
     # Update rules
     # ------------------------------------------------------------------
     def _update_time_row(
-        self, index: int, delta: Delta, inverse: np.ndarray | None = None
+        self, index: int, entries: Entries, inverse: np.ndarray
     ) -> None:
         """Approximate update of one time-mode row (Eq. 9).
 
-        ``inverse`` optionally supplies a precomputed
-        ``pinv(*_{n != time} A(n)'A(n))``; time-row updates only modify the
-        time-mode Gram, so one inverse is valid for every time row of one
-        event.
+        ``inverse`` is ``pinv(*_{n != time} A(n)'A(n))``.
         """
         mode = self.time_mode
         old_row = self._factors[mode][index, :].copy()
         delta_row = np.zeros(self.rank, dtype=np.float64)
-        for coordinate, value in delta.entries:
+        for coordinate, value in entries:
             if coordinate[mode] != index:
                 continue
             delta_row += value * self._other_rows_product(mode, coordinate)
-        if inverse is None:
-            inverse = self._pinv(self._hadamard_of_grams(mode))
         new_row = old_row + delta_row @ inverse
         self._factors[mode][index, :] = new_row
         self._update_gram(mode, old_row, new_row)

@@ -13,9 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.als.mttkrp import mttkrp_row
-from repro.core.base import ContinuousCPD
+from repro.core.base import ContinuousCPD, Entries
 from repro.core.rowmath import clipped_coordinate_descent
-from repro.stream.deltas import Delta, DeltaBatch
 
 
 class SNSVecPlus(ContinuousCPD):
@@ -27,31 +26,18 @@ class SNSVecPlus(ContinuousCPD):
     # ------------------------------------------------------------------
     # Algorithm 3 outline
     # ------------------------------------------------------------------
-    def _update(self, delta: Delta) -> None:
-        for mode, index in self._affected_rows(delta):
-            self._update_row(mode, index, delta)
-
-    def _update_batch_exact(self, batch: DeltaBatch) -> None:
-        """Exact batched path, exactly equivalent to the per-event path.
-
-        As in :meth:`SNSVec._update_batch_exact`, the Hadamard-of-Grams
-        matrix of the time mode is unchanged by time-row updates, so one
-        matrix per event serves both time rows of a shift instead of being
-        rebuilt per row.  No values change.
-        """
-        window = self.window
+    def _update(self, entries: Entries, categorical_indices: tuple[int, ...]) -> None:
+        # The time mode's Hadamard-of-Grams matrix is unchanged by time-row
+        # updates, so one matrix serves both time rows of a shift event.
         time_mode = self.time_mode
-        for delta in batch.deltas:
-            window.apply_delta(delta)
-            time_hadamard: np.ndarray | None = None
-            for mode, index in self._affected_rows(delta):
-                if mode == time_mode:
-                    if time_hadamard is None:
-                        time_hadamard = self._hadamard_of_grams(mode)
-                    self._update_row(mode, index, delta, hadamard=time_hadamard)
-                else:
-                    self._update_row(mode, index, delta)
-            self._n_updates += 1
+        time_hadamard: np.ndarray | None = None
+        for mode, index in self._affected_rows(entries, categorical_indices):
+            if mode == time_mode:
+                if time_hadamard is None:
+                    time_hadamard = self._hadamard_of_grams(mode)
+                self._update_row(mode, index, entries, time_hadamard)
+            else:
+                self._update_row(mode, index, entries, self._hadamard_of_grams(mode))
 
     # ------------------------------------------------------------------
     # updateRowVec+ (Algorithm 5)
@@ -60,15 +46,16 @@ class SNSVecPlus(ContinuousCPD):
         self,
         mode: int,
         index: int,
-        delta: Delta,
-        hadamard: np.ndarray | None = None,
+        entries: Entries,
+        hadamard: np.ndarray,
     ) -> None:
+        """Update one row given ``hadamard`` = ``*_{n != m} A(n)'A(n)``."""
         old_row = self._factors[mode][index, :].copy()
-        if hadamard is None:
-            hadamard = self._hadamard_of_grams(mode)  # *_{n != m} A(n)'A(n)
         if mode == self.time_mode:
             # Eq. (22): approximate X by X̃ via the e-term, plus the explicit ΔX part.
-            numerator = old_row @ hadamard + self._delta_contribution(mode, index, delta)
+            numerator = old_row @ hadamard + self._delta_contribution(
+                mode, index, entries
+            )
         else:
             # Eq. (21): exact data term over Omega(m)_{i_m} of X + ΔX.
             numerator = mttkrp_row(
@@ -78,10 +65,12 @@ class SNSVecPlus(ContinuousCPD):
         self._factors[mode][index, :] = new_row
         self._update_gram(mode, old_row, new_row)  # Eqs. (24)-(25)
 
-    def _delta_contribution(self, mode: int, index: int, delta: Delta) -> np.ndarray:
-        """``sum_J Δx_J * prod_{n != m} a(n)_{j_n k}`` over the delta's entries."""
+    def _delta_contribution(
+        self, mode: int, index: int, entries: Entries
+    ) -> np.ndarray:
+        """``sum_J Δx_J * prod_{n != m} a(n)_{j_n k}`` over the event's entries."""
         contribution = np.zeros(self.rank, dtype=np.float64)
-        for coordinate, value in delta.entries:
+        for coordinate, value in entries:
             if coordinate[mode] != index:
                 continue
             contribution += value * self._other_rows_product(mode, coordinate)

@@ -203,7 +203,6 @@ def _run_continuous(
         theta=spec.theta,
         eta=spec.eta,
         seed=settings.seed,
-        sampling=settings.sampling,
         backend=settings.backend,
     )
     checkpoint_path: Path | None = None

@@ -9,7 +9,6 @@ follow Table III via :class:`repro.data.datasets.DatasetSpec`.
 from __future__ import annotations
 
 import dataclasses
-import warnings
 
 from repro.data.datasets import DATASETS, DatasetSpec, get_dataset_spec
 from repro.exceptions import ConfigurationError
@@ -54,20 +53,15 @@ class ExperimentSettings:
         Replay events through the batched engine
         (:meth:`ContinuousStreamProcessor.run_batched` /
         ``ContinuousCPD.update_batch``) instead of the per-event loop.
-        Results are equivalent for the SliceNStitch variants (bit-identical
-        windows, factors within float round-off); throughput is higher.
+        Results are bit-identical for the SliceNStitch variants (windows and
+        factors: both engines run the same per-event update rule); the
+        engine's own replay is faster.
         Periodic baselines share the same semantics on both engines: one
         update per period boundary against the window exactly at the
         boundary (every event up to and including it applied, none after).
         Scores agree to float precision — the grouped scatter can store
         window entries in a different order, so float reductions round
         differently at the ~1e-12 level.
-    sampling:
-        Slice-sampling implementation of the randomised variants
-        (``"vectorized"`` — the fast default — or ``"legacy"``, the original
-        per-draw sampler with a pinned draw stream); forwarded to
-        :class:`repro.core.base.SNSConfig`, ignored by the deterministic
-        variants and the baselines.
     backend:
         Kernel backend for the model hot path (see :mod:`repro.kernels`),
         forwarded to :class:`repro.core.base.SNSConfig`.  ``"auto"`` (the
@@ -117,7 +111,6 @@ class ExperimentSettings:
     als_iterations: int = 10
     seed: int = 0
     batched: bool = False
-    sampling: str = "vectorized"
     backend: str = "auto"
     shards: int = 1
     staleness: int = 0
@@ -144,10 +137,6 @@ class ExperimentSettings:
         if self.als_iterations <= 0:
             raise ConfigurationError(
                 f"als_iterations must be positive, got {self.als_iterations}"
-            )
-        if self.sampling not in ("vectorized", "legacy"):
-            raise ConfigurationError(
-                f"sampling must be 'vectorized' or 'legacy', got {self.sampling!r}"
             )
         if not isinstance(self.backend, str) or not self.backend:
             raise ConfigurationError(
@@ -191,24 +180,6 @@ class ExperimentSettings:
     def fitness_every(self) -> int:
         """Events between two fitness samples during the replay."""
         return max(self.max_events // self.n_checkpoints, 1)
-
-    @property
-    def checkpoint_every(self) -> int:
-        """Deprecated alias of :attr:`fitness_every`.
-
-        Historically this fitness-sampling cadence was called
-        ``checkpoint_every``, which collided with the real on-disk
-        checkpoints once those existed (``checkpoint_dir`` /
-        ``checkpoint_events``).
-        """
-        warnings.warn(
-            "ExperimentSettings.checkpoint_every is deprecated; use "
-            "fitness_every (it is the fitness-sampling cadence, not an "
-            "on-disk checkpoint interval)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.fitness_every
 
 
 def default_settings(dataset: str = "nyc_taxi", **overrides: object) -> ExperimentSettings:

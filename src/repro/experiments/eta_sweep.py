@@ -50,7 +50,6 @@ def run_eta_sweep(
         fitness_every=settings.fitness_every,
         seed=settings.seed,
         batched=settings.batched,
-        sampling=settings.sampling,
     )
     tasks = [method_task("als", "als", **shared)]
     for eta in etas:

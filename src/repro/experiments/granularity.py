@@ -155,7 +155,6 @@ def run_granularity(
             fitness_every=settings.fitness_every,
             seed=settings.seed,
             batched=settings.batched,
-            sampling=settings.sampling,
         )
     )
     payloads = run_tasks_over_snapshot(

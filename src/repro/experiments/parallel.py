@@ -121,7 +121,6 @@ def method_task(
     fitness_every: int = 150,
     seed: int | None = 0,
     batched: bool = False,
-    sampling: str = "vectorized",
     backend: str = "auto",
     shards: int = 1,
     staleness: int = 0,
@@ -141,7 +140,6 @@ def method_task(
             "fitness_every": int(fitness_every),
             "seed": seed,
             "batched": bool(batched),
-            "sampling": sampling,
             "backend": backend,
             "shards": int(shards),
             "staleness": int(staleness),
@@ -184,7 +182,6 @@ def execute_task(
             fitness_every=params.get("fitness_every", 150),
             seed=params.get("seed", 0),
             batched=params.get("batched", False),
-            sampling=params.get("sampling", "vectorized"),
             backend=params.get("backend", "auto"),
             shards=params.get("shards", 1),
             staleness=params.get("staleness", 0),

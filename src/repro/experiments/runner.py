@@ -11,7 +11,6 @@ reproducing the protocol of Section VI-A.
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from collections.abc import Sequence
 from pathlib import Path
 
@@ -140,14 +139,12 @@ def run_method(
     seed: int | None = 0,
     baseline_config: BaselineConfig | None = None,
     batched: bool = False,
-    sampling: str = "vectorized",
     backend: str = "auto",
     shards: int = 1,
     staleness: int = 0,
     checkpoint_dir: str | Path | None = None,
     checkpoint_events: int | None = None,
     resume: bool = False,
-    checkpoint_every: int | None = None,
 ) -> MethodResult:
     """Replay ``max_events`` window events against one method.
 
@@ -168,7 +165,7 @@ def run_method(
 
     With ``batched=True`` the stream is replayed through the batched engine:
     continuous methods consume one :class:`DeltaBatch` per batch window via
-    ``update_batch`` (numerically equivalent to the per-event loop — see the
+    ``update_batch`` (bit-identical to the per-event loop — see the
     equivalence test suite), and their fitness samples are recorded at batch
     granularity rather than on exact event counts; periodic baselines advance
     the window with vectorized pure replay between boundaries and score the
@@ -191,19 +188,7 @@ def run_method(
     the lifetime ``total_update_seconds`` / update count, so
     ``mean_update_microseconds`` reflects the whole run, not just the events
     replayed after the restore.
-
-    ``checkpoint_every`` is a deprecated alias of ``fitness_every`` (it
-    never controlled on-disk checkpoints, only the fitness cadence).
     """
-    if checkpoint_every is not None:
-        warnings.warn(
-            "run_method(checkpoint_every=...) is deprecated; use "
-            "fitness_every (the fitness-sampling cadence) — real on-disk "
-            "checkpoints are controlled by checkpoint_dir/checkpoint_events",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        fitness_every = checkpoint_every
     kind = method_kind(method)
     if (shards > 1 or staleness > 0) and not batched:
         raise ConfigurationError(
@@ -242,7 +227,6 @@ def run_method(
             theta=theta,
             eta=eta,
             seed=seed,
-            sampling=sampling,
             backend=backend,
             shards=shards,
             staleness=staleness,
@@ -289,7 +273,6 @@ def run_method(
                     theta=theta,
                     eta=eta,
                     seed=seed,
-                    sampling=sampling,
                     backend=backend,
                     shards=shards,
                     staleness=staleness,
@@ -502,7 +485,6 @@ def run_experiment(
             fitness_every=settings.fitness_every,
             seed=settings.seed,
             batched=settings.batched,
-            sampling=settings.sampling,
             backend=settings.backend,
             shards=settings.shards,
             staleness=settings.staleness,

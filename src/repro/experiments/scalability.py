@@ -71,7 +71,6 @@ def run_scalability(
             fitness_every=max(int(count), 1),  # single fitness sample at the end
             seed=settings.seed,
             batched=settings.batched,
-            sampling=settings.sampling,
         )
         for count in event_counts
         for method in methods

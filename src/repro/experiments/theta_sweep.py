@@ -53,7 +53,6 @@ def run_theta_sweep(
         fitness_every=settings.fitness_every,
         seed=settings.seed,
         batched=settings.batched,
-        sampling=settings.sampling,
     )
     # ALS reference run once (θ does not affect it).
     tasks = [method_task("als", "als", **shared)]

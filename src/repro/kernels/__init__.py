@@ -23,7 +23,6 @@ from repro.kernels.api import (
     KernelBackend,
     empty_overrides,
     flatten_mode_overrides,
-    flatten_row_overrides,
 )
 # NOTE: registry.numpy_backend() is deliberately NOT re-exported here —
 # importing the repro.kernels.numpy_backend submodule sets an attribute of
@@ -70,7 +69,6 @@ __all__ = [
     "default_backend_name",
     "empty_overrides",
     "flatten_mode_overrides",
-    "flatten_row_overrides",
     "known_backends",
     "load_backend",
     "register_backend",

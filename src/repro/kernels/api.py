@@ -131,29 +131,6 @@ def flatten_mode_overrides(
     return modes, indices, rows_array
 
 
-def flatten_row_overrides(
-    row_overrides: Mapping[tuple[int, int], np.ndarray] | None,
-    rank: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flatten a ``(mode, index) -> row`` mapping into the kernel triple.
-
-    Preserves the mapping's iteration order, which the numpy reference
-    replays per mode exactly like the historical
-    ``overrides_by_mode.setdefault(...)`` regrouping did.
-    """
-    if not row_overrides:
-        return empty_overrides(rank)
-    total = len(row_overrides)
-    modes = np.empty(total, dtype=np.int64)
-    indices = np.empty(total, dtype=np.int64)
-    rows_array = np.empty((total, rank), dtype=np.float64)
-    for position, ((mode, index), row) in enumerate(row_overrides.items()):
-        modes[position] = mode
-        indices[position] = index
-        rows_array[position, :] = row
-    return modes, indices, rows_array
-
-
 def validate_backend(backend: Any) -> "KernelBackend":
     """Check that ``backend`` is a fully populated :class:`KernelBackend`."""
     if not isinstance(backend, KernelBackend):

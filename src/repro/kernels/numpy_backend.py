@@ -3,9 +3,9 @@
 Every function here is the historical inline implementation moved
 verbatim — the same numpy calls in the same order on the same
 intermediates — from :mod:`repro.als.mttkrp` (``mttkrp_coo`` and the
-``mttkrp_row`` hot path), :meth:`repro.core.base.ContinuousCPD._reconstruction_batch`,
-and :meth:`repro.core.randomized.RandomizedCPD`'s ``_solve_regularized`` /
-``_vectorized_sampled_residual``.  That is a hard contract, not a style
+``mttkrp_row`` hot path), the models' batched reconstruction gather, and
+:meth:`repro.core.randomized.RandomizedCPD`'s ``_solve_regularized`` /
+``_sampled_residual``.  That is a hard contract, not a style
 choice: the golden-fitness, batched-equivalence, and checkpoint suites
 pin bit-exact outputs, and they stay pinned precisely because selecting
 the numpy backend performs the identical float operations the code
@@ -28,8 +28,8 @@ import numpy as np
 
 from repro.kernels.api import KernelBackend
 
-try:  # Same optional-scipy guard as repro.core.randomized: dposv skips
-    # numpy.linalg's per-call machinery for the small R x R systems.
+try:  # SciPy is optional: dposv skips numpy.linalg's per-call machinery
+    # for the small R x R systems.
     from scipy.linalg.lapack import dposv as _lapack_posv
 except ImportError:  # pragma: no cover - exercised only without scipy
     _lapack_posv = None
@@ -91,7 +91,7 @@ def sampled_residual(
 ) -> np.ndarray:
     """Fused residual ``(x - x̃) @ (Hadamard of other current rows)``.
 
-    The body of ``RandomizedCPD._vectorized_sampled_residual`` with the
+    The body of ``RandomizedCPD._sampled_residual`` with the
     override buckets flattened: overrides never carry ``mode`` itself (the
     flattener skips it), so a non-empty triple is exactly the historical
     ``relevant`` condition.
@@ -151,7 +151,7 @@ def reconstruct_coords(
     override_indices: np.ndarray,
     override_rows: np.ndarray,
 ) -> np.ndarray:
-    """Batched reconstruction gather — the ``_reconstruction_batch`` body.
+    """Batched reconstruction gather: the CP model value at each coordinate.
 
     Unlike :func:`sampled_residual`'s lazy copy, a mode with *any*
     overrides copies its gathered rows unconditionally (even when no mask

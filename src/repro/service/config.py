@@ -38,7 +38,7 @@ class StreamConfig:
         CP rank of the maintained decomposition.
     method:
         Registered SliceNStitch variant maintaining the factors.
-    theta, eta, regularization, nonnegative, sampling, seed:
+    theta, eta, regularization, nonnegative, seed:
         Hyper-parameters forwarded to :class:`~repro.core.base.SNSConfig`.
     backend:
         Kernel backend for the model hot path (see :mod:`repro.kernels`),
@@ -72,7 +72,6 @@ class StreamConfig:
     eta: float = 1000.0
     regularization: float = 1e-12
     nonnegative: bool = False
-    sampling: str = "vectorized"
     backend: str = "auto"
     shards: int | None = None
     staleness: int | None = None
@@ -135,8 +134,18 @@ class StreamConfig:
 
         Unknown keys raise :class:`ConfigurationError` rather than being
         silently dropped — a typoed hyper-parameter must not produce a
-        stream with defaults the caller never asked for.
+        stream with defaults the caller never asked for.  The one exception
+        is ``sampling``, which configs written while there were two slice
+        samplers carry: ``"vectorized"`` is the sampler that remains and is
+        dropped, any other value raises.
         """
+        payload = dict(payload)
+        sampling = payload.pop("sampling", "vectorized")
+        if sampling != "vectorized":
+            raise ConfigurationError(
+                f"stream config has sampling={sampling!r}; only the "
+                "'vectorized' slice sampler exists"
+            )
         known = {field.name for field in dataclasses.fields(cls)}
         unknown = sorted(set(payload) - known)
         if unknown:
@@ -145,7 +154,7 @@ class StreamConfig:
                 f"{sorted(known)}"
             )
         try:
-            return cls(**dict(payload))
+            return cls(**payload)
         except TypeError as error:
             raise ConfigurationError(
                 f"invalid stream config: {error}"

@@ -133,7 +133,6 @@ class StreamSession:
             regularization=self.config.regularization,
             nonnegative=self.config.nonnegative,
             seed=self.config.seed,
-            sampling=self.config.sampling,
             backend=self.config.backend,
             shards=resolve_shards(self.config.shards),
             staleness=resolve_staleness(self.config.staleness),

@@ -25,8 +25,8 @@ Restore is *exact*, not approximate:
   an uninterrupted one;
 * the scheduler heap is adopted verbatim (no re-heapify) with its sequence
   counter, so simultaneous events resume with the same tie-breaking;
-* the model's numpy ``Generator`` state is restored bit-for-bit, so both the
-  legacy and the vectorized samplers continue on the exact same draw stream;
+* the model's numpy ``Generator`` state is restored bit-for-bit, so the
+  slice sampler continues on the exact same draw stream;
 * ``_squared_norm`` is *recomputed exactly* from the restored entries (a
   compensated sum), shedding any incremental float drift the live run had
   accumulated.
@@ -38,8 +38,13 @@ enumeration — and with it every slice-driven float reduction — exactly.  The
 equivalence suite (``tests/stream/test_checkpoint_equivalence.py``) pins the
 resulting guarantee: checkpoint → restore → continue matches an
 uninterrupted run bit-identically on the window and within ``1e-12`` on the
-factors (observed: exactly equal) for all five variants × both engines ×
-both samplers.
+factors (observed: exactly equal) for all five variants × both engines.
+
+Checkpoints written while the randomised variants had a second, legacy slice
+sampler record a ``sampling`` key in the model config.
+:meth:`~repro.core.base.SNSConfig.from_dict` drops it when it names the
+remaining ``"vectorized"`` sampler and refuses ``"legacy"`` runs, which
+cannot be continued exactly.
 
 Checkpoints are self-contained: restoring does not need the original stream
 object (the records still in flight are stored in the checkpoint itself).
@@ -609,7 +614,8 @@ def restore_model(
 
     Returns ``None`` when the checkpoint carries no model state.  The model
     class is resolved through the algorithm registry by its saved name and
-    reconstructed with its saved hyper-parameters, then ``load_state``
+    reconstructed with its saved hyper-parameters (through
+    :meth:`SNSConfig.from_dict`), then ``load_state``
     restores factors, Grams, counters, aux buffers, and the RNG stream.
     """
     model_manifest = checkpoint.manifest.get("model")
@@ -620,7 +626,7 @@ def restore_model(
     from repro.core.registry import create_algorithm
 
     arrays = checkpoint.arrays
-    config = SNSConfig(**model_manifest["config"])
+    config = SNSConfig.from_dict(model_manifest["config"])
     model = create_algorithm(model_manifest["name"], config)
     n_factors = int(model_manifest["n_factors"])
     aux: dict[str, Any] = {}

@@ -263,8 +263,8 @@ class DeltaBatch:
         The flat per-event view of the batch: ``entries`` is exactly what the
         corresponding :class:`Delta` would carry, sliced out of the batch's
         entry arrays without materialising :class:`WindowEvent` / ``Delta``
-        objects.  The randomised variants' ``update_batch`` iterates this to
-        keep exact per-event semantics at batch speed.
+        objects.  :meth:`repro.core.base.ContinuousCPD.update_batch` iterates
+        this to keep exact per-event semantics at batch speed.
         """
         coordinates = self._coordinates
         values = self._values
@@ -299,8 +299,7 @@ class DeltaBatch:
         """Per-event ``ΔX`` objects, materialised lazily in event order.
 
         Iterating these and applying/updating one at a time reproduces the
-        per-event path exactly; the default
-        :meth:`repro.core.base.ContinuousCPD.update_batch` relies on this.
+        per-event path exactly.
         """
         if self._deltas is None:
             window_length = self._window_length

@@ -136,10 +136,8 @@ class ContinuousStreamProcessor:
         """Number of events emitted so far.
 
         Counts exactly the events handed to consumers: everything drained by
-        :meth:`iter_batches`, and every pair yielded by :meth:`events` —
-        expiries suppressed with ``include_expiry=False`` update the window
-        but are neither yielded nor counted.  This is the counter persisted
-        by :meth:`save_checkpoint`.
+        :meth:`iter_batches`, and every pair yielded by :meth:`events`.  This
+        is the counter persisted by :meth:`save_checkpoint`.
         """
         return self._n_events_emitted
 
@@ -349,7 +347,6 @@ class ContinuousStreamProcessor:
         self,
         end_time: float | None = None,
         max_events: int | None = None,
-        include_expiry: bool = True,
     ) -> Iterator[tuple[WindowEvent, Delta]]:
         """Yield ``(event, delta)`` pairs in chronological order.
 
@@ -360,12 +357,7 @@ class ContinuousStreamProcessor:
         end_time:
             Stop once the next event would fire after this time.
         max_events:
-            Stop after this many events (counting only yielded events).
-        include_expiry:
-            When False, expiry events still update the window but are not
-            yielded to the consumer.  The paper's algorithms handle expiries
-            exactly like other events, so the default is True; the flag exists
-            for ablation experiments.
+            Stop after this many events.
         """
         if self._iterating:
             raise ConcurrentIterationError(
@@ -378,7 +370,6 @@ class ContinuousStreamProcessor:
             yield from self._events(
                 end_time,
                 max_events,
-                include_expiry,
                 self._config.window_length,
                 self._config.period,
             )
@@ -389,7 +380,6 @@ class ContinuousStreamProcessor:
         self,
         end_time: float | None,
         max_events: int | None,
-        include_expiry: bool,
         window_length: int,
         period: float,
     ) -> Iterator[tuple[WindowEvent, Delta]]:
@@ -436,16 +426,9 @@ class ContinuousStreamProcessor:
                     event.record,
                     next_step,
                 )
-            if include_expiry or event.kind is not EventKind.EXPIRY:
-                # One authoritative counter: the lifetime counter and the
-                # per-call ``emitted`` / ``max_events`` bookkeeping count the
-                # same events.  A suppressed expiry (include_expiry=False)
-                # still updates the window but is not emitted, so it is not
-                # counted — previously the lifetime counter drifted ahead of
-                # ``emitted`` by one per suppressed expiry.
-                emitted += 1
-                self._n_events_emitted += 1
-                yield event, delta
+            emitted += 1
+            self._n_events_emitted += 1
+            yield event, delta
 
     def run(
         self, end_time: float | None = None, max_events: int | None = None

@@ -3,8 +3,9 @@
 These parametrised tests check the invariants that all five algorithms must
 keep while streaming: Gram matrices stay consistent with the factors, only
 the rows named by the event are touched (for the row-wise variants), the
-update counter advances, and the tracked fitness stays close to what a batch
-ALS re-fit of the same window achieves.
+update counter advances, the tracked fitness stays close to what a batch
+ALS re-fit of the same window achieves, and both engines reach the update
+rule through the one per-event hook.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.als.als import decompose
-from repro.core.base import SNSConfig
+from repro.core.base import ContinuousCPD, SNSConfig
 from repro.core.registry import ALGORITHMS, create_algorithm
 from repro.stream.processor import ContinuousStreamProcessor
 
@@ -79,6 +80,79 @@ class TestCommonBehaviour:
             model.update(Delta.from_event(event, 4))
 
 
+def record_hook_calls(model):
+    """Wrap ``model._update`` to log each call's event and window state."""
+    calls = []
+    hook = model._update
+
+    def spy(entries, categorical_indices):
+        calls.append(
+            (
+                tuple((tuple(map(int, c)), float(v)) for c, v in entries),
+                tuple(categorical_indices),
+                dict(model.window.tensor.items()),
+            )
+        )
+        hook(entries, categorical_indices)
+
+    model._update = spy
+    return calls
+
+
+@pytest.mark.parametrize("name", ALL_ALGORITHMS)
+class TestSingleUpdatePath:
+    """Both engines reach a variant's rule through one per-event hook."""
+
+    def test_variant_defines_only_the_per_event_hook(self, name):
+        cls = ALGORITHMS[name]
+        assert cls.update is ContinuousCPD.update
+        assert cls.update_batch is ContinuousCPD.update_batch
+        assert not hasattr(cls, "_update_batch_exact")
+        # Exactly one class between the variant and the base defines the rule.
+        definers = [
+            klass
+            for klass in cls.__mro__[: cls.__mro__.index(ContinuousCPD)]
+            if "_update" in vars(klass)
+        ]
+        assert len(definers) == 1
+
+    def test_update_calls_the_hook_once_per_event(
+        self, name, small_stream, small_window_config, small_initial_factors
+    ):
+        processor = ContinuousStreamProcessor(small_stream, small_window_config)
+        model = make_model(name, processor, small_initial_factors, theta=3)
+        calls = record_hook_calls(model)
+        for n, (_, delta) in enumerate(processor.events(max_events=40), start=1):
+            model.update(delta)
+            assert len(calls) == n == model.n_updates
+            entries, categorical_indices, _ = calls[-1]
+            assert entries == tuple(
+                (tuple(c), float(v)) for c, v in delta.entries
+            )
+            assert categorical_indices == delta.categorical_indices
+
+    def test_update_batch_hook_sees_the_per_event_windows(
+        self, name, small_stream, small_window_config, small_initial_factors
+    ):
+        """Every hook call of ``update_batch`` matches its per-event twin:
+        same event, same window state (the batch applied up to that event)."""
+        sequential = ContinuousStreamProcessor(small_stream, small_window_config)
+        model_sequential = make_model(
+            name, sequential, small_initial_factors, theta=3
+        )
+        expected = record_hook_calls(model_sequential)
+        for _, delta in sequential.events(max_events=60):
+            model_sequential.update(delta)
+
+        batched = ContinuousStreamProcessor(small_stream, small_window_config)
+        model_batched = make_model(name, batched, small_initial_factors, theta=3)
+        observed = record_hook_calls(model_batched)
+        batched.run_batched(model=model_batched, max_events=60, batch_window=25.0)
+
+        assert len(observed) == len(expected) == model_batched.n_updates == 60
+        assert observed == expected
+
+
 @pytest.mark.parametrize("name", ROW_WISE_ALGORITHMS)
 class TestRowLocality:
     def test_only_affected_rows_change(
@@ -91,7 +165,9 @@ class TestRowLocality:
         for _, delta in events:
             before = [factor.copy() for factor in model.factors]
             model.update(delta)
-            affected = set(model._affected_rows(delta))
+            affected = set(
+                model._affected_rows(delta.entries, delta.categorical_indices)
+            )
             for mode, factor in enumerate(model.factors):
                 for row in range(factor.shape[0]):
                     if (mode, row) in affected:

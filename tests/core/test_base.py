@@ -8,6 +8,7 @@ import pytest
 from repro.core.base import SNSConfig
 from repro.core.sns_vec import SNSVec
 from repro.exceptions import ConfigurationError, NotFittedError, RankError, ShapeError
+from repro.kernels import empty_overrides
 from repro.stream.deltas import Delta
 from repro.stream.events import EventKind, StreamRecord, WindowEvent
 from repro.stream.window import TensorWindow, WindowConfig
@@ -19,7 +20,6 @@ class TestSNSConfig:
         config = SNSConfig(rank=5)
         assert config.theta == 20
         assert config.eta == 1000.0
-        assert config.sampling == "vectorized"
 
     @pytest.mark.parametrize(
         ("kwargs", "exception"),
@@ -28,12 +28,24 @@ class TestSNSConfig:
             ({"rank": 3, "theta": 0}, ConfigurationError),
             ({"rank": 3, "eta": 0.0}, ConfigurationError),
             ({"rank": 3, "regularization": -1.0}, ConfigurationError),
-            ({"rank": 3, "sampling": "bogus"}, ConfigurationError),
         ],
     )
     def test_invalid(self, kwargs, exception):
         with pytest.raises(exception):
             SNSConfig(**kwargs)
+
+    def test_from_dict_fills_missing_fields_with_defaults(self):
+        saved = {"rank": 3, "theta": 7}
+        assert SNSConfig.from_dict(saved) == SNSConfig(rank=3, theta=7)
+
+    def test_from_dict_drops_vectorized_sampling(self):
+        # Configs saved while there were two slice samplers name theirs.
+        saved = {"rank": 3, "sampling": "vectorized"}
+        assert SNSConfig.from_dict(saved) == SNSConfig(rank=3)
+
+    def test_from_dict_rejects_legacy_sampling(self):
+        with pytest.raises(ConfigurationError, match="sampling"):
+            SNSConfig.from_dict({"rank": 3, "sampling": "legacy"})
 
 
 class TestLifecycle:
@@ -80,7 +92,7 @@ class TestLifecycle:
         record = StreamRecord((2, 1), 1.0, 0.0)
         event = WindowEvent(1.0, 0, EventKind.SHIFT, record, 1)
         delta = Delta.from_event(event, 3)
-        rows = model._affected_rows(delta)
+        rows = model._affected_rows(delta.entries, delta.categorical_indices)
         # Time-mode rows first (newest-but-one then its neighbour), then
         # one row per categorical mode.
         assert rows == [(2, 2), (2, 1), (0, 2), (1, 1)]
@@ -100,21 +112,17 @@ class TestLifecycle:
         decomposition.factors[0][0, 0] += 100.0
         assert model.factors[0][0, 0] != decomposition.factors[0][0, 0]
 
-    def test_batch_helpers_match_scalar_helpers(self, window, rng):
+    def test_reconstruct_coords_kernel_matches_reconstruction_at(self, window, rng):
         model = SNSVec(SNSConfig(rank=3))
         model.initialize(window, random_factors((4, 3, 3), rank=3, rng=rng))
         coordinates = [(0, 1, 2), (3, 2, 0), (1, 0, 1)]
-        batch = model._other_rows_product_batch(1, coordinates)
-        for row, coordinate in zip(batch, coordinates):
-            np.testing.assert_allclose(row, model._other_rows_product(1, coordinate))
-        values = model._reconstruction_batch(coordinates)
+        values = model._kernels.reconstruct_coords(
+            coordinates, model.factors, *empty_overrides(3)
+        )
         for value, coordinate in zip(values, coordinates):
             assert value == pytest.approx(model.reconstruction_at(coordinate))
-
-    def test_reconstruction_batch_with_overrides(self, window, rng):
-        model = SNSVec(SNSConfig(rank=2))
-        model.initialize(window, random_factors((4, 3, 3), rank=2, rng=rng))
-        coordinate = (2, 1, 1)
-        override_row = np.zeros(2)
-        values = model._reconstruction_batch([coordinate], {(0, 2): override_row})
+        # An override replaces the (mode 0, index 2) row in the gathers.
+        values = model._kernels.reconstruct_coords(
+            [(2, 1, 1)], model.factors, np.array([0]), np.array([2]), np.zeros((1, 3))
+        )
         assert values[0] == pytest.approx(0.0)

@@ -30,29 +30,19 @@ from repro.stream.window import WindowConfig
 N_EVENTS = 400
 
 #: Final fitness of each variant after N_EVENTS on nyc_taxi @ scale 0.05,
-#: ALS(n_iterations=5, seed=0) initialisation, SNSConfig(seed=0) — i.e. the
-#: default ``sampling="vectorized"`` configuration.  The randomised variants'
-#: values were regenerated when the vectorised flat-index sampler became the
-#: default: it draws the same uniform-without-replacement distribution as the
-#: legacy sampler but consumes the generator stream differently (bulk
-#: ``integers``/``permutation`` draws over linearised offsets instead of one
-#: ``choice``/``integers`` call per coordinate), so the sampled coordinate
-#: sequences — and therefore the pinned fitness — legitimately differ.  The
-#: deterministic variants are unaffected by the sampling knob.
+#: ALS(n_iterations=5, seed=0) initialisation, SNSConfig(seed=0).  The
+#: randomised variants' values were regenerated when the vectorised flat-index
+#: sampler replaced the original per-draw sampler: it draws the same
+#: uniform-without-replacement distribution but consumes the generator stream
+#: differently (bulk draws over linearised offsets instead of one call per
+#: coordinate), so the sampled coordinate sequences — and therefore the pinned
+#: fitness — legitimately differ.  The deterministic variants draw nothing.
 GOLDEN_FINAL_FITNESS = {
     "sns_mat": 0.2867246023554326,
     "sns_rnd": 0.21220075800646254,
     "sns_rnd_plus": 0.2003800063722173,
     "sns_vec": 0.2113392809886686,
     "sns_vec_plus": 0.19520302008905166,
-}
-
-#: Final fitness of the randomised variants with ``sampling="legacy"``: the
-#: original per-draw sampler's stream is pinned bit-for-bit, so these are
-#: exactly the values the pre-vectorisation implementation produced.
-LEGACY_GOLDEN_FINAL_FITNESS = {
-    "sns_rnd": 0.21146322292190745,
-    "sns_rnd_plus": 0.197760670798803,
 }
 
 GOLDEN_INITIAL_FITNESS = 0.2511966271136048
@@ -112,27 +102,3 @@ def test_batched_path_reproduces_goldens(golden_setup, name):
         GOLDEN_FINAL_FITNESS[name], rel=1e-6, abs=1e-9
     )
 
-
-@pytest.mark.parametrize("batched", [False, True], ids=["per_event", "batched"])
-@pytest.mark.parametrize("name", sorted(LEGACY_GOLDEN_FINAL_FITNESS))
-def test_legacy_sampling_reproduces_original_goldens(golden_setup, name, batched):
-    """``sampling="legacy"`` must reproduce the pre-vectorisation numbers.
-
-    The legacy draw stream is a compatibility contract: these values are the
-    exact goldens pinned before the vectorised sampler became the default.
-    """
-    stream, spec, config, initial = golden_setup
-    sns_config = SNSConfig(
-        rank=spec.rank, theta=spec.theta, eta=spec.eta, seed=0, sampling="legacy"
-    )
-    processor = ContinuousStreamProcessor(stream, config)
-    model = create_algorithm(name, sns_config)
-    model.initialize(processor.window, initial.decomposition)
-    if batched:
-        processor.run_batched(model=model, max_events=N_EVENTS)
-    else:
-        for _, delta in processor.events(max_events=N_EVENTS):
-            model.update(delta)
-    assert model.fitness() == pytest.approx(
-        LEGACY_GOLDEN_FINAL_FITNESS[name], rel=1e-6, abs=1e-9
-    )

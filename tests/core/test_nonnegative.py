@@ -35,7 +35,9 @@ class TestNonnegativeProjection:
         touched: set[tuple[int, int]] = set()
         for _, delta in processor.events(max_events=250):
             model.update(delta)
-            touched |= set(model._affected_rows(delta))
+            touched |= set(
+                model._affected_rows(delta.entries, delta.categorical_indices)
+            )
         for mode, index in touched:
             assert np.all(model.factors[mode][index, :] >= 0.0)
         assert np.isfinite(model.fitness())

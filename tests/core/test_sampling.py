@@ -8,82 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.core.sampling as sampling_module
-from repro.core.sampling import (
-    sample_slice_coordinates,
-    sample_slice_coordinates_array,
-)
+from repro.core.sampling import SliceSampler, sample_slice_coordinates_array
 from repro.exceptions import ShapeError
-
-
-class TestSampleSliceCoordinates:
-    def test_count_and_fixed_mode(self, rng):
-        samples = sample_slice_coordinates((5, 6, 7), mode=1, index=3, count=10, rng=rng)
-        assert len(samples) == 10
-        assert all(coordinate[1] == 3 for coordinate in samples)
-        assert all(0 <= c[0] < 5 and 0 <= c[2] < 7 for c in samples)
-
-    def test_samples_are_distinct(self, rng):
-        samples = sample_slice_coordinates((4, 4, 4), mode=0, index=0, count=16, rng=rng)
-        assert len(samples) == len(set(samples))
-
-    def test_request_larger_than_slice_returns_all(self, rng):
-        samples = sample_slice_coordinates((3, 2, 2), mode=0, index=1, count=50, rng=rng)
-        assert len(samples) == 4  # 2 x 2 other-mode cells
-
-    def test_excluded_coordinates_are_never_returned(self, rng):
-        exclude = [(2, 0, 0), (2, 1, 1)]
-        samples = sample_slice_coordinates(
-            (3, 2, 2), mode=0, index=2, count=4, rng=rng, exclude=exclude
-        )
-        assert set(samples).isdisjoint(exclude)
-        assert len(samples) == 2  # only two eligible cells remain
-
-    def test_zero_count(self, rng):
-        assert sample_slice_coordinates((3, 3), 0, 0, 0, rng) == []
-
-    def test_everything_excluded(self, rng):
-        exclude = [(1, 0), (1, 1)]
-        assert (
-            sample_slice_coordinates((2, 2), 0, 1, 3, rng, exclude=exclude) == []
-        )
-
-    def test_invalid_mode_or_index_rejected(self, rng):
-        with pytest.raises(ShapeError):
-            sample_slice_coordinates((3, 3), 2, 0, 1, rng)
-        with pytest.raises(ShapeError):
-            sample_slice_coordinates((3, 3), 0, 3, 1, rng)
-
-    def test_deterministic_with_seed(self):
-        a = sample_slice_coordinates((6, 6, 6), 2, 1, 5, np.random.default_rng(3))
-        b = sample_slice_coordinates((6, 6, 6), 2, 1, 5, np.random.default_rng(3))
-        assert a == b
-
-    def test_large_slice_uses_rejection_sampling(self, rng):
-        # Other-mode space is 1000 x 1000 = 1e6 cells > enumeration limit.
-        samples = sample_slice_coordinates(
-            (1000, 1000, 4), mode=2, index=2, count=25, rng=rng
-        )
-        assert len(samples) == 25
-        assert all(coordinate[2] == 2 for coordinate in samples)
-
-    def test_exhausted_rejection_falls_back_to_enumeration(self, rng, monkeypatch):
-        """Regression: rejection must never under-deliver while cells remain.
-
-        With the attempt budget forced to a single draw, the rejection loop
-        cannot possibly collect the requested count on its own — the
-        enumeration fallback has to deliver the rest.
-        """
-        monkeypatch.setattr(sampling_module, "_ENUMERATION_LIMIT", 0)
-        monkeypatch.setattr(sampling_module, "_REJECTION_ATTEMPTS_PER_SAMPLE", 0)
-        monkeypatch.setattr(sampling_module, "_REJECTION_ATTEMPTS_BASE", 1)
-        exclude = [(0, j) for j in range(4)]
-        samples = sample_slice_coordinates(
-            (10, 10), mode=0, index=0, count=6, rng=rng, exclude=exclude
-        )
-        assert len(samples) == 6
-        assert len(set(samples)) == 6
-        assert set(samples).isdisjoint(exclude)
-        assert all(coordinate[0] == 0 for coordinate in samples)
 
 
 @st.composite
@@ -133,19 +59,6 @@ class TestSampleSliceCoordinatesArray:
             {c for c in exclude if c[mode] == index}
         )
         assert samples.shape[0] == max(0, min(count, eligible))
-
-    @given(slice_case())
-    @settings(max_examples=30, deadline=None)
-    def test_matches_legacy_eligible_set(self, case):
-        """Both samplers draw from exactly the same eligible cells."""
-        shape, mode, index, count, exclude, seed = case
-        vectorized = sample_slice_coordinates_array(
-            shape, mode, index, count, np.random.default_rng(seed), exclude=exclude
-        )
-        legacy = sample_slice_coordinates(
-            shape, mode, index, count, np.random.default_rng(seed), exclude=exclude
-        )
-        assert vectorized.shape[0] == len(legacy)
 
     def test_deterministic_with_seed(self):
         a = sample_slice_coordinates_array(
@@ -205,42 +118,51 @@ class TestSampleSliceCoordinatesArray:
         assert len({tuple(row) for row in samples.tolist()}) == 6
 
 
+class TestSliceSampler:
+    def test_needs_at_least_one_mode(self):
+        assert SliceSampler((4, 3)).shape == (4, 3)
+        with pytest.raises(ShapeError):
+            SliceSampler(())
+
+    def test_reused_instance_matches_one_shot_draws(self):
+        """The per-mode metadata a held sampler amortises changes no draw."""
+        shape = (5, 4, 6)
+        requests = [(0, 2, 3), (2, 5, 7), (1, 0, 30), (2, 1, 2), (0, 4, 1)]
+        held = SliceSampler(shape)
+        rng_held = np.random.default_rng(9)
+        rng_one_shot = np.random.default_rng(9)
+        for mode, index, count in requests:
+            exclude = [(index, 0, 0), (0, index % 4, 1)]
+            np.testing.assert_array_equal(
+                held.sample(mode, index, count, rng_held, exclude=exclude),
+                sample_slice_coordinates_array(
+                    shape, mode, index, count, rng_one_shot, exclude=exclude
+                ),
+            )
+
+
 class TestStatisticalAgreement:
-    def test_legacy_and_vectorized_sample_uniformly(self):
-        """Both samplers are uniform over the eligible cells.
+    def test_samples_uniformly(self):
+        """The sampler is uniform over the eligible cells.
 
         4 x 4 slice with one excluded cell → 15 eligible cells; drawing 3
         per call, each cell's inclusion probability is 3/15 = 0.2.  With
         4000 calls the binomial 3-sigma band is ~±0.019, so the ±0.04
-        assertion is a >6-sigma bound (and the runs are seeded).
+        assertion is a >6-sigma bound (and the run is seeded).
         """
         shape, mode, index, count = (4, 4, 3), 2, 1, 3
         exclude = [(0, 0, 1)]
         n_rounds = 4000
         eligible = 15
         expected = count / eligible
-
-        def frequencies(sampler, seed, as_array):
-            rng = np.random.default_rng(seed)
-            counts: dict[tuple[int, ...], int] = {}
-            for _ in range(n_rounds):
-                samples = sampler(shape, mode, index, count, rng, exclude=exclude)
-                rows = (
-                    (tuple(row) for row in samples.tolist())
-                    if as_array
-                    else samples
-                )
-                for row in rows:
-                    counts[row] = counts.get(row, 0) + 1
-            assert len(counts) == eligible  # every eligible cell was seen
-            return {cell: n / n_rounds for cell, n in counts.items()}
-
-        legacy = frequencies(sample_slice_coordinates, 101, as_array=False)
-        vectorized = frequencies(
-            sample_slice_coordinates_array, 202, as_array=True
-        )
-        for cell_frequencies in (legacy, vectorized):
-            for cell, frequency in cell_frequencies.items():
-                assert frequency == pytest.approx(expected, abs=0.04), cell
-        for cell in legacy:
-            assert legacy[cell] == pytest.approx(vectorized[cell], abs=0.05)
+        rng = np.random.default_rng(202)
+        counts: dict[tuple[int, ...], int] = {}
+        for _ in range(n_rounds):
+            samples = sample_slice_coordinates_array(
+                shape, mode, index, count, rng, exclude=exclude
+            )
+            for row in samples.tolist():
+                counts[tuple(row)] = counts.get(tuple(row), 0) + 1
+        assert len(counts) == eligible  # every eligible cell was seen
+        for cell, n in counts.items():
+            assert n / n_rounds == pytest.approx(expected, abs=0.04), cell

@@ -9,6 +9,7 @@ from repro.als.mttkrp import mttkrp, mttkrp_row
 from repro.core.base import SNSConfig
 from repro.core.normalization import normalize_columns
 from repro.core.registry import create_algorithm
+from repro.core.rowmath import clipped_coordinate_descent
 from repro.core.sns_mat import SNSMat
 from repro.core.sns_rnd import SNSRnd
 from repro.core.sns_rnd_plus import SNSRndPlus
@@ -20,6 +21,30 @@ from repro.tensor.products import hadamard_all
 
 def first_events(processor, count):
     return list(processor.events(max_events=count))
+
+
+def next_shift(processor, model):
+    """Feed ``model`` events up to the first shift that moves a value between
+    two time rows, and return that delta: the window already holds it, the
+    model has not seen it yet."""
+    for _, delta in processor.events():
+        if len(set(delta.time_indices)) == 2:
+            return delta
+        model.update(delta)
+    raise AssertionError("the stream has no two-row shift event")
+
+
+def time_row_delta(factors, delta, index):
+    """``sum_J Δx_J * prod_{n != time} a(n)_{j_n}`` over the entries of time row ``index``."""
+    time_mode = len(factors) - 1
+    row = np.zeros(factors[0].shape[1])
+    for coordinate, value in delta.entries:
+        if coordinate[time_mode] == index:
+            product = np.ones_like(row)
+            for mode in range(time_mode):
+                product *= factors[mode][coordinate[mode], :]
+            row += value * product
+    return row
 
 
 class TestSNSMat:
@@ -128,6 +153,29 @@ class TestSNSVec:
             model.factors[time_mode][first_index, :], expected, atol=1e-7
         )
 
+    def test_both_time_rows_of_a_shift_follow_eq9(
+        self, small_stream, small_window_config, small_initial_factors
+    ):
+        """Both time rows of a shift solve against the pre-event categorical
+        Grams, which the first time row's update leaves unchanged."""
+        processor = ContinuousStreamProcessor(small_stream, small_window_config)
+        model = SNSVec(SNSConfig(rank=4, regularization=0.0))
+        model.initialize(processor.window, small_initial_factors)
+        delta = next_shift(processor, model)
+        time_mode = model.time_mode
+        before = [factor.copy() for factor in model.factors]
+        inverse = np.linalg.pinv(
+            hadamard_all([g for m, g in enumerate(model.grams) if m != time_mode])
+        )
+        model.update(delta)
+        for index in delta.time_indices:
+            expected = before[time_mode][index, :] + (
+                time_row_delta(before, delta, index) @ inverse
+            )
+            np.testing.assert_allclose(
+                model.factors[time_mode][index, :], expected, rtol=1e-9, atol=1e-9
+            )
+
 
 class TestSNSRnd:
     def test_prev_grams_refresh_each_event(
@@ -158,7 +206,7 @@ class TestSNSRnd:
         tensor = processor.window.tensor
         # Only the last-updated row can be recomputed from the final factors
         # (earlier rows were solved against factors that changed afterwards).
-        mode, index = exact._affected_rows(delta)[-1]
+        mode, index = exact._affected_rows(delta.entries, delta.categorical_indices)[-1]
         grams = [f.T @ f for f in exact.factors]
         hadamard = hadamard_all([g for m, g in enumerate(grams) if m != mode])
         expected = mttkrp_row(tensor, exact.factors, mode, index) @ np.linalg.pinv(
@@ -167,6 +215,35 @@ class TestSNSRnd:
         np.testing.assert_allclose(
             exact.factors[mode][index, :], expected, atol=1e-6
         )
+
+
+class TestSNSVecPlus:
+    def test_both_time_rows_of_a_shift_follow_eq22(
+        self, small_stream, small_window_config, small_initial_factors
+    ):
+        """Eq. (22) for both time rows of a shift, with one pre-event
+        Hadamard-of-Grams matrix serving both coordinate-descent sweeps."""
+        processor = ContinuousStreamProcessor(small_stream, small_window_config)
+        config = SNSConfig(rank=4, eta=5.0)
+        model = SNSVecPlus(config)
+        model.initialize(processor.window, small_initial_factors)
+        delta = next_shift(processor, model)
+        time_mode = model.time_mode
+        before = [factor.copy() for factor in model.factors]
+        hadamard = hadamard_all(
+            [g for m, g in enumerate(model.grams) if m != time_mode]
+        )
+        model.update(delta)
+        for index in delta.time_indices:
+            old_row = before[time_mode][index, :]
+            numerator = old_row @ hadamard + time_row_delta(before, delta, index)
+            expected = clipped_coordinate_descent(
+                old_row, numerator, hadamard, config.eta, -config.eta,
+                config.regularization,
+            )
+            np.testing.assert_allclose(
+                model.factors[time_mode][index, :], expected, rtol=1e-9, atol=1e-9
+            )
 
 
 class TestClipping:
@@ -185,7 +262,9 @@ class TestClipping:
         touched: set[tuple[int, int]] = set()
         for _, delta in processor.events(max_events=200):
             model.update(delta)
-            touched |= set(model._affected_rows(delta))
+            touched |= set(
+                model._affected_rows(delta.entries, delta.categorical_indices)
+            )
         for mode, index in touched:
             assert np.all(np.abs(model.factors[mode][index, :]) <= eta + 1e-12)
 

@@ -25,12 +25,6 @@ class TestExperimentSettings:
         assert settings.checkpoint_events is None
         assert settings.resume is False
 
-    def test_checkpoint_every_is_a_deprecated_alias_of_fitness_every(self):
-        settings = ExperimentSettings()
-        with pytest.warns(DeprecationWarning, match="fitness_every"):
-            aliased = settings.checkpoint_every
-        assert aliased == settings.fitness_every
-
     def test_default_settings_overrides(self):
         settings = default_settings("chicago_crime", max_events=100)
         assert settings.dataset == "chicago_crime"

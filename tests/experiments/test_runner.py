@@ -51,7 +51,7 @@ class TestRunMethod:
         result = run_method(
             stream, window_config, "sns_vec_plus",
             initial_factors=initial, rank=5,
-            max_events=300, checkpoint_every=100,
+            max_events=300, fitness_every=100,
         )
         assert isinstance(result, MethodResult)
         assert result.kind == "continuous"
@@ -65,7 +65,7 @@ class TestRunMethod:
     def test_batched_continuous_matches_sequential(self, runner_setup):
         stream, window_config, initial, _ = runner_setup
         kwargs = dict(
-            initial_factors=initial, rank=5, max_events=300, checkpoint_every=100
+            initial_factors=initial, rank=5, max_events=300, fitness_every=100
         )
         sequential = run_method(stream, window_config, "sns_vec_plus", **kwargs)
         batched = run_method(
@@ -87,7 +87,7 @@ class TestRunMethod:
         result = run_method(
             stream, window_config, "als",
             initial_factors=initial, rank=5,
-            max_events=300, checkpoint_every=100, batched=True,
+            max_events=300, fitness_every=100, batched=True,
         )
         assert result.kind == "periodic"
         assert result.n_events == 300
@@ -102,7 +102,7 @@ class TestRunMethod:
         result = run_method(
             stream, window_config, "als",
             initial_factors=initial, rank=5,
-            max_events=600, checkpoint_every=100,
+            max_events=600, fitness_every=100,
         )
         assert result.kind == "periodic"
         assert result.n_updates >= 1  # at least one boundary crossed
@@ -114,7 +114,7 @@ class TestRunMethod:
         result = run_method(
             stream, window_config, "sns_vec",
             initial_factors=initial, rank=5,
-            max_events=10, checkpoint_every=50,
+            max_events=10, fitness_every=50,
         )
         assert len(result.fitness_series) == 1  # falls back to final fitness
 
@@ -211,24 +211,6 @@ class TestBaselineBoundarySemantics:
         assert batched.fitness_series == pytest.approx(
             sequential.fitness_series, rel=1e-9
         )
-
-
-class TestFitnessEveryRename:
-    def test_checkpoint_every_alias_warns_and_applies(self, runner_setup):
-        stream, window_config, initial, _ = runner_setup
-        with pytest.warns(DeprecationWarning, match="fitness_every"):
-            aliased = run_method(
-                stream, window_config, "sns_vec",
-                initial_factors=initial, rank=5,
-                max_events=200, checkpoint_every=50,
-            )
-        renamed = run_method(
-            stream, window_config, "sns_vec",
-            initial_factors=initial, rank=5,
-            max_events=200, fitness_every=50,
-        )
-        assert aliased.fitness_series == renamed.fitness_series
-        assert aliased.checkpoint_times == renamed.checkpoint_times
 
 
 class TestCheckpointResume:
@@ -375,7 +357,7 @@ class TestExperimentResult:
             methods[name] = run_method(
                 stream, window_config, name,
                 initial_factors=initial, rank=5, theta=5,
-                max_events=500, checkpoint_every=100,
+                max_events=500, fitness_every=100,
             )
         return ExperimentResult(
             dataset="unit_test",

@@ -110,15 +110,6 @@ class TestModelBackend:
         target.load_state(small_processor.window, state)
         assert target.n_updates == source.n_updates
 
-    def test_legacy_sampling_pins_numpy_kernels(self):
-        # sampling="legacy" promises the seed's bit-for-bit draw stream,
-        # which only the reference kernels honour — even under backend
-        # "auto" on a machine where numba resolves.
-        model = create_algorithm(
-            "sns_rnd", SNSConfig(rank=3, sampling="legacy", backend="auto")
-        )
-        assert model.kernel_backend == "numpy"
-
 
 class TestCheckpointManifest:
     def test_manifest_records_kernel_backend(

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,16 @@ class TestConfig:
         payload = stream_config.to_dict()
         payload["raank"] = 5
         with pytest.raises(ConfigurationError, match="raank"):
+            StreamConfig.from_dict(payload)
+
+    def test_vectorized_sampling_key_is_dropped(self, stream_config):
+        # Configs saved while there were two slice samplers name theirs.
+        payload = dict(stream_config.to_dict(), sampling="vectorized")
+        assert StreamConfig.from_dict(payload) == stream_config
+
+    def test_legacy_sampling_rejected(self, stream_config):
+        payload = dict(stream_config.to_dict(), sampling="legacy")
+        with pytest.raises(ConfigurationError, match="sampling"):
             StreamConfig.from_dict(payload)
 
     @pytest.mark.parametrize(
@@ -215,6 +227,28 @@ class TestDurability:
         restored = StreamSession.load(tmp_path / "s")
         assert restored.telemetry.checkpoints_written == 1
         assert restored.telemetry.events_since_checkpoint == 0
+
+    @staticmethod
+    def _save_with_sampling(session, target, sampling):
+        session.save(target)
+        meta = json.loads((target / "meta.json").read_text())
+        meta["config"]["sampling"] = sampling
+        (target / "meta.json").write_text(json.dumps(meta))
+
+    def test_load_drops_vectorized_sampling_key(self, tmp_path):
+        session = live_session()
+        self._save_with_sampling(session, tmp_path / "s", "vectorized")
+        restored = StreamSession.load(tmp_path / "s")
+        assert restored.config == session.config
+        for fa, fb in zip(
+            session.factors()["factors"], restored.factors()["factors"]
+        ):
+            assert np.array_equal(np.array(fa), np.array(fb))
+
+    def test_load_rejects_legacy_sampling(self, tmp_path):
+        self._save_with_sampling(live_session(), tmp_path / "s", "legacy")
+        with pytest.raises(ConfigurationError, match="sampling"):
+            StreamSession.load(tmp_path / "s")
 
     def test_load_rejects_missing_and_damaged_directories(self, tmp_path):
         with pytest.raises(CheckpointError, match="meta.json"):

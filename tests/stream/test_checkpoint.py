@@ -1,10 +1,10 @@
 """Unit tests for the checkpoint/restore subsystem (repro.stream.checkpoint).
 
-The exact-equivalence guarantee across all variants/engines/samplers lives in
+The exact-equivalence guarantee across all variants and engines lives in
 ``test_checkpoint_equivalence.py``; this module covers the format itself and
 the edge cases: empty-window snapshots, snapshots taken between simultaneous
-events (mid-tie), manifest validation, the model state protocol, and the
-unified event counter.
+events (mid-tie), manifest validation, the model state protocol (including
+configs saved with a ``sampling`` key), and the persisted event counter.
 """
 
 from __future__ import annotations
@@ -257,6 +257,44 @@ class TestModelStateProtocol:
         with pytest.raises(ConfigurationError, match="theta"):
             other.load_state(processor.window, state)
 
+    def test_load_state_drops_vectorized_sampling_key(self, initialized_model):
+        # States saved while there were two slice samplers name theirs.
+        processor, model = initialized_model
+        state = model.state_dict()
+        state["config"] = dict(state["config"], sampling="vectorized")
+        other = create_algorithm("sns_rnd_plus", SNSConfig(rank=4, theta=5, seed=0))
+        other.load_state(processor.window, state)
+        np.testing.assert_array_equal(other.factors[0], model.factors[0])
+
+    def test_load_state_rejects_legacy_sampling(self, initialized_model):
+        processor, model = initialized_model
+        state = model.state_dict()
+        state["config"] = dict(state["config"], sampling="legacy")
+        other = create_algorithm("sns_rnd_plus", SNSConfig(rank=4, theta=5, seed=0))
+        with pytest.raises(ConfigurationError, match="sampling"):
+            other.load_state(processor.window, state)
+
+    @staticmethod
+    def _save_with_sampling(processor, model, path, sampling):
+        processor.save_checkpoint(path, model=model)
+        manifest_path = path / MANIFEST_FILENAME
+        manifest = json.loads(manifest_path.read_text())
+        manifest["model"]["config"]["sampling"] = sampling
+        manifest_path.write_text(json.dumps(manifest))
+
+    def test_restore_drops_vectorized_sampling_key(self, initialized_model, tmp_path):
+        processor, model = initialized_model
+        self._save_with_sampling(processor, model, tmp_path / "ckpt", "vectorized")
+        _, restored, _ = restore_run(tmp_path / "ckpt")
+        assert restored.config == model.config
+        np.testing.assert_array_equal(restored.factors[1], model.factors[1])
+
+    def test_restore_rejects_legacy_sampling(self, initialized_model, tmp_path):
+        processor, model = initialized_model
+        self._save_with_sampling(processor, model, tmp_path / "ckpt", "legacy")
+        with pytest.raises(ConfigurationError, match="sampling"):
+            restore_run(tmp_path / "ckpt")
+
     def test_sns_mat_weights_survive(self, small_processor, small_initial_factors, tmp_path):
         model = create_algorithm("sns_mat", SNSConfig(rank=4, seed=0))
         model.initialize(small_processor.window, small_initial_factors)
@@ -270,25 +308,6 @@ class TestModelStateProtocol:
 
 
 class TestUnifiedEventCounter:
-    def test_suppressed_expiries_are_not_counted(self, tiny_stream):
-        config = WindowConfig(mode_sizes=(3, 2), window_length=2, period=10.0)
-        with_expiry = ContinuousStreamProcessor(tiny_stream, config)
-        emitted_all = sum(1 for _ in with_expiry.events())
-        assert with_expiry.n_events_emitted == emitted_all
-
-        suppressed = ContinuousStreamProcessor(tiny_stream, config)
-        emitted_visible = sum(
-            1 for _ in suppressed.events(include_expiry=False)
-        )
-        # Regression: the lifetime counter used to keep counting suppressed
-        # expiries, diverging from the emitted/max_events bookkeeping.
-        assert suppressed.n_events_emitted == emitted_visible
-        assert emitted_visible < emitted_all
-        # The window itself still received every expiry.
-        assert dict(suppressed.window.tensor.items()) == dict(
-            with_expiry.window.tensor.items()
-        )
-
     def test_counter_is_persisted(self, small_processor, tmp_path):
         small_processor.run(max_events=33)
         assert small_processor.n_events_emitted == 33

@@ -1,9 +1,8 @@
 """Resume-equivalence suite: checkpoint → restore → continue vs uninterrupted.
 
-For every SliceNStitch variant × engine (per-event / batched) × sampler
-(vectorized / legacy), an interrupted run — save at N/2 events, restore into
-fresh objects, replay the remaining events — must match an uninterrupted
-N-event run:
+For every SliceNStitch variant × engine (per-event / batched), an
+interrupted run — save at N/2 events, restore into fresh objects, replay the
+remaining events — must match an uninterrupted N-event run:
 
 * the tensor window **bit-identically** (exact dict equality of entries),
 * the factor matrices within ``1e-12`` (the documented bound; in practice
@@ -55,12 +54,11 @@ def equivalence_setup():
     return stream, config, initial.decomposition
 
 
-def build_run(equivalence_setup, variant: str, sampling: str):
+def build_run(equivalence_setup, variant: str):
     stream, config, initial = equivalence_setup
     processor = ContinuousStreamProcessor(stream, config)
     model = create_algorithm(
-        variant,
-        SNSConfig(rank=RANK, theta=5, eta=1000.0, seed=0, sampling=sampling),
+        variant, SNSConfig(rank=RANK, theta=5, eta=1000.0, seed=0)
     )
     model.initialize(processor.window, initial)
     return processor, model
@@ -75,20 +73,17 @@ def advance(processor, model, n_events: int, batched: bool) -> None:
 
 
 @pytest.mark.parametrize("batched", [False, True], ids=["per_event", "batched"])
-@pytest.mark.parametrize("sampling", ["vectorized", "legacy"])
 @pytest.mark.parametrize("variant", sorted(ALGORITHMS))
 def test_resume_matches_uninterrupted_run(
-    equivalence_setup, tmp_path, variant, sampling, batched
+    equivalence_setup, tmp_path, variant, batched
 ):
     # Reference: one uninterrupted N-event run.
-    reference_processor, reference_model = build_run(
-        equivalence_setup, variant, sampling
-    )
+    reference_processor, reference_model = build_run(equivalence_setup, variant)
     advance(reference_processor, reference_model, N_EVENTS, batched)
 
     # Interrupted twin: N/2 events, checkpoint, restore, remaining N/2.
     half = N_EVENTS // 2
-    paused_processor, paused_model = build_run(equivalence_setup, variant, sampling)
+    paused_processor, paused_model = build_run(equivalence_setup, variant)
     advance(paused_processor, paused_model, half, batched)
     paused_processor.save_checkpoint(tmp_path / "ckpt", model=paused_model)
     restored_processor, restored_model, _ = restore_run(tmp_path / "ckpt")
@@ -124,22 +119,23 @@ def test_resume_matches_uninterrupted_run(
     )
 
 
-@pytest.mark.parametrize("sampling", ["vectorized", "legacy"])
-def test_double_interruption_stays_exact(equivalence_setup, tmp_path, sampling):
+@pytest.mark.parametrize("batched", [False, True], ids=["per_event", "batched"])
+@pytest.mark.parametrize("variant", sorted(ALGORITHMS))
+def test_double_interruption_stays_exact(
+    equivalence_setup, tmp_path, variant, batched
+):
     """Two checkpoint/restore cycles compose without losing exactness."""
-    reference_processor, reference_model = build_run(
-        equivalence_setup, "sns_rnd_plus", sampling
-    )
-    advance(reference_processor, reference_model, N_EVENTS, batched=False)
+    reference_processor, reference_model = build_run(equivalence_setup, variant)
+    advance(reference_processor, reference_model, N_EVENTS, batched)
 
-    processor, model = build_run(equivalence_setup, "sns_rnd_plus", sampling)
+    processor, model = build_run(equivalence_setup, variant)
     consumed = 0
     for chunk in (N_EVENTS // 3, N_EVENTS // 3):
-        advance(processor, model, chunk, batched=False)
+        advance(processor, model, chunk, batched)
         consumed += chunk
         processor.save_checkpoint(tmp_path / "ckpt", model=model)
         processor, model, _ = restore_run(tmp_path / "ckpt")
-    advance(processor, model, N_EVENTS - consumed, batched=False)
+    advance(processor, model, N_EVENTS - consumed, batched)
 
     assert dict(processor.window.tensor.items()) == dict(
         reference_processor.window.tensor.items()

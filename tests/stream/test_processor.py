@@ -127,15 +127,6 @@ class TestEventReplay:
         final_expected = oracle_window(tiny_stream, config, rest[-1][0].time)
         assert processor.window.tensor.allclose(final_expected)
 
-    def test_include_expiry_false_hides_expiries_but_applies_them(self, tiny_stream):
-        config = WindowConfig(mode_sizes=(3, 2), window_length=3, period=10.0)
-        processor = ContinuousStreamProcessor(tiny_stream, config, start_time=-1.0)
-        kinds = {
-            event.kind for event, _ in processor.events(include_expiry=False)
-        }
-        assert EventKind.EXPIRY not in kinds
-        assert processor.window.nnz == 0  # expiries were still applied
-
     def test_run_returns_event_count(self, tiny_stream):
         config = WindowConfig(mode_sizes=(3, 2), window_length=2, period=10.0)
         processor = ContinuousStreamProcessor(tiny_stream, config, start_time=-1.0)
