@@ -5,7 +5,6 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 import numpy as np
-import scipy.sparse.linalg
 
 from repro.exceptions import ConfigurationError, RankError
 from repro.tensor.matricization import unfold_sparse
@@ -34,7 +33,8 @@ def initialize_factors(
         setting for non-negative count data);
         ``"svd"`` — leading left singular vectors of each mode unfolding,
         padded with random columns when the unfolding has fewer than ``R``
-        informative singular vectors.
+        informative singular vectors.  Needs SciPy, which is imported only
+        here; without it this raises :class:`ConfigurationError`.
     rng:
         Random generator used for random entries and padding.
     """
@@ -53,6 +53,13 @@ def initialize_factors(
 def _svd_factors(
     tensor: SparseTensor, rank: int, rng: np.random.Generator
 ) -> list[np.ndarray]:
+    try:
+        from scipy.sparse.linalg import ArpackError, svds
+    except ImportError as error:
+        raise ConfigurationError(
+            "the 'svd' initialisation strategy needs scipy, which is not "
+            "installed; install scipy or use the 'random' strategy"
+        ) from error
     factors: list[np.ndarray] = []
     for mode, length in enumerate(tensor.shape):
         unfolding = unfold_sparse(tensor, mode)
@@ -62,9 +69,9 @@ def _svd_factors(
         factor = rng.random((length, rank))
         if k >= 1 and unfolding.nnz > 0:
             try:
-                u, _, _ = scipy.sparse.linalg.svds(unfolding.asfptype(), k=k)
+                u, _, _ = svds(unfolding.asfptype(), k=k)
                 factor[:, :k] = np.abs(u[:, ::-1])
-            except (scipy.sparse.linalg.ArpackError, ValueError):
+            except (ArpackError, ValueError):
                 pass  # keep the random columns; ALS will recover
         factors.append(factor)
     return factors

@@ -28,16 +28,24 @@ import abc
 
 import numpy as np
 
-from repro.core.base import ContinuousCPD, Coordinate, Entries
+from repro.core.base import ContinuousCPD, Coordinate, Entries, SNSConfig
 from repro.core.sampling import SliceSampler
 from repro.exceptions import ConfigurationError
 from repro.kernels.api import flatten_mode_overrides
+from repro.kernels.lapack import lapack_solvers
 
 
 class RandomizedCPD(ContinuousCPD):
     """Base class of the θ-bounded randomised variants."""
 
     shard_sampled = True
+
+    def __init__(self, config: SNSConfig) -> None:
+        super().__init__(config)
+        # SciPy's LAPACK solvers (or None each without SciPy), imported once
+        # per process here so a sampled model pays for the import in its own
+        # set-up rather than in its first update.
+        self._lapack = lapack_solvers()
 
     def _post_initialize(self) -> None:
         # U(m) = A_prev(m)' A(m); refreshed to the plain Grams at every event.

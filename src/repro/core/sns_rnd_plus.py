@@ -30,12 +30,6 @@ from repro.core.base import Coordinate, Entries
 from repro.core.randomized import RandomizedCPD
 from repro.core.rowmath import clipped_coordinate_descent
 
-try:  # SciPy is optional: the direct LAPACK triangular solve skips
-    # numpy.linalg's per-call type/shape machinery for the R x R sweep.
-    from scipy.linalg.lapack import dtrtrs as _lapack_trtrs
-except ImportError:  # pragma: no cover - exercised only without scipy
-    _lapack_trtrs = None
-
 
 class SNSRndPlus(RandomizedCPD):
     """Sampled coordinate-descent updates with clipping: the paper's default choice."""
@@ -140,9 +134,12 @@ class SNSRndPlus(RandomizedCPD):
             if time_shared is not None:
                 time_shared["cd_triangles"] = hadamard
         rhs = numerator - self._upper_scratch @ old_row
-        if _lapack_trtrs is not None:
-            # rhs is a fresh temporary, so LAPACK may solve in place.
-            candidate, info = _lapack_trtrs(lower, rhs, lower=1, overwrite_b=1)
+        trtrs = self._lapack.trtrs
+        if trtrs is not None:
+            # SciPy's direct triangular solve skips numpy.linalg's per-call
+            # type/shape machinery for the R x R sweep.  rhs is a fresh
+            # temporary, so LAPACK may solve in place.
+            candidate, info = trtrs(lower, rhs, lower=1, overwrite_b=1)
             if info != 0:
                 return self._coordinate_descent_reference(
                     old_row, numerator, hadamard

@@ -12,6 +12,15 @@ the numpy backend performs the identical float operations the code
 performed before the registry existed.  Change an operation here only
 together with the goldens.
 
+One operation differs on purpose: ``mttkrp_coo`` scatters its products
+with one ``np.bincount`` over flat ``row * R + column`` bins instead of the
+historical ``np.add.at``.  bincount adds each bin's terms in input order
+starting from ``0.0``, exactly as ``np.add.at`` did, so the results are
+bit-identical (pinned by ``tests/kernels/test_mttkrp_scatter.py``) at a
+fraction of the cost.  ``solve_regularized`` reaches SciPy's ``dposv``
+through :func:`repro.kernels.lapack.lapack_solvers`, so importing this
+module never loads SciPy.
+
 The only structural difference from the historical call sites is how row
 overrides arrive: as the flat ``(modes, indices, rows)`` triple of
 :func:`repro.kernels.api.flatten_mode_overrides` instead of per-mode dict
@@ -27,12 +36,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.kernels.api import KernelBackend
-
-try:  # SciPy is optional: dposv skips numpy.linalg's per-call machinery
-    # for the small R x R systems.
-    from scipy.linalg.lapack import dposv as _lapack_posv
-except ImportError:  # pragma: no cover - exercised only without scipy
-    _lapack_posv = None
+from repro.kernels.lapack import lapack_solvers
 
 
 def mttkrp_coo(
@@ -44,16 +48,19 @@ def mttkrp_coo(
 ) -> np.ndarray:
     """MTTKRP over COO arrays — the body of :func:`repro.als.mttkrp.mttkrp_coo`."""
     rank = factors[0].shape[1]
-    result = np.zeros((mode_size, rank), dtype=np.float64)
     if values.size == 0:
-        return result
+        return np.zeros((mode_size, rank), dtype=np.float64)
     product = np.broadcast_to(values[:, None], (values.size, rank)).copy()
     for other_mode, factor in enumerate(factors):
         if other_mode == mode:
             continue
         product *= factor[indices[:, other_mode], :]
-    np.add.at(result, indices[:, mode], product)
-    return result
+    # One scatter over flat ``row * R + column`` bins: the same in-order
+    # sums as ``np.add.at`` (see the module docstring).
+    bins = (indices[:, mode] * rank)[:, None] + np.arange(rank)
+    return np.bincount(
+        bins.ravel(), weights=product.ravel(), minlength=mode_size * rank
+    ).reshape(mode_size, rank)
 
 
 def mttkrp_rows(
@@ -196,10 +203,11 @@ def solve_regularized(
     else:
         regularized = matrix
     batched = rhs.ndim == 2
-    if _lapack_posv is not None:
+    posv = lapack_solvers().posv
+    if posv is not None:
         # The scratch buffer may be overwritten in place by the
         # factorization; a shared (cached) matrix must not be.
-        _, solution, info = _lapack_posv(
+        _, solution, info = posv(
             regularized,
             rhs.T if batched else rhs,
             lower=1,

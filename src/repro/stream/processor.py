@@ -320,8 +320,21 @@ class ContinuousStreamProcessor:
         return int(math.floor(elapsed / self._config.period + _UNIT_EPSILON))
 
     def _bootstrap(self) -> None:
+        """Load the initial window and schedule its records' remaining events.
+
+        The same window mutations and scheduler pushes, in the same order,
+        as :meth:`TensorWindow.add_entry` plus :meth:`EventScheduler.schedule`
+        per record, minus re-validating each coordinate and building a
+        discarded :class:`WindowEvent`: every record's indices are ints
+        checked against the mode sizes by :class:`MultiAspectStream`, whose
+        sizes the constructor matched to the window's, and the unit lies in
+        ``[0, W)`` because ``0 <= offset < W``.
+        """
         window_length = self._config.window_length
         period = self._config.period
+        add = self._window.tensor._add_trusted
+        push = self._scheduler.push_raw
+        kind_by_step = self._kind_by_step
         for record in self._stream:
             if record.time > self._start_time:
                 self._future_records.append(record)
@@ -329,14 +342,11 @@ class ContinuousStreamProcessor:
             offset = self._unit_offset(record.time, self._start_time)
             if offset >= window_length:
                 continue  # already expired before streaming starts
-            unit = window_length - 1 - offset
-            self._window.add_entry(record.indices, unit, record.value)
+            add((*record.indices, window_length - 1 - offset), record.value)
             next_step = offset + 1
             if next_step <= window_length:
                 next_time = record.time + next_step * period
-                self._scheduler.schedule(
-                    next_time, self._kind_by_step[next_step], record, next_step
-                )
+                push(next_time, kind_by_step[next_step], record, next_step)
         # Future records are consumed front-to-back as arrivals.
         self._future_records.reverse()  # pop() from the end is O(1)
 

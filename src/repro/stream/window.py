@@ -199,7 +199,8 @@ class TensorWindow:
     def add_entry(self, categorical: Sequence[int], unit: int, value: float) -> None:
         """Add ``value`` at (categorical indices, time-unit ``unit``).
 
-        Used when bootstrapping the initial window from historical records.
+        The validated form of what the processor's bootstrap does per
+        historical record (it skips validation for already-checked records).
         """
         coordinate = (*tuple(int(i) for i in categorical), int(unit))
         self._tensor.add(coordinate, value)

@@ -17,12 +17,15 @@ Khatri-Rao product is taken over the other modes in reverse order, matching
 from __future__ import annotations
 
 from collections.abc import Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.exceptions import ShapeError
 from repro.tensor.sparse import SparseTensor
+
+if TYPE_CHECKING:  # pragma: no cover - typing only; SciPy loads on call
+    import scipy.sparse as sp
 
 
 def _column_strides(shape: Sequence[int], mode: int) -> list[int]:
@@ -67,10 +70,16 @@ def fold(matrix: np.ndarray, mode: int, shape: Sequence[int]) -> np.ndarray:
 
 
 def unfold_sparse(tensor: SparseTensor, mode: int) -> sp.csr_matrix:
-    """Mode-``mode`` unfolding of a sparse tensor as a SciPy CSR matrix."""
+    """Mode-``mode`` unfolding of a sparse tensor as a SciPy CSR matrix.
+
+    SciPy is imported here, after the mode check, so the package itself
+    never loads it.
+    """
     shape = tensor.shape
     if not 0 <= mode < tensor.order:
         raise ShapeError(f"mode {mode} out of range for order-{tensor.order} tensor")
+    import scipy.sparse as sp
+
     n_rows = shape[mode]
     n_cols = 1
     for axis, length in enumerate(shape):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.als.als import decompose
 from repro.als.initialization import copy_factors, initialize_factors, pad_factor
 from repro.exceptions import ConfigurationError, RankError
 
@@ -28,6 +29,18 @@ class TestInitializeFactors:
         b = initialize_factors(small_tensor, 3, rng=np.random.default_rng(5))
         for left, right in zip(a, b):
             np.testing.assert_array_equal(left, right)
+
+    def test_svd_without_scipy_is_a_configuration_error(
+        self, small_tensor, rng, hide_scipy
+    ):
+        with pytest.raises(ConfigurationError, match="needs scipy"):
+            initialize_factors(small_tensor, 3, strategy="svd", rng=rng)
+        with pytest.raises(ConfigurationError, match="needs scipy"):
+            decompose(small_tensor, rank=3, n_iterations=2, init="svd")
+
+    def test_random_init_without_scipy(self, small_tensor, rng, hide_scipy):
+        factors = initialize_factors(small_tensor, 3, strategy="random", rng=rng)
+        assert [f.shape for f in factors] == [(6, 3), (5, 3), (4, 3)]
 
     def test_unknown_strategy_rejected(self, small_tensor, rng):
         with pytest.raises(ConfigurationError):

@@ -60,6 +60,14 @@ class TestSparseUnfolding:
         with pytest.raises(ShapeError):
             unfold_sparse(small_tensor, 3)
 
+    def test_invalid_mode_rejected_before_importing_scipy(
+        self, small_tensor, hide_scipy
+    ):
+        with pytest.raises(ShapeError):
+            unfold_sparse(small_tensor, -1)
+        with pytest.raises(ImportError):
+            unfold_sparse(small_tensor, 0)
+
     def test_column_of_matches_dense_layout(self, rng):
         shape = (3, 4, 5)
         dense = rng.normal(size=shape)
