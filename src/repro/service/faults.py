@@ -22,7 +22,8 @@ site                where the check runs
 ``apply``           in the stream worker, before a queued chunk is
                     applied to the session
 ``worker.stall``    in the stream worker, before applying (kind
-                    ``delay`` sleeps there, tripping the watchdog)
+                    ``delay`` sleeps on the numeric worker thread as
+                    the apply begins, tripping the watchdog)
 ``connection.reset``in the connection handler, per request line; stage
                     ``request`` drops the request before dispatch,
                     stage ``response`` (default) applies the op and
@@ -320,8 +321,9 @@ class FaultAction:
 class FaultInjector:
     """Runtime evaluator of a :class:`FaultPlan`.
 
-    Thread-safe: checkpoint writes run in worker threads while connection
-    and queue checks run on the event loop, so hit counting takes a lock.
+    Thread-safe: checkpoint writes run on the service's numeric worker
+    thread while connection and queue checks run on the event loop, so hit
+    counting takes a lock.
     ``check`` counts one hit per *matching* rule per call and returns the
     first rule that fires (or ``None``); counters are inspectable through
     :meth:`report`.
@@ -392,7 +394,7 @@ class FaultInjector:
     # Site adapters
     # ------------------------------------------------------------------
     def checkpoint_write_hook(self, path: Path, stage: str) -> None:
-        """Hook for the atomic checkpoint writer (runs in worker threads).
+        """Hook for the atomic checkpoint writer (runs on the numeric worker).
 
         The stream id is recovered from the directory layout
         (``<root>/<stream>/state`` for run checkpoints, ``<root>/<stream>``

@@ -13,11 +13,18 @@ Concurrency model
   The worker holds it across a whole chunk application and queries hold it
   across their read, so a query observes either the pre-chunk or the
   post-chunk state — never a half-applied batch (atomic snapshots).
-* The numeric work itself runs in worker threads (``asyncio.to_thread``),
-  keeping the event loop responsive while numpy grinds.
+* Every session/manager call — applies, ``start_stream``, recovery,
+  queries, checkpoint writes and the shutdown sweep — runs on one
+  process-wide *numeric worker* thread (:func:`_offload`), keeping the
+  event loop responsive while numpy grinds.  One thread, not a pool: the
+  update glue is Python holding the GIL, so only one thread can run it at
+  a time, and every extra thread adds GIL handoffs, context switches and
+  a malloc arena of its own.  The cost is head-of-line blocking: a heavy
+  one-off call (a large tenant's ``start_stream`` ALS) finishes before
+  other streams' queued chunks run, instead of time-slicing with them.
 
 Durability: checkpoints are performed by a dedicated background *writer
-task*, off the ingest hot path.  Workers merely *request* a write once
+task*, off each stream's apply loop.  Workers merely *request* a write once
 ``checkpoint_events`` events have accumulated; the periodic sweep
 (``checkpoint_interval``) and explicit ``checkpoint`` ops feed the same
 machinery.  A failed write marks the stream *degraded* (telemetry:
@@ -40,7 +47,9 @@ instead of vanishing.
 Health: the ``health`` op aggregates per-stream liveness (queue depth,
 deferred errors, checkpoint staleness, degraded state, watchdog stall
 flags); a background watchdog flags workers stuck applying one chunk for
-longer than ``watchdog_stall_seconds``.
+longer than ``watchdog_stall_seconds``.  The stall clock starts when the
+apply begins on the numeric worker, so a chunk queued behind other
+streams' work is not counted as stuck.
 
 Fault injection: when the :class:`~repro.service.config.ServiceConfig`
 carries a :class:`~repro.service.faults.FaultPlan`, the server threads a
@@ -54,13 +63,15 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import json
+import threading
 import time
 from collections import OrderedDict
-from typing import Any
+from concurrent.futures import ThreadPoolExecutor
+from typing import Any, Callable
 
 from repro.exceptions import ReproError, ServiceError
 from repro.service.config import ServiceConfig
-from repro.service.faults import FaultInjector
+from repro.service.faults import FaultAction, FaultInjector
 from repro.service.manager import ServiceManager
 from repro.service.protocol import (
     MAX_REQUEST_BYTES,
@@ -86,6 +97,27 @@ LOCK_GUARDED_METHODS = frozenset(
     }
 )
 
+#: The process's numeric worker (see the module docstring), created on
+#: first use so that importing this module starts no thread.  It is
+#: process-wide because the GIL is: servers and event loops come and go,
+#: the worker stays.
+_numeric_worker: ThreadPoolExecutor | None = None
+_numeric_worker_lock = threading.Lock()
+
+
+async def _offload(function: Callable[..., Any], *args: Any) -> Any:
+    """Run ``function(*args)`` on the numeric worker thread and await it."""
+    global _numeric_worker
+    with _numeric_worker_lock:
+        if _numeric_worker is None:
+            _numeric_worker = ThreadPoolExecutor(
+                max_workers=1, thread_name_prefix="repro-numeric"
+            )
+        executor = _numeric_worker
+    return await asyncio.get_running_loop().run_in_executor(
+        executor, function, *args
+    )
+
 
 class _StreamWorker:
     """Queue + lock + apply-loop + seq-dedup window of one stream."""
@@ -103,8 +135,9 @@ class _StreamWorker:
         #: starts at the session's applied high-water mark so a recovered
         #: stream keeps deduplicating across the restart.
         self.max_seq_seen = server.manager.get(stream_id).last_seq
-        #: ``time.monotonic()`` at which the in-flight apply began
-        #: (``None`` while idle) — the watchdog's stall signal.
+        #: ``time.monotonic()`` at which the in-flight apply began on the
+        #: numeric worker (``None`` otherwise, including while the chunk
+        #: waits for the worker) — the watchdog's stall signal.
         self.busy_since: float | None = None
         #: Set by the watchdog when one apply exceeds the stall threshold;
         #: cleared when the apply finally completes.
@@ -151,27 +184,21 @@ class _StreamWorker:
         checkpoint_events = manager.config.checkpoint_events
         while True:
             kind, payload, seq = await self.queue.get()
-            self.busy_since = time.monotonic()
             try:
                 session = manager.get(self.stream_id)
                 async with self.lock:
-                    faults = server.faults
-                    if faults is not None:
-                        stall = faults.check(
+                    stall = fault = None
+                    if server.faults is not None:
+                        stall = server.faults.check(
                             "worker.stall", stream=self.stream_id
                         )
-                        if stall is not None and stall.kind == "delay":
-                            # Deliberate chaos injection: the stall *must*
-                            # block the stream so the watchdog sees it.
-                            # repro: allow[sleep-under-lock] injected stall
-                            await asyncio.sleep(stall.delay)
-                        action = faults.check("apply", stream=self.stream_id)
-                        if action is not None:
-                            action.raise_fault()
-                    if kind == "ingest":
-                        await asyncio.to_thread(session.ingest, payload)
-                    else:  # "advance"
-                        await asyncio.to_thread(session.advance, payload)
+                        fault = server.faults.check(
+                            "apply", stream=self.stream_id
+                        )
+                    apply = (
+                        session.ingest if kind == "ingest" else session.advance
+                    )
+                    await _offload(self._apply, apply, payload, stall, fault)
                     if seq is not None and seq > session.last_seq:
                         session.last_seq = seq
                     if (
@@ -190,8 +217,28 @@ class _StreamWorker:
                 self.deferred_errors.append(f"internal: {error!r}")
             finally:
                 self.stalled = False
-                self.busy_since = None
                 self.queue.task_done()
+
+    def _apply(
+        self,
+        apply: Callable[[Any], Any],
+        payload: Any,
+        stall: FaultAction | None,
+        fault: FaultAction | None,
+    ) -> None:
+        """Apply one chunk; runs on the numeric worker thread, so the stall
+        clock counts only the apply itself, never its wait for the worker."""
+        self.busy_since = time.monotonic()
+        try:
+            if stall is not None and stall.kind == "delay":
+                # Injected stall: a stuck apply holds the worker and the
+                # stream lock, exactly where a real one would.
+                time.sleep(stall.delay)
+            if fault is not None:
+                fault.raise_fault()
+            apply(payload)
+        finally:
+            self.busy_since = None
 
 
 class _CheckpointWriter:
@@ -290,14 +337,14 @@ class _CheckpointWriter:
         try:
             if worker is None:
                 # No worker == no concurrent ingest on this stream.
-                await asyncio.to_thread(
+                await _offload(
                     # repro: allow[lock-discipline] stream has no worker
                     server.manager.checkpoint_stream,
                     stream_id,
                 )
             else:
                 async with worker.lock:
-                    await asyncio.to_thread(
+                    await _offload(
                         server.manager.checkpoint_stream, stream_id
                     )
         except asyncio.CancelledError:
@@ -383,7 +430,7 @@ class StreamingServer:
 
     async def start(self) -> tuple[str, int]:
         """Recover persisted streams and start accepting connections."""
-        await asyncio.to_thread(self.manager.recover)
+        await _offload(self.manager.recover)
         self._server = await asyncio.start_server(
             self._handle_client,
             host=self.host,
@@ -427,7 +474,7 @@ class StreamingServer:
         # Every worker and the writer have stopped: nothing else can touch
         # the sessions, so the final sweep needs no per-stream lock.
         # repro: allow[lock-discipline] quiesced shutdown sweep
-        await asyncio.to_thread(self.manager.checkpoint_all)
+        await _offload(self.manager.checkpoint_all)
         if self._hook_installed:
             checkpoint_module.install_write_fault_hook(None)
             self._hook_installed = False
@@ -598,7 +645,7 @@ class StreamingServer:
                 worker = self._worker(stream_id)
                 try:
                     async with worker.lock:
-                        await asyncio.to_thread(
+                        await _offload(
                             self.manager.checkpoint_stream, stream_id
                         )
                 except Exception as error:
@@ -626,7 +673,7 @@ class StreamingServer:
         if op == "start_stream":
             await worker.queue.join()  # buffered ingests land first
             async with worker.lock:
-                result = await asyncio.to_thread(
+                result = await _offload(
                     session.start, request.get("start_time")
                 )
             return ok_response(**result)
@@ -643,25 +690,25 @@ class StreamingServer:
         if op == "factors":
             async with worker.lock:
                 return ok_response(
-                    **await asyncio.to_thread(session.factors)
+                    **await _offload(session.factors)
                 )
         if op == "fitness":
             async with worker.lock:
                 return ok_response(
-                    **await asyncio.to_thread(session.fitness)
+                    **await _offload(session.fitness)
                 )
         if op == "anomalies":
             k = int(request.get("k", 20))
             async with worker.lock:
                 return ok_response(
-                    **await asyncio.to_thread(session.anomalies, k)
+                    **await _offload(session.anomalies, k)
                 )
         if op == "stats":
             async with worker.lock:
-                return ok_response(**await asyncio.to_thread(session.stats))
+                return ok_response(**await _offload(session.stats))
         if op == "telemetry":
             async with worker.lock:
-                payload = await asyncio.to_thread(session.telemetry_snapshot)
+                payload = await _offload(session.telemetry_snapshot)
             payload["queue_depth"] = worker.queue.qsize()
             return ok_response(
                 telemetry=payload,
@@ -669,7 +716,7 @@ class StreamingServer:
             )
         if op == "checkpoint":
             async with worker.lock:
-                path = await asyncio.to_thread(
+                path = await _offload(
                     self.manager.checkpoint_stream, stream_id
                 )
             return ok_response(path=None if path is None else str(path))
@@ -678,7 +725,7 @@ class StreamingServer:
             await worker.stop()
             self._workers.pop(stream_id, None)
             self._writer.forget(stream_id)
-            await asyncio.to_thread(
+            await _offload(
                 self.manager.drop_stream,
                 stream_id,
                 bool(request.get("delete_state", False)),

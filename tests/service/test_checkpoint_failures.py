@@ -333,6 +333,74 @@ class TestWatchdog:
         for fa, fb in zip(factors["factors"], reference.factors()["factors"]):
             assert np.array_equal(np.array(fa), np.array(fb))
 
+    def test_chunk_queued_behind_a_stalled_stream_is_not_stalled(self):
+        """The stall clock counts apply time, not time spent waiting for
+        the numeric worker: while stream ``a``'s apply is stuck, stream
+        ``b``'s chunk waits behind it well past the threshold, yet only
+        ``a`` is flagged."""
+        config = ServiceConfig(
+            watchdog_stall_seconds=0.1,
+            fault_plan={
+                "rules": [
+                    {
+                        "site": "worker.stall",
+                        "kind": "delay",
+                        "delay": 0.4,
+                        "streams": ["a"],
+                        "hits": [2],
+                    }
+                ]
+            },
+        )
+        warms = {"a": warm_records(seed=71), "b": warm_records(seed=72)}
+        chunks = {"a": live_chunks(1, seed=73)[0], "b": live_chunks(1, seed=74)[0]}
+
+        async def scenario():
+            server = StreamingServer(ServiceManager(config))
+            await server.start()
+            for stream in ("a", "b"):
+                await create_and_start(server, stream, warms[stream])
+            await dispatch(
+                server, "ingest", stream="a", records=wire_records(chunks["a"])
+            )
+            await asyncio.sleep(0.05)  # a's apply now holds the worker
+            await dispatch(
+                server, "ingest", stream="b", records=wire_records(chunks["b"])
+            )
+            await asyncio.sleep(0.2)  # b has waited > threshold for the worker
+            during = {
+                stream: await dispatch(server, "health", stream=stream)
+                for stream in ("a", "b")
+            }
+            for stream in ("a", "b"):
+                await dispatch(server, "flush", stream=stream)
+            after = {
+                stream: await dispatch(server, "health", stream=stream)
+                for stream in ("a", "b")
+            }
+            factors = {
+                stream: await dispatch(server, "factors", stream=stream)
+                for stream in ("a", "b")
+            }
+            await server.stop()
+            return during, after, factors
+
+        during, after, factors = asyncio.run(scenario())
+        assert during["a"]["status"] == "stalled"
+        assert during["b"]["status"] == "ok"
+        assert during["b"]["stalled"] is False
+        assert during["b"]["apply_busy_seconds"] is None
+        assert during["b"]["stalls_detected"] == 0
+        assert after["a"]["stalls_detected"] == 1
+        assert after["b"]["status"] == "ok"
+        assert after["b"]["stalls_detected"] == 0
+        for stream in ("a", "b"):
+            reference = sequential_reference(warms[stream], [chunks[stream]])
+            for fa, fb in zip(
+                factors[stream]["factors"], reference.factors()["factors"]
+            ):
+                assert np.array_equal(np.array(fa), np.array(fb))
+
 
 class TestInjectedApplyFaults:
     def test_apply_fault_defers_error_and_keeps_worker_alive(self):
