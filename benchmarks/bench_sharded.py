@@ -1,18 +1,24 @@
-"""Sharded update path: fitness-deviation-vs-staleness frontier + throughput.
+"""Relaxed batch update: accuracy frontier, throughput, batch_window sweep.
 
-Replays the nyc_taxi-like stream through ``run_method`` once exactly
-(``shards=1``, ``staleness=0``) and once per staleness point at
-``shards=4`` (see :mod:`repro.shard`), for one least-squares and one
-clipped/sampled variant, and reports:
+Replays the nyc_taxi-like stream once exactly (``staleness=None``) and once
+per staleness point with the relaxed batch update (see
+:mod:`repro.core.relaxed`), for one least-squares and one clipped + sampled
+variant, and reports:
 
-* the **accuracy frontier** — final-fitness deviation from the exact run at
-  each staleness (the relaxed-consistency cost of working against a
-  snapshot up to S batches old), which must stay within the documented
-  bound; and
-* the **throughput ratio** sharded/exact per staleness point.  Sharding
-  pays off through parallel shard execution, so the >= 2x floor is only
-  enforced on machines with >= 4 usable CPUs — a 1-core container can
-  express the overhead but not the parallelism.
+* the **gated frontier** on the committed workload — final-fitness
+  deviation from the exact run at each staleness, which must stay within
+  ``DEVIATION_BOUND``, and the relaxed/exact throughput ratio, which must
+  reach ``SPEEDUP_FLOOR`` on any CPU count: the speed comes from solving each
+  row a batch touches once, against one snapshot, not from parallelism.
+  The workload's 1,200 events fit inside one period ``T``, and ``run_method``
+  batches by ``T``, so the relaxed run is a single batch and every
+  staleness point gives the same fitness;
+* an **ungated batch_window sweep** that records what the one-batch
+  workload hides: 4,000 events cut into batches of ``T/16``, ``T/4`` and
+  ``T``, at staleness 0 and 2, with the batch count, final fitness,
+  deviation from exact and throughput ratio of every point.  Many small
+  batches — the regime of a served stream, which drains every ingest chunk
+  on its own — can drift far from the exact fitness.
 
 Results land in ``results/BENCH_sharded.json`` / ``.txt``; the regression
 gate enforces the ``deviation_within_bound`` and ``meets_speedup_floor``
@@ -27,29 +33,33 @@ import time
 from benchmarks._reporting import emit, emit_json
 from benchmarks.conftest import scaled_events, thread_settings
 
+from repro.core.base import SNSConfig
+from repro.core.registry import create_algorithm
 from repro.experiments.config import ExperimentSettings
 from repro.experiments.runner import prepare_experiment, run_method
+from repro.kernels.lapack import lapack_solvers
+from repro.stream.processor import ContinuousStreamProcessor
 
 BENCH_DATASET = "nyc_taxi"
 BENCH_SCALE = 0.2
 BENCH_EVENTS = 1200
-BENCH_SHARDS = 4
 STALENESS_POINTS = (0, 2, 8)
 #: The variants benchmarked: the batched least-squares family representative
-#: and the clipped + sampled one (the most relaxed sharded semantics).
+#: and the clipped + sampled one.
 BENCH_METHODS = ("sns_vec", "sns_rnd_plus")
-#: Accuracy bar: max |final_fitness(sharded) - final_fitness(exact)| over
-#: the whole frontier.  The deviation is dominated by the batch-level
-#: relaxation itself (all rows of one batch are solved against one shared
-#: snapshot — Jacobi-style — where the exact path refreshes Gram state
-#: after every event, Gauss-Seidel-style); the staleness knob on top of
-#: that moves fitness very little, which is why raising it is almost free
-#: throughput.  Observed max deviation on the committed workload is ~0.11
-#: (sns_vec; the clipped sns_rnd_plus stays under 0.03); the bound leaves
-#: margin for other hardware's float rounding.
+#: Accuracy bar: max |final_fitness(relaxed) - final_fitness(exact)| over
+#: the gated frontier.  The deviation is the batch-level relaxation itself:
+#: all rows of one batch are solved against one snapshot (Jacobi order)
+#: where the exact path refreshes Gram state after every event
+#: (Gauss-Seidel order).  Observed on the committed workload: 0.107 for
+#: sns_vec and 0.028 for sns_rnd_plus; the bound leaves margin for other
+#: hardware's float rounding.
 DEVIATION_BOUND = 0.15
 SPEEDUP_FLOOR = 2.0
-SPEEDUP_MIN_CPUS = 4
+#: The ungated sweep: events, batch windows as fractions of T, staleness.
+SWEEP_EVENTS = 4000
+SWEEP_FRACTIONS = ((1, 16), (1, 4), (1, 1))
+SWEEP_STALENESS = (0, 2)
 
 
 def _usable_cpus() -> int:
@@ -59,7 +69,7 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _replay(prepared, method: str, n_events: int, shards: int, staleness: int):
+def _replay(prepared, method: str, n_events: int, staleness: int | None):
     stream, spec, window_config, initial, _initial_fitness = prepared
     start = time.perf_counter()
     result = run_method(
@@ -74,12 +84,86 @@ def _replay(prepared, method: str, n_events: int, shards: int, staleness: int):
         fitness_every=max(n_events // 8, 1),
         seed=0,
         batched=True,
-        shards=shards,
         staleness=staleness,
     )
     seconds = time.perf_counter() - start
     events_per_second = result.n_events / seconds if seconds > 0 else 0.0
     return result, events_per_second
+
+
+def _drive(prepared, method: str, n_events: int, staleness, batch_window):
+    """Batched replay at an explicit batch window: (fitness, batches, ev/s)."""
+    stream, spec, window_config, initial, _initial_fitness = prepared
+    processor = ContinuousStreamProcessor(stream, window_config)
+    model = create_algorithm(
+        method,
+        SNSConfig(
+            rank=spec.rank, theta=spec.theta, eta=spec.eta, seed=0, staleness=staleness
+        ),
+    )
+    model.initialize(processor.window, initial)
+    n_batches = 0
+    start = time.perf_counter()
+    for batch in processor.iter_batches(max_events=n_events, batch_window=batch_window):
+        model.update_batch(batch)
+        n_batches += 1
+    seconds = time.perf_counter() - start
+    return model.fitness(), n_batches, model.n_updates / seconds
+
+
+def _sweep(report_lines: list[str]) -> dict:
+    """The ungated batch_window × staleness sweep (see the module docstring)."""
+    n_events = scaled_events(SWEEP_EVENTS, minimum=1000)
+    prepared = prepare_experiment(
+        ExperimentSettings(
+            dataset=BENCH_DATASET, scale=BENCH_SCALE, max_events=n_events
+        )
+    )
+    period = prepared[2].period
+    report_lines.append(
+        f"batch_window sweep (ungated): {n_events} events, T = {period:g}"
+    )
+    exact: dict[str, dict[str, float]] = {}
+    points: dict[str, list[dict[str, object]]] = {}
+    for method in BENCH_METHODS:
+        exact_fitness, _, exact_eps = _drive(prepared, method, n_events, None, None)
+        exact[method] = {
+            "final_fitness": float(exact_fitness),
+            "events_per_second": float(exact_eps),
+        }
+        report_lines.append(
+            f"{method:14s} exact           fitness={exact_fitness:+.4f} "
+            f"{exact_eps:10.0f} ev/s"
+        )
+        points[method] = []
+        for numerator, denominator in SWEEP_FRACTIONS:
+            label = "T" if numerator == denominator else f"T/{denominator}"
+            for staleness in SWEEP_STALENESS:
+                fitness, n_batches, eps = _drive(
+                    prepared,
+                    method,
+                    n_events,
+                    staleness,
+                    period * numerator / denominator,
+                )
+                deviation = abs(fitness - exact_fitness)
+                ratio = eps / exact_eps if exact_eps > 0 else 0.0
+                points[method].append(
+                    {
+                        "batch_window": label,
+                        "staleness": staleness,
+                        "batches": n_batches,
+                        "final_fitness": float(fitness),
+                        "fitness_deviation": float(deviation),
+                        "throughput_ratio": float(ratio),
+                    }
+                )
+                report_lines.append(
+                    f"{method:14s} {label:>4s} staleness={staleness} "
+                    f"batches={n_batches:3d} fitness={fitness:+.4f} "
+                    f"deviation={deviation:.4f} ({ratio:.2f}x exact)"
+                )
+    return {"events": n_events, "gated": False, "exact": exact, "points": points}
 
 
 def test_sharded_frontier():
@@ -91,16 +175,19 @@ def test_sharded_frontier():
         n_checkpoints=8,
     )
     prepared = prepare_experiment(settings)
+    # Importing SciPy's LAPACK is a one-time process cost; without this the
+    # first least-squares relaxed run would pay it inside its timing.
+    lapack_solvers()
 
     exact: dict[str, dict[str, float]] = {}
     frontier: dict[str, list[dict[str, float]]] = {}
     report_lines = [
         f"workload: {BENCH_DATASET} @ {BENCH_SCALE}, {n_events} events, "
-        f"shards={BENCH_SHARDS}, staleness sweep {STALENESS_POINTS}",
+        f"relaxed batch update, staleness sweep {STALENESS_POINTS}",
         f"usable CPUs: {_usable_cpus()}",
     ]
     for method in BENCH_METHODS:
-        result, eps = _replay(prepared, method, n_events, shards=1, staleness=0)
+        result, eps = _replay(prepared, method, n_events, staleness=None)
         exact[method] = {
             "final_fitness": float(result.final_fitness),
             "events_per_second": float(eps),
@@ -111,44 +198,39 @@ def test_sharded_frontier():
         )
         points = []
         for staleness in STALENESS_POINTS:
-            sharded, sharded_eps = _replay(
-                prepared, method, n_events, shards=BENCH_SHARDS, staleness=staleness
-            )
-            deviation = abs(sharded.final_fitness - result.final_fitness)
-            ratio = sharded_eps / eps if eps > 0 else 0.0
+            relaxed, relaxed_eps = _replay(prepared, method, n_events, staleness)
+            deviation = abs(relaxed.final_fitness - result.final_fitness)
+            ratio = relaxed_eps / eps if eps > 0 else 0.0
             points.append(
                 {
                     "staleness": staleness,
-                    "final_fitness": float(sharded.final_fitness),
+                    "final_fitness": float(relaxed.final_fitness),
                     "fitness_deviation": float(deviation),
-                    "events_per_second": float(sharded_eps),
+                    "events_per_second": float(relaxed_eps),
                     "throughput_ratio": float(ratio),
                 }
             )
             report_lines.append(
                 f"{method:14s} staleness={staleness} "
-                f"fitness={sharded.final_fitness:+.4f} "
-                f"deviation={deviation:.5f} {sharded_eps:10.0f} ev/s "
+                f"fitness={relaxed.final_fitness:+.4f} "
+                f"deviation={deviation:.5f} {relaxed_eps:10.0f} ev/s "
                 f"({ratio:.2f}x exact)"
             )
         frontier[method] = points
 
-    max_deviation = max(
-        point["fitness_deviation"]
-        for points in frontier.values()
-        for point in points
-    )
-    best_ratio = max(
-        point["throughput_ratio"]
-        for points in frontier.values()
-        for point in points
-    )
-    max_deviation = float(max_deviation)
-    best_ratio = float(best_ratio)
-    n_cpus = _usable_cpus()
-    floor_enforced = n_cpus >= SPEEDUP_MIN_CPUS
-    meets_floor = bool(best_ratio >= SPEEDUP_FLOOR or not floor_enforced)
+    all_points = [point for points in frontier.values() for point in points]
+    max_deviation = float(max(point["fitness_deviation"] for point in all_points))
+    best_ratio = float(max(point["throughput_ratio"] for point in all_points))
+    meets_floor = bool(best_ratio >= SPEEDUP_FLOOR)
     within_bound = bool(max_deviation <= DEVIATION_BOUND)
+    report_lines += [
+        f"max fitness deviation: {max_deviation:.5f} "
+        f"(bound {DEVIATION_BOUND}) -> {'ok' if within_bound else 'EXCEEDED'}",
+        f"best throughput ratio: {best_ratio:.2f}x "
+        f"(floor {SPEEDUP_FLOOR}x) -> {'ok' if meets_floor else 'MISSED'}",
+        "",
+    ]
+    sweep = _sweep(report_lines)
 
     payload = {
         "workload": {
@@ -156,11 +238,10 @@ def test_sharded_frontier():
             "scale": BENCH_SCALE,
             "events": n_events,
             "methods": list(BENCH_METHODS),
-            "shards": BENCH_SHARDS,
             "staleness_points": list(STALENESS_POINTS),
         },
         "thread_context": thread_settings(),
-        "n_usable_cpus": n_cpus,
+        "n_usable_cpus": _usable_cpus(),
         "exact": exact,
         "frontier": frontier,
         "max_fitness_deviation": max_deviation,
@@ -168,28 +249,20 @@ def test_sharded_frontier():
         "deviation_within_bound": within_bound,
         "best_throughput_ratio": best_ratio,
         "speedup_floor": SPEEDUP_FLOOR,
-        "speedup_floor_enforced": floor_enforced,
         "meets_speedup_floor": meets_floor,
+        "batch_window_sweep": sweep,
     }
     emit_json("BENCH_sharded", payload)
-    report_lines += [
-        f"max fitness deviation: {max_deviation:.5f} "
-        f"(bound {DEVIATION_BOUND}) -> {'ok' if within_bound else 'EXCEEDED'}",
-        f"best throughput ratio: {best_ratio:.2f}x "
-        f"(floor {SPEEDUP_FLOOR}x enforced only with >= {SPEEDUP_MIN_CPUS} "
-        f"CPUs)",
-    ]
     emit("BENCH_sharded", "\n".join(report_lines))
 
     assert within_bound, (
-        f"sharded fitness deviated {max_deviation:.5f} from exact "
+        f"relaxed fitness deviated {max_deviation:.5f} from exact "
         f"(bound {DEVIATION_BOUND})"
     )
-    if floor_enforced:
-        assert best_ratio >= SPEEDUP_FLOOR, (
-            f"sharded throughput reached only {best_ratio:.2f}x exact on "
-            f"{n_cpus} CPUs (floor {SPEEDUP_FLOOR}x)"
-        )
+    assert meets_floor, (
+        f"relaxed throughput reached only {best_ratio:.2f}x exact "
+        f"(floor {SPEEDUP_FLOOR}x)"
+    )
 
 
 if __name__ == "__main__":

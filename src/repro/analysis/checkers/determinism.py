@@ -14,8 +14,7 @@ make the three historical ways of breaking that contract un-shippable:
 
 ``wall-clock``
     ``time.time()`` / ``datetime.now()``-family calls inside the
-    state-affecting packages (core, stream, tensor, anomaly, service,
-    shard).
+    state-affecting packages (core, stream, tensor, anomaly, service).
     Replayed runs must not read the clock; observability timestamps that
     genuinely need wall time carry an explicit allow-comment.
 
@@ -45,7 +44,6 @@ STATE_SCOPES = (
     "repro.tensor",
     "repro.anomaly",
     "repro.service",
-    "repro.shard",
 )
 
 #: ``random`` module attributes that are fine to call: instance

@@ -107,29 +107,17 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        metavar="N",
-        help=(
-            "shard count for the relaxed-consistency sharded update path "
-            "(repro.shard): every batch is partitioned into N shared-nothing "
-            "shards whose factor-row updates run as parallel kernel calls "
-            "against a shared snapshot.  1 (default) keeps the exact path; "
-            "> 1 implies --batched"
-        ),
-    )
-    parser.add_argument(
         "--staleness",
         type=int,
-        default=0,
+        default=None,
         metavar="S",
         help=(
-            "batches between Gram synchronizations of the sharded path: 0 "
-            "(default) re-snapshots the factors every batch, S lets shards "
-            "work against state up to S batches old (faster, bounded "
-            "fitness deviation — see benchmarks/results/BENCH_sharded.json)."
-            "  > 0 implies --batched"
+            "run the relaxed batch update instead of the exact algorithm: "
+            "every row a batch touches is solved once against a factor "
+            "snapshot refreshed every S+1 batches (0 = every batch).  "
+            "Faster, at a fitness cost recorded in "
+            "benchmarks/results/BENCH_sharded.json.  Implies --batched; "
+            "unset (default) keeps the exact path"
         ),
     )
     parser.add_argument(
@@ -187,9 +175,8 @@ def _settings(args: argparse.Namespace) -> ExperimentSettings:
         max_events=args.max_events,
         n_checkpoints=args.n_checkpoints,
         seed=args.seed,
-        batched=args.batched or args.shards > 1 or args.staleness > 0,
+        batched=args.batched or args.staleness is not None,
         backend=args.backend,
-        shards=args.shards,
         staleness=args.staleness,
         checkpoint_dir=args.checkpoint_dir,
         checkpoint_events=args.checkpoint_events,
@@ -234,9 +221,8 @@ def run(argv: Sequence[str] | None = None) -> str:
             "max_events": args.max_events,
             "n_checkpoints": args.n_checkpoints,
             "seed": args.seed,
-            "batched": args.batched or args.shards > 1 or args.staleness > 0,
+            "batched": args.batched or args.staleness is not None,
             "backend": args.backend,
-            "shards": args.shards,
             "staleness": args.staleness,
             "checkpoint_dir": args.checkpoint_dir,
             "checkpoint_events": args.checkpoint_events,

@@ -15,7 +15,9 @@ Every algorithm in :mod:`repro.core` follows the same life cycle:
    :class:`~repro.stream.deltas.DeltaBatch` of events drained by the batched
    engine (``ContinuousStreamProcessor.run_batched``).  Here the model owns
    the window mutation: it applies each event's entry changes and then runs
-   that event's update, so the result is bit-identical to the per-event path.
+   that event's update, so the result is bit-identical to the per-event path
+   (unless ``SNSConfig.staleness`` opts into the relaxed batch update of
+   :mod:`repro.core.relaxed`).
 
 Both entry points call the same per-event hook, :meth:`ContinuousCPD._update`,
 with the event's entry changes and categorical indices; each variant
@@ -34,6 +36,7 @@ from typing import Any
 
 import numpy as np
 
+from repro.core.relaxed import RelaxedBatchUpdate
 from repro.exceptions import ConfigurationError, NotFittedError, RankError, ShapeError
 from repro.kernels.registry import resolve_backend
 from repro.stream.deltas import Delta, DeltaBatch
@@ -82,24 +85,14 @@ class SNSConfig:
         variable and otherwise auto-detects (numba when importable, else
         the numpy reference).  An execution detail, not a model
         hyper-parameter: checkpoints restore across backends.
-    shards:
-        Number of shared-nothing shards the batched update path partitions
-        each :class:`~repro.stream.deltas.DeltaBatch` into (see
-        :mod:`repro.shard`).  ``1`` (the default) with ``staleness == 0``
-        runs the exact single-core path — bit-identical to older releases.
-        ``> 1`` engages the relaxed-consistency
-        :class:`~repro.shard.executor.ShardedExecutor`: categorical factor
-        rows are updated shard-locally against a shared factor snapshot and
-        the temporal mode and Gram state are reconciled in a deterministic
-        merge step, trading a bounded fitness deviation (measured by
-        ``benchmarks/bench_sharded.py``) for parallel row updates.
     staleness:
-        Number of batches that may elapse between snapshot/Gram
-        synchronizations of the sharded path: ``0`` refreshes the shared
-        snapshot every batch, ``s > 0`` lets shards work against factors up
-        to ``s`` batches old before the next synchronization.  Any value
-        ``> 0`` engages the sharded executor even with ``shards == 1``.
-        Ignored by the per-event path.
+        ``None`` (the default) runs the exact paper algorithm on both
+        engines.  An integer ``s >= 0`` makes ``update_batch`` run the
+        relaxed batch update (:mod:`repro.core.relaxed`): every row a batch
+        touches is solved once against a factor snapshot that is refreshed
+        every ``s + 1`` batches, trading a fitness deviation (measured by
+        ``benchmarks/bench_sharded.py``) for throughput.  Ignored by the
+        per-event path.
     """
 
     rank: int
@@ -109,8 +102,7 @@ class SNSConfig:
     nonnegative: bool = False
     seed: int | None = 0
     backend: str = "auto"
-    shards: int = 1
-    staleness: int = 0
+    staleness: int | None = None
 
     def __post_init__(self) -> None:
         if self.rank <= 0:
@@ -127,11 +119,9 @@ class SNSConfig:
             raise ConfigurationError(
                 f"backend must be a backend name or 'auto', got {self.backend!r}"
             )
-        if self.shards < 1:
-            raise ConfigurationError(f"shards must be >= 1, got {self.shards}")
-        if self.staleness < 0:
+        if self.staleness is not None and self.staleness < 0:
             raise ConfigurationError(
-                f"staleness must be >= 0, got {self.staleness}"
+                f"staleness must be >= 0 or None, got {self.staleness}"
             )
 
     @classmethod
@@ -143,7 +133,8 @@ class SNSConfig:
         Checkpoints written while there were two slice samplers carry a
         ``sampling`` key; ``"vectorized"`` is the sampler that remains and
         is dropped, any other value raises :class:`ConfigurationError`
-        because that run cannot be continued exactly.
+        because that run cannot be continued exactly.  Configs with a
+        ``shards`` key go through :func:`migrate_shards`.
         """
         fields = dict(payload)
         sampling = fields.pop("sampling", "vectorized")
@@ -153,7 +144,32 @@ class SNSConfig:
                 "'vectorized' slice sampler exists, so this run cannot be "
                 "restored"
             )
+        migrate_shards(fields)
         return cls(**fields)
+
+
+def migrate_shards(fields: dict[str, Any]) -> None:
+    """Rewrite a config saved with a ``shards`` key to the one-knob encoding.
+
+    Configs written while batches could be split over several shards carry
+    ``shards`` next to ``staleness``, and ``staleness`` 0 then meant the
+    exact path whenever ``shards`` was 1.  ``shards`` in ``{None, 1}`` with
+    ``staleness`` in ``{None, 0}`` becomes ``staleness=None`` (exact);
+    ``shards`` in ``{None, 1}`` with ``staleness = s > 0`` keeps ``s``.
+    More than one shard raises :class:`ConfigurationError`: that run's
+    per-shard sample streams and summation order cannot be continued.
+    Edits ``fields`` in place; a dict without ``shards`` is left alone.
+    """
+    if "shards" not in fields:
+        return
+    shards = fields.pop("shards")
+    if shards not in (None, 1):
+        raise ConfigurationError(
+            f"saved config has shards={shards!r}; only single-shard runs "
+            "can be continued"
+        )
+    if fields.get("staleness") in (None, 0):
+        fields["staleness"] = None
 
 
 class ContinuousCPD(abc.ABC):
@@ -162,17 +178,17 @@ class ContinuousCPD(abc.ABC):
     #: Registry name, set by subclasses (e.g. ``"sns_rnd_plus"``).
     name: str = "continuous_cpd"
 
-    #: Sharded-path row rule (see :mod:`repro.shard.executor`): ``True`` on
+    #: Relaxed-path row rule (see :mod:`repro.core.relaxed`): ``True`` on
     #: the clipped coordinate-descent variants (SNS+_VEC / SNS+_RND), which
-    #: update shard-local rows with
+    #: update rows with
     #: :func:`repro.core.rowmath.clipped_coordinate_descent`; ``False`` on
     #: the least-squares variants, which use the batched regularized solve.
-    shard_clipped: bool = False
+    relaxed_clipped: bool = False
 
-    #: ``True`` on the θ-sampled variants (SNS_RND / SNS+_RND): shard rows
+    #: ``True`` on the θ-sampled variants (SNS_RND / SNS+_RND): relaxed rows
     #: whose slice degree exceeds ``θ`` use the sampled residual
-    #: approximation against the shard snapshot instead of the exact MTTKRP.
-    shard_sampled: bool = False
+    #: approximation against the snapshot instead of the exact MTTKRP.
+    relaxed_sampled: bool = False
 
     def __init__(self, config: SNSConfig) -> None:
         self._config = config
@@ -194,10 +210,10 @@ class ContinuousCPD(abc.ABC):
         # Hot-path array kernels; unavailable explicit backends degrade to
         # the numpy reference with one warning (see repro.kernels.registry).
         self._kernels = resolve_backend(config.backend)
-        # Relaxed-consistency sharded executor (repro.shard); attached by
-        # initialize()/load_state() when the config asks for one, None on
+        # Relaxed batch update (repro.core.relaxed); attached by
+        # initialize()/load_state() when config.staleness is set, None on
         # the exact path.
-        self._sharded: Any | None = None
+        self._relaxed: RelaxedBatchUpdate | None = None
 
     # ------------------------------------------------------------------
     # Properties
@@ -306,33 +322,28 @@ class ContinuousCPD(abc.ABC):
         self._grams = [factor.T @ factor for factor in factors]
         self._n_updates = 0
         self._post_initialize()
-        self._attach_sharded()
+        self._attach_relaxed()
 
     def _post_initialize(self) -> None:
         """Hook for subclasses that maintain extra state (e.g. prev-Grams)."""
 
-    def _attach_sharded(self) -> None:
-        """(Re)build the sharded executor when the config asks for one.
+    def _attach_relaxed(self) -> None:
+        """(Re)build the relaxed batch update when ``config.staleness`` is set.
 
-        ``shards == 1 and staleness == 0`` — the exact path — keeps the
-        plain per-event/batched code with no executor in the way, so every
-        existing golden and bit-exactness suite runs the exact code it
-        always did.
+        ``staleness=None`` — the exact path — keeps the plain
+        per-event/batched code with nothing in the way, so every golden and
+        bit-exactness suite runs the exact code it always did.
         """
-        config = self._config
-        if config.shards > 1 or config.staleness > 0:
-            # Local import: repro.shard depends on this module.
-            from repro.shard.executor import ShardedExecutor
-
-            self._sharded = ShardedExecutor(self)
-            self._prepare_sharded()
+        if self._config.staleness is None:
+            self._relaxed = None
         else:
-            self._sharded = None
+            self._relaxed = RelaxedBatchUpdate(self)
+            self._prepare_relaxed()
 
-    def _prepare_sharded(self) -> None:
-        """Hook run once when the sharded executor attaches.
+    def _prepare_relaxed(self) -> None:
+        """Hook run once when the relaxed batch update attaches.
 
-        Variants whose exact state layout is incompatible with shard-local
+        Variants whose exact state layout is incompatible with independent
         row solves normalise it here (``SNSMat`` absorbs its column weights
         ``λ`` into the first factor); the default is a no-op.
         """
@@ -354,11 +365,10 @@ class ContinuousCPD(abc.ABC):
         """
         self._require_initialized()
         aux = self._aux_state()
-        if self._sharded is not None:
-            # Executor bookkeeping (batch counter, factor/Gram snapshot)
-            # rides in aux under `shard_`-prefixed keys so sharded runs
-            # checkpoint/restore deterministically mid staleness interval.
-            aux.update(self._sharded.aux_state())
+        if self._relaxed is not None:
+            # The batch counter and factor/Gram snapshot ride in aux so
+            # relaxed runs checkpoint/restore exactly mid staleness interval.
+            aux.update(self._relaxed.aux_state())
         return {
             "name": self.name,
             "config": dataclasses.asdict(self._config),
@@ -434,10 +444,10 @@ class ContinuousCPD(abc.ABC):
         if rng_state is not None:
             self._rng.bit_generator.state = rng_state
         self._post_restore()
-        self._attach_sharded()
+        self._attach_relaxed()
         aux = state.get("aux") or {}
-        if self._sharded is not None:
-            self._sharded.load_aux_state(aux)
+        if self._relaxed is not None:
+            self._relaxed.load_aux_state(aux)
         self._load_aux_state(aux)
 
     def _aux_state(self) -> dict[str, Any]:
@@ -472,17 +482,17 @@ class ContinuousCPD(abc.ABC):
         preserve exact per-event semantics: each event's update rule must
         observe the window as of *that* event, not the batch's final state.
 
-        This is the plan → execute → merge dispatch point: with
-        ``config.shards > 1`` (or ``staleness > 0``) the batch is handed to
-        the relaxed-consistency :class:`~repro.shard.executor.ShardedExecutor`.
+        With ``config.staleness`` set the batch goes to
+        :class:`~repro.core.relaxed.RelaxedBatchUpdate`, which applies it
+        whole and solves each touched row once against a factor snapshot.
         Otherwise the exact path walks the batch's raw entry groups (no
         per-event ``Delta`` objects), applies each event to the window and
         runs the same :meth:`_update` as :meth:`update` — bit for bit the
         per-event path.
         """
         self._require_initialized()
-        if self._sharded is not None:
-            self._sharded.update_batch(batch)
+        if self._relaxed is not None:
+            self._relaxed.update_batch(batch)
             return
         window = self.window
         trusted = batch.trusted

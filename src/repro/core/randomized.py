@@ -38,7 +38,7 @@ from repro.kernels.lapack import lapack_solvers
 class RandomizedCPD(ContinuousCPD):
     """Base class of the θ-bounded randomised variants."""
 
-    shard_sampled = True
+    relaxed_sampled = True
 
     def __init__(self, config: SNSConfig) -> None:
         super().__init__(config)

@@ -1,13 +1,11 @@
-"""Row-level update arithmetic shared by the exact and sharded paths.
+"""Row-level update arithmetic shared by the exact and relaxed paths.
 
-The clipped coordinate-descent sweep (lines 2-5 of Algorithm 5) historically
-lived twice — in ``SNSVecPlus._coordinate_descent`` and in
-``SNSRndPlus._coordinate_descent_reference`` — with identical float
-operations.  The sharded executor (:mod:`repro.shard.executor`) needs the
-same sweep as a *pure function* of arrays (no ``self``, safe to call from
-worker threads and processes), so the loop lives here once and all callers
-share it.  The float operations are unchanged from the seed implementation,
-which keeps every golden and bit-exactness suite pinned.
+The clipped coordinate-descent sweep (lines 2-5 of Algorithm 5) is used by
+``SNSVecPlus``, by ``SNSRndPlus``'s reference loop and by the relaxed batch
+update (:mod:`repro.core.relaxed`), which sweeps rows of a factor snapshot
+rather than of the live model, so the loop is a pure function of arrays
+that all callers share.  The float operations are unchanged from the seed
+implementation, which keeps every golden and bit-exactness suite pinned.
 """
 
 from __future__ import annotations

@@ -59,13 +59,13 @@ class SNSMat(ContinuousCPD):
         # verbatim instead (weights arrive via _load_aux_state).
         pass
 
-    def _prepare_sharded(self) -> None:
-        # The sharded executor works with unweighted factor rows (shard-local
-        # least-squares solves, as in SNS_VEC); SNS_MAT's per-sweep column
-        # normalisation is inherently global and is the relaxation this
-        # variant accepts under sharding.  Absorb λ into the first factor
-        # once on entering sharded mode — the decomposition it represents is
-        # unchanged — and keep λ ≡ 1 thereafter.  Restoring a sharded
+    def _prepare_relaxed(self) -> None:
+        # The relaxed batch update works with unweighted factor rows
+        # (independent least-squares solves, as in SNS_VEC); SNS_MAT's
+        # per-sweep column normalisation is inherently global and is the
+        # relaxation this variant accepts.  Absorb λ into the first factor
+        # once on entering relaxed mode — the decomposition it represents is
+        # unchanged — and keep λ ≡ 1 thereafter.  Restoring a relaxed
         # checkpoint re-runs this on already-absorbed factors with λ = 1, a
         # no-op, so restore adopts the saved state verbatim.
         self._factors[0] *= self._weights[None, :]

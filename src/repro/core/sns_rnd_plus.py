@@ -35,7 +35,7 @@ class SNSRndPlus(RandomizedCPD):
     """Sampled coordinate-descent updates with clipping: the paper's default choice."""
 
     name = "sns_rnd_plus"
-    shard_clipped = True
+    relaxed_clipped = True
 
     def _post_initialize(self) -> None:
         super()._post_initialize()

@@ -21,7 +21,7 @@ class SNSVecPlus(ContinuousCPD):
     """Coordinate-descent row updates with entry clipping at ``η``."""
 
     name = "sns_vec_plus"
-    shard_clipped = True
+    relaxed_clipped = True
 
     # ------------------------------------------------------------------
     # Algorithm 3 outline

@@ -204,6 +204,7 @@ def _run_continuous(
         eta=spec.eta,
         seed=settings.seed,
         backend=settings.backend,
+        staleness=settings.staleness,
     )
     checkpoint_path: Path | None = None
     if settings.checkpoint_dir is not None:

@@ -83,17 +83,13 @@ class ExperimentSettings:
         Resume each method from its checkpoint under ``checkpoint_dir`` when
         one exists, continuing to ``max_events`` total events; requires
         ``checkpoint_dir``.
-    shards:
-        Shard count for the relaxed-consistency sharded update path
-        (:mod:`repro.shard`), forwarded to
-        :class:`repro.core.base.SNSConfig`.  ``1`` (the default) with
-        ``staleness=0`` keeps the exact path; ``> 1`` partitions every
-        batch's events into shared-nothing shards.  Ignored by the periodic
-        baselines.  Requires ``batched=True`` to take effect — the per-event
-        loop never goes through ``update_batch``.
     staleness:
-        Batches between Gram/λ synchronizations of the sharded path.  ``0``
-        (the default) re-snapshots every batch.
+        ``None`` (the default) runs the exact algorithms.  An integer
+        ``s >= 0`` selects the relaxed batch update
+        (:mod:`repro.core.relaxed`) with a factor snapshot refreshed every
+        ``s + 1`` batches, forwarded to :class:`repro.core.base.SNSConfig`.
+        Ignored by the periodic baselines.  Requires ``batched=True`` — the
+        per-event loop never goes through ``update_batch``.
     n_workers:
         Number of worker processes the experiment fan-out may use
         (:mod:`repro.experiments.parallel`).  ``1`` (the default) runs every
@@ -112,8 +108,7 @@ class ExperimentSettings:
     seed: int = 0
     batched: bool = False
     backend: str = "auto"
-    shards: int = 1
-    staleness: int = 0
+    staleness: int | None = None
     checkpoint_dir: str | None = None
     checkpoint_events: int | None = None
     resume: bool = False
@@ -142,15 +137,13 @@ class ExperimentSettings:
             raise ConfigurationError(
                 f"backend must be a backend name or 'auto', got {self.backend!r}"
             )
-        if self.shards < 1:
-            raise ConfigurationError(f"shards must be >= 1, got {self.shards}")
-        if self.staleness < 0:
+        if self.staleness is not None and self.staleness < 0:
             raise ConfigurationError(
-                f"staleness must be >= 0, got {self.staleness}"
+                f"staleness must be >= 0 or None, got {self.staleness}"
             )
-        if (self.shards > 1 or self.staleness > 0) and not self.batched:
+        if self.staleness is not None and not self.batched:
             raise ConfigurationError(
-                "shards/staleness require batched=True — the sharded path "
+                "staleness requires batched=True — the relaxed path "
                 "executes update_batch, which the per-event loop never calls"
             )
         if self.checkpoint_events is not None and self.checkpoint_events <= 0:

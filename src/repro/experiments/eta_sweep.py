@@ -50,6 +50,7 @@ def run_eta_sweep(
         fitness_every=settings.fitness_every,
         seed=settings.seed,
         batched=settings.batched,
+        staleness=settings.staleness,
     )
     tasks = [method_task("als", "als", **shared)]
     for eta in etas:

@@ -155,6 +155,7 @@ def run_granularity(
             fitness_every=settings.fitness_every,
             seed=settings.seed,
             batched=settings.batched,
+            staleness=settings.staleness,
         )
     )
     payloads = run_tasks_over_snapshot(

@@ -122,8 +122,7 @@ def method_task(
     seed: int | None = 0,
     batched: bool = False,
     backend: str = "auto",
-    shards: int = 1,
-    staleness: int = 0,
+    staleness: int | None = None,
     checkpoint_events: int | None = None,
     checkpoint_subdir: str | None = None,
 ) -> ExperimentTask:
@@ -141,8 +140,7 @@ def method_task(
             "seed": seed,
             "batched": bool(batched),
             "backend": backend,
-            "shards": int(shards),
-            "staleness": int(staleness),
+            "staleness": None if staleness is None else int(staleness),
             "checkpoint_events": checkpoint_events,
         },
         checkpoint_subdir=checkpoint_subdir,
@@ -183,8 +181,7 @@ def execute_task(
             seed=params.get("seed", 0),
             batched=params.get("batched", False),
             backend=params.get("backend", "auto"),
-            shards=params.get("shards", 1),
-            staleness=params.get("staleness", 0),
+            staleness=params.get("staleness"),
             checkpoint_dir=checkpoint_dir,
             checkpoint_events=(
                 params.get("checkpoint_events") if checkpoint_dir is not None else None

@@ -140,8 +140,7 @@ def run_method(
     baseline_config: BaselineConfig | None = None,
     batched: bool = False,
     backend: str = "auto",
-    shards: int = 1,
-    staleness: int = 0,
+    staleness: int | None = None,
     checkpoint_dir: str | Path | None = None,
     checkpoint_events: int | None = None,
     resume: bool = False,
@@ -190,9 +189,9 @@ def run_method(
     replayed after the restore.
     """
     kind = method_kind(method)
-    if (shards > 1 or staleness > 0) and not batched:
+    if staleness is not None and not batched:
         raise ConfigurationError(
-            "shards/staleness require batched=True — the sharded path "
+            "staleness requires batched=True — the relaxed path "
             "executes update_batch, which the per-event loop never calls"
         )
     if checkpoint_events is not None and checkpoint_events <= 0:
@@ -228,7 +227,6 @@ def run_method(
             eta=eta,
             seed=seed,
             backend=backend,
-            shards=shards,
             staleness=staleness,
         )
         # The kernel backend is an execution detail: resuming a run on a
@@ -274,7 +272,6 @@ def run_method(
                     eta=eta,
                     seed=seed,
                     backend=backend,
-                    shards=shards,
                     staleness=staleness,
                 ),
             )
@@ -486,7 +483,6 @@ def run_experiment(
             seed=settings.seed,
             batched=settings.batched,
             backend=settings.backend,
-            shards=settings.shards,
             staleness=settings.staleness,
             checkpoint_events=settings.checkpoint_events,
             # Keep run checkpoints at <checkpoint_dir>/<method>, the

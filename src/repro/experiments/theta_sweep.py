@@ -53,6 +53,7 @@ def run_theta_sweep(
         fitness_every=settings.fitness_every,
         seed=settings.seed,
         batched=settings.batched,
+        staleness=settings.staleness,
     )
     # ALS reference run once (θ does not affect it).
     tasks = [method_task("als", "als", **shared)]

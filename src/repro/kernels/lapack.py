@@ -3,9 +3,9 @@
 Importing ``scipy.linalg.lapack`` loads SciPy's own OpenBLAS and costs a
 process more CPU and memory than importing numpy does.  Only the sampled
 variants (SNS_RND's ``dposv`` solves, SNS+_RND's ``dtrtrs`` sweep) and the
-sharded least-squares rows call it, so nothing imports it at module load:
-:func:`lapack_solvers` imports it on its first call and caches the handles
-for the life of the process.  :class:`~repro.core.randomized.RandomizedCPD`
+relaxed batch update's least-squares rows call it, so nothing imports it
+at module load: :func:`lapack_solvers` imports it on its first call and
+caches the handles for the life of the process.  :class:`~repro.core.randomized.RandomizedCPD`
 calls it when a sampled model is constructed (or rebuilt for a restore),
 so the import lands in that model's set-up rather than in its first
 update, and the per-call paths only read the cached handles.

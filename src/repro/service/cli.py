@@ -129,30 +129,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "default shard count for streams that do not pin one: each "
-            "batch is partitioned into N shared-nothing shards updated as "
-            "parallel kernel calls against a shared snapshot "
-            "(repro.shard).  Unset keeps the exact single-shard path; "
-            "resolved values are pinned into each stream's config at start"
-        ),
-    )
-    parser.add_argument(
-        "--staleness",
-        type=int,
-        default=None,
-        metavar="S",
-        help=(
-            "default batches between Gram synchronizations of the sharded "
-            "path for streams that do not pin one (0 = re-sync every "
-            "batch; larger = faster, bounded fitness deviation)"
-        ),
-    )
-    parser.add_argument(
         "--fault-plan",
         default=None,
         metavar="FILE",
@@ -172,12 +148,6 @@ async def _serve(args: argparse.Namespace) -> None:
         from repro.kernels.registry import set_default_backend
 
         set_default_backend(args.backend)
-    if args.shards is not None or args.staleness is not None:
-        # Streams whose StreamConfig leaves shards/staleness unset resolve
-        # through the process defaults, so this pins the whole service.
-        from repro.shard.defaults import set_default_sharding
-
-        set_default_sharding(shards=args.shards, staleness=args.staleness)
     fault_plan = None
     if args.fault_plan is not None:
         fault_plan = FaultPlan.from_file(args.fault_plan)

@@ -18,6 +18,7 @@ from collections.abc import Mapping
 from pathlib import Path
 from typing import Any
 
+from repro.core.base import migrate_shards
 from repro.core.registry import ALGORITHMS
 from repro.exceptions import ConfigurationError
 
@@ -46,15 +47,13 @@ class StreamConfig:
         honours ``repro serve --backend`` / ``REPRO_KERNEL_BACKEND`` and
         otherwise auto-detects; an execution detail (checkpoints restore
         across backends), recorded per stream in telemetry.
-    shards, staleness:
-        Sharded update path knobs (see :mod:`repro.shard`): shard count and
-        batches between Gram synchronizations.  ``None`` — the default —
-        defers to the process-wide defaults set by ``repro serve --shards``
-        / ``--staleness`` (or their environment variables); the resolved
-        values are pinned into the model's
-        :class:`~repro.core.base.SNSConfig` when the stream starts, so a
-        checkpointed stream keeps its mode across restarts regardless of
-        the server's current defaults.
+    staleness:
+        ``None`` (the default) keeps the exact algorithm; an integer
+        ``s >= 0`` runs the relaxed batch update (see
+        :mod:`repro.core.relaxed`), forwarded to
+        :class:`~repro.core.base.SNSConfig`.  The service drains each ingest
+        chunk into its own batches, so a relaxed stream runs many small
+        batches.
     als_iterations:
         ALS sweeps used to initialise the factors when the stream starts.
     detector_warmup:
@@ -73,7 +72,6 @@ class StreamConfig:
     regularization: float = 1e-12
     nonnegative: bool = False
     backend: str = "auto"
-    shards: int | None = None
     staleness: int | None = None
     seed: int = 0
     als_iterations: int = 10
@@ -105,13 +103,9 @@ class StreamConfig:
             raise ConfigurationError(
                 f"backend must be a backend name or 'auto', got {self.backend!r}"
             )
-        if self.shards is not None and self.shards < 1:
-            raise ConfigurationError(
-                f"shards must be >= 1, got {self.shards}"
-            )
         if self.staleness is not None and self.staleness < 0:
             raise ConfigurationError(
-                f"staleness must be >= 0, got {self.staleness}"
+                f"staleness must be >= 0 or None, got {self.staleness}"
             )
         if self.als_iterations <= 0:
             raise ConfigurationError(
@@ -134,10 +128,11 @@ class StreamConfig:
 
         Unknown keys raise :class:`ConfigurationError` rather than being
         silently dropped — a typoed hyper-parameter must not produce a
-        stream with defaults the caller never asked for.  The one exception
-        is ``sampling``, which configs written while there were two slice
-        samplers carry: ``"vectorized"`` is the sampler that remains and is
-        dropped, any other value raises.
+        stream with defaults the caller never asked for.  Two keys of older
+        configs are the exceptions: ``sampling``, which configs written
+        while there were two slice samplers carry (``"vectorized"`` is the
+        sampler that remains and is dropped, any other value raises), and
+        ``shards``, rewritten by :func:`~repro.core.base.migrate_shards`.
         """
         payload = dict(payload)
         sampling = payload.pop("sampling", "vectorized")
@@ -146,6 +141,7 @@ class StreamConfig:
                 f"stream config has sampling={sampling!r}; only the "
                 "'vectorized' slice sampler exists"
             )
+        migrate_shards(payload)
         known = {field.name for field in dataclasses.fields(cls)}
         unknown = sorted(set(payload) - known)
         if unknown:

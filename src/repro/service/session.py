@@ -56,7 +56,6 @@ from repro.exceptions import (
 )
 from repro.service.config import StreamConfig
 from repro.service.telemetry import StreamTelemetry
-from repro.shard.defaults import resolve_shards, resolve_staleness
 from repro.stream.checkpoint import (
     is_checkpoint,
     restore_run,
@@ -122,10 +121,6 @@ class StreamSession:
         )
 
     def _sns_config(self) -> SNSConfig:
-        # Sharding knobs resolve at model-construction time (explicit
-        # per-stream value → `repro serve --shards/--staleness` process
-        # default → environment → exact path) and are pinned into the
-        # SNSConfig, so checkpoints carry the stream's actual mode.
         return SNSConfig(
             rank=self.config.rank,
             theta=self.config.theta,
@@ -134,8 +129,7 @@ class StreamSession:
             nonnegative=self.config.nonnegative,
             seed=self.config.seed,
             backend=self.config.backend,
-            shards=resolve_shards(self.config.shards),
-            staleness=resolve_staleness(self.config.staleness),
+            staleness=self.config.staleness,
         )
 
     # ------------------------------------------------------------------
@@ -407,7 +401,6 @@ class StreamSession:
                     "events_applied": processor.n_events_emitted,
                     "n_updates": self._model.n_updates,
                     "kernel_backend": self._model.kernel_backend,
-                    "shards": self._model.config.shards,
                     "staleness": self._model.config.staleness,
                 }
             )
@@ -420,7 +413,6 @@ class StreamSession:
         payload["kernel_backend"] = (
             self._model.kernel_backend if self.is_live else None
         )
-        payload["shards"] = self._model.config.shards if self.is_live else None
         payload["staleness"] = (
             self._model.config.staleness if self.is_live else None
         )

@@ -145,16 +145,16 @@ class TestWallClock:
         assert result.clean
 
 
-class TestShardScope:
-    """``repro.shard`` is a state-affecting package: plan construction and
-    shard execution feed factor state, so the scoped determinism rules
-    (wall clocks, set iteration) apply there exactly as in ``repro.core``;
-    randomness must come from injected ``default_rng`` instances."""
+class TestRelaxedScope:
+    """The relaxed batch update (``repro.core.relaxed``) feeds factor state,
+    so the scoped determinism rules (wall clocks, set iteration) apply to it
+    as to the rest of ``repro.core``; randomness must come from injected
+    ``default_rng`` instances."""
 
-    def test_wall_clock_in_shard_package_is_flagged(self):
+    def test_wall_clock_in_relaxed_module_is_flagged(self):
         result = check(
             {
-                "repro.shard.executor": """
+                "repro.core.relaxed": """
                 import time
                 stamp = time.time()
                 """
@@ -162,11 +162,11 @@ class TestShardScope:
         )
         assert rule_ids(result) == ["wall-clock"]
 
-    def test_set_iteration_in_shard_package_is_flagged(self):
+    def test_set_iteration_in_relaxed_module_is_flagged(self):
         result = check(
             {
-                "repro.shard.plan": """
-                def owners(keys):
+                "repro.core.relaxed": """
+                def rows(keys):
                     for key in set(keys):
                         yield key
                 """
@@ -174,10 +174,10 @@ class TestShardScope:
         )
         assert rule_ids(result) == ["set-iteration"]
 
-    def test_global_rng_in_shard_package_is_flagged(self):
+    def test_global_rng_in_relaxed_module_is_flagged(self):
         result = check(
             {
-                "repro.shard.executor": """
+                "repro.core.relaxed": """
                 import numpy as np
                 jitter = np.random.rand(3)
                 """
@@ -186,19 +186,19 @@ class TestShardScope:
         assert rule_ids(result) == ["global-random"]
 
     def test_injected_stateless_rngs_are_fine(self):
-        # The executor's sanctioned pattern: a per-(batch, shard) generator
-        # seeded from explicit counters, plus dict-ordered plan loops.
+        # The relaxed update's sanctioned pattern: a per-batch generator
+        # seeded from explicit counters, plus dict-ordered row loops.
         result = check(
             {
-                "repro.shard.executor": """
+                "repro.core.relaxed": """
                 import numpy as np
 
-                def shard_rng(seed, batch, shard):
-                    return np.random.default_rng((seed, batch, shard))
+                def batch_rng(seed, batch):
+                    return np.random.default_rng((seed, batch, 0))
 
-                def drain(owners):
-                    for key in owners:  # dict: insertion-ordered
-                        yield owners[key]
+                def drain(rows):
+                    for key in rows:  # dict: insertion-ordered
+                        yield rows[key]
                 """
             }
         )

@@ -7,11 +7,13 @@ the benchmarks produce the full-size reproductions.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from repro.experiments import anomaly_experiment, runner
 from repro.experiments.anomaly_experiment import (
     format_anomaly_experiment,
     run_anomaly_experiment,
@@ -130,3 +132,46 @@ class TestAnomalyExperiment:
         if not math.isnan(periodic.mean_detection_delay):
             assert periodic.mean_detection_delay > 0.0
         assert "Fig. 9" in format_anomaly_experiment(result)
+
+
+class TestStalenessForwarding:
+    """Every figure entry point builds its models with the requested knob."""
+
+    RELAXED = dataclasses.replace(TINY, batched=True, staleness=2)
+
+    @pytest.fixture
+    def built_configs(self, monkeypatch):
+        configs = []
+        for module in (runner, anomaly_experiment):
+            def recording(name, config, _create=module.create_algorithm):
+                configs.append(config)
+                return _create(name, config)
+
+            monkeypatch.setattr(module, "create_algorithm", recording)
+        return configs
+
+    def assert_relaxed(self, configs):
+        assert configs
+        assert all(config.staleness == 2 for config in configs)
+
+    def test_granularity(self, built_configs):
+        run_granularity(self.RELAXED, divisors=(1,), als_iterations=3)
+        self.assert_relaxed(built_configs)
+
+    def test_scalability(self, built_configs):
+        run_scalability(self.RELAXED, methods=("sns_vec",), event_counts=(50,))
+        self.assert_relaxed(built_configs)
+
+    def test_theta_sweep(self, built_configs):
+        run_theta_sweep(self.RELAXED, methods=("sns_rnd_plus",), fractions=(1.0,))
+        self.assert_relaxed(built_configs)
+
+    def test_eta_sweep(self, built_configs):
+        run_eta_sweep(self.RELAXED, methods=("sns_vec_plus",), etas=(1000.0,))
+        self.assert_relaxed(built_configs)
+
+    def test_anomaly_experiment(self, built_configs):
+        run_anomaly_experiment(
+            self.RELAXED, methods=("sns_rnd_plus",), n_anomalies=4, replay_periods=2
+        )
+        self.assert_relaxed(built_configs)

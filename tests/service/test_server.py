@@ -86,6 +86,29 @@ class TestOps:
 
         asyncio.run(scenario())
 
+    def test_create_stream_maps_old_shards_key(self):
+        async def scenario():
+            server = StreamingServer(ServiceManager(ServiceConfig()))
+            config = dict(tiny_config().to_dict(), shards=1, staleness=2)
+            await dispatch(server, "create_stream", stream="a", config=config)
+            await dispatch(
+                server, "ingest", stream="a", records=wire_records(warm_records())
+            )
+            await dispatch(server, "start_stream", stream="a")
+            stats = await dispatch(server, "stats", stream="a")
+            config["shards"] = 4
+            request = {"op": "create_stream", "stream": "b", "config": config}
+            refused = await server._dispatch_safely(
+                json.dumps(request).encode() + b"\n"
+            )
+            await server.stop()
+            return stats, refused
+
+        stats, refused = asyncio.run(scenario())
+        assert stats["staleness"] == 2 and "shards" not in stats
+        assert not refused["ok"] and refused["error"] == "bad_request"
+        assert "shards" in refused["message"]
+
     def test_full_lifecycle_queries(self):
         async def scenario():
             server = StreamingServer(ServiceManager(ServiceConfig()))

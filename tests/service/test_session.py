@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -10,13 +11,14 @@ import pytest
 from repro.exceptions import CheckpointError, ConfigurationError, ServiceError
 from repro.service.config import StreamConfig
 from repro.service.session import StreamSession
+from repro.stream.checkpoint import MANIFEST_FILENAME
 from repro.stream.events import StreamRecord
 
 from helpers import live_chunks, tiny_config, warm_records
 
 
-def live_session(seed=1, chunk_seed=2, n_chunks=2) -> StreamSession:
-    session = StreamSession("s", tiny_config())
+def live_session(seed=1, chunk_seed=2, n_chunks=2, **overrides) -> StreamSession:
+    session = StreamSession("s", tiny_config(**overrides))
     session.ingest(warm_records(seed))
     session.start()
     for chunk in live_chunks(n_chunks, seed=chunk_seed):
@@ -45,8 +47,28 @@ class TestConfig:
             StreamConfig.from_dict(payload)
 
     @pytest.mark.parametrize(
+        "shards, staleness, expected",
+        [(None, None, None), (None, 0, None), (1, 0, None), (1, 2, 2), (None, 3, 3)],
+    )
+    def test_single_shard_configs_map_onto_staleness(
+        self, stream_config, shards, staleness, expected
+    ):
+        # Configs written while streams could run several shards carry
+        # `shards`; staleness 0 then meant the exact path.
+        payload = dict(stream_config.to_dict(), shards=shards, staleness=staleness)
+        assert StreamConfig.from_dict(payload) == dataclasses.replace(
+            stream_config, staleness=expected
+        )
+
+    def test_multi_shard_configs_rejected(self, stream_config):
+        payload = dict(stream_config.to_dict(), shards=4, staleness=0)
+        with pytest.raises(ConfigurationError, match="shards"):
+            StreamConfig.from_dict(payload)
+
+    @pytest.mark.parametrize(
         "overrides",
         [
+            {"staleness": -1},
             {"mode_sizes": ()},
             {"mode_sizes": (4, 0)},
             {"window_length": 0},
@@ -248,6 +270,47 @@ class TestDurability:
     def test_load_rejects_legacy_sampling(self, tmp_path):
         self._save_with_sampling(live_session(), tmp_path / "s", "legacy")
         with pytest.raises(ConfigurationError, match="sampling"):
+            StreamSession.load(tmp_path / "s")
+
+    @pytest.mark.parametrize("staleness", [None, 2])
+    def test_load_maps_single_shard_meta(self, tmp_path, staleness):
+        # A stream saved with the old encoding: `shards` in meta.json and in
+        # the checkpoint's model config, where the server pinned
+        # shards=1 and staleness=0 for exact streams.
+        session = live_session(staleness=staleness)
+        target = tmp_path / "s"
+        session.save(target)
+        meta = json.loads((target / "meta.json").read_text())
+        meta["config"]["shards"] = None
+        (target / "meta.json").write_text(json.dumps(meta))
+        manifest_path = target / "state" / MANIFEST_FILENAME
+        manifest = json.loads(manifest_path.read_text())
+        manifest["model"]["config"].update(
+            shards=1, staleness=0 if staleness is None else staleness
+        )
+        manifest_path.write_text(json.dumps(manifest))
+
+        restored = StreamSession.load(target)
+        assert restored.config == session.config
+        assert restored._model.config == session._model.config
+        assert restored.stats()["staleness"] == staleness
+        assert "shards" not in restored.stats()
+        assert "shards" not in restored.telemetry_snapshot()
+        extra = live_chunks(3, seed=2)[2]
+        session.ingest(extra)
+        restored.ingest(extra)
+        for fa, fb in zip(
+            session.factors()["factors"], restored.factors()["factors"]
+        ):
+            assert np.array_equal(np.array(fa), np.array(fb))
+
+    def test_load_rejects_multi_shard_meta(self, tmp_path):
+        session = live_session()
+        session.save(tmp_path / "s")
+        meta = json.loads((tmp_path / "s" / "meta.json").read_text())
+        meta["config"]["shards"] = 4
+        (tmp_path / "s" / "meta.json").write_text(json.dumps(meta))
+        with pytest.raises(ConfigurationError, match="shards"):
             StreamSession.load(tmp_path / "s")
 
     def test_load_rejects_missing_and_damaged_directories(self, tmp_path):

@@ -1,18 +1,18 @@
-"""Sharded checkpoint/restore: interrupt → restore → continue must be exact.
+"""Relaxed checkpoint/restore: interrupt → restore → continue must be exact.
 
-Sharded runs relax consistency *within* the pipeline, but their durability
-contract is as strict as the exact path's: for every variant × kernel
-backend, a run interrupted at a batch boundary (and mid staleness interval
-— the checkpoint lands between Gram synchronizations) and restored must
-continue bit-identically to the uninterrupted sharded run.  The executor's
-aux entries (batch counter + factor/Gram snapshot) riding in the model's
-``state_dict`` are what makes that possible: the refresh schedule, the
-stateless per-(batch, shard) sample generators, and the snapshot every
-shard reads all line up again after the restore.
+Relaxed runs (``staleness`` set, see :mod:`repro.core.relaxed`) relax
+consistency *within* a batch, but their durability contract is as strict as
+the exact path's: for every variant × kernel backend, a run interrupted at a
+batch boundary (and mid staleness interval — the checkpoint lands between
+snapshot refreshes) and restored must continue bit-identically to the
+uninterrupted relaxed run.  The aux entries (batch counter + factor/Gram
+snapshot) riding in the model's ``state_dict`` are what makes that
+possible: the refresh schedule, the stateless per-batch sample generators,
+and the snapshot every row solve reads all line up again after the restore.
 
-Batch boundaries are the natural interruption points because sharded
-semantics are *batch-defined*: the plan partitions one batch's events, and
-the snapshot refresh schedule counts batches.  This is also how the
+Batch boundaries are the natural interruption points because relaxed
+semantics are *batch-defined*: every row a batch touches is solved once,
+and the snapshot refresh schedule counts batches.  This is also how the
 streaming service operates — chunks are applied as whole batches and
 checkpoints are taken between them, never inside one.  (Splitting a batch
 in two is still a *valid* relaxed execution, just a different one — the
@@ -26,6 +26,7 @@ model), so the suite runs on any box.
 
 from __future__ import annotations
 
+import json
 import warnings
 
 import numpy as np
@@ -35,14 +36,13 @@ from repro.als.als import decompose
 from repro.core.base import SNSConfig
 from repro.core.registry import ALGORITHMS, create_algorithm
 from repro.data.generators import generate_synthetic_stream
-from repro.stream.checkpoint import restore_run
+from repro.stream.checkpoint import MANIFEST_FILENAME, restore_run
 from repro.stream.processor import ContinuousStreamProcessor
 from repro.stream.window import WindowConfig
 
 FACTOR_TOLERANCE = 1e-12
 MODE_SIZES = (6, 5)
 RANK = 3
-SHARDS = 3
 #: Staleness of 2 with an interruption after an odd number of batches makes
 #: the checkpoint land inside a synchronization interval — the restore must
 #: reproduce the snapshot the remaining batches would have read.
@@ -82,7 +82,6 @@ def build_run(sharded_setup, variant: str, backend: str):
                 eta=1000.0,
                 seed=0,
                 backend=backend,
-                shards=SHARDS,
                 staleness=STALENESS,
             ),
         )
@@ -113,22 +112,22 @@ def test_sharded_resume_matches_uninterrupted_run(
     reference_processor, reference_model = build_run(sharded_setup, variant, backend)
     n_reference = advance_batches(reference_processor, reference_model, N_BATCHES)
     assert n_reference == N_BATCHES
-    assert reference_model._sharded is not None
+    assert reference_model._relaxed is not None
 
     half = N_BATCHES // 2 - 1  # 14 % (STALENESS + 1) != 0: mid interval
     paused_processor, paused_model = build_run(sharded_setup, variant, backend)
     advance_batches(paused_processor, paused_model, half)
-    assert paused_model._sharded.batch_counter % (STALENESS + 1) != 0
+    assert paused_model._relaxed.batch_counter % (STALENESS + 1) != 0
     paused_processor.save_checkpoint(tmp_path / "ckpt", model=paused_model)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         restored_processor, restored_model, _ = restore_run(tmp_path / "ckpt")
     assert restored_model is not None
-    assert restored_model._sharded is not None
-    # Executor bookkeeping restored: same point in the refresh schedule.
+    assert restored_model._relaxed is not None
+    # Relaxed bookkeeping restored: same point in the refresh schedule.
     assert (
-        restored_model._sharded.batch_counter
-        == paused_model._sharded.batch_counter
+        restored_model._relaxed.batch_counter
+        == paused_model._relaxed.batch_counter
     )
     advance_batches(restored_processor, restored_model, N_BATCHES - half)
 
@@ -141,8 +140,8 @@ def test_sharded_resume_matches_uninterrupted_run(
     )
     assert restored_model.n_updates == reference_model.n_updates
     assert (
-        restored_model._sharded.batch_counter
-        == reference_model._sharded.batch_counter
+        restored_model._relaxed.batch_counter
+        == reference_model._relaxed.batch_counter
         == N_BATCHES
     )
     scale = max(
@@ -153,7 +152,7 @@ def test_sharded_resume_matches_uninterrupted_run(
     ):
         deviation = float(np.max(np.abs(restored - reference)))
         assert deviation <= FACTOR_TOLERANCE * scale, (
-            f"factor {mode} deviates by {deviation:.3e} after sharded resume "
+            f"factor {mode} deviates by {deviation:.3e} after relaxed resume "
             f"(bound {FACTOR_TOLERANCE * scale:.3e})"
         )
     assert restored_model.fitness() == pytest.approx(
@@ -162,7 +161,7 @@ def test_sharded_resume_matches_uninterrupted_run(
 
 
 def test_old_checkpoints_restore_onto_exact_path(sharded_setup, tmp_path):
-    """A checkpoint saved without sharding keys restores as shards=1."""
+    """A checkpoint saved without a staleness key restores onto the exact path."""
     stream, config, initial = sharded_setup
     processor = ContinuousStreamProcessor(stream, config)
     model = create_algorithm(
@@ -171,8 +170,11 @@ def test_old_checkpoints_restore_onto_exact_path(sharded_setup, tmp_path):
     model.initialize(processor.window, initial)
     processor.run_batched(model=model, max_events=50)
     processor.save_checkpoint(tmp_path / "ckpt", model=model)
+    manifest_path = tmp_path / "ckpt" / MANIFEST_FILENAME
+    manifest = json.loads(manifest_path.read_text())
+    del manifest["model"]["config"]["staleness"]
+    manifest_path.write_text(json.dumps(manifest))
     _, restored, _ = restore_run(tmp_path / "ckpt")
     assert restored is not None
-    assert restored.config.shards == 1
-    assert restored.config.staleness == 0
-    assert restored._sharded is None
+    assert restored.config.staleness is None
+    assert restored._relaxed is None

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cli import EXPERIMENTS, build_parser, main, run
+from repro.cli import EXPERIMENTS, _settings, build_parser, main, run
 
 
 class TestParser:
@@ -21,6 +21,12 @@ class TestParser:
     def test_dataset_choice_validated(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["fig4", "--dataset", "imagenet"])
+
+    def test_staleness_selects_the_relaxed_batched_path(self):
+        exact = _settings(build_parser().parse_args(["fig4"]))
+        assert exact.staleness is None and not exact.batched
+        relaxed = _settings(build_parser().parse_args(["fig4", "--staleness", "0"]))
+        assert relaxed.staleness == 0 and relaxed.batched
 
 
 class TestTableCommands:
