@@ -98,6 +98,10 @@ WATCHED: dict[str, tuple[Metric, ...]] = {
     # BENCH_parallel.json is intentionally not speed-gated: its speedup is
     # a function of the runner's CPU count (the committed baseline ran on a
     # 1-CPU container).  Only its correctness flag is enforced.
+    # BENCH_als_sweep.json records ALS fit timings and page faults, ungated;
+    # it is listed so --require can demand it, and its bit-identity flag is
+    # enforced below.
+    "BENCH_als_sweep.json": (),
 }
 
 #: Boolean flags that must be true on the current side whenever present.
@@ -106,6 +110,7 @@ REQUIRED_FLAGS: dict[str, tuple[str, ...]] = {
     "BENCH_sharded.json": ("deviation_within_bound", "meets_speedup_floor"),
     "BENCH_service.json": ("concurrent_equals_sequential",),
     "BENCH_chaos.json": ("converged_to_fault_free_state",),
+    "BENCH_als_sweep.json": ("bit_identical",),
 }
 
 

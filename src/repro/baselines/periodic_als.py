@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.als.mttkrp import mttkrp
+from repro.als.mttkrp import MTTKRPSweep
 from repro.baselines.base import PeriodicCPD
 from repro.tensor.products import hadamard_all
 
@@ -28,14 +28,15 @@ class PeriodicALS(PeriodicCPD):
         time_factor = self._factors[self.time_mode]
         time_factor[:-1, :] = time_factor[1:, :]
         grams = [factor.T @ factor for factor in self._factors]
+        sweep = MTTKRPSweep(tensor, self._factors)
         for _ in range(self._config.n_iterations):
             for mode in range(self.order):
-                numerator = mttkrp(tensor, self._factors, mode)
                 hadamard = hadamard_all(
                     [g for other, g in enumerate(grams) if other != mode]
                 )
-                self._factors[mode] = self._solve(hadamard, numerator)
+                self._factors[mode] = self._solve(hadamard, sweep.mttkrp(mode))
                 grams[mode] = self._factors[mode].T @ self._factors[mode]
+                sweep.commit(mode, self._factors[mode])
 
 
 class OracleALS(PeriodicALS):

@@ -17,9 +17,12 @@ with one ``np.bincount`` over flat ``row * R + column`` bins instead of the
 historical ``np.add.at``.  bincount adds each bin's terms in input order
 starting from ``0.0``, exactly as ``np.add.at`` did, so the results are
 bit-identical (pinned by ``tests/kernels/test_mttkrp_scatter.py``) at a
-fraction of the cost.  ``solve_regularized`` reaches SciPy's ``dposv``
-through :func:`repro.kernels.lapack.lapack_solvers`, so importing this
-module never loads SciPy.
+fraction of the cost.  That scatter, :func:`row_bins` and
+:func:`scatter_rows`, is shared with ALS's gather-once sweep
+(:class:`repro.als.mttkrp.MTTKRPSweep`), so batch ALS sums its MTTKRPs
+exactly as ``mttkrp_coo`` does.  ``solve_regularized`` reaches SciPy's
+``dposv`` through :func:`repro.kernels.lapack.lapack_solvers`, so importing
+this module never loads SciPy.
 
 The only structural difference from the historical call sites is how row
 overrides arrive: as the flat ``(modes, indices, rows)`` triple of
@@ -55,11 +58,23 @@ def mttkrp_coo(
         if other_mode == mode:
             continue
         product *= factor[indices[:, other_mode], :]
-    # One scatter over flat ``row * R + column`` bins: the same in-order
-    # sums as ``np.add.at`` (see the module docstring).
-    bins = (indices[:, mode] * rank)[:, None] + np.arange(rank)
+    return scatter_rows(row_bins(indices[:, mode], rank), product, mode_size)
+
+
+def row_bins(rows: np.ndarray, rank: int) -> np.ndarray:
+    """Flat ``row * R + column`` bins of an ``(n, R)`` product's entries."""
+    return ((rows * rank)[:, None] + np.arange(rank)).ravel()
+
+
+def scatter_rows(bins: np.ndarray, product: np.ndarray, mode_size: int) -> np.ndarray:
+    """Sum the rows of an ``(n, R)`` product into ``(mode_size, R)``.
+
+    One ``np.bincount`` over the :func:`row_bins` of the rows' targets: the
+    same in-order sums as ``np.add.at`` (see the module docstring).
+    """
+    rank = product.shape[1]
     return np.bincount(
-        bins.ravel(), weights=product.ravel(), minlength=mode_size * rank
+        bins, weights=product.ravel(), minlength=mode_size * rank
     ).reshape(mode_size, rank)
 
 

@@ -158,21 +158,28 @@ class KruskalTensor:
             return 0.0
         return float(np.dot(self.values_at(indices), values))
 
-    def residual_squared_norm(self, tensor: SparseTensor) -> float:
-        """``||X - X_hat||_F^2`` for sparse ``X`` without densifying."""
-        return max(
-            tensor.squared_norm()
-            - 2.0 * self.inner_with_sparse(tensor)
-            + self.squared_norm(),
-            0.0,
-        )
+    def residual_squared_norm(
+        self, tensor: SparseTensor, inner: float | None = None
+    ) -> float:
+        """``||X - X_hat||_F^2`` for sparse ``X`` without densifying.
 
-    def fitness(self, tensor: SparseTensor) -> float:
-        """Fitness ``1 - ||X - X_hat||_F / ||X||_F`` (Section VI-A)."""
+        ``inner`` is ``<X_hat, X>`` when the caller already holds it (an
+        ALS sweep computes it from the factor rows it has gathered);
+        ``None`` computes it with :meth:`inner_with_sparse`.
+        """
+        if inner is None:
+            inner = self.inner_with_sparse(tensor)
+        return max(tensor.squared_norm() - 2.0 * inner + self.squared_norm(), 0.0)
+
+    def fitness(self, tensor: SparseTensor, inner: float | None = None) -> float:
+        """Fitness ``1 - ||X - X_hat||_F / ||X||_F`` (Section VI-A).
+
+        ``inner`` is passed on to :meth:`residual_squared_norm`.
+        """
         denominator = tensor.norm()
         if denominator == 0.0:
             return 1.0 if self.squared_norm() == 0.0 else float("-inf")
-        return 1.0 - np.sqrt(self.residual_squared_norm(tensor)) / denominator
+        return 1.0 - np.sqrt(self.residual_squared_norm(tensor, inner)) / denominator
 
     # ------------------------------------------------------------------
     # Normalization

@@ -486,8 +486,8 @@ class SparseTensor:
             clone._index_add(coordinate)
         clone._squared_norm = self._squared_norm
         clone._version = self._version
-        # The cached arrays are read-only by contract, so sharing them with
-        # the clone is safe; either tensor's next mutation re-stamps its own.
+        # The cached arrays are read-only, so sharing them with the clone is
+        # safe; either tensor's next mutation re-stamps its own.
         clone._coo_cache = self._coo_cache
         return clone
 
@@ -560,8 +560,11 @@ class SparseTensor:
         The arrays are cached and stamped with the tensor's mutation
         :attr:`version`: as long as the tensor is not mutated, repeated calls
         (an ALS sweep solving every mode, fitness evaluations between events)
-        return the same array objects without rebuilding them.  Callers must
-        therefore treat the returned arrays as read-only.
+        return the same array objects without rebuilding them, and
+        :meth:`copy` shares them with its clone.  Both arrays are therefore
+        read-only: an in-place write raises ``ValueError`` instead of
+        corrupting every later MTTKRP, fitness and checkpoint of both
+        tensors.
         """
         cache = self._coo_cache
         if cache is not None and cache[0] == self._version:
@@ -572,6 +575,8 @@ class SparseTensor:
         else:
             indices = np.array(list(self._data.keys()), dtype=np.int64)
             values = np.array(list(self._data.values()), dtype=np.float64)
+        indices.flags.writeable = False
+        values.flags.writeable = False
         self._coo_cache = (self._version, indices, values)
         return indices, values
 

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from repro.als.mttkrp import mttkrp
 from repro.exceptions import IndexOutOfBoundsError, ShapeError
 from repro.tensor.sparse import DROP_TOLERANCE, SparseTensor
 
@@ -386,6 +387,29 @@ class TestCooCache:
         assert fresh_indices is not indices
         # The original is unaffected by the clone's mutation.
         assert tensor.to_coo_arrays()[0] is indices
+
+    @pytest.mark.parametrize("nnz", [0, 2])
+    def test_cached_arrays_are_read_only(self, nnz):
+        entries = {(0, 1): 2.0, (2, 2): -1.0} if nnz else None
+        indices, values = SparseTensor((3, 3), entries=entries).to_coo_arrays()
+        assert not indices.flags.writeable
+        assert not values.flags.writeable
+        with pytest.raises(ValueError):
+            indices[...] = 0
+        with pytest.raises(ValueError):
+            values[...] = 0.0
+
+    def test_write_through_shared_cache_cannot_corrupt_a_clone(self):
+        tensor = SparseTensor((3, 3), entries={(0, 1): 2.0, (2, 2): -1.0})
+        indices, values = tensor.to_coo_arrays()
+        clone = tensor.copy()
+        factors = [np.arange(6.0).reshape(3, 2), np.ones((3, 2))]
+        before = mttkrp(clone, factors, 0)
+        with pytest.raises(ValueError):
+            values *= 10.0
+        with pytest.raises(ValueError):
+            indices[0, 0] = 2
+        assert np.array_equal(mttkrp(clone, factors, 0), before)
 
 
 class TestFromCoo:
