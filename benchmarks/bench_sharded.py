@@ -1,28 +1,32 @@
-"""Relaxed batch update: accuracy frontier, throughput, batch_window sweep.
+"""Relaxed batch update: gated accuracy and speed over a batch_window sweep.
 
-Replays the nyc_taxi-like stream once exactly (``staleness=None``) and once
-per staleness point with the relaxed batch update (see
-:mod:`repro.core.relaxed`), for one least-squares and one clipped + sampled
-variant, and reports:
+Replays two streams — nyc_taxi @ 0.2 and ride_austin @ 0.3, 4,000 events
+each — once exactly and once per batch window ``T/64``, ``T/16``, ``T/4``
+and ``T`` with the relaxed batch update (see :mod:`repro.core.relaxed`), for
+one least-squares variant (``sns_vec``) and one clipped, sampled one
+(``sns_rnd_plus``; in relaxed mode θ is unused and it runs the clipped
+coordinate-descent rule of ``sns_vec_plus``).  Every point is gated:
 
-* the **gated frontier** on the committed workload — final-fitness
-  deviation from the exact run at each staleness, which must stay within
-  ``DEVIATION_BOUND``, and the relaxed/exact throughput ratio, which must
-  reach ``SPEEDUP_FLOOR`` on any CPU count: the speed comes from solving each
-  row a batch touches once, against one snapshot, not from parallelism.
-  The workload's 1,200 events fit inside one period ``T``, and ``run_method``
-  batches by ``T``, so the relaxed run is a single batch and every
-  staleness point gives the same fitness;
-* an **ungated batch_window sweep** that records what the one-batch
-  workload hides: 4,000 events cut into batches of ``T/16``, ``T/4`` and
-  ``T``, at staleness 0 and 2, with the batch count, final fitness,
-  deviation from exact and throughput ratio of every point.  Many small
-  batches — the regime of a served stream, which drains every ingest chunk
-  on its own — can drift far from the exact fitness.
+* ``deviation_within_bound`` — the final-fitness deviation from the exact
+  run is at most ``DEVIATION_BOUND`` at every point;
+* ``no_negative_fitness`` — no relaxed fitness sample, at any point of any
+  replay, is below zero;
+* ``meets_speedup_floor`` — at the ``T`` point, relaxed throughput reaches
+  ``SPEEDUP_FLOOR`` times the exact run's for every dataset and variant.
+  The speed comes from solving each touched row once per batch, not from
+  parallelism, so the floor holds on any CPU count.
+
+``T/64`` is the regime of a served relaxed stream, which drains every ingest
+chunk into its own small batches.  Throughput is events per CPU second of
+the replay (``time.process_time``; fitness sampling excluded).  Each replay
+also records, ungated, a fitness-over-time series (the paper's Fig. 4) every
+``1/N_SAMPLES`` of the events; the exact series is driven at ``T/64``, which
+changes nothing but its sampling grain because the exact path is
+bit-identical on any batching.
 
 Results land in ``results/BENCH_sharded.json`` / ``.txt``; the regression
-gate enforces the ``deviation_within_bound`` and ``meets_speedup_floor``
-flags plus the exact-path throughput.
+gate enforces the three flags plus the exact-path throughput on nyc_taxi
+(``exact.sns_vec.events_per_second``).
 """
 
 from __future__ import annotations
@@ -36,30 +40,26 @@ from benchmarks.conftest import scaled_events, thread_settings
 from repro.core.base import SNSConfig
 from repro.core.registry import create_algorithm
 from repro.experiments.config import ExperimentSettings
-from repro.experiments.runner import prepare_experiment, run_method
+from repro.experiments.runner import prepare_experiment
 from repro.kernels.lapack import lapack_solvers
 from repro.stream.processor import ContinuousStreamProcessor
 
-BENCH_DATASET = "nyc_taxi"
-BENCH_SCALE = 0.2
-BENCH_EVENTS = 1200
-STALENESS_POINTS = (0, 2, 8)
-#: The variants benchmarked: the batched least-squares family representative
-#: and the clipped + sampled one.
+#: (dataset, scale) of the swept streams; the first one feeds the top-level
+#: ``exact`` entry the regression gate watches.
+BENCH_DATASETS = (("nyc_taxi", 0.2), ("ride_austin", 0.3))
+BENCH_EVENTS = 4000
+#: The variants benchmarked: the least-squares family representative and
+#: the clipped + sampled one.
 BENCH_METHODS = ("sns_vec", "sns_rnd_plus")
+#: Batch windows as divisors of the period ``T``.
+SWEEP_DIVISORS = (64, 16, 4, 1)
 #: Accuracy bar: max |final_fitness(relaxed) - final_fitness(exact)| over
-#: the gated frontier.  The deviation is the batch-level relaxation itself:
-#: all rows of one batch are solved against one snapshot (Jacobi order)
-#: where the exact path refreshes Gram state after every event
-#: (Gauss-Seidel order).  Observed on the committed workload: 0.107 for
-#: sns_vec and 0.028 for sns_rnd_plus; the bound leaves margin for other
-#: hardware's float rounding.
-DEVIATION_BOUND = 0.15
+#: every point.  Observed worst on the committed workload: 0.0235
+#: (sns_rnd_plus, nyc_taxi, T/16), at 1,000 and at 4,000 events.
+DEVIATION_BOUND = 0.05
 SPEEDUP_FLOOR = 2.0
-#: The ungated sweep: events, batch windows as fractions of T, staleness.
-SWEEP_EVENTS = 4000
-SWEEP_FRACTIONS = ((1, 16), (1, 4), (1, 1))
-SWEEP_STALENESS = (0, 2)
+#: Fitness samples per replay for the ungated series.
+N_SAMPLES = 16
 
 
 def _usable_cpus() -> int:
@@ -69,201 +69,165 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _replay(prepared, method: str, n_events: int, staleness: int | None):
-    stream, spec, window_config, initial, _initial_fitness = prepared
-    start = time.perf_counter()
-    result = run_method(
-        stream,
-        window_config,
-        method,
-        initial_factors=initial,
-        rank=spec.rank,
-        theta=spec.theta,
-        eta=spec.eta,
-        max_events=n_events,
-        fitness_every=max(n_events // 8, 1),
-        seed=0,
-        batched=True,
-        staleness=staleness,
-    )
-    seconds = time.perf_counter() - start
-    events_per_second = result.n_events / seconds if seconds > 0 else 0.0
-    return result, events_per_second
+def _label(divisor: int) -> str:
+    return "T" if divisor == 1 else f"T/{divisor}"
 
 
-def _drive(prepared, method: str, n_events: int, staleness, batch_window):
-    """Batched replay at an explicit batch window: (fitness, batches, ev/s)."""
+def _drive(prepared, method: str, n_events: int, relaxed: bool, batch_window):
+    """One batched replay: (final fitness, batches, events per CPU s, series)."""
     stream, spec, window_config, initial, _initial_fitness = prepared
     processor = ContinuousStreamProcessor(stream, window_config)
     model = create_algorithm(
         method,
         SNSConfig(
-            rank=spec.rank, theta=spec.theta, eta=spec.eta, seed=0, staleness=staleness
+            rank=spec.rank, theta=spec.theta, eta=spec.eta, seed=0, relaxed=relaxed
         ),
     )
     model.initialize(processor.window, initial)
+    every = max(n_events // N_SAMPLES, 1)
+    series = [[0, float(model.fitness())]]
     n_batches = 0
-    start = time.perf_counter()
+    sampling = 0.0
+    start = time.process_time()
     for batch in processor.iter_batches(max_events=n_events, batch_window=batch_window):
         model.update_batch(batch)
         n_batches += 1
-    seconds = time.perf_counter() - start
-    return model.fitness(), n_batches, model.n_updates / seconds
+        if model.n_updates // every > series[-1][0] // every:
+            sampled = time.process_time()
+            series.append([model.n_updates, float(model.fitness())])
+            sampling += time.process_time() - sampled
+    seconds = time.process_time() - start - sampling
+    if series[-1][0] != model.n_updates:
+        series.append([model.n_updates, float(model.fitness())])
+    events_per_second = model.n_updates / seconds if seconds > 0 else 0.0
+    return series[-1][1], n_batches, events_per_second, series
 
 
-def _sweep(report_lines: list[str]) -> dict:
-    """The ungated batch_window × staleness sweep (see the module docstring)."""
-    n_events = scaled_events(SWEEP_EVENTS, minimum=1000)
+def _sweep_dataset(dataset: str, scale: float, n_events: int, lines: list[str]):
     prepared = prepare_experiment(
-        ExperimentSettings(
-            dataset=BENCH_DATASET, scale=BENCH_SCALE, max_events=n_events
-        )
+        ExperimentSettings(dataset=dataset, scale=scale, max_events=n_events)
     )
     period = prepared[2].period
-    report_lines.append(
-        f"batch_window sweep (ungated): {n_events} events, T = {period:g}"
-    )
-    exact: dict[str, dict[str, float]] = {}
+    lines.append(f"{dataset} @ {scale}: {n_events} events, T = {period:g}")
+    exact: dict[str, dict[str, object]] = {}
     points: dict[str, list[dict[str, object]]] = {}
     for method in BENCH_METHODS:
-        exact_fitness, _, exact_eps = _drive(prepared, method, n_events, None, None)
+        fitness, _, eps, series = _drive(
+            prepared, method, n_events, False, period / SWEEP_DIVISORS[0]
+        )
         exact[method] = {
-            "final_fitness": float(exact_fitness),
-            "events_per_second": float(exact_eps),
+            "final_fitness": fitness,
+            "events_per_second": eps,
+            "series": series,
         }
-        report_lines.append(
-            f"{method:14s} exact           fitness={exact_fitness:+.4f} "
-            f"{exact_eps:10.0f} ev/s"
+        lines.append(
+            f"  {method:13s} exact  fitness={fitness:+.4f} {eps:9.0f} ev/CPU-s"
         )
         points[method] = []
-        for numerator, denominator in SWEEP_FRACTIONS:
-            label = "T" if numerator == denominator else f"T/{denominator}"
-            for staleness in SWEEP_STALENESS:
-                fitness, n_batches, eps = _drive(
-                    prepared,
-                    method,
-                    n_events,
-                    staleness,
-                    period * numerator / denominator,
-                )
-                deviation = abs(fitness - exact_fitness)
-                ratio = eps / exact_eps if exact_eps > 0 else 0.0
-                points[method].append(
-                    {
-                        "batch_window": label,
-                        "staleness": staleness,
-                        "batches": n_batches,
-                        "final_fitness": float(fitness),
-                        "fitness_deviation": float(deviation),
-                        "throughput_ratio": float(ratio),
-                    }
-                )
-                report_lines.append(
-                    f"{method:14s} {label:>4s} staleness={staleness} "
-                    f"batches={n_batches:3d} fitness={fitness:+.4f} "
-                    f"deviation={deviation:.4f} ({ratio:.2f}x exact)"
-                )
-    return {"events": n_events, "gated": False, "exact": exact, "points": points}
+        for divisor in SWEEP_DIVISORS:
+            relaxed, n_batches, relaxed_eps, relaxed_series = _drive(
+                prepared, method, n_events, True, period / divisor
+            )
+            deviation = abs(relaxed - fitness)
+            ratio = relaxed_eps / eps if eps > 0 else 0.0
+            points[method].append(
+                {
+                    "batch_window": _label(divisor),
+                    "batches": n_batches,
+                    "final_fitness": relaxed,
+                    "fitness_deviation": deviation,
+                    "min_fitness": min(value for _, value in relaxed_series),
+                    "events_per_second": relaxed_eps,
+                    "throughput_ratio": ratio,
+                    "series": relaxed_series,
+                }
+            )
+            lines.append(
+                f"  {method:13s} {_label(divisor):>5s}  batches={n_batches:3d} "
+                f"fitness={relaxed:+.4f} deviation={deviation:.4f} "
+                f"({ratio:.1f}x exact)"
+            )
+    return {"scale": scale, "period": period, "exact": exact, "points": points}
 
 
-def test_sharded_frontier():
-    n_events = scaled_events(BENCH_EVENTS, minimum=300)
-    settings = ExperimentSettings(
-        dataset=BENCH_DATASET,
-        scale=BENCH_SCALE,
-        max_events=n_events,
-        n_checkpoints=8,
-    )
-    prepared = prepare_experiment(settings)
+def test_relaxed_sweep():
+    n_events = scaled_events(BENCH_EVENTS, minimum=1000)
     # Importing SciPy's LAPACK is a one-time process cost; without this the
     # first least-squares relaxed run would pay it inside its timing.
     lapack_solvers()
-
-    exact: dict[str, dict[str, float]] = {}
-    frontier: dict[str, list[dict[str, float]]] = {}
-    report_lines = [
-        f"workload: {BENCH_DATASET} @ {BENCH_SCALE}, {n_events} events, "
-        f"relaxed batch update, staleness sweep {STALENESS_POINTS}",
-        f"usable CPUs: {_usable_cpus()}",
+    lines = [
+        f"relaxed batch update, batch_window sweep "
+        f"{[_label(divisor) for divisor in SWEEP_DIVISORS]}, "
+        f"usable CPUs: {_usable_cpus()}"
     ]
-    for method in BENCH_METHODS:
-        result, eps = _replay(prepared, method, n_events, staleness=None)
-        exact[method] = {
-            "final_fitness": float(result.final_fitness),
-            "events_per_second": float(eps),
-        }
-        report_lines.append(
-            f"{method:14s} exact      fitness={result.final_fitness:+.4f} "
-            f"{eps:10.0f} ev/s"
-        )
-        points = []
-        for staleness in STALENESS_POINTS:
-            relaxed, relaxed_eps = _replay(prepared, method, n_events, staleness)
-            deviation = abs(relaxed.final_fitness - result.final_fitness)
-            ratio = relaxed_eps / eps if eps > 0 else 0.0
-            points.append(
-                {
-                    "staleness": staleness,
-                    "final_fitness": float(relaxed.final_fitness),
-                    "fitness_deviation": float(deviation),
-                    "events_per_second": float(relaxed_eps),
-                    "throughput_ratio": float(ratio),
-                }
-            )
-            report_lines.append(
-                f"{method:14s} staleness={staleness} "
-                f"fitness={relaxed.final_fitness:+.4f} "
-                f"deviation={deviation:.5f} {relaxed_eps:10.0f} ev/s "
-                f"({ratio:.2f}x exact)"
-            )
-        frontier[method] = points
-
-    all_points = [point for points in frontier.values() for point in points]
-    max_deviation = float(max(point["fitness_deviation"] for point in all_points))
-    best_ratio = float(max(point["throughput_ratio"] for point in all_points))
-    meets_floor = bool(best_ratio >= SPEEDUP_FLOOR)
+    datasets = {
+        dataset: _sweep_dataset(dataset, scale, n_events, lines)
+        for dataset, scale in BENCH_DATASETS
+    }
+    all_points = [
+        point
+        for result in datasets.values()
+        for method_points in result["points"].values()
+        for point in method_points
+    ]
+    max_deviation = max(point["fitness_deviation"] for point in all_points)
+    min_fitness = min(point["min_fitness"] for point in all_points)
+    min_speedup = min(
+        point["throughput_ratio"]
+        for point in all_points
+        if point["batch_window"] == _label(1)
+    )
     within_bound = bool(max_deviation <= DEVIATION_BOUND)
-    report_lines += [
-        f"max fitness deviation: {max_deviation:.5f} "
+    no_negative = bool(min_fitness >= 0.0)
+    meets_floor = bool(min_speedup >= SPEEDUP_FLOOR)
+    lines += [
+        f"max fitness deviation: {max_deviation:.4f} "
         f"(bound {DEVIATION_BOUND}) -> {'ok' if within_bound else 'EXCEEDED'}",
-        f"best throughput ratio: {best_ratio:.2f}x "
+        f"min relaxed fitness: {min_fitness:+.4f} -> "
+        f"{'ok' if no_negative else 'NEGATIVE'}",
+        f"min throughput ratio at T: {min_speedup:.1f}x "
         f"(floor {SPEEDUP_FLOOR}x) -> {'ok' if meets_floor else 'MISSED'}",
-        "",
     ]
-    sweep = _sweep(report_lines)
-
+    first_dataset = BENCH_DATASETS[0][0]
     payload = {
         "workload": {
-            "dataset": BENCH_DATASET,
-            "scale": BENCH_SCALE,
+            "datasets": [list(entry) for entry in BENCH_DATASETS],
             "events": n_events,
             "methods": list(BENCH_METHODS),
-            "staleness_points": list(STALENESS_POINTS),
+            "batch_windows": [_label(divisor) for divisor in SWEEP_DIVISORS],
+            "timing": "events per CPU second, fitness sampling excluded",
         },
         "thread_context": thread_settings(),
         "n_usable_cpus": _usable_cpus(),
-        "exact": exact,
-        "frontier": frontier,
+        "exact": {
+            method: {
+                key: value for key, value in entry.items() if key != "series"
+            }
+            for method, entry in datasets[first_dataset]["exact"].items()
+        },
+        "datasets": datasets,
         "max_fitness_deviation": max_deviation,
         "deviation_bound": DEVIATION_BOUND,
         "deviation_within_bound": within_bound,
-        "best_throughput_ratio": best_ratio,
+        "min_relaxed_fitness": min_fitness,
+        "no_negative_fitness": no_negative,
+        "min_throughput_ratio_at_T": min_speedup,
         "speedup_floor": SPEEDUP_FLOOR,
         "meets_speedup_floor": meets_floor,
-        "batch_window_sweep": sweep,
     }
     emit_json("BENCH_sharded", payload)
-    emit("BENCH_sharded", "\n".join(report_lines))
+    emit("BENCH_sharded", "\n".join(lines))
 
     assert within_bound, (
-        f"relaxed fitness deviated {max_deviation:.5f} from exact "
+        f"relaxed fitness deviated {max_deviation:.4f} from exact "
         f"(bound {DEVIATION_BOUND})"
     )
+    assert no_negative, f"relaxed fitness fell to {min_fitness:+.4f}"
     assert meets_floor, (
-        f"relaxed throughput reached only {best_ratio:.2f}x exact "
+        f"relaxed throughput at T reached only {min_speedup:.2f}x exact "
         f"(floor {SPEEDUP_FLOOR}x)"
     )
 
 
 if __name__ == "__main__":
-    test_sharded_frontier()
+    test_relaxed_sweep()

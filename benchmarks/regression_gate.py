@@ -89,9 +89,9 @@ WATCHED: dict[str, tuple[Metric, ...]] = {
     "BENCH_chaos.json": (
         Metric("soak.goodput_records_per_second", "higher", 0.50),
     ),
-    # The sharded throughput *ratios* are same-box by construction, so only
-    # the exact-path throughput is speed-gated; the accuracy/speedup bars
-    # live in REQUIRED_FLAGS below.
+    # The relaxed-sweep throughput *ratios* are same-box by construction, so
+    # only the exact-path throughput is speed-gated; the accuracy, sign and
+    # speedup bars live in REQUIRED_FLAGS below.
     "BENCH_sharded.json": (
         Metric("exact.sns_vec.events_per_second", "higher", 0.30),
     ),
@@ -107,7 +107,11 @@ WATCHED: dict[str, tuple[Metric, ...]] = {
 #: Boolean flags that must be true on the current side whenever present.
 REQUIRED_FLAGS: dict[str, tuple[str, ...]] = {
     "BENCH_parallel.json": ("results_identical",),
-    "BENCH_sharded.json": ("deviation_within_bound", "meets_speedup_floor"),
+    "BENCH_sharded.json": (
+        "deviation_within_bound",
+        "no_negative_fitness",
+        "meets_speedup_floor",
+    ),
     "BENCH_service.json": ("concurrent_equals_sequential",),
     "BENCH_chaos.json": ("converged_to_fault_free_state",),
     "BENCH_als_sweep.json": ("bit_identical",),

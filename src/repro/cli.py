@@ -107,17 +107,15 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--staleness",
-        type=int,
-        default=None,
-        metavar="S",
+        "--relaxed",
+        action="store_true",
         help=(
             "run the relaxed batch update instead of the exact algorithm: "
-            "every row a batch touches is solved once against a factor "
-            "snapshot refreshed every S+1 batches (0 = every batch).  "
-            "Faster, at a fitness cost recorded in "
-            "benchmarks/results/BENCH_sharded.json.  Implies --batched; "
-            "unset (default) keeps the exact path"
+            "every row a batch touches is solved once, in block "
+            "Gauss-Seidel order (time rows, then one categorical mode at a "
+            "time).  Faster, at a fitness cost gated in "
+            "benchmarks/results/BENCH_sharded.json; theta is unused.  "
+            "Implies --batched; off (default) keeps the exact path"
         ),
     )
     parser.add_argument(
@@ -175,9 +173,9 @@ def _settings(args: argparse.Namespace) -> ExperimentSettings:
         max_events=args.max_events,
         n_checkpoints=args.n_checkpoints,
         seed=args.seed,
-        batched=args.batched or args.staleness is not None,
+        batched=args.batched or args.relaxed,
         backend=args.backend,
-        staleness=args.staleness,
+        relaxed=args.relaxed,
         checkpoint_dir=args.checkpoint_dir,
         checkpoint_events=args.checkpoint_events,
         resume=args.resume,
@@ -221,9 +219,9 @@ def run(argv: Sequence[str] | None = None) -> str:
             "max_events": args.max_events,
             "n_checkpoints": args.n_checkpoints,
             "seed": args.seed,
-            "batched": args.batched or args.staleness is not None,
+            "batched": args.batched or args.relaxed,
             "backend": args.backend,
-            "staleness": args.staleness,
+            "relaxed": args.relaxed,
             "checkpoint_dir": args.checkpoint_dir,
             "checkpoint_events": args.checkpoint_events,
             "resume": args.resume,

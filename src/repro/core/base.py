@@ -16,7 +16,7 @@ Every algorithm in :mod:`repro.core` follows the same life cycle:
    engine (``ContinuousStreamProcessor.run_batched``).  Here the model owns
    the window mutation: it applies each event's entry changes and then runs
    that event's update, so the result is bit-identical to the per-event path
-   (unless ``SNSConfig.staleness`` opts into the relaxed batch update of
+   (unless ``SNSConfig.relaxed`` opts into the relaxed batch update of
    :mod:`repro.core.relaxed`).
 
 Both entry points call the same per-event hook, :meth:`ContinuousCPD._update`,
@@ -36,7 +36,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.relaxed import RelaxedBatchUpdate
+from repro.core.relaxed import update_batch as relaxed_update_batch
 from repro.exceptions import ConfigurationError, NotFittedError, RankError, ShapeError
 from repro.kernels.registry import resolve_backend
 from repro.stream.deltas import Delta, DeltaBatch
@@ -85,12 +85,12 @@ class SNSConfig:
         variable and otherwise auto-detects (numba when importable, else
         the numpy reference).  An execution detail, not a model
         hyper-parameter: checkpoints restore across backends.
-    staleness:
-        ``None`` (the default) runs the exact paper algorithm on both
-        engines.  An integer ``s >= 0`` makes ``update_batch`` run the
-        relaxed batch update (:mod:`repro.core.relaxed`): every row a batch
-        touches is solved once against a factor snapshot that is refreshed
-        every ``s + 1`` batches, trading a fitness deviation (measured by
+    relaxed:
+        ``False`` (the default) runs the exact paper algorithm on both
+        engines.  ``True`` makes ``update_batch`` run the relaxed batch
+        update (:mod:`repro.core.relaxed`): every row a batch touches is
+        solved once, in block Gauss-Seidel order against the live factors,
+        trading a fitness deviation (gated by
         ``benchmarks/bench_sharded.py``) for throughput.  Ignored by the
         per-event path.
     """
@@ -102,7 +102,7 @@ class SNSConfig:
     nonnegative: bool = False
     seed: int | None = 0
     backend: str = "auto"
-    staleness: int | None = None
+    relaxed: bool = False
 
     def __post_init__(self) -> None:
         if self.rank <= 0:
@@ -119,9 +119,9 @@ class SNSConfig:
             raise ConfigurationError(
                 f"backend must be a backend name or 'auto', got {self.backend!r}"
             )
-        if self.staleness is not None and self.staleness < 0:
+        if not isinstance(self.relaxed, bool):
             raise ConfigurationError(
-                f"staleness must be >= 0 or None, got {self.staleness}"
+                f"relaxed must be True or False, got {self.relaxed!r}"
             )
 
     @classmethod
@@ -134,7 +134,7 @@ class SNSConfig:
         ``sampling`` key; ``"vectorized"`` is the sampler that remains and
         is dropped, any other value raises :class:`ConfigurationError`
         because that run cannot be continued exactly.  Configs with a
-        ``shards`` key go through :func:`migrate_shards`.
+        ``shards`` or ``staleness`` key go through :func:`migrate_relaxed`.
         """
         fields = dict(payload)
         sampling = fields.pop("sampling", "vectorized")
@@ -144,32 +144,34 @@ class SNSConfig:
                 "'vectorized' slice sampler exists, so this run cannot be "
                 "restored"
             )
-        migrate_shards(fields)
+        migrate_relaxed(fields)
         return cls(**fields)
 
 
-def migrate_shards(fields: dict[str, Any]) -> None:
-    """Rewrite a config saved with a ``shards`` key to the one-knob encoding.
+def migrate_relaxed(fields: dict[str, Any]) -> None:
+    """Rewrite a config saved with ``shards``/``staleness`` keys to ``relaxed``.
 
-    Configs written while batches could be split over several shards carry
-    ``shards`` next to ``staleness``, and ``staleness`` 0 then meant the
-    exact path whenever ``shards`` was 1.  ``shards`` in ``{None, 1}`` with
-    ``staleness`` in ``{None, 0}`` becomes ``staleness=None`` (exact);
-    ``shards`` in ``{None, 1}`` with ``staleness = s > 0`` keeps ``s``.
-    More than one shard raises :class:`ConfigurationError`: that run's
-    per-shard sample streams and summation order cannot be continued.
-    Edits ``fields`` in place; a dict without ``shards`` is left alone.
+    Configs written while the relaxed update solved against a factor
+    snapshot carry an integer ``staleness`` (``None`` = exact), and older
+    ones ``shards`` next to it, where ``staleness`` 0 meant the exact path
+    whenever ``shards`` was in ``{None, 1}``.  After that rule, a
+    ``staleness`` of ``None`` maps to the exact path and any integer to
+    ``relaxed=True``.  More than one shard raises
+    :class:`ConfigurationError`: that run's per-shard sample streams and
+    summation order cannot be continued.  Edits ``fields`` in place; a dict
+    with neither key is left alone.
     """
-    if "shards" not in fields:
-        return
-    shards = fields.pop("shards")
-    if shards not in (None, 1):
-        raise ConfigurationError(
-            f"saved config has shards={shards!r}; only single-shard runs "
-            "can be continued"
-        )
-    if fields.get("staleness") in (None, 0):
-        fields["staleness"] = None
+    if "shards" in fields:
+        shards = fields.pop("shards")
+        if shards not in (None, 1):
+            raise ConfigurationError(
+                f"saved config has shards={shards!r}; only single-shard runs "
+                "can be continued"
+            )
+        if fields.get("staleness") == 0:
+            fields["staleness"] = None
+    if fields.pop("staleness", None) is not None:
+        fields["relaxed"] = True
 
 
 class ContinuousCPD(abc.ABC):
@@ -184,11 +186,6 @@ class ContinuousCPD(abc.ABC):
     #: :func:`repro.core.rowmath.clipped_coordinate_descent`; ``False`` on
     #: the least-squares variants, which use the batched regularized solve.
     relaxed_clipped: bool = False
-
-    #: ``True`` on the θ-sampled variants (SNS_RND / SNS+_RND): relaxed rows
-    #: whose slice degree exceeds ``θ`` use the sampled residual
-    #: approximation against the snapshot instead of the exact MTTKRP.
-    relaxed_sampled: bool = False
 
     def __init__(self, config: SNSConfig) -> None:
         self._config = config
@@ -210,10 +207,6 @@ class ContinuousCPD(abc.ABC):
         # Hot-path array kernels; unavailable explicit backends degrade to
         # the numpy reference with one warning (see repro.kernels.registry).
         self._kernels = resolve_backend(config.backend)
-        # Relaxed batch update (repro.core.relaxed); attached by
-        # initialize()/load_state() when config.staleness is set, None on
-        # the exact path.
-        self._relaxed: RelaxedBatchUpdate | None = None
 
     # ------------------------------------------------------------------
     # Properties
@@ -322,30 +315,19 @@ class ContinuousCPD(abc.ABC):
         self._grams = [factor.T @ factor for factor in factors]
         self._n_updates = 0
         self._post_initialize()
-        self._attach_relaxed()
+        if self._config.relaxed:
+            self._prepare_relaxed()
 
     def _post_initialize(self) -> None:
         """Hook for subclasses that maintain extra state (e.g. prev-Grams)."""
 
-    def _attach_relaxed(self) -> None:
-        """(Re)build the relaxed batch update when ``config.staleness`` is set.
-
-        ``staleness=None`` — the exact path — keeps the plain
-        per-event/batched code with nothing in the way, so every golden and
-        bit-exactness suite runs the exact code it always did.
-        """
-        if self._config.staleness is None:
-            self._relaxed = None
-        else:
-            self._relaxed = RelaxedBatchUpdate(self)
-            self._prepare_relaxed()
-
     def _prepare_relaxed(self) -> None:
-        """Hook run once when the relaxed batch update attaches.
+        """Hook run by :meth:`initialize` when ``config.relaxed`` is set.
 
         Variants whose exact state layout is incompatible with independent
         row solves normalise it here (``SNSMat`` absorbs its column weights
-        ``λ`` into the first factor); the default is a no-op.
+        ``λ`` into the first factor); the default is a no-op.  It never runs
+        on restore: a checkpoint holds the state it already produced.
         """
 
     # ------------------------------------------------------------------
@@ -364,11 +346,6 @@ class ContinuousCPD(abc.ABC):
         :mod:`repro.stream.checkpoint` for the on-disk format.
         """
         self._require_initialized()
-        aux = self._aux_state()
-        if self._relaxed is not None:
-            # The batch counter and factor/Gram snapshot ride in aux so
-            # relaxed runs checkpoint/restore exactly mid staleness interval.
-            aux.update(self._relaxed.aux_state())
         return {
             "name": self.name,
             "config": dataclasses.asdict(self._config),
@@ -377,7 +354,7 @@ class ContinuousCPD(abc.ABC):
             "rng_state": self._rng.bit_generator.state,
             "factors": [factor.copy() for factor in self._factors],
             "grams": [gram.copy() for gram in self._grams],
-            "aux": aux,
+            "aux": self._aux_state(),
         }
 
     def load_state(self, window: TensorWindow, state: Mapping[str, Any]) -> None:
@@ -388,7 +365,9 @@ class ContinuousCPD(abc.ABC):
         must have been constructed with the same hyper-parameters as the
         saved one; a mismatch in ``name`` or ``config`` raises
         :class:`~repro.exceptions.ConfigurationError` instead of silently
-        resuming a different algorithm.
+        resuming a different algorithm.  State saved by the snapshot-based
+        relaxed update (``shard_*`` aux entries) raises it too: that run
+        cannot be continued by the Gauss-Seidel update.
         """
         name = state.get("name")
         if name != self.name:
@@ -413,6 +392,13 @@ class ContinuousCPD(abc.ABC):
                     f"checkpointed config does not match this instance "
                     f"(differs in {mismatched})"
                 )
+        aux = state.get("aux") or {}
+        snapshot_keys = sorted(key for key in aux if key.startswith("shard_"))
+        if snapshot_keys:
+            raise ConfigurationError(
+                f"checkpointed state carries {snapshot_keys} from the "
+                "snapshot-based relaxed update; this run cannot be restored"
+            )
         factors = [
             np.array(factor, dtype=np.float64, copy=True)
             for factor in state["factors"]
@@ -444,10 +430,6 @@ class ContinuousCPD(abc.ABC):
         if rng_state is not None:
             self._rng.bit_generator.state = rng_state
         self._post_restore()
-        self._attach_relaxed()
-        aux = state.get("aux") or {}
-        if self._relaxed is not None:
-            self._relaxed.load_aux_state(aux)
         self._load_aux_state(aux)
 
     def _aux_state(self) -> dict[str, Any]:
@@ -482,17 +464,17 @@ class ContinuousCPD(abc.ABC):
         preserve exact per-event semantics: each event's update rule must
         observe the window as of *that* event, not the batch's final state.
 
-        With ``config.staleness`` set the batch goes to
-        :class:`~repro.core.relaxed.RelaxedBatchUpdate`, which applies it
-        whole and solves each touched row once against a factor snapshot.
+        With ``config.relaxed`` set the batch goes to
+        :func:`repro.core.relaxed.update_batch`, which applies it whole and
+        solves each touched row once, in block Gauss-Seidel order.
         Otherwise the exact path walks the batch's raw entry groups (no
         per-event ``Delta`` objects), applies each event to the window and
         runs the same :meth:`_update` as :meth:`update` — bit for bit the
         per-event path.
         """
         self._require_initialized()
-        if self._relaxed is not None:
-            self._relaxed.update_batch(batch)
+        if self._config.relaxed:
+            relaxed_update_batch(self, batch)
             return
         window = self.window
         trusted = batch.trusted

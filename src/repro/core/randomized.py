@@ -38,8 +38,6 @@ from repro.kernels.lapack import lapack_solvers
 class RandomizedCPD(ContinuousCPD):
     """Base class of the θ-bounded randomised variants."""
 
-    relaxed_sampled = True
-
     def __init__(self, config: SNSConfig) -> None:
         super().__init__(config)
         # SciPy's LAPACK solvers (or None each without SciPy), imported once

@@ -2,9 +2,9 @@
 
 The clipped coordinate-descent sweep (lines 2-5 of Algorithm 5) is used by
 ``SNSVecPlus``, by ``SNSRndPlus``'s reference loop and by the relaxed batch
-update (:mod:`repro.core.relaxed`), which sweeps rows of a factor snapshot
-rather than of the live model, so the loop is a pure function of arrays
-that all callers share.  The float operations are unchanged from the seed
+update (:mod:`repro.core.relaxed`), which sweeps each touched row once per
+batch with a numerator it computes itself, so the loop is a pure function of
+arrays that all callers share.  The float operations are unchanged from the seed
 implementation, which keeps every golden and bit-exactness suite pinned.
 """
 

@@ -61,13 +61,12 @@ class SNSMat(ContinuousCPD):
 
     def _prepare_relaxed(self) -> None:
         # The relaxed batch update works with unweighted factor rows
-        # (independent least-squares solves, as in SNS_VEC); SNS_MAT's
-        # per-sweep column normalisation is inherently global and is the
-        # relaxation this variant accepts.  Absorb λ into the first factor
-        # once on entering relaxed mode — the decomposition it represents is
-        # unchanged — and keep λ ≡ 1 thereafter.  Restoring a relaxed
-        # checkpoint re-runs this on already-absorbed factors with λ = 1, a
-        # no-op, so restore adopts the saved state verbatim.
+        # (least-squares row solves, as in SNS_VEC); SNS_MAT's per-sweep
+        # column normalisation is inherently global and is the relaxation
+        # this variant accepts.  Absorb λ into the first factor once, at
+        # initialize — the decomposition it represents is unchanged — and
+        # keep λ ≡ 1 thereafter.  Restore adopts the saved state verbatim
+        # and never runs this, so Gram 0 keeps its incremental bits.
         self._factors[0] *= self._weights[None, :]
         self._grams[0] = self._factors[0].T @ self._factors[0]
         self._weights = np.ones(self.rank, dtype=np.float64)

@@ -83,13 +83,13 @@ class ExperimentSettings:
         Resume each method from its checkpoint under ``checkpoint_dir`` when
         one exists, continuing to ``max_events`` total events; requires
         ``checkpoint_dir``.
-    staleness:
-        ``None`` (the default) runs the exact algorithms.  An integer
-        ``s >= 0`` selects the relaxed batch update
-        (:mod:`repro.core.relaxed`) with a factor snapshot refreshed every
-        ``s + 1`` batches, forwarded to :class:`repro.core.base.SNSConfig`.
-        Ignored by the periodic baselines.  Requires ``batched=True`` — the
-        per-event loop never goes through ``update_batch``.
+    relaxed:
+        ``False`` (the default) runs the exact algorithms.  ``True`` selects
+        the relaxed batch update (:mod:`repro.core.relaxed`), which solves
+        every row a batch touches once, in block Gauss-Seidel order;
+        forwarded to :class:`repro.core.base.SNSConfig`.  Ignored by the
+        periodic baselines.  Requires ``batched=True`` — the per-event loop
+        never goes through ``update_batch``.
     n_workers:
         Number of worker processes the experiment fan-out may use
         (:mod:`repro.experiments.parallel`).  ``1`` (the default) runs every
@@ -108,7 +108,7 @@ class ExperimentSettings:
     seed: int = 0
     batched: bool = False
     backend: str = "auto"
-    staleness: int | None = None
+    relaxed: bool = False
     checkpoint_dir: str | None = None
     checkpoint_events: int | None = None
     resume: bool = False
@@ -137,13 +137,9 @@ class ExperimentSettings:
             raise ConfigurationError(
                 f"backend must be a backend name or 'auto', got {self.backend!r}"
             )
-        if self.staleness is not None and self.staleness < 0:
+        if self.relaxed and not self.batched:
             raise ConfigurationError(
-                f"staleness must be >= 0 or None, got {self.staleness}"
-            )
-        if self.staleness is not None and not self.batched:
-            raise ConfigurationError(
-                "staleness requires batched=True — the relaxed path "
+                "relaxed requires batched=True — the relaxed path "
                 "executes update_batch, which the per-event loop never calls"
             )
         if self.checkpoint_events is not None and self.checkpoint_events <= 0:

@@ -155,7 +155,7 @@ def run_granularity(
             fitness_every=settings.fitness_every,
             seed=settings.seed,
             batched=settings.batched,
-            staleness=settings.staleness,
+            relaxed=settings.relaxed,
         )
     )
     payloads = run_tasks_over_snapshot(

@@ -122,7 +122,7 @@ def method_task(
     seed: int | None = 0,
     batched: bool = False,
     backend: str = "auto",
-    staleness: int | None = None,
+    relaxed: bool = False,
     checkpoint_events: int | None = None,
     checkpoint_subdir: str | None = None,
 ) -> ExperimentTask:
@@ -140,7 +140,7 @@ def method_task(
             "seed": seed,
             "batched": bool(batched),
             "backend": backend,
-            "staleness": None if staleness is None else int(staleness),
+            "relaxed": bool(relaxed),
             "checkpoint_events": checkpoint_events,
         },
         checkpoint_subdir=checkpoint_subdir,
@@ -181,7 +181,7 @@ def execute_task(
             seed=params.get("seed", 0),
             batched=params.get("batched", False),
             backend=params.get("backend", "auto"),
-            staleness=params.get("staleness"),
+            relaxed=params.get("relaxed", False),
             checkpoint_dir=checkpoint_dir,
             checkpoint_events=(
                 params.get("checkpoint_events") if checkpoint_dir is not None else None

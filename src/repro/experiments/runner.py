@@ -140,7 +140,7 @@ def run_method(
     baseline_config: BaselineConfig | None = None,
     batched: bool = False,
     backend: str = "auto",
-    staleness: int | None = None,
+    relaxed: bool = False,
     checkpoint_dir: str | Path | None = None,
     checkpoint_events: int | None = None,
     resume: bool = False,
@@ -189,9 +189,9 @@ def run_method(
     replayed after the restore.
     """
     kind = method_kind(method)
-    if staleness is not None and not batched:
+    if relaxed and not batched:
         raise ConfigurationError(
-            "staleness requires batched=True — the relaxed path "
+            "relaxed requires batched=True — the relaxed path "
             "executes update_batch, which the per-event loop never calls"
         )
     if checkpoint_events is not None and checkpoint_events <= 0:
@@ -227,7 +227,7 @@ def run_method(
             eta=eta,
             seed=seed,
             backend=backend,
-            staleness=staleness,
+            relaxed=relaxed,
         )
         # The kernel backend is an execution detail: resuming a run on a
         # different backend is explicitly supported, so it is excluded from
@@ -272,7 +272,7 @@ def run_method(
                     eta=eta,
                     seed=seed,
                     backend=backend,
-                    staleness=staleness,
+                    relaxed=relaxed,
                 ),
             )
         else:
@@ -483,7 +483,7 @@ def run_experiment(
             seed=settings.seed,
             batched=settings.batched,
             backend=settings.backend,
-            staleness=settings.staleness,
+            relaxed=settings.relaxed,
             checkpoint_events=settings.checkpoint_events,
             # Keep run checkpoints at <checkpoint_dir>/<method>, the
             # sequential layout, so runs interoperate across n_workers.

@@ -71,7 +71,7 @@ def run_scalability(
             fitness_every=max(int(count), 1),  # single fitness sample at the end
             seed=settings.seed,
             batched=settings.batched,
-            staleness=settings.staleness,
+            relaxed=settings.relaxed,
         )
         for count in event_counts
         for method in methods

@@ -14,13 +14,40 @@ Two layers of configuration:
 from __future__ import annotations
 
 import dataclasses
+import math
+import numbers
 from collections.abc import Mapping
 from pathlib import Path
 from typing import Any
 
-from repro.core.base import migrate_shards
+from repro.core.base import migrate_relaxed
 from repro.core.registry import ALGORITHMS
 from repro.exceptions import ConfigurationError
+
+
+#: StreamConfig fields that must be integers (``bool`` excluded).
+_INTEGER_FIELDS = (
+    "window_length",
+    "rank",
+    "theta",
+    "seed",
+    "als_iterations",
+    "detector_warmup",
+)
+#: StreamConfig fields that must be finite numbers (``batch_window`` may be None).
+_FINITE_FIELDS = ("period", "eta", "regularization", "batch_window")
+
+
+def _is_integer(value: Any) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_finite(value: Any) -> bool:
+    return (
+        isinstance(value, numbers.Real)
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -47,19 +74,24 @@ class StreamConfig:
         honours ``repro serve --backend`` / ``REPRO_KERNEL_BACKEND`` and
         otherwise auto-detects; an execution detail (checkpoints restore
         across backends), recorded per stream in telemetry.
-    staleness:
-        ``None`` (the default) keeps the exact algorithm; an integer
-        ``s >= 0`` runs the relaxed batch update (see
-        :mod:`repro.core.relaxed`), forwarded to
+    relaxed:
+        ``False`` (the default) keeps the exact algorithm; ``True`` runs the
+        relaxed batch update (see :mod:`repro.core.relaxed`), forwarded to
         :class:`~repro.core.base.SNSConfig`.  The service drains each ingest
         chunk into its own batches, so a relaxed stream runs many small
-        batches.
+        batches: the regime of ``bench_sharded.py``'s ``T/64`` point.
     als_iterations:
         ALS sweeps used to initialise the factors when the stream starts.
     detector_warmup:
         Warm-up observations of the per-stream anomaly detector.
     batch_window:
         Batch grouping window for the live drain (``None`` = the period).
+
+    Every field is type-checked, because wire requests are JSON: the flags
+    must be booleans, the counts and the seed integers (not ``bool``), and
+    ``period``, ``eta``, ``regularization`` and ``batch_window`` finite
+    numbers.  Anything else raises :class:`ConfigurationError` here rather
+    than a ``TypeError`` later, or worse, a silently different stream.
     """
 
     mode_sizes: tuple[int, ...]
@@ -72,16 +104,36 @@ class StreamConfig:
     regularization: float = 1e-12
     nonnegative: bool = False
     backend: str = "auto"
-    staleness: int | None = None
+    relaxed: bool = False
     seed: int = 0
     als_iterations: int = 10
     detector_warmup: int = 30
     batch_window: float | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "mode_sizes", tuple(int(n) for n in self.mode_sizes)
-        )
+        if not isinstance(self.mode_sizes, (list, tuple)) or not all(
+            _is_integer(n) for n in self.mode_sizes
+        ):
+            raise ConfigurationError(
+                f"mode_sizes must be a list of integers, got {self.mode_sizes!r}"
+            )
+        object.__setattr__(self, "mode_sizes", tuple(int(n) for n in self.mode_sizes))
+        for name in ("nonnegative", "relaxed"):
+            if not isinstance(getattr(self, name), bool):
+                raise ConfigurationError(
+                    f"{name} must be true or false, got {getattr(self, name)!r}"
+                )
+        for name in _INTEGER_FIELDS:
+            if not _is_integer(getattr(self, name)):
+                raise ConfigurationError(
+                    f"{name} must be an integer, got {getattr(self, name)!r}"
+                )
+        for name in _FINITE_FIELDS:
+            value = getattr(self, name)
+            if not _is_finite(value) and not (name == "batch_window" and value is None):
+                raise ConfigurationError(
+                    f"{name} must be a finite number, got {value!r}"
+                )
         if not self.mode_sizes or any(n <= 0 for n in self.mode_sizes):
             raise ConfigurationError(
                 f"mode_sizes must be positive, got {self.mode_sizes}"
@@ -102,10 +154,6 @@ class StreamConfig:
         if not isinstance(self.backend, str) or not self.backend:
             raise ConfigurationError(
                 f"backend must be a backend name or 'auto', got {self.backend!r}"
-            )
-        if self.staleness is not None and self.staleness < 0:
-            raise ConfigurationError(
-                f"staleness must be >= 0 or None, got {self.staleness}"
             )
         if self.als_iterations <= 0:
             raise ConfigurationError(
@@ -128,11 +176,12 @@ class StreamConfig:
 
         Unknown keys raise :class:`ConfigurationError` rather than being
         silently dropped — a typoed hyper-parameter must not produce a
-        stream with defaults the caller never asked for.  Two keys of older
-        configs are the exceptions: ``sampling``, which configs written
+        stream with defaults the caller never asked for.  Three keys of
+        older configs are the exceptions: ``sampling``, which configs written
         while there were two slice samplers carry (``"vectorized"`` is the
         sampler that remains and is dropped, any other value raises), and
-        ``shards``, rewritten by :func:`~repro.core.base.migrate_shards`.
+        ``shards`` and ``staleness``, rewritten to ``relaxed`` by
+        :func:`~repro.core.base.migrate_relaxed`.
         """
         payload = dict(payload)
         sampling = payload.pop("sampling", "vectorized")
@@ -141,7 +190,7 @@ class StreamConfig:
                 f"stream config has sampling={sampling!r}; only the "
                 "'vectorized' slice sampler exists"
             )
-        migrate_shards(payload)
+        migrate_relaxed(payload)
         known = {field.name for field in dataclasses.fields(cls)}
         unknown = sorted(set(payload) - known)
         if unknown:

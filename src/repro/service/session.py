@@ -129,7 +129,7 @@ class StreamSession:
             nonnegative=self.config.nonnegative,
             seed=self.config.seed,
             backend=self.config.backend,
-            staleness=self.config.staleness,
+            relaxed=self.config.relaxed,
         )
 
     # ------------------------------------------------------------------
@@ -401,7 +401,7 @@ class StreamSession:
                     "events_applied": processor.n_events_emitted,
                     "n_updates": self._model.n_updates,
                     "kernel_backend": self._model.kernel_backend,
-                    "staleness": self._model.config.staleness,
+                    "relaxed": self._model.config.relaxed,
                 }
             )
         self.telemetry.record_query(time.perf_counter() - started)
@@ -413,9 +413,7 @@ class StreamSession:
         payload["kernel_backend"] = (
             self._model.kernel_backend if self.is_live else None
         )
-        payload["staleness"] = (
-            self._model.config.staleness if self.is_live else None
-        )
+        payload["relaxed"] = self._model.config.relaxed if self.is_live else None
         return payload
 
     # ------------------------------------------------------------------

@@ -186,8 +186,9 @@ class TestRelaxedScope:
         assert rule_ids(result) == ["global-random"]
 
     def test_injected_stateless_rngs_are_fine(self):
-        # The relaxed update's sanctioned pattern: a per-batch generator
-        # seeded from explicit counters, plus dict-ordered row loops.
+        # What the scoped rules accept in repro.core: a generator seeded
+        # from explicit counters, as the sampled variants inject, and
+        # dict-ordered row loops, as the relaxed update uses.
         result = check(
             {
                 "repro.core.relaxed": """

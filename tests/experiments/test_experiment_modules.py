@@ -134,10 +134,10 @@ class TestAnomalyExperiment:
         assert "Fig. 9" in format_anomaly_experiment(result)
 
 
-class TestStalenessForwarding:
+class TestRelaxedForwarding:
     """Every figure entry point builds its models with the requested knob."""
 
-    RELAXED = dataclasses.replace(TINY, batched=True, staleness=2)
+    RELAXED = dataclasses.replace(TINY, batched=True, relaxed=True)
 
     @pytest.fixture
     def built_configs(self, monkeypatch):
@@ -152,7 +152,7 @@ class TestStalenessForwarding:
 
     def assert_relaxed(self, configs):
         assert configs
-        assert all(config.staleness == 2 for config in configs)
+        assert all(config.relaxed for config in configs)
 
     def test_granularity(self, built_configs):
         run_granularity(self.RELAXED, divisors=(1,), als_iterations=3)

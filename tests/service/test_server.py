@@ -90,6 +90,7 @@ class TestOps:
         async def scenario():
             server = StreamingServer(ServiceManager(ServiceConfig()))
             config = dict(tiny_config().to_dict(), shards=1, staleness=2)
+            del config["relaxed"]
             await dispatch(server, "create_stream", stream="a", config=config)
             await dispatch(
                 server, "ingest", stream="a", records=wire_records(warm_records())
@@ -105,7 +106,7 @@ class TestOps:
             return stats, refused
 
         stats, refused = asyncio.run(scenario())
-        assert stats["staleness"] == 2 and "shards" not in stats
+        assert stats["relaxed"] is True and "shards" not in stats
         assert not refused["ok"] and refused["error"] == "bad_request"
         assert "shards" in refused["message"]
 

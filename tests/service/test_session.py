@@ -48,16 +48,31 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         "shards, staleness, expected",
-        [(None, None, None), (None, 0, None), (1, 0, None), (1, 2, 2), (None, 3, 3)],
+        [(None, None, False), (None, 0, False), (1, 0, False), (1, 2, True)],
     )
-    def test_single_shard_configs_map_onto_staleness(
+    def test_single_shard_configs_map_onto_relaxed(
         self, stream_config, shards, staleness, expected
     ):
         # Configs written while streams could run several shards carry
         # `shards`; staleness 0 then meant the exact path.
         payload = dict(stream_config.to_dict(), shards=shards, staleness=staleness)
+        del payload["relaxed"]
         assert StreamConfig.from_dict(payload) == dataclasses.replace(
-            stream_config, staleness=expected
+            stream_config, relaxed=expected
+        )
+
+    @pytest.mark.parametrize(
+        "staleness, expected", [(None, False), (0, True), (3, True)]
+    )
+    def test_saved_staleness_maps_onto_relaxed(
+        self, stream_config, staleness, expected
+    ):
+        # Configs written while the relaxed update read a factor snapshot
+        # carry an integer staleness (None = exact).
+        payload = dict(stream_config.to_dict(), staleness=staleness)
+        del payload["relaxed"]
+        assert StreamConfig.from_dict(payload) == dataclasses.replace(
+            stream_config, relaxed=expected
         )
 
     def test_multi_shard_configs_rejected(self, stream_config):
@@ -68,8 +83,30 @@ class TestConfig:
     @pytest.mark.parametrize(
         "overrides",
         [
-            {"staleness": -1},
+            {"relaxed": "false"},
+            {"relaxed": 1},
+            {"relaxed": None},
+            {"nonnegative": "false"},
+            {"nonnegative": 0},
             {"mode_sizes": ()},
+            {"mode_sizes": (4.7, 3)},
+            {"mode_sizes": (True, 3)},
+            {"mode_sizes": 4},
+            {"window_length": 2.0},
+            {"rank": 2.5},
+            {"rank": True},
+            {"theta": 2.5},
+            {"seed": "x"},
+            {"seed": None},
+            {"als_iterations": 1.5},
+            {"detector_warmup": "5"},
+            {"period": float("nan")},
+            {"period": float("inf")},
+            {"period": "5"},
+            {"eta": float("nan")},
+            {"eta": True},
+            {"regularization": float("nan")},
+            {"batch_window": float("inf")},
             {"mode_sizes": (4, 0)},
             {"window_length": 0},
             {"period": -1.0},
@@ -272,28 +309,30 @@ class TestDurability:
         with pytest.raises(ConfigurationError, match="sampling"):
             StreamSession.load(tmp_path / "s")
 
-    @pytest.mark.parametrize("staleness", [None, 2])
-    def test_load_maps_single_shard_meta(self, tmp_path, staleness):
-        # A stream saved with the old encoding: `shards` in meta.json and in
-        # the checkpoint's model config, where the server pinned
-        # shards=1 and staleness=0 for exact streams.
-        session = live_session(staleness=staleness)
+    @pytest.mark.parametrize("relaxed", [False, True])
+    def test_load_maps_single_shard_meta(self, tmp_path, relaxed):
+        # A stream saved with the old encoding: `shards` and `staleness` in
+        # meta.json and in the checkpoint's model config, where the server
+        # pinned shards=1 and staleness=0 for exact streams.
+        session = live_session(relaxed=relaxed)
         target = tmp_path / "s"
         session.save(target)
+        staleness = 2 if relaxed else None
         meta = json.loads((target / "meta.json").read_text())
-        meta["config"]["shards"] = None
+        del meta["config"]["relaxed"]
+        meta["config"].update(shards=None, staleness=staleness)
         (target / "meta.json").write_text(json.dumps(meta))
         manifest_path = target / "state" / MANIFEST_FILENAME
         manifest = json.loads(manifest_path.read_text())
-        manifest["model"]["config"].update(
-            shards=1, staleness=0 if staleness is None else staleness
-        )
+        del manifest["model"]["config"]["relaxed"]
+        manifest["model"]["config"].update(shards=1, staleness=staleness or 0)
         manifest_path.write_text(json.dumps(manifest))
 
         restored = StreamSession.load(target)
         assert restored.config == session.config
         assert restored._model.config == session._model.config
-        assert restored.stats()["staleness"] == staleness
+        assert restored.stats()["relaxed"] is relaxed
+        assert restored.telemetry_snapshot()["relaxed"] is relaxed
         assert "shards" not in restored.stats()
         assert "shards" not in restored.telemetry_snapshot()
         extra = live_chunks(3, seed=2)[2]
@@ -311,6 +350,15 @@ class TestDurability:
         meta["config"]["shards"] = 4
         (tmp_path / "s" / "meta.json").write_text(json.dumps(meta))
         with pytest.raises(ConfigurationError, match="shards"):
+            StreamSession.load(tmp_path / "s")
+
+    def test_load_rejects_snapshot_aux(self, tmp_path):
+        # Relaxed streams saved by the snapshot-based update carry shard_*
+        # aux entries; the Gauss-Seidel update cannot continue them.
+        session = live_session(relaxed=True)
+        session._model._aux_state = lambda: {"shard_batch_counter": np.array([3.0])}
+        session.save(tmp_path / "s")
+        with pytest.raises(ConfigurationError, match="shard_batch_counter"):
             StreamSession.load(tmp_path / "s")
 
     def test_load_rejects_missing_and_damaged_directories(self, tmp_path):

@@ -22,11 +22,11 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["fig4", "--dataset", "imagenet"])
 
-    def test_staleness_selects_the_relaxed_batched_path(self):
+    def test_relaxed_selects_the_relaxed_batched_path(self):
         exact = _settings(build_parser().parse_args(["fig4"]))
-        assert exact.staleness is None and not exact.batched
-        relaxed = _settings(build_parser().parse_args(["fig4", "--staleness", "0"]))
-        assert relaxed.staleness == 0 and relaxed.batched
+        assert not exact.relaxed and not exact.batched
+        relaxed = _settings(build_parser().parse_args(["fig4", "--relaxed"]))
+        assert relaxed.relaxed and relaxed.batched
 
 
 class TestTableCommands:
