@@ -42,21 +42,14 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 def update_batch(model: "ContinuousCPD", batch: DeltaBatch) -> None:
     """Apply ``batch`` to ``model``'s window and update each touched row once."""
     model.window.apply_batch(batch)
-    time_mode = model.time_mode
-    rows: list[dict[int, None]] = [{} for _ in range(time_mode)]
-    coords: list[tuple[int, ...]] = []
-    values: list[float] = []
-    for record, _step, entries in batch.entry_groups():
-        for mode, index in enumerate(record.indices):
-            rows[mode].setdefault(int(index), None)
-        for coordinate, value in entries:
-            coords.append(coordinate)
-            values.append(value)
-    if not coords:
+    if not batch.nnz:
         return
-    _update_time_rows(model, np.asarray(coords, dtype=np.int64), values)
-    for mode, indices in enumerate(rows):
-        _update_mode(model, mode, list(indices))
+    coords = np.asarray(batch.coordinates, dtype=np.int64)
+    _update_time_rows(model, coords, batch.raw_values)
+    for mode in range(model.time_mode):
+        # Touched rows in first-touch order: an event's entries all carry
+        # its record's categorical indices.
+        _update_mode(model, mode, list(dict.fromkeys(coords[:, mode].tolist())))
     model._n_updates += batch.n_events
 
 

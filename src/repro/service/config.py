@@ -77,9 +77,10 @@ class StreamConfig:
     relaxed:
         ``False`` (the default) keeps the exact algorithm; ``True`` runs the
         relaxed batch update (see :mod:`repro.core.relaxed`), forwarded to
-        :class:`~repro.core.base.SNSConfig`.  The service drains each ingest
-        chunk into its own batches, so a relaxed stream runs many small
-        batches: the regime of ``bench_sharded.py``'s ``T/64`` point.
+        :class:`~repro.core.base.SNSConfig`.  A stream's batches are its
+        ingest chunks cut at ``batch_window``, so the client's chunking
+        sets the batch size; ``bench_sharded.py``'s ``served`` point
+        measures the ``service_tcp`` chunk shape.
     als_iterations:
         ALS sweeps used to initialise the factors when the stream starts.
     detector_warmup:
