@@ -130,9 +130,15 @@ def _sequential_factors(warm, chunks):
     return session.factors()["factors"]
 
 
-class _Server:
-    def __init__(self, *extra_args: str):
-        env = dict(os.environ)
+class Server:
+    """A ``python -m repro.service`` subprocess, returned once it listens.
+
+    ``env`` replaces this process's environment as the server's (its
+    ``PYTHONPATH`` still gains this checkout's ``src``).
+    """
+
+    def __init__(self, *extra_args: str, env: dict[str, str] | None = None):
+        env = dict(os.environ if env is None else env)
         env["PYTHONPATH"] = os.pathsep.join(
             [SRC, env.get("PYTHONPATH", "")]
         ).rstrip(os.pathsep)
@@ -197,7 +203,7 @@ def test_chaos_soak():
         plan_path = os.path.join(tmp, "plan.json")
         with open(plan_path, "w") as handle:
             json.dump(FAULT_PLAN, handle)
-        server = _Server(
+        server = Server(
             "--fault-plan", plan_path,
             "--checkpoint-root", os.path.join(tmp, "state"),
             "--checkpoint-events", "40",

@@ -11,12 +11,24 @@ tenant streams and measures:
 
 A correctness guard re-runs one stream's chunk sequence sequentially and
 requires bit-identical factors — throughput that breaks determinism does
-not count.  Results land in ``results/BENCH_service.json`` / ``.txt``.
+not count.
+
+A cold-start section starts fresh ``python -m repro.service`` processes,
+alternately without BLAS thread variables and with
+``OPENBLAS_NUM_THREADS=1``, and records the server's CPU time and OS thread
+count at ``listening``, then the wall time of a first sns_rnd_plus tenant's
+``start_stream`` (which imports SciPy on the numeric worker) and the
+server's CPU time after it.  The ``one_blas_thread`` flag requires the two
+settings to start the same number of threads: a server runs BLAS on one
+thread unless told otherwise.  Times are recorded, not gated.
+
+Results land in ``results/BENCH_service.json`` / ``.txt``.
 """
 
 from __future__ import annotations
 
 import asyncio
+import os
 import statistics
 import tempfile
 import time
@@ -24,8 +36,10 @@ import time
 import numpy as np
 
 from benchmarks._reporting import emit, emit_json
+from benchmarks.bench_chaos_soak import Server
 from benchmarks.conftest import bench_scale
 
+from repro.service.cli import BLAS_THREAD_VARIABLES
 from repro.service.config import ServiceConfig, StreamConfig
 from repro.service.manager import ServiceManager
 from repro.service.server import StreamingServer
@@ -87,6 +101,78 @@ def _workload():
     return streams
 
 
+#: Fresh servers per BLAS setting in the cold-start section (at scale 1).
+COLD_STARTS = 5
+
+
+def _server_env(**blas):
+    """This process's environment without BLAS thread variables, plus ``blas``."""
+    env = {
+        name: value
+        for name, value in os.environ.items()
+        if name not in BLAS_THREAD_VARIABLES
+    }
+    env.update(blas)
+    return env
+
+
+def _cpu_s(pid):
+    """User plus system CPU seconds of process ``pid``."""
+    with open(f"/proc/{pid}/stat") as stat:
+        fields = stat.read().rsplit(")", 1)[1].split()
+    return (int(fields[11]) + int(fields[12])) / os.sysconf("SC_CLK_TCK")
+
+
+def _os_threads(pid):
+    with open(f"/proc/{pid}/status") as status:
+        for line in status:
+            if line.startswith("Threads:"):
+                return int(line.split()[1])
+    raise RuntimeError(f"no thread count for process {pid}")
+
+
+def _cold_start(env, warm):
+    """One fresh server: CPU and threads at listening, then a first rnd+ start."""
+    server = Server(env=env)
+    try:
+        pid = server.process.pid
+        run = {"listening_cpu_s": _cpu_s(pid), "listening_threads": _os_threads(pid)}
+        with server.client() as client:
+            client.create_stream(
+                "cold",
+                **dict(
+                    STREAM_KWARGS,
+                    mode_sizes=list(STREAM_KWARGS["mode_sizes"]),
+                    method="sns_rnd_plus",
+                ),
+            )
+            client.ingest("cold", _wire(warm))
+            started = time.perf_counter()
+            client.start_stream("cold")
+            run["rnd_plus_start_stream_s"] = time.perf_counter() - started
+            run["rnd_plus_started_cpu_s"] = _cpu_s(pid)
+            client.shutdown()
+        server.process.wait(timeout=30)
+    finally:
+        server.cleanup()
+    return run
+
+
+def _cold_start_section(warm):
+    settings = {
+        "default": _server_env(),
+        "one_thread": _server_env(OPENBLAS_NUM_THREADS="1"),
+    }
+    runs = {name: [] for name in settings}
+    for _ in range(max(int(COLD_STARTS * bench_scale()), 2)):
+        for name, env in settings.items():
+            runs[name].append(_cold_start(env, warm))
+    return {
+        name: {key: [run[key] for run in setting] for key in setting[0]}
+        for name, setting in runs.items()
+    }
+
+
 def _sequential_factors(warm, chunks):
     session = StreamSession("reference", StreamConfig(**STREAM_KWARGS))
     session.ingest(warm)
@@ -125,6 +211,7 @@ async def _drive(server, streams, query_latencies):
 
 def test_service_throughput():
     streams = _workload()
+    cold_start = _cold_start_section(streams["tenant-0"][0])
     n_live_records = sum(
         len(chunk) for _, chunks in streams.values() for chunk in chunks
     )
@@ -206,6 +293,11 @@ def test_service_throughput():
             "recover_all_seconds": recover_seconds,
         },
         "concurrent_equals_sequential": True,
+        "cold_start": dict(cold_start, cpu_count=os.cpu_count()),
+        "one_blas_thread": (
+            cold_start["default"]["listening_threads"]
+            == cold_start["one_thread"]["listening_threads"]
+        ),
     }
     emit_json("BENCH_service", payload)
     lines = [
@@ -218,5 +310,20 @@ def test_service_throughput():
         f"checkpoint all: {checkpoint_seconds * 1e3:.1f} ms, "
         f"recover all: {recover_seconds * 1e3:.1f} ms",
         "concurrent == sequential: bit-identical factors (guarded)",
+        f"cold start, medians of {len(cold_start['default']['listening_cpu_s'])} "
+        "fresh servers per setting:",
     ]
+    for name, label in (
+        ("default", "no BLAS variables"),
+        ("one_thread", "OPENBLAS_NUM_THREADS=1"),
+    ):
+        median = {
+            key: statistics.median(values) for key, values in cold_start[name].items()
+        }
+        lines.append(
+            f"  {label}: {median['listening_cpu_s']:.3f} s CPU and "
+            f"{median['listening_threads']:g} threads at listening; first "
+            f"sns_rnd_plus start_stream {median['rnd_plus_start_stream_s']:.3f} s "
+            f"wall, {median['rnd_plus_started_cpu_s']:.3f} s server CPU after it"
+        )
     emit("BENCH_service", "\n".join(lines))

@@ -24,79 +24,51 @@ Quickstart
 0.9
 """
 
+from repro._lazy import lazy_exports
 from repro.version import __version__
-from repro.exceptions import (
-    ConfigurationError,
-    DataGenerationError,
-    IndexOutOfBoundsError,
-    NotFittedError,
-    RankError,
-    ReproError,
-    ShapeError,
-    StreamOrderError,
-    UnknownAlgorithmError,
-)
-from repro.tensor import KruskalTensor, SparseTensor
-from repro.stream import (
-    ContinuousStreamProcessor,
-    Delta,
-    EventKind,
-    MultiAspectStream,
-    StreamRecord,
-    TensorWindow,
-    WindowConfig,
-)
-from repro.als import ALS, ALSConfig, ALSResult, decompose
-from repro.core import (
-    ALGORITHMS,
-    ContinuousCPD,
-    SNSConfig,
-    SNSMat,
-    SNSRnd,
-    SNSRndPlus,
-    SNSVec,
-    SNSVecPlus,
-    available_algorithms,
-    create_algorithm,
-)
 
-__all__ = [
-    "__version__",
+#: Every export but ``__version__``, and the module it is imported from on
+#: first access: ``import repro`` loads no numpy until a name is used.
+_EXPORTS = {
     # exceptions
-    "ReproError",
-    "ShapeError",
-    "IndexOutOfBoundsError",
-    "RankError",
-    "StreamOrderError",
-    "ConfigurationError",
-    "NotFittedError",
-    "UnknownAlgorithmError",
-    "DataGenerationError",
+    "ReproError": "repro.exceptions",
+    "ShapeError": "repro.exceptions",
+    "IndexOutOfBoundsError": "repro.exceptions",
+    "RankError": "repro.exceptions",
+    "StreamOrderError": "repro.exceptions",
+    "ConfigurationError": "repro.exceptions",
+    "NotFittedError": "repro.exceptions",
+    "UnknownAlgorithmError": "repro.exceptions",
+    "DataGenerationError": "repro.exceptions",
     # tensors
-    "SparseTensor",
-    "KruskalTensor",
+    "SparseTensor": "repro.tensor",
+    "KruskalTensor": "repro.tensor",
     # streams
-    "MultiAspectStream",
-    "StreamRecord",
-    "EventKind",
-    "Delta",
-    "TensorWindow",
-    "WindowConfig",
-    "ContinuousStreamProcessor",
+    "MultiAspectStream": "repro.stream",
+    "StreamRecord": "repro.stream",
+    "EventKind": "repro.stream",
+    "Delta": "repro.stream",
+    "TensorWindow": "repro.stream",
+    "WindowConfig": "repro.stream",
+    "ContinuousStreamProcessor": "repro.stream",
     # batch ALS
-    "ALS",
-    "ALSConfig",
-    "ALSResult",
-    "decompose",
+    "ALS": "repro.als",
+    "ALSConfig": "repro.als",
+    "ALSResult": "repro.als",
+    "decompose": "repro.als",
     # SliceNStitch
-    "ContinuousCPD",
-    "SNSConfig",
-    "SNSMat",
-    "SNSVec",
-    "SNSRnd",
-    "SNSVecPlus",
-    "SNSRndPlus",
-    "ALGORITHMS",
-    "available_algorithms",
-    "create_algorithm",
-]
+    "ContinuousCPD": "repro.core",
+    "SNSConfig": "repro.core",
+    "SNSMat": "repro.core",
+    "SNSVec": "repro.core",
+    "SNSRnd": "repro.core",
+    "SNSVecPlus": "repro.core",
+    "SNSRndPlus": "repro.core",
+    "ALGORITHMS": "repro.core",
+    "available_algorithms": "repro.core",
+    "create_algorithm": "repro.core",
+}
+
+__all__ = ["__version__", *_EXPORTS]
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

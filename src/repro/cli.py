@@ -21,23 +21,10 @@ from __future__ import annotations
 import argparse
 import sys
 from collections.abc import Sequence
+from typing import TYPE_CHECKING
 
-from repro.data.datasets import DATASETS, PAPER_DATASETS
-from repro.experiments.anomaly_experiment import (
-    format_anomaly_experiment,
-    run_anomaly_experiment,
-)
-from repro.experiments.config import ExperimentSettings, table_iii_rows
-from repro.experiments.eta_sweep import format_eta_sweep, run_eta_sweep
-from repro.experiments.fitness_over_time import (
-    format_fitness_over_time,
-    run_fitness_over_time,
-)
-from repro.experiments.granularity import format_granularity, run_granularity
-from repro.experiments.reporting import format_table
-from repro.experiments.scalability import format_scalability, run_scalability
-from repro.experiments.speed_fitness import format_speed_fitness, run_speed_fitness
-from repro.experiments.theta_sweep import format_theta_sweep, run_theta_sweep
+if TYPE_CHECKING:
+    from repro.experiments.config import ExperimentSettings
 
 EXPERIMENTS = (
     "fig1",
@@ -54,6 +41,8 @@ EXPERIMENTS = (
 
 def build_parser() -> argparse.ArgumentParser:
     """Build the CLI argument parser."""
+    from repro.data.datasets import DATASETS
+
     parser = argparse.ArgumentParser(
         prog="slicenstitch",
         description="Reproduce the SliceNStitch (ICDE 2021) experiments.",
@@ -167,6 +156,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _settings(args: argparse.Namespace) -> ExperimentSettings:
+    from repro.experiments.config import ExperimentSettings
+
     return ExperimentSettings(
         dataset=args.dataset,
         scale=args.scale,
@@ -189,7 +180,9 @@ def run(argv: Sequence[str] | None = None) -> str:
     The ``serve`` subcommand is special: it starts the streaming service
     (which blocks until shutdown) and returns an empty report.  ``lint``
     is too: it runs the static checkers and exits with their status
-    (0 clean, 1 findings) via :class:`SystemExit`.
+    (0 clean, 1 findings) via :class:`SystemExit`.  Both are dispatched
+    before anything loads numpy, so ``serve`` can still choose its BLAS
+    thread count (:func:`repro.service.cli.main`).
     """
     argv = list(sys.argv[1:] if argv is None else argv)
     if argv[:1] == ["serve"]:
@@ -201,6 +194,24 @@ def run(argv: Sequence[str] | None = None) -> str:
         from repro.analysis.cli import main as lint_main
 
         raise SystemExit(lint_main(argv[1:]))
+    # Imported after the serve / lint dispatch: the experiments load numpy.
+    from repro.data.datasets import PAPER_DATASETS
+    from repro.experiments.anomaly_experiment import (
+        format_anomaly_experiment,
+        run_anomaly_experiment,
+    )
+    from repro.experiments.config import table_iii_rows
+    from repro.experiments.eta_sweep import format_eta_sweep, run_eta_sweep
+    from repro.experiments.fitness_over_time import (
+        format_fitness_over_time,
+        run_fitness_over_time,
+    )
+    from repro.experiments.granularity import format_granularity, run_granularity
+    from repro.experiments.reporting import format_table
+    from repro.experiments.scalability import format_scalability, run_scalability
+    from repro.experiments.speed_fitness import format_speed_fitness, run_speed_fitness
+    from repro.experiments.theta_sweep import format_theta_sweep, run_theta_sweep
+
     args = build_parser().parse_args(argv)
     if args.backend != "auto":
         # Pin the process-wide default too, so helper models constructed

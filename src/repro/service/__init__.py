@@ -17,26 +17,32 @@ factor maintenance, over a line-delimited JSON TCP protocol:
 
 Determinism: each stream's factor and detector state is a pure function of
 its config and the sequence of ingest chunks applied, so concurrent
-multi-tenant operation is bit-identical to replaying each stream alone.
+multi-tenant operation is bit-identical to replaying each stream alone.  A
+serving process runs BLAS on one thread (:func:`repro.service.cli.main`),
+so an in-process replay matches a served stream bit for bit when it also
+runs one BLAS thread or its window stays at or below 10,000 non-zeros:
+above that, a multi-threaded OpenBLAS splits the fitness dot products
+across its threads and sums them in another order.
+
+Importing this package loads no numpy; each name below is imported from
+its module on first access.
 """
 
-from repro.service.config import ServiceConfig, StreamConfig
-from repro.service.faults import FaultInjector, FaultPlan, FaultRule
-from repro.service.telemetry import StreamTelemetry
-from repro.service.session import StreamSession
-from repro.service.manager import ServiceManager
-from repro.service.server import StreamingServer
-from repro.service.client import ServiceClient
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ServiceConfig",
-    "StreamConfig",
-    "FaultInjector",
-    "FaultPlan",
-    "FaultRule",
-    "StreamTelemetry",
-    "StreamSession",
-    "ServiceManager",
-    "StreamingServer",
-    "ServiceClient",
-]
+_EXPORTS = {
+    "ServiceConfig": "repro.service.config",
+    "StreamConfig": "repro.service.config",
+    "FaultInjector": "repro.service.faults",
+    "FaultPlan": "repro.service.faults",
+    "FaultRule": "repro.service.faults",
+    "StreamTelemetry": "repro.service.telemetry",
+    "StreamSession": "repro.service.session",
+    "ServiceManager": "repro.service.manager",
+    "StreamingServer": "repro.service.server",
+    "ServiceClient": "repro.service.client",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

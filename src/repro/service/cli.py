@@ -4,25 +4,37 @@ Prints ``listening on <host>:<port>`` once the socket is bound (with the
 resolved port, so ``--port 0`` is scriptable), then serves until SIGINT /
 SIGTERM or a client ``shutdown`` op.  Shutdown is graceful: queues drain and
 every stream is checkpointed before the process exits.
+
+A serving process runs BLAS on one thread: :func:`main` defaults
+``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` to 1
+before numpy loads, and an explicitly exported value wins.  The per-event
+solves are R x R, far below the sizes a BLAS pool parallelises, while an
+idle OpenBLAS pool spins a helper thread through every server start.  This
+module therefore imports nothing that loads numpy until :func:`main` has
+set the variables.
 """
 
 from __future__ import annotations
 
-import argparse
-import asyncio
 import contextlib
+import os
 import signal
 import sys
 from collections.abc import Sequence
+from typing import TYPE_CHECKING
 
-from repro.service.config import ServiceConfig
-from repro.service.faults import FaultPlan
-from repro.service.manager import ServiceManager
-from repro.service.server import StreamingServer
+if TYPE_CHECKING:
+    import argparse
+
+#: Thread-count variables of the BLAS builds numpy may load (OpenBLAS,
+#: OpenMP-threaded builds, MKL); :func:`main` defaults each to 1.
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def build_parser() -> argparse.ArgumentParser:
     """Build the ``serve`` argument parser."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="slicenstitch serve",
         description=(
@@ -141,7 +153,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-async def _serve(args: argparse.Namespace) -> None:
+def _serve(argv: Sequence[str] | None) -> None:
+    # These load numpy, so they are imported after main() has set the BLAS
+    # variables.  argparse and asyncio come after them: without a bytecode
+    # cache every import compiles its module, which needs memory for a
+    # moment (about 2 MB for server.py), and compiling the service on top
+    # of those two modules raised the server's peak RSS.
+    from repro.service.config import ServiceConfig
+    from repro.service.faults import FaultPlan
+    from repro.service.manager import ServiceManager
+    from repro.service.server import StreamingServer
+
+    import asyncio
+
+    args = build_parser().parse_args(argv)
     if args.backend != "auto":
         # Streams whose StreamConfig.backend is "auto" resolve through the
         # process default, so this pins the whole service in one place.
@@ -165,31 +190,40 @@ async def _serve(args: argparse.Namespace) -> None:
             fault_plan=fault_plan,
         )
     )
-    server = StreamingServer(manager, host=args.host, port=args.port)
-    host, port = await server.start()
-    if fault_plan is not None:
-        print(
-            f"fault injection active: {len(fault_plan.rules)} rule(s), "
-            f"seed {fault_plan.seed}",
-            flush=True,
-        )
-    recovered = manager.stream_ids
-    if recovered:
-        print(f"recovered {len(recovered)} stream(s): {', '.join(recovered)}")
-    print(f"listening on {host}:{port}", flush=True)
-    loop = asyncio.get_running_loop()
-    for signum in (signal.SIGINT, signal.SIGTERM):
-        with contextlib.suppress(NotImplementedError):
-            loop.add_signal_handler(signum, server.request_shutdown)
-    await server.serve_until_shutdown()
-    print("server stopped", flush=True)
+
+    async def serve() -> None:
+        server = StreamingServer(manager, host=args.host, port=args.port)
+        host, port = await server.start()
+        if fault_plan is not None:
+            print(
+                f"fault injection active: {len(fault_plan.rules)} rule(s), "
+                f"seed {fault_plan.seed}",
+                flush=True,
+            )
+        recovered = manager.stream_ids
+        if recovered:
+            print(f"recovered {len(recovered)} stream(s): {', '.join(recovered)}")
+        print(f"listening on {host}:{port}", flush=True)
+        loop = asyncio.get_running_loop()
+        for signum in (signal.SIGINT, signal.SIGTERM):
+            with contextlib.suppress(NotImplementedError):
+                loop.add_signal_handler(signum, server.request_shutdown)
+        await server.serve_until_shutdown()
+        print("server stopped", flush=True)
+
+    asyncio.run(serve())
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """Console entry point for the service."""
-    args = build_parser().parse_args(argv)
+    """Console entry point for the service; runs BLAS on one thread.
+
+    BLAS reads its thread count once, when numpy loads it, so call this
+    before anything in the process has imported numpy.
+    """
+    for variable in BLAS_THREAD_VARIABLES:
+        os.environ.setdefault(variable, "1")
     try:
-        asyncio.run(_serve(args))
+        _serve(argv)
     except KeyboardInterrupt:
         pass
     return 0

@@ -25,8 +25,8 @@ def launch():
     """Factory of ``repro serve`` subprocesses, cleaned up on teardown."""
     processes: list[ServerProcess] = []
 
-    def _launch(*extra_args: str) -> ServerProcess:
-        process = ServerProcess(*extra_args)
+    def _launch(*extra_args: str, env=None) -> ServerProcess:
+        process = ServerProcess(*extra_args, env=env)
         processes.append(process)
         return process
 

@@ -12,6 +12,7 @@ import signal
 import subprocess
 import sys
 import time
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -76,10 +77,14 @@ def live_chunks(n_chunks: int = 3, seed: int = 2) -> list[list[StreamRecord]]:
 
 
 class ServerProcess:
-    """A ``python -m repro.service`` subprocess bound to a free port."""
+    """A ``python -m repro.service`` subprocess bound to a free port.
 
-    def __init__(self, *extra_args: str):
-        env = dict(os.environ)
+    ``env`` replaces this process's environment as the server's (its
+    ``PYTHONPATH`` still gains this checkout's ``src``).
+    """
+
+    def __init__(self, *extra_args: str, env: Mapping[str, str] | None = None):
+        env = dict(os.environ if env is None else env)
         env["PYTHONPATH"] = os.pathsep.join(
             [SRC, env.get("PYTHONPATH", "")]
         ).rstrip(os.pathsep)
