@@ -17,10 +17,10 @@ A cold-start section starts fresh ``python -m repro.service`` processes,
 alternately without BLAS thread variables and with
 ``OPENBLAS_NUM_THREADS=1``, and records the server's CPU time and OS thread
 count at ``listening``, then the wall time of a first sns_rnd_plus tenant's
-``start_stream`` (which imports SciPy on the numeric worker) and the
-server's CPU time after it.  The ``one_blas_thread`` flag requires the two
-settings to start the same number of threads: a server runs BLAS on one
-thread unless told otherwise.  Times are recorded, not gated.
+``start_stream`` and the server's CPU time and peak resident memory
+(VmHWM) after it.  The ``one_blas_thread`` flag requires the two settings
+to start the same number of threads: a server runs BLAS on one thread
+unless told otherwise.  Times and memory are recorded, not gated.
 
 Results land in ``results/BENCH_service.json`` / ``.txt``.
 """
@@ -123,12 +123,13 @@ def _cpu_s(pid):
     return (int(fields[11]) + int(fields[12])) / os.sysconf("SC_CLK_TCK")
 
 
-def _os_threads(pid):
+def _status_field(pid, field):
+    """The first number of ``field`` in ``/proc/<pid>/status``."""
     with open(f"/proc/{pid}/status") as status:
         for line in status:
-            if line.startswith("Threads:"):
+            if line.startswith(f"{field}:"):
                 return int(line.split()[1])
-    raise RuntimeError(f"no thread count for process {pid}")
+    raise RuntimeError(f"no {field} for process {pid}")
 
 
 def _cold_start(env, warm):
@@ -136,7 +137,10 @@ def _cold_start(env, warm):
     server = Server(env=env)
     try:
         pid = server.process.pid
-        run = {"listening_cpu_s": _cpu_s(pid), "listening_threads": _os_threads(pid)}
+        run = {
+            "listening_cpu_s": _cpu_s(pid),
+            "listening_threads": _status_field(pid, "Threads"),
+        }
         with server.client() as client:
             client.create_stream(
                 "cold",
@@ -151,6 +155,7 @@ def _cold_start(env, warm):
             client.start_stream("cold")
             run["rnd_plus_start_stream_s"] = time.perf_counter() - started
             run["rnd_plus_started_cpu_s"] = _cpu_s(pid)
+            run["rnd_plus_started_vmhwm_mb"] = _status_field(pid, "VmHWM") / 1024
             client.shutdown()
         server.process.wait(timeout=30)
     finally:
@@ -324,6 +329,7 @@ def test_service_throughput():
             f"  {label}: {median['listening_cpu_s']:.3f} s CPU and "
             f"{median['listening_threads']:g} threads at listening; first "
             f"sns_rnd_plus start_stream {median['rnd_plus_start_stream_s']:.3f} s "
-            f"wall, {median['rnd_plus_started_cpu_s']:.3f} s server CPU after it"
+            f"wall, {median['rnd_plus_started_cpu_s']:.3f} s server CPU and "
+            f"{median['rnd_plus_started_vmhwm_mb']:.1f} MB VmHWM after it"
         )
     emit("BENCH_service", "\n".join(lines))

@@ -51,7 +51,6 @@ from repro.core.registry import create_algorithm
 from repro.data.generators import SyntheticStreamConfig, generate_stream
 from repro.experiments.config import ExperimentSettings
 from repro.experiments.runner import prepare_experiment
-from repro.kernels.lapack import lapack_solvers
 from repro.service.config import StreamConfig
 from repro.service.session import StreamSession
 from repro.stream.processor import ContinuousStreamProcessor
@@ -241,9 +240,6 @@ def _served_points(n_chunks: int, lines: list[str]):
 def test_relaxed_sweep():
     n_events = scaled_events(BENCH_EVENTS, minimum=1000)
     n_chunks = scaled_events(SERVED_CHUNKS, minimum=10)
-    # Importing SciPy's LAPACK is a one-time process cost; without this the
-    # first least-squares relaxed run would pay it inside its timing.
-    lapack_solvers()
     lines = [
         f"relaxed batch update, batch_window sweep "
         f"{[_label(divisor) for divisor in SWEEP_DIVISORS]}, "

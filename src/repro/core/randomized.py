@@ -28,22 +28,14 @@ import abc
 
 import numpy as np
 
-from repro.core.base import ContinuousCPD, Coordinate, Entries, SNSConfig
+from repro.core.base import ContinuousCPD, Coordinate, Entries
 from repro.core.sampling import SliceSampler
 from repro.exceptions import ConfigurationError
 from repro.kernels.api import flatten_mode_overrides
-from repro.kernels.lapack import lapack_solvers
 
 
 class RandomizedCPD(ContinuousCPD):
     """Base class of the θ-bounded randomised variants."""
-
-    def __init__(self, config: SNSConfig) -> None:
-        super().__init__(config)
-        # SciPy's LAPACK solvers (or None each without SciPy), imported once
-        # per process here so a sampled model pays for the import in its own
-        # set-up rather than in its first update.
-        self._lapack = lapack_solvers()
 
     def _post_initialize(self) -> None:
         # U(m) = A_prev(m)' A(m); refreshed to the plain Grams at every event.
@@ -199,13 +191,13 @@ class RandomizedCPD(ContinuousCPD):
     def _solve_regularized(self, matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         """``rhs @ (matrix + ridge)^-1`` for symmetric PSD ``matrix`` via one solve.
 
-        The vectorised path's replacement for materialising the inverse: a
-        Cholesky solve (the Hadamard product of Gram matrices is PSD by the
-        Schur product theorem, and the ridge makes it definite) through the
-        configured kernel backend; non-definite / singular systems fall back
-        to the Moore-Penrose pseudo-inverse exactly like :meth:`_pinv`.
-        ``rhs`` may also be a ``(B, R)`` batch of rows solved against one
-        shared matrix.
+        The vectorised path's replacement for materialising the inverse: one
+        direct solve through the configured kernel backend (numpy's own
+        LAPACK on the numpy reference; the Hadamard product of Gram matrices
+        is PSD by the Schur product theorem, and the ridge makes it
+        definite).  Singular systems fall back to the Moore-Penrose
+        pseudo-inverse exactly like :meth:`_pinv`.  ``rhs`` may also be a
+        ``(B, R)`` batch of rows solved against one shared matrix.
         """
         return self._kernels.solve_regularized(
             matrix, rhs, self._ridge, self._solve_scratch

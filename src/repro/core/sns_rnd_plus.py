@@ -17,13 +17,14 @@ Every updated entry is clipped into ``[-η, η]``.
 The sampling machinery and the per-event outline live in
 :class:`repro.core.randomized.RandomizedCPD`.  The coordinate-descent sweep
 is computed as one triangular solve — a Gauss-Seidel sweep in matrix form —
-and falls back to the reference entry-by-entry loop exactly when clipping
-(or a non-positive diagonal) would engage.
+through numpy's own LAPACK, and falls back to the reference entry-by-entry
+loop exactly when clipping (or a non-positive diagonal) would engage.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.linalg._umath_linalg import solve1
 
 from repro.als.mttkrp import mttkrp_row
 from repro.core.base import Coordinate, Entries
@@ -134,23 +135,11 @@ class SNSRndPlus(RandomizedCPD):
             if time_shared is not None:
                 time_shared["cd_triangles"] = hadamard
         rhs = numerator - self._upper_scratch @ old_row
-        trtrs = self._lapack.trtrs
-        if trtrs is not None:
-            # SciPy's direct triangular solve skips numpy.linalg's per-call
-            # type/shape machinery for the R x R sweep.  rhs is a fresh
-            # temporary, so LAPACK may solve in place.
-            candidate, info = trtrs(lower, rhs, lower=1, overwrite_b=1)
-            if info != 0:
-                return self._coordinate_descent_reference(
-                    old_row, numerator, hadamard
-                )
-        else:
-            try:
-                candidate = np.linalg.solve(lower, rhs)
-            except np.linalg.LinAlgError:
-                return self._coordinate_descent_reference(
-                    old_row, numerator, hadamard
-                )
+        # The LAPACK dgesv gufunc behind np.linalg.solve, called without
+        # np.linalg's per-call checks.  The diagonal guard keeps singular
+        # triangles out; a solve that still fails comes back NaN or inf,
+        # which fails the box check like clipping does.
+        candidate = solve1(lower, rhs, signature="dd->d")
         if candidate.max() <= eta and candidate.min() >= lower_bound:
             return candidate
         return self._coordinate_descent_reference(old_row, numerator, hadamard)

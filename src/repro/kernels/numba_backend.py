@@ -24,8 +24,8 @@ Design notes:
   code wins.  No allocation happens inside the per-entry loops.
 * The regularized solve hand-rolls the Cholesky factorization and
   triangular solves (nopython code cannot catch LAPACK errors), returning
-  a success flag; the wrapper falls back to the numpy reference path —
-  pinv and all — on non-definite systems, so failure semantics match.
+  a success flag; the wrapper hands non-definite systems to the numpy
+  reference, so they get its answer — pinv fallback and all — bit for bit.
 """
 
 from __future__ import annotations

@@ -20,9 +20,11 @@ bit-identical (pinned by ``tests/kernels/test_mttkrp_scatter.py``) at a
 fraction of the cost.  That scatter, :func:`row_bins` and
 :func:`scatter_rows`, is shared with ALS's gather-once sweep
 (:class:`repro.als.mttkrp.MTTKRPSweep`), so batch ALS sums its MTTKRPs
-exactly as ``mttkrp_coo`` does.  ``solve_regularized`` reaches SciPy's
-``dposv`` through :func:`repro.kernels.lapack.lapack_solvers`, so importing
-this module never loads SciPy.
+exactly as ``mttkrp_coo`` does.
+
+``solve_regularized`` calls the LAPACK ``dgesv`` gufuncs that
+``np.linalg.solve`` wraps, without its per-call checks: its bits are
+``np.linalg.solve``'s, and nothing here loads SciPy.
 
 The only structural difference from the historical call sites is how row
 overrides arrive: as the flat ``(modes, indices, rows)`` triple of
@@ -37,9 +39,9 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 import numpy as np
+from numpy.linalg._umath_linalg import solve, solve1
 
 from repro.kernels.api import KernelBackend
-from repro.kernels.lapack import lapack_solvers
 
 
 def mttkrp_coo(
@@ -206,10 +208,12 @@ def solve_regularized(
 ) -> np.ndarray:
     """``rhs @ (matrix + ridge)^-1`` — the ``_solve_regularized`` body.
 
-    ``rhs`` may be one row ``(R,)`` (the historical call shape, solved with
-    the exact historical operations) or a batch ``(B, R)`` solved against
-    the one shared factorization.  Non-definite systems fall back to the
-    Moore-Penrose pseudo-inverse, exactly like ``ContinuousCPD._pinv``.
+    ``rhs`` may be one row ``(R,)`` or a batch ``(B, R)`` solved against the
+    one shared matrix.  Both go straight to the LAPACK ``dgesv`` gufunc that
+    ``np.linalg.solve`` calls for that shape, skipping its per-call checks,
+    so the results are bit-identical to it.  A singular system comes back
+    non-finite and falls back to the Moore-Penrose pseudo-inverse, exactly
+    like ``ContinuousCPD._pinv``.
     """
     if ridge_matrix is not None:
         if scratch is None:
@@ -217,28 +221,15 @@ def solve_regularized(
         regularized = np.add(matrix, ridge_matrix, out=scratch)
     else:
         regularized = matrix
-    batched = rhs.ndim == 2
-    posv = lapack_solvers().posv
-    if posv is not None:
-        # The scratch buffer may be overwritten in place by the
-        # factorization; a shared (cached) matrix must not be.
-        _, solution, info = posv(
-            regularized,
-            rhs.T if batched else rhs,
-            lower=1,
-            overwrite_a=regularized is scratch,
-        )
-        if info == 0:
-            return solution.T if batched else solution
-        if regularized is scratch:
-            regularized = np.add(matrix, ridge_matrix, out=scratch)
-    else:
-        try:
-            if batched:
-                return np.linalg.solve(regularized, rhs.T).T
-            return np.linalg.solve(regularized, rhs)
-        except np.linalg.LinAlgError:
-            pass
+    # np.linalg.solve's error state, except that a singular system returns
+    # NaN instead of raising.
+    with np.errstate(all="ignore"):
+        if rhs.ndim == 2:
+            solution = solve(regularized, rhs.T, signature="dd->d").T
+        else:
+            solution = solve1(regularized, rhs, signature="dd->d")
+    if np.isfinite(solution).all():
+        return solution
     return rhs @ np.linalg.pinv(regularized)
 
 

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
+from numpy.linalg._umath_linalg import solve1
 
+from repro.als.als import decompose
 from repro.als.mttkrp import mttkrp, mttkrp_row
 from repro.core.base import SNSConfig
 from repro.core.normalization import normalize_columns
@@ -215,6 +219,41 @@ class TestSNSRnd:
         np.testing.assert_allclose(
             exact.factors[mode][index, :], expected, atol=1e-6
         )
+
+
+class TestSNSRndPlus:
+    @pytest.mark.parametrize("rank", [2, 3], ids=["inf", "nan"])
+    def test_non_finite_sweep_falls_back_to_reference_loop(
+        self, rank, small_processor
+    ):
+        """A triangular solve that overflows must not leak into the factors.
+
+        Unit off-diagonals over a ridge-only diagonal blow the unclipped
+        sweep up to ±inf (and, at rank 3, to inf - inf = NaN); the clipped
+        reference loop stays finite.
+        """
+        start = decompose(small_processor.window.tensor, rank=rank, n_iterations=2)
+        model = SNSRndPlus(SNSConfig(rank=rank, eta=2.0, seed=0))
+        model.initialize(small_processor.window, start.decomposition)
+        ridge = model.config.regularization
+        hadamard = np.ones((rank, rank)) - np.eye(rank)
+        numerator = np.zeros(rank)
+        numerator[0] = 1e290
+        old_row = np.zeros(rank)
+        unclipped = solve1(
+            np.tril(hadamard) + ridge * np.eye(rank),
+            numerator - np.triu(hadamard, 1) @ old_row,
+            signature="dd->d",
+        )
+        assert not np.isfinite(unclipped).all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            row = model._coordinate_descent(old_row, numerator, hadamard)
+        expected = clipped_coordinate_descent(
+            old_row, numerator, hadamard, 2.0, -2.0, ridge
+        )
+        np.testing.assert_array_equal(row, expected)
+        assert np.abs(row).max() <= 2.0
 
 
 class TestSNSVecPlus:

@@ -169,8 +169,8 @@ class TestSolveParity:
         rng = np.random.default_rng(seed)
         half = rng.standard_normal((rank, rank))
         # Adding rank * I keeps the condition number small so the two
-        # factorizations (LAPACK dposv vs the hand-rolled Cholesky) agree
-        # well inside the 1e-12 contract.
+        # factorizations (numpy's LAPACK dgesv vs the hand-rolled Cholesky)
+        # agree well inside the 1e-12 contract.
         matrix = half @ half.T + rank * np.eye(rank)
         ridge = 1e-6 * np.eye(rank) if regularized else None
         rhs = (
