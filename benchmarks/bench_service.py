@@ -22,6 +22,14 @@ count at ``listening``, then the wall time of a first sns_rnd_plus tenant's
 to start the same number of threads: a server runs BLAS on one thread
 unless told otherwise.  Times and memory are recorded, not gated.
 
+An aging section feeds one more tenant of the same shape a short run and
+then a run ten times longer, both well past the detector's 100-entry
+scoreboard, and records at each point the checkpoint's size on disk, the
+time to write it and the compute time of an ``anomalies`` query.  The
+``checkpoint_bytes_flat`` flag requires the long run's checkpoint to stay
+within 10% of the short run's: a stream's state must not grow with its
+age.
+
 Results land in ``results/BENCH_service.json`` / ``.txt``.
 """
 
@@ -32,6 +40,7 @@ import os
 import statistics
 import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -178,6 +187,62 @@ def _cold_start_section(warm):
     }
 
 
+#: Chunks in the aging section's short run (at scale 1); the long run is ten
+#: times longer.
+AGING_CHUNKS = 15
+AGING_REPEATS = 5
+
+
+def _directory_bytes(directory):
+    return sum(
+        path.stat().st_size for path in Path(directory).rglob("*") if path.is_file()
+    )
+
+
+def _aging_point(session, directory, n_chunks):
+    """Checkpoint size and save time, and ``anomalies`` compute time, now."""
+    save_ms, query_ms = [], []
+    for _ in range(AGING_REPEATS):
+        started = time.perf_counter()
+        session.save(directory)
+        save_ms.append((time.perf_counter() - started) * 1e3)
+        started = time.perf_counter()
+        session.anomalies(20)
+        query_ms.append((time.perf_counter() - started) * 1e3)
+    return {
+        "chunks": n_chunks,
+        "scored": session.anomalies(0)["scored"],
+        "checkpoint_bytes": _directory_bytes(directory),
+        "checkpoint_save_ms": statistics.median(save_ms),
+        "anomalies_compute_ms": statistics.median(query_ms),
+    }
+
+
+def _aging_section():
+    """One tenant's checkpoint and query cost after a short and a 10x run."""
+    short = max(int(AGING_CHUNKS * bench_scale()), 3)
+    warm_span = STREAM_KWARGS["window_length"] * STREAM_KWARGS["period"]
+    spacing = warm_span / WARM_RECORDS
+    live = _records(
+        10 * short * CHUNK_RECORDS, warm_span + spacing, spacing, seed=200
+    )
+    chunks = [
+        live[start : start + CHUNK_RECORDS]
+        for start in range(0, len(live), CHUNK_RECORDS)
+    ]
+    session = StreamSession("aging", StreamConfig(**STREAM_KWARGS))
+    session.ingest(_records(WARM_RECORDS, 0.0, spacing, seed=200))
+    session.start()
+    points = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, begin, end in (("short", 0, short), ("long", short, 10 * short)):
+            for chunk in chunks[begin:end]:
+                session.ingest(chunk)
+            points[name] = _aging_point(session, tmp, end)
+    ratio = points["long"]["checkpoint_bytes"] / points["short"]["checkpoint_bytes"]
+    return dict(points, bytes_ratio=ratio)
+
+
 def _sequential_factors(warm, chunks):
     session = StreamSession("reference", StreamConfig(**STREAM_KWARGS))
     session.ingest(warm)
@@ -217,6 +282,7 @@ async def _drive(server, streams, query_latencies):
 def test_service_throughput():
     streams = _workload()
     cold_start = _cold_start_section(streams["tenant-0"][0])
+    aging = _aging_section()
     n_live_records = sum(
         len(chunk) for _, chunks in streams.values() for chunk in chunks
     )
@@ -303,6 +369,8 @@ def test_service_throughput():
             cold_start["default"]["listening_threads"]
             == cold_start["one_thread"]["listening_threads"]
         ),
+        "aging": aging,
+        "checkpoint_bytes_flat": aging["bytes_ratio"] <= 1.1,
     }
     emit_json("BENCH_service", payload)
     lines = [
@@ -332,4 +400,17 @@ def test_service_throughput():
             f"wall, {median['rnd_plus_started_cpu_s']:.3f} s server CPU and "
             f"{median['rnd_plus_started_vmhwm_mb']:.1f} MB VmHWM after it"
         )
+    lines.append("one tenant aging:")
+    for name in ("short", "long"):
+        point = aging[name]
+        lines.append(
+            f"  {point['chunks']} chunks, {point['scored']} scored: "
+            f"{point['checkpoint_bytes']} bytes, "
+            f"{point['checkpoint_save_ms']:.1f} ms save, "
+            f"{point['anomalies_compute_ms']:.3f} ms anomalies"
+        )
+    lines.append(
+        f"  long/short checkpoint bytes: {aging['bytes_ratio']:.3f} "
+        f"(flat: {payload['checkpoint_bytes_flat']})"
+    )
     emit("BENCH_service", "\n".join(lines))

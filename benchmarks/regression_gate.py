@@ -112,7 +112,11 @@ REQUIRED_FLAGS: dict[str, tuple[str, ...]] = {
         "no_negative_fitness",
         "meets_speedup_floor",
     ),
-    "BENCH_service.json": ("concurrent_equals_sequential", "one_blas_thread"),
+    "BENCH_service.json": (
+        "concurrent_equals_sequential",
+        "one_blas_thread",
+        "checkpoint_bytes_flat",
+    ),
     "BENCH_chaos.json": ("converged_to_fault_free_state",),
     "BENCH_als_sweep.json": ("bit_identical",),
 }

@@ -2,21 +2,55 @@
 
 The detector keeps running statistics (mean and variance, via Welford's
 algorithm) of the reconstruction errors it observes, and converts each new
-error into a Z-score.  A fixed-size scoreboard of the highest scores supports
-the "precision at top-20" evaluation, and the recorded detection times
-support the "time gap between occurrence and detection" metric.
+error into a Z-score.  The recorded detection times support the "time gap
+between occurrence and detection" metric.
+
+Only a fixed-size scoreboard of scores is kept: a min-heap of the
+:data:`SCOREBOARD_SIZE` best post-warm-up scores, so a detector's memory,
+its checkpoint payload and a :meth:`ZScoreDetector.top_k` query do not grow
+with the number of observations.  Scores rank by ``(z_score, error)``,
+highest first; equal keys rank earliest observation first, so ``top_k(k)``
+for any ``k <= SCOREBOARD_SIZE`` equals a stable descending sort of every
+score ever emitted.  Warm-up placeholders and NaN scores (which cannot be
+ranked) never enter the board; ``count`` and the statistics still include
+them.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import heapq
 import math
+import numbers
 from collections.abc import Mapping
 from typing import Any
 
-from repro.exceptions import CheckpointError
+from repro.exceptions import CheckpointError, ConfigurationError
 
 Coordinate = tuple[int, ...]
+
+#: How many scores the board keeps: five times the paper's top-20, and the
+#: largest ``k`` that :meth:`ZScoreDetector.top_k` (and the service's
+#: ``anomalies`` op) answers.
+SCOREBOARD_SIZE = 100
+
+
+def scoreboard_k(k: object) -> int:
+    """``k`` as a scoreboard depth: an integer in ``0..SCOREBOARD_SIZE``.
+
+    Anything else, a bool or a float included, raises
+    :class:`~repro.exceptions.ConfigurationError` instead of being truncated
+    or slicing the board from its end.
+    """
+    if (
+        isinstance(k, bool)
+        or not isinstance(k, numbers.Integral)
+        or not 0 <= k <= SCOREBOARD_SIZE
+    ):
+        raise ConfigurationError(
+            f"k must be an integer in 0..{SCOREBOARD_SIZE}, got {k!r}"
+        )
+    return int(k)
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -40,6 +74,33 @@ class AnomalyScore:
         return self.detection_time - self.event_time
 
 
+#: A board entry: ``(z_score, error, -observation_index, score)``.  Indices
+#: are unique, so comparing two entries never reaches the score itself.
+_Entry = tuple[float, float, int, AnomalyScore]
+
+
+def _offer(board: list[_Entry], score: AnomalyScore, index: int) -> None:
+    """Put observation ``index``'s ``score`` on the min-heap if it ranks."""
+    if score.is_warmup or math.isnan(score.z_score):
+        return
+    entry = (score.z_score, score.error, -index, score)
+    if len(board) < SCOREBOARD_SIZE:
+        heapq.heappush(board, entry)
+    elif entry > board[0]:
+        heapq.heapreplace(board, entry)
+
+
+def _score_from_dict(entry: Mapping[str, Any]) -> AnomalyScore:
+    return AnomalyScore(
+        coordinate=tuple(int(i) for i in entry["coordinate"]),
+        z_score=float(entry["z_score"]),
+        error=float(entry["error"]),
+        event_time=float(entry["event_time"]),
+        detection_time=float(entry["detection_time"]),
+        is_warmup=bool(entry.get("is_warmup", False)),
+    )
+
+
 class ZScoreDetector:
     """Online Z-score scoring of reconstruction errors.
 
@@ -55,7 +116,9 @@ class ZScoreDetector:
         self._count = 0
         self._mean = 0.0
         self._m2 = 0.0
-        self._scores: list[AnomalyScore] = []
+        # Min-heap of the SCOREBOARD_SIZE best entries; the root is the
+        # weakest, the one a better score replaces.
+        self._board: list[_Entry] = []
 
     # ------------------------------------------------------------------
     # Statistics
@@ -76,11 +139,6 @@ class ZScoreDetector:
         if self._count < 2:
             return 0.0
         return math.sqrt(self._m2 / (self._count - 1))
-
-    @property
-    def scores(self) -> list[AnomalyScore]:
-        """Every score emitted so far (in observation order)."""
-        return list(self._scores)
 
     # ------------------------------------------------------------------
     # Observation
@@ -110,7 +168,7 @@ class ZScoreDetector:
             ),
             is_warmup=is_warmup,
         )
-        self._scores.append(score)
+        _offer(self._board, score, self._count)
         self._update_statistics(error)
         return score
 
@@ -128,51 +186,61 @@ class ZScoreDetector:
 
         Covers everything :meth:`observe` mutates — the observation count,
         the Welford mean/M2 accumulators (float repr round-trips exactly
-        through JSON), the warm-up threshold, and every recorded score —
-        so a detector restored with :meth:`from_state` continues on the
-        exact same score stream as an uninterrupted one.  Streaming-run
-        checkpoints store this in their ``extra`` payload.
+        through JSON), the warm-up threshold, and the scoreboard, best
+        first, each entry with its observation index — so a detector
+        restored with :meth:`from_state` continues on the exact same score
+        stream and scoreboard as an uninterrupted one.  Its size is bounded
+        by :data:`SCOREBOARD_SIZE`, not by the number of observations.
+        Streaming-run checkpoints store this in their ``extra`` payload.
         """
         return {
             "warmup": self._warmup,
             "count": self._count,
             "mean": self._mean,
             "m2": self._m2,
-            "scores": [
+            "scoreboard": [
                 {
+                    "index": -negated_index,
                     "coordinate": list(score.coordinate),
                     "z_score": score.z_score,
                     "error": score.error,
                     "event_time": score.event_time,
                     "detection_time": score.detection_time,
-                    "is_warmup": score.is_warmup,
                 }
-                for score in self._scores
+                for _, _, negated_index, score in sorted(
+                    self._board, reverse=True
+                )
             ],
         }
 
     def load_state(self, state: Mapping[str, Any]) -> None:
-        """Restore the running state saved by :meth:`state_dict`."""
+        """Restore the running state saved by :meth:`state_dict`.
+
+        Also reads the older payload that listed every score in observation
+        order under ``"scores"``, warm-up placeholders included, and keeps
+        the :data:`SCOREBOARD_SIZE` best of them.
+        """
         try:
-            self._warmup = max(int(state["warmup"]), 1)
-            self._count = int(state["count"])
-            self._mean = float(state["mean"])
-            self._m2 = float(state["m2"])
-            self._scores = [
-                AnomalyScore(
-                    coordinate=tuple(int(i) for i in entry["coordinate"]),
-                    z_score=float(entry["z_score"]),
-                    error=float(entry["error"]),
-                    event_time=float(entry["event_time"]),
-                    detection_time=float(entry["detection_time"]),
-                    is_warmup=bool(entry.get("is_warmup", False)),
+            warmup = max(int(state["warmup"]), 1)
+            count = int(state["count"])
+            mean = float(state["mean"])
+            m2 = float(state["m2"])
+            if "scoreboard" in state:
+                indexed = (
+                    (int(entry["index"]), entry) for entry in state["scoreboard"]
                 )
-                for entry in state["scores"]
-            ]
+            else:
+                indexed = enumerate(state["scores"])
+            board: list[_Entry] = []
+            for index, entry in indexed:
+                _offer(board, _score_from_dict(entry), index)
         except (KeyError, TypeError, ValueError) as error:
             raise CheckpointError(
                 f"detector state payload is unreadable: {error}"
             ) from error
+        self._warmup, self._count = warmup, count
+        self._mean, self._m2 = mean, m2
+        self._board = board
 
     @classmethod
     def from_state(cls, state: Mapping[str, Any]) -> "ZScoreDetector":
@@ -185,16 +253,17 @@ class ZScoreDetector:
     # Evaluation
     # ------------------------------------------------------------------
     def top_k(self, k: int) -> list[AnomalyScore]:
-        """The ``k`` highest-scoring observations (ties broken by error size).
+        """The ``k`` highest-scoring observations, best first.
 
-        Warm-up placeholders (emitted before the error statistics exist) are
-        excluded: they carry no evidence and must not occupy scoreboard slots
-        on short runs.  A genuine post-warm-up score of 0.0 stays eligible.
+        Ranked by ``(z_score, error)``; equal keys put the earlier
+        observation first.  Warm-up placeholders (emitted before the error
+        statistics exist) are excluded: they carry no evidence and must not
+        occupy scoreboard slots on short runs.  A genuine post-warm-up score
+        of 0.0 stays eligible.  ``k`` must be an integer in
+        ``0..SCOREBOARD_SIZE`` (:func:`scoreboard_k`).
         """
-        scored = [s for s in self._scores if not s.is_warmup]
-        return sorted(scored, key=lambda s: (s.z_score, s.error), reverse=True)[
-            : int(k)
-        ]
+        ranked = heapq.nlargest(scoreboard_k(k), self._board)
+        return [score for _, _, _, score in ranked]
 
     def precision_at_k(
         self, k: int, true_coordinates: set[Coordinate]
@@ -203,9 +272,9 @@ class ZScoreDetector:
 
         The denominator is ``k`` itself, not the number of scores available:
         with fewer than ``k`` scored observations the missing slots count as
-        misses, so short runs cannot silently inflate the metric.
+        misses, so short runs cannot silently inflate the metric.  ``k <= 0``
+        gives 0.0.
         """
-        k = int(k)
         if k <= 0:
             return 0.0
         top = self.top_k(k)

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.anomaly.detector import ZScoreDetector
+from repro.anomaly.detector import SCOREBOARD_SIZE, ZScoreDetector
 from repro.anomaly.injection import InjectedAnomaly, inject_anomalies
 from repro.anomaly.scoring import score_batch
 from repro.baselines.base import BaselineConfig
@@ -78,10 +78,13 @@ def run_anomaly_experiment(
     methods are streaming and at least one period boundary follows it (the
     per-period baselines can only detect at boundaries).
 
+    ``top_k`` (default ``n_anomalies``) may not exceed the detector's
+    :data:`~repro.anomaly.detector.SCOREBOARD_SIZE`.
+
     Checkpointing (continuous methods only — the per-period baselines carry
     no checkpointable state): with ``settings.checkpoint_dir`` set, each
     continuous method's run state *including the detector's running
-    statistics and recorded scores* is saved under
+    statistics and scoreboard* is saved under
     ``<checkpoint_dir>/anomaly-<method>`` every ``settings.checkpoint_events``
     events and at the end of the run.  With ``settings.resume=True`` an
     existing checkpoint there is restored and the replay continues — the
@@ -107,6 +110,11 @@ def run_anomaly_experiment(
             "no checkpoint is ever written or read"
         )
     top_k = n_anomalies if top_k is None else top_k
+    if top_k > SCOREBOARD_SIZE:
+        raise ConfigurationError(
+            f"top_k must be at most the detector's scoreboard size "
+            f"{SCOREBOARD_SIZE}, got {top_k}"
+        )
     clean_stream, spec = generate_dataset(settings.dataset, scale=settings.scale)
     window_config = WindowConfig(
         mode_sizes=spec.mode_sizes,
@@ -245,9 +253,9 @@ def _run_continuous(
         model.initialize(processor.window, initial)
 
     def save_state() -> None:
-        # The detector's running statistics and full score list ride in the
-        # checkpoint's extra payload, so a resumed run continues the exact
-        # score stream of an uninterrupted one.
+        # The detector's running statistics and its bounded scoreboard ride
+        # in the checkpoint's extra payload, so a resumed run continues the
+        # exact score stream and ranking of an uninterrupted one.
         processor.save_checkpoint(
             checkpoint_path,
             model=model,
@@ -341,8 +349,10 @@ def _evaluate(
     kind: str,
 ) -> tuple[float, float]:
     """Precision at top-k and mean detection delay over matched anomalies."""
+    if top_k <= 0:
+        return 0.0, float("nan")
     top = detector.top_k(top_k)
-    if top_k <= 0 or not top:
+    if not top:
         return 0.0, float("nan")
     hits = 0
     delays: list[float] = []

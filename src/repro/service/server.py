@@ -69,6 +69,7 @@ from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable
 
+from repro.anomaly.detector import scoreboard_k
 from repro.exceptions import ReproError, ServiceError
 from repro.service.config import ServiceConfig
 from repro.service.faults import FaultAction, FaultInjector
@@ -698,7 +699,7 @@ class StreamingServer:
                     **await _offload(session.fitness)
                 )
         if op == "anomalies":
-            k = int(request.get("k", 20))
+            k = scoreboard_k(request.get("k", 20))
             async with worker.lock:
                 return ok_response(
                     **await _offload(session.anomalies, k)

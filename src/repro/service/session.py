@@ -356,7 +356,8 @@ class StreamSession:
         return payload
 
     def anomalies(self, k: int = 20) -> dict[str, Any]:
-        """Top-``k`` anomaly scoreboard of the live stream."""
+        """Top-``k`` anomaly scoreboard of the live stream (``k`` in
+        ``0..SCOREBOARD_SIZE``)."""
         self._require_live("anomalies")
         started = time.perf_counter()
         payload = {

@@ -89,7 +89,6 @@ class ContinuousStreamProcessor:
                 f"stream mode sizes {stream.mode_sizes} do not match window "
                 f"config {config.mode_sizes}"
             )
-        self._stream = stream
         self._config = config
         if start_time is None:
             start_time = stream.start_time + config.span
@@ -104,7 +103,9 @@ class ContinuousStreamProcessor:
             WindowEvent.kind_for_step(step, config.window_length)
             for step in range(config.window_length + 1)
         )
-        self._bootstrap()
+        # The stream is read once here and not kept: its records live on in
+        # the window, the scheduler and the pending records.
+        self._bootstrap(stream)
         # Latest record time this processor has seen; extend() may only feed
         # records at or after it (future records are newest-first).
         self._ingest_horizon = (
@@ -290,9 +291,6 @@ class ContinuousStreamProcessor:
         checkpoints) falls back to the newest pending record / start time.
         """
         processor = object.__new__(cls)
-        processor._stream = MultiAspectStream(
-            list(reversed(future_records)), mode_sizes=config.mode_sizes
-        )
         processor._config = config
         processor._start_time = float(start_time)
         processor._window = window
@@ -319,7 +317,7 @@ class ContinuousStreamProcessor:
         elapsed = now - record_time
         return int(math.floor(elapsed / self._config.period + _UNIT_EPSILON))
 
-    def _bootstrap(self) -> None:
+    def _bootstrap(self, stream: MultiAspectStream) -> None:
         """Load the initial window and schedule its records' remaining events.
 
         The same window mutations and scheduler pushes, in the same order,
@@ -335,7 +333,7 @@ class ContinuousStreamProcessor:
         add = self._window.tensor._add_trusted
         push = self._scheduler.push_raw
         kind_by_step = self._kind_by_step
-        for record in self._stream:
+        for record in stream:
             if record.time > self._start_time:
                 self._future_records.append(record)
                 continue

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.anomaly.detector import ZScoreDetector
+from repro.anomaly.detector import SCOREBOARD_SIZE, ZScoreDetector
 from repro.anomaly.injection import inject_anomalies
 from repro.data.generators import generate_synthetic_stream
 from repro.exceptions import DataGenerationError
@@ -123,10 +123,13 @@ class TestZScoreDetector:
 
     def test_warmup_placeholders_never_reach_the_scoreboard(self):
         detector = ZScoreDetector(warmup=10)
-        for i in range(5):
-            detector.observe((0, i), 5.0, event_time=float(i))
+        scores = [
+            detector.observe((0, i), 5.0, event_time=float(i)) for i in range(5)
+        ]
         # All observations so far are z == 0.0 warm-up placeholders.
-        assert all(score.is_warmup for score in detector.scores)
+        assert all(score.is_warmup for score in scores)
+        assert detector.state_dict()["scoreboard"] == []
+        assert detector.top_k(SCOREBOARD_SIZE) == []
         assert detector.top_k(5) == []
         assert detector.precision_at_k(5, {(0, 0)}) == 0.0
 

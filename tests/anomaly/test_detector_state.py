@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.anomaly.detector import ZScoreDetector
+from repro.anomaly.detector import SCOREBOARD_SIZE, ZScoreDetector
 from repro.exceptions import CheckpointError
 from repro.experiments.anomaly_experiment import run_anomaly_experiment
 from repro.experiments.config import ExperimentSettings
@@ -22,6 +22,11 @@ def _observe_many(detector, rng, n, t0=0.0):
         )
 
 
+def assert_same_board(clone, detector):
+    assert clone.state_dict() == detector.state_dict()
+    assert clone.top_k(SCOREBOARD_SIZE) == detector.top_k(SCOREBOARD_SIZE)
+
+
 class TestDetectorStateRoundTrip:
     def test_round_trip_preserves_statistics_and_scores(self, rng):
         detector = ZScoreDetector(warmup=5)
@@ -30,14 +35,15 @@ class TestDetectorStateRoundTrip:
         assert clone.count == detector.count
         assert clone.mean == detector.mean
         assert clone.std == detector.std
-        assert clone.scores == detector.scores
+        assert_same_board(clone, detector)
 
     def test_round_trip_mid_warmup(self, rng):
         detector = ZScoreDetector(warmup=30)
         _observe_many(detector, rng, 10)
         clone = ZScoreDetector.from_state(detector.state_dict())
         assert clone.count == 10
-        assert all(score.is_warmup for score in clone.scores)
+        assert_same_board(clone, detector)
+        assert clone.top_k(SCOREBOARD_SIZE) == []
 
     def test_continuation_is_identical(self, rng):
         """Observing through a save/restore equals observing straight through."""
@@ -51,7 +57,7 @@ class TestDetectorStateRoundTrip:
         for position, error in enumerate(errors[25:], start=25):
             for detector in (straight, resumed):
                 detector.observe((0, position), float(error), event_time=float(position))
-        assert resumed.scores == straight.scores
+        assert_same_board(resumed, straight)
         assert resumed.mean == straight.mean
         assert resumed.std == straight.std
 
@@ -62,13 +68,13 @@ class TestDetectorStateRoundTrip:
         _observe_many(detector, rng, 40)
         state = json.loads(json.dumps(detector.state_dict()))
         clone = ZScoreDetector.from_state(state)
-        assert clone.scores == detector.scores
+        assert_same_board(clone, detector)
         assert clone.mean == detector.mean
 
     def test_fresh_detector_round_trips(self):
         clone = ZScoreDetector.from_state(ZScoreDetector(warmup=7).state_dict())
         assert clone.count == 0
-        assert clone.scores == []
+        assert clone.top_k(SCOREBOARD_SIZE) == []
 
     @pytest.mark.parametrize(
         "state",
@@ -78,6 +84,14 @@ class TestDetectorStateRoundTrip:
             {"warmup": 5, "count": "three", "mean": 0.0, "m2": 0.0, "scores": []},
             {"warmup": 5, "count": 3, "mean": 0.0, "m2": 0.0, "scores": [{"bad": 1}]},
             {"warmup": 5, "count": 3, "mean": 0.0, "m2": 0.0, "scores": "nope"},
+            {"warmup": 5, "count": 3, "mean": 0.0, "m2": 0.0, "scoreboard": "no"},
+            {
+                "warmup": 5,
+                "count": 3,
+                "mean": 0.0,
+                "m2": 0.0,
+                "scoreboard": [{"index": 0, "coordinate": [0, 0]}],
+            },
         ],
     )
     def test_malformed_state_raises_checkpoint_error(self, state):

@@ -13,6 +13,8 @@ import math
 import numpy as np
 import pytest
 
+from repro.anomaly.detector import SCOREBOARD_SIZE
+from repro.exceptions import ConfigurationError
 from repro.experiments import anomaly_experiment, runner
 from repro.experiments.anomaly_experiment import (
     format_anomaly_experiment,
@@ -132,6 +134,21 @@ class TestAnomalyExperiment:
         if not math.isnan(periodic.mean_detection_delay):
             assert periodic.mean_detection_delay > 0.0
         assert "Fig. 9" in format_anomaly_experiment(result)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"top_k": SCOREBOARD_SIZE + 1}, {"n_anomalies": SCOREBOARD_SIZE + 1}],
+    )
+    def test_top_k_beyond_the_scoreboard_is_refused(self, kwargs):
+        with pytest.raises(ConfigurationError, match="scoreboard"):
+            run_anomaly_experiment(ExperimentSettings(dataset="nyc_taxi"), **kwargs)
+
+    def test_non_positive_top_k_scores_zero(self):
+        result = run_anomaly_experiment(
+            TINY, methods=("sns_rnd_plus",), n_anomalies=4, top_k=-1,
+            replay_periods=2,
+        )
+        assert result.methods["sns_rnd_plus"].precision_at_k == 0.0
 
 
 class TestRelaxedForwarding:

@@ -14,6 +14,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.anomaly.detector import SCOREBOARD_SIZE
 from repro.exceptions import ServiceError
 from repro.service.config import ServiceConfig
 from repro.service.manager import ServiceManager
@@ -139,9 +140,34 @@ class TestOps:
             assert np.array_equal(np.array(fa), np.array(fb))
         assert fitness["fitness"] == reference.fitness()["fitness"]
         assert anomalies["scored"] == reference._detector.count
+        assert anomalies["anomalies"] == reference.anomalies(k=3)["anomalies"]
         assert stats["phase"] == "live"
         assert telemetry["telemetry"]["records_ingested"] == 30 + 2 * 8
         assert rows[0]["stream"] == "s" and rows[0]["queue_depth"] == 0
+
+    @pytest.mark.parametrize(
+        "k", [True, 2.7, "5", "abc", None, -1, SCOREBOARD_SIZE + 1], ids=repr
+    )
+    def test_anomalies_k_outside_the_board_is_a_bad_request(self, k):
+        async def scenario():
+            server = StreamingServer(ServiceManager(ServiceConfig()))
+            await create_and_start(server, "s", warm_records(seed=3))
+            request = {"op": "anomalies", "stream": "s", "k": k}
+            refused = await server._dispatch_safely(
+                json.dumps(request).encode() + b"\n"
+            )
+            deepest = await dispatch(
+                server, "anomalies", stream="s", k=SCOREBOARD_SIZE
+            )
+            default = await dispatch(server, "anomalies", stream="s")
+            await server.stop()
+            return refused, deepest, default
+
+        refused, deepest, default = asyncio.run(scenario())
+        assert not refused["ok"] and refused["error"] == "bad_request"
+        assert f"0..{SCOREBOARD_SIZE}" in refused["message"]
+        assert deepest["ok"] and deepest["k"] == SCOREBOARD_SIZE
+        assert default["ok"] and default["k"] == 20
 
 
 class TestConcurrentTenants:

@@ -9,7 +9,9 @@ configs saved with a ``sampling`` key), and the persisted event counter.
 
 from __future__ import annotations
 
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -61,6 +63,33 @@ class TestRoundTrip:
         )
         # The remaining event sequence is bit-identical, ties included.
         assert drain_pairs(restored) == drain_pairs(small_processor)
+
+    def test_restore_builds_no_stream(self, small_processor, tmp_path, monkeypatch):
+        # The saved pending records are adopted as they are, not passed
+        # through a throwaway MultiAspectStream's validation.
+        small_processor.run(max_events=50)
+        small_processor.save_checkpoint(tmp_path / "ckpt")
+        assert small_processor.n_pending_records > 0
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("the restore built a MultiAspectStream")
+
+        monkeypatch.setattr(MultiAspectStream, "__init__", refuse)
+        restored, _, _ = restore_run(tmp_path / "ckpt")
+        monkeypatch.undo()
+        assert restored.n_pending_records == small_processor.n_pending_records
+        assert drain_pairs(restored) == drain_pairs(small_processor)
+
+    def test_processor_keeps_no_reference_to_its_stream(
+        self, small_stream, small_window_config
+    ):
+        stream = MultiAspectStream(list(small_stream), mode_sizes=(8, 7))
+        processor = ContinuousStreamProcessor(stream, small_window_config)
+        alive = weakref.ref(stream)
+        del stream
+        gc.collect()
+        assert alive() is None
+        assert processor.n_pending_records > 0
 
     def test_from_checkpoint_classmethod(self, small_processor, tmp_path):
         small_processor.run(max_events=25)
