@@ -19,15 +19,14 @@ import os
 import pytest
 
 #: Thread-count knobs recognised by the numeric stack used here: OpenMP
-#: (and its vendor-prefixed variants read by BLAS builds), OpenBLAS, MKL,
-#: numexpr, and numba's own pool.
+#: (and its vendor-prefixed variants read by BLAS builds), OpenBLAS, MKL
+#: and numexpr.
 _THREAD_ENV_VARS = (
     "OMP_NUM_THREADS",
     "OPENBLAS_NUM_THREADS",
     "MKL_NUM_THREADS",
     "VECLIB_MAXIMUM_THREADS",
     "NUMEXPR_NUM_THREADS",
-    "NUMBA_NUM_THREADS",
 )
 
 

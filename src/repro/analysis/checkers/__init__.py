@@ -7,7 +7,6 @@ from repro.analysis.checkers.determinism import DeterminismChecker
 from repro.analysis.checkers.exception_discipline import (
     ExceptionDisciplineChecker,
 )
-from repro.analysis.checkers.kernel_parity import KernelParityChecker
 from repro.analysis.checkers.lock_discipline import LockDisciplineChecker
 
 #: The standing lint gate, in report order.
@@ -15,7 +14,6 @@ ALL_CHECKERS = (
     DeterminismChecker(),
     AsyncSafetyChecker(),
     LockDisciplineChecker(),
-    KernelParityChecker(),
     ExceptionDisciplineChecker(),
 )
 
@@ -24,6 +22,5 @@ __all__ = [
     "AsyncSafetyChecker",
     "DeterminismChecker",
     "ExceptionDisciplineChecker",
-    "KernelParityChecker",
     "LockDisciplineChecker",
 ]

@@ -35,8 +35,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro lint",
         description=(
-            "Statically check the determinism, async-safety, lock, kernel-"
-            "parity, and exception-discipline invariants of the codebase."
+            "Statically check the determinism, async-safety, lock, and "
+            "exception-discipline invariants of the codebase."
         ),
     )
     parser.add_argument(

@@ -1,10 +1,8 @@
 """Checker base class and the lint driver.
 
 A :class:`Checker` owns a set of :class:`~repro.analysis.findings.Rule`\\ s
-and yields :class:`~repro.analysis.findings.Finding`\\ s over a
-:class:`~repro.analysis.source.Project`.  Most checkers are per-file
-(override :meth:`Checker.check_file`); cross-file checkers like kernel
-parity override :meth:`Checker.check_project` directly.
+and yields :class:`~repro.analysis.findings.Finding`\\ s for each file of a
+:class:`~repro.analysis.source.Project` (override :meth:`Checker.check_file`).
 
 :func:`run_checkers` is the driver: it runs every checker, routes each
 finding through its file's inline ``# repro: allow[rule]`` suppressions,
@@ -14,7 +12,7 @@ and returns the partitioned result.
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from repro.analysis.findings import Finding, Rule
 from repro.analysis.source import Project, SourceFile
@@ -57,10 +55,6 @@ class Checker:
             message=message,
         )
 
-    def check_project(self, project: Project) -> Iterator[Finding]:
-        for source in project:
-            yield from self.check_file(source)
-
     def check_file(self, source: SourceFile) -> Iterable[Finding]:
         return ()
 
@@ -87,12 +81,12 @@ def run_checkers(
     active: list[Finding] = list(project.errors)
     suppressed: list[Finding] = []
     for checker in checkers:
-        for finding in checker.check_project(project):
-            source = project.get(finding.module)
-            if source is not None and source.is_suppressed(finding):
-                suppressed.append(finding)
-            else:
-                active.append(finding)
+        for source in project:
+            for finding in checker.check_file(source):
+                if source.is_suppressed(finding):
+                    suppressed.append(finding)
+                else:
+                    active.append(finding)
     active.sort(key=Finding.sort_key)
     suppressed.sort(key=Finding.sort_key)
     return LintResult(

@@ -121,9 +121,6 @@ class Project:
     def __len__(self) -> int:
         return len(self.files)
 
-    def get(self, module: str) -> SourceFile | None:
-        return self.files.get(module)
-
     @classmethod
     def from_sources(cls, sources: dict[str, str]) -> "Project":
         """Build from ``{module: source}`` snippets (fixture entry point)."""

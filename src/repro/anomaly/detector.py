@@ -12,8 +12,12 @@ with the number of observations.  Scores rank by ``(z_score, error)``,
 highest first; equal keys rank earliest observation first, so ``top_k(k)``
 for any ``k <= SCOREBOARD_SIZE`` equals a stable descending sort of every
 score ever emitted.  Warm-up placeholders and NaN scores (which cannot be
-ranked) never enter the board; ``count`` and the statistics still include
-them.
+ranked) never enter the board; ``count`` still includes them.
+
+A non-finite error (NaN or ±inf, as a diverging model produces) is scored
+and counted in ``count``, but kept out of the mean and variance: folded in,
+it would make them non-finite, and every later observation would be an
+unranked placeholder.
 """
 
 from __future__ import annotations
@@ -114,6 +118,8 @@ class ZScoreDetector:
     def __init__(self, warmup: int = 30) -> None:
         self._warmup = max(int(warmup), 1)
         self._count = 0
+        # Observations in the mean and M2: the finite ones.
+        self._finite_count = 0
         self._mean = 0.0
         self._m2 = 0.0
         # Min-heap of the SCOREBOARD_SIZE best entries; the root is the
@@ -136,9 +142,9 @@ class ZScoreDetector:
     @property
     def std(self) -> float:
         """Running standard deviation of observed errors."""
-        if self._count < 2:
+        if self._finite_count < 2:
             return 0.0
-        return math.sqrt(self._m2 / (self._count - 1))
+        return math.sqrt(self._m2 / (self._finite_count - 1))
 
     # ------------------------------------------------------------------
     # Observation
@@ -174,8 +180,11 @@ class ZScoreDetector:
 
     def _update_statistics(self, error: float) -> None:
         self._count += 1
+        if not math.isfinite(error):
+            return
+        self._finite_count += 1
         delta = error - self._mean
-        self._mean += delta / self._count
+        self._mean += delta / self._finite_count
         self._m2 += delta * (error - self._mean)
 
     # ------------------------------------------------------------------
@@ -185,8 +194,9 @@ class ZScoreDetector:
         """Full running state as a JSON-serializable dict.
 
         Covers everything :meth:`observe` mutates — the observation count,
-        the Welford mean/M2 accumulators (float repr round-trips exactly
-        through JSON), the warm-up threshold, and the scoreboard, best
+        the count of finite observations and the Welford mean/M2
+        accumulators over them (float repr round-trips exactly through
+        JSON), the warm-up threshold, and the scoreboard, best
         first, each entry with its observation index — so a detector
         restored with :meth:`from_state` continues on the exact same score
         stream and scoreboard as an uninterrupted one.  Its size is bounded
@@ -196,6 +206,7 @@ class ZScoreDetector:
         return {
             "warmup": self._warmup,
             "count": self._count,
+            "finite_count": self._finite_count,
             "mean": self._mean,
             "m2": self._m2,
             "scoreboard": [
@@ -218,11 +229,14 @@ class ZScoreDetector:
 
         Also reads the older payload that listed every score in observation
         order under ``"scores"``, warm-up placeholders included, and keeps
-        the :data:`SCOREBOARD_SIZE` best of them.
+        the :data:`SCOREBOARD_SIZE` best of them.  Payloads without a
+        ``"finite_count"`` come from detectors that folded every error into
+        the statistics, so it defaults to ``count``.
         """
         try:
             warmup = max(int(state["warmup"]), 1)
             count = int(state["count"])
+            finite_count = int(state.get("finite_count", count))
             mean = float(state["mean"])
             m2 = float(state["m2"])
             if "scoreboard" in state:
@@ -239,6 +253,7 @@ class ZScoreDetector:
                 f"detector state payload is unreadable: {error}"
             ) from error
         self._warmup, self._count = warmup, count
+        self._finite_count = finite_count
         self._mean, self._m2 = mean, m2
         self._board = board
 

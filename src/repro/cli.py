@@ -84,18 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--backend",
-        choices=("auto", "numpy", "numba"),
-        default="auto",
-        help=(
-            "kernel backend for the model hot path: 'numpy' is the "
-            "always-available reference, 'numba' JIT-compiles the kernels "
-            "(falls back to numpy with a warning when numba is not "
-            "importable), 'auto' (default) picks numba when available "
-            "and honours REPRO_KERNEL_BACKEND"
-        ),
-    )
-    parser.add_argument(
         "--relaxed",
         action="store_true",
         help=(
@@ -165,7 +153,6 @@ def _settings(args: argparse.Namespace) -> ExperimentSettings:
         n_checkpoints=args.n_checkpoints,
         seed=args.seed,
         batched=args.batched or args.relaxed,
-        backend=args.backend,
         relaxed=args.relaxed,
         checkpoint_dir=args.checkpoint_dir,
         checkpoint_events=args.checkpoint_events,
@@ -213,13 +200,6 @@ def run(argv: Sequence[str] | None = None) -> str:
     from repro.experiments.theta_sweep import format_theta_sweep, run_theta_sweep
 
     args = build_parser().parse_args(argv)
-    if args.backend != "auto":
-        # Pin the process-wide default too, so helper models constructed
-        # outside ExperimentSettings (warm-up ALS, ad-hoc scoring) resolve
-        # to the same backend as the streamed methods.
-        from repro.kernels.registry import set_default_backend
-
-        set_default_backend(args.backend)
     if args.experiment == "fig1":
         return format_granularity(run_granularity(_settings(args)))
     if args.experiment == "fig4":
@@ -231,7 +211,6 @@ def run(argv: Sequence[str] | None = None) -> str:
             "n_checkpoints": args.n_checkpoints,
             "seed": args.seed,
             "batched": args.batched or args.relaxed,
-            "backend": args.backend,
             "relaxed": args.relaxed,
             "checkpoint_dir": args.checkpoint_dir,
             "checkpoint_events": args.checkpoint_events,

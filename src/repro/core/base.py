@@ -79,12 +79,12 @@ class SNSConfig:
     seed:
         Seed for the sampling generator of the randomised variants.
     backend:
-        Kernel backend for the hot-path array math (see
-        :mod:`repro.kernels`).  ``"auto"`` (the default) defers to the CLI
-        ``--backend`` knob / the ``REPRO_KERNEL_BACKEND`` environment
-        variable and otherwise auto-detects (numba when importable, else
-        the numpy reference).  An execution detail, not a model
-        hyper-parameter: checkpoints restore across backends.
+        Registered name of the kernels the hot path calls (see
+        :mod:`repro.kernels`).  ``"auto"`` (the default) takes the process
+        default of :func:`repro.kernels.set_default_backend`, else the numpy
+        kernels.  This is the seam through which a caller substitutes
+        instrumented kernels; it is not a model hyper-parameter, so a
+        checkpoint restores on whatever ``"auto"`` resolves to.
     relaxed:
         ``False`` (the default) runs the exact paper algorithm on both
         engines.  ``True`` makes ``update_batch`` run the relaxed batch
@@ -133,10 +133,15 @@ class SNSConfig:
         Checkpoints written while there were two slice samplers carry a
         ``sampling`` key; ``"vectorized"`` is the sampler that remains and
         is dropped, any other value raises :class:`ConfigurationError`
-        because that run cannot be continued exactly.  Configs with a
-        ``shards`` or ``staleness`` key go through :func:`migrate_relaxed`.
+        because that run cannot be continued exactly.  A string ``backend``
+        is dropped too: checkpoints written while there were two kernel
+        backends may name ``"numba"``, and a restored model runs on
+        whatever ``"auto"`` resolves to.  Configs with a ``shards`` or
+        ``staleness`` key go through :func:`migrate_relaxed`.
         """
         fields = dict(payload)
+        if isinstance(fields.get("backend"), str):
+            del fields["backend"]
         sampling = fields.pop("sampling", "vectorized")
         if sampling != "vectorized":
             raise ConfigurationError(
@@ -204,8 +209,7 @@ class ContinuousCPD(abc.ABC):
         # instead of allocating three temporaries per row update).
         self._gram_scratch_new = np.empty((config.rank, config.rank))
         self._gram_scratch_old = np.empty((config.rank, config.rank))
-        # Hot-path array kernels; unavailable explicit backends degrade to
-        # the numpy reference with one warning (see repro.kernels.registry).
+        # Hot-path array kernels (see repro.kernels.registry).
         self._kernels = resolve_backend(config.backend)
 
     # ------------------------------------------------------------------
@@ -243,16 +247,6 @@ class ContinuousCPD(abc.ABC):
     def n_updates(self) -> int:
         """Number of ``update`` calls processed so far."""
         return self._n_updates
-
-    @property
-    def kernel_backend(self) -> str:
-        """Name of the kernel backend actually executing the hot path.
-
-        May differ from ``config.backend``: ``"auto"`` resolves to a
-        concrete backend, and an unavailable backend degrades to
-        ``"numpy"``.
-        """
-        return self._kernels.name
 
     @property
     def order(self) -> int:
@@ -349,7 +343,6 @@ class ContinuousCPD(abc.ABC):
         return {
             "name": self.name,
             "config": dataclasses.asdict(self._config),
-            "kernel_backend": self._kernels.name,
             "n_updates": int(self._n_updates),
             "rng_state": self._rng.bit_generator.state,
             "factors": [factor.copy() for factor in self._factors],
@@ -377,9 +370,8 @@ class ContinuousCPD(abc.ABC):
         if state.get("config") is not None:
             saved_config = dataclasses.asdict(SNSConfig.from_dict(state["config"]))
             current_config = dataclasses.asdict(self._config)
-            # The kernel backend is an execution detail, not a model
-            # hyper-parameter: a checkpoint written on one backend restores
-            # on any other.
+            # The kernels are not a model hyper-parameter: a checkpoint
+            # restores whatever kernels this instance was built with.
             saved_config.pop("backend")
             current_config.pop("backend")
             if saved_config != current_config:

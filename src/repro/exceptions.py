@@ -96,14 +96,3 @@ class InjectedFaultError(ReproError, RuntimeError):
     :class:`~repro.service.faults.FaultPlan`, so chaos tests can tell an
     injected failure apart from a genuine bug with one ``except`` clause.
     """
-
-class KernelUnavailableError(ReproError, RuntimeError):
-    """A compiled-kernel backend cannot be loaded in this environment.
-
-    Raised by a backend factory in :mod:`repro.kernels.registry` (e.g. the
-    numba backend when numba is not importable or ``NUMBA_DISABLE_JIT`` is
-    set).  Callers that *request* such a backend degrade to the numpy
-    reference with a single warning instead of propagating this error; it
-    only escapes through :func:`repro.kernels.registry.load_backend`, the
-    strict loader.
-    """

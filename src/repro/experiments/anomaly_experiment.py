@@ -211,7 +211,6 @@ def _run_continuous(
         theta=spec.theta,
         eta=spec.eta,
         seed=settings.seed,
-        backend=settings.backend,
         relaxed=settings.relaxed,
     )
     checkpoint_path: Path | None = None

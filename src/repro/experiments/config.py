@@ -62,13 +62,6 @@ class ExperimentSettings:
         Scores agree to float precision — the grouped scatter can store
         window entries in a different order, so float reductions round
         differently at the ~1e-12 level.
-    backend:
-        Kernel backend for the model hot path (see :mod:`repro.kernels`),
-        forwarded to :class:`repro.core.base.SNSConfig`.  ``"auto"`` (the
-        default) honours the CLI ``--backend`` knob / the
-        ``REPRO_KERNEL_BACKEND`` environment variable and otherwise
-        auto-detects; an execution detail that never changes which results
-        are correct, only how fast the numpy-reference-agreeing kernels run.
     checkpoint_dir:
         Directory for *real* on-disk checkpoints
         (:mod:`repro.stream.checkpoint`); each continuous method saves its
@@ -107,7 +100,6 @@ class ExperimentSettings:
     als_iterations: int = 10
     seed: int = 0
     batched: bool = False
-    backend: str = "auto"
     relaxed: bool = False
     checkpoint_dir: str | None = None
     checkpoint_events: int | None = None
@@ -132,10 +124,6 @@ class ExperimentSettings:
         if self.als_iterations <= 0:
             raise ConfigurationError(
                 f"als_iterations must be positive, got {self.als_iterations}"
-            )
-        if not isinstance(self.backend, str) or not self.backend:
-            raise ConfigurationError(
-                f"backend must be a backend name or 'auto', got {self.backend!r}"
             )
         if self.relaxed and not self.batched:
             raise ConfigurationError(

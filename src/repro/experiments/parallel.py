@@ -121,7 +121,6 @@ def method_task(
     fitness_every: int = 150,
     seed: int | None = 0,
     batched: bool = False,
-    backend: str = "auto",
     relaxed: bool = False,
     checkpoint_events: int | None = None,
     checkpoint_subdir: str | None = None,
@@ -139,7 +138,6 @@ def method_task(
             "fitness_every": int(fitness_every),
             "seed": seed,
             "batched": bool(batched),
-            "backend": backend,
             "relaxed": bool(relaxed),
             "checkpoint_events": checkpoint_events,
         },
@@ -180,7 +178,6 @@ def execute_task(
             fitness_every=params.get("fitness_every", 150),
             seed=params.get("seed", 0),
             batched=params.get("batched", False),
-            backend=params.get("backend", "auto"),
             relaxed=params.get("relaxed", False),
             checkpoint_dir=checkpoint_dir,
             checkpoint_events=(

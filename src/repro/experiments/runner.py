@@ -139,7 +139,6 @@ def run_method(
     seed: int | None = 0,
     baseline_config: BaselineConfig | None = None,
     batched: bool = False,
-    backend: str = "auto",
     relaxed: bool = False,
     checkpoint_dir: str | Path | None = None,
     checkpoint_events: int | None = None,
@@ -226,16 +225,10 @@ def run_method(
             theta=theta,
             eta=eta,
             seed=seed,
-            backend=backend,
             relaxed=relaxed,
         )
-        # The kernel backend is an execution detail: resuming a run on a
-        # different backend is explicitly supported, so it is excluded from
-        # the hyper-parameter comparison.
         requested_dict = dataclasses.asdict(requested)
         saved_dict = dataclasses.asdict(model.config)
-        requested_dict.pop("backend", None)
-        saved_dict.pop("backend", None)
         if requested_dict != saved_dict:
             mismatched = sorted(
                 key
@@ -271,7 +264,6 @@ def run_method(
                     theta=theta,
                     eta=eta,
                     seed=seed,
-                    backend=backend,
                     relaxed=relaxed,
                 ),
             )
@@ -482,7 +474,6 @@ def run_experiment(
             fitness_every=settings.fitness_every,
             seed=settings.seed,
             batched=settings.batched,
-            backend=settings.backend,
             relaxed=settings.relaxed,
             checkpoint_events=settings.checkpoint_events,
             # Keep run checkpoints at <checkpoint_dir>/<method>, the

@@ -1,10 +1,10 @@
-"""The narrow kernel API compiled backends implement.
+"""The narrow kernel API of the model hot path.
 
 The model hot path — per-event least-squares math of the SliceNStitch
 family — reduces to five array kernels.  A backend is a named bundle of
 implementations of exactly these five callables; everything else (window
 maintenance, sampling draws, Gram bookkeeping, control flow) stays in
-plain numpy/Python and is shared by all backends.
+plain numpy/Python.
 
 The five kernels
 ----------------
@@ -44,14 +44,13 @@ override_indices, override_rows) -> (n,)``
 
 Contracts
 ---------
-* The **numpy** backend is the reference: operation-for-operation
+* The **numpy** backend is the only implementation: operation-for-operation
   identical to the historical inline implementations, so every golden
-  and bit-exactness suite stays pinned.
-* Every other backend must agree with the numpy reference to within
-  ``1e-12`` (absolute or relative, whichever is larger) on well-scaled
-  inputs, and must be deterministic: same inputs, same bits, every call.
+  and bit-exactness suite stays pinned.  A substitute registered through
+  :mod:`repro.kernels.registry` (say, timing wrappers) must return what
+  the numpy kernels return.
 * ``factors`` arrives as a sequence of ``(N_m, R)`` float64 matrices;
-  backends must not mutate any input.
+  kernels must not mutate any input.
 """
 
 from __future__ import annotations
@@ -84,12 +83,8 @@ class KernelBackend:
     sampled_residual: Callable[..., np.ndarray]
     reconstruct_coords: Callable[..., np.ndarray]
     solve_regularized: Callable[..., np.ndarray]
-    #: One-line human description (shown by CLI help / diagnostics).
+    #: One-line human description.
     description: str = ""
-
-    def kernels(self) -> dict[str, Callable[..., np.ndarray]]:
-        """The five kernels as a name -> callable mapping."""
-        return {name: getattr(self, name) for name in KERNEL_NAMES}
 
 
 def empty_overrides(rank: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -1,197 +1,71 @@
-"""Kernel backend registry: registration, selection, and graceful fallback.
+"""Kernel registry: which five kernels a model's hot path calls.
 
-Selection precedence (first hit wins):
+:func:`resolve_backend` picks them when a model is built:
 
-1. an explicit backend name passed to :func:`resolve_backend` — this is
-   what ``SNSConfig.backend`` / ``StreamConfig.backend`` carry;
-2. the process default installed by :func:`set_default_backend` (the CLI
-   ``--backend`` knob);
-3. the ``REPRO_KERNEL_BACKEND`` environment variable;
-4. auto-detection: the fastest *available* backend — ``numba`` when it
-   loads, else the numpy reference.
+1. an explicit registered name (``SNSConfig.backend``);
+2. else the process default installed by :func:`set_default_backend`;
+3. else the numpy kernels of :mod:`repro.kernels.numpy_backend`.
 
-Failure semantics are deliberately asymmetric:
-
-* An **unknown** name is a configuration error and raises — a typo must
-  not silently run the slow path.
-* A **known but unavailable** backend (numba not installed,
-  ``NUMBA_DISABLE_JIT`` set) degrades to the numpy reference with a
-  single :class:`KernelFallbackWarning` per backend per process, so a
-  config written on a numba box still runs everywhere.
-* Auto-detection never warns — not finding numba is the expected state
-  of a minimal install, not a problem to report.
-
-:func:`load_backend` is the strict loader (no fallback) for callers that
-need to *know* (CI gates, diagnostics).
+``"auto"`` (``SNSConfig``'s default) and ``None`` mean "no explicit name".
+The numpy kernels are the only implementation; the registry is the seam
+through which a caller substitutes instrumented kernels (the benchmark's
+traced runs wrap each one in a timer) without patching the models.  An
+unknown name raises: a typo must not silently run other kernels.
 """
 
 from __future__ import annotations
 
-import os
-import threading
-import warnings
 from typing import Callable
 
-from repro.exceptions import ConfigurationError, KernelUnavailableError
+from repro.exceptions import ConfigurationError
 from repro.kernels.api import KernelBackend, validate_backend
+from repro.kernels.numpy_backend import load as _load_numpy
 
-#: Environment variable consulted when no explicit/process default is set.
-ENV_VAR = "REPRO_KERNEL_BACKEND"
-
-#: The pseudo-name meaning "defer to defaults / auto-detection".
+#: The name that defers to the process default.
 AUTO = "auto"
 
-#: Auto-detection preference order (first loadable wins; numpy always loads).
-_AUTO_PREFERENCE = ("numba", "numpy")
-
-
-class KernelFallbackWarning(RuntimeWarning):
-    """A requested kernel backend is unavailable; the numpy reference runs."""
-
-
-_factories: dict[str, Callable[[], KernelBackend]] = {}
-_cache: dict[str, KernelBackend] = {}
-_warned: set[str] = set()
+_NUMPY = _load_numpy()
+_backends: dict[str, KernelBackend] = {_NUMPY.name: _NUMPY}
 _process_default: str | None = None
-_lock = threading.RLock()
 
 
 def register_backend(
     name: str, factory: Callable[[], KernelBackend], *, replace: bool = False
 ) -> None:
-    """Register ``factory`` under ``name``.
-
-    The factory is called lazily (at most once; the instance is cached)
-    and may raise :class:`KernelUnavailableError` when its dependencies
-    are missing in the current environment.
-    """
+    """Register the backend ``factory()`` builds under ``name``."""
     if name == AUTO:
         raise ConfigurationError(f"{AUTO!r} is reserved and cannot be registered")
-    with _lock:
-        if name in _factories and not replace:
-            raise ConfigurationError(f"kernel backend {name!r} already registered")
-        _factories[name] = factory
-        _cache.pop(name, None)
-        _warned.discard(name)
+    if name in _backends and not replace:
+        raise ConfigurationError(f"kernel backend {name!r} already registered")
+    _backends[name] = validate_backend(factory())
 
 
-def known_backends() -> tuple[str, ...]:
-    """Names of all registered backends (available in this env or not)."""
-    with _lock:
-        return tuple(sorted(_factories))
-
-
-def available_backends() -> tuple[str, ...]:
-    """Names of registered backends that actually load in this environment."""
-    names = []
-    for name in known_backends():
-        try:
-            _load(name)
-        except KernelUnavailableError:
-            continue
-        names.append(name)
-    return tuple(names)
-
-
-def _load(name: str) -> KernelBackend:
-    with _lock:
-        if name in _cache:
-            return _cache[name]
-        if name not in _factories:
-            raise ConfigurationError(
-                f"unknown kernel backend {name!r}; known: "
-                f"{', '.join(sorted(_factories)) or '(none)'}"
-            )
-        backend = validate_backend(_factories[name]())
-        _cache[name] = backend
-        return backend
-
-
-def load_backend(name: str) -> KernelBackend:
-    """Strict loader: return backend ``name`` or raise.
-
-    Raises :class:`ConfigurationError` for unknown names and
-    :class:`KernelUnavailableError` when the backend cannot load here —
-    never falls back.  Use :func:`resolve_backend` on execution paths.
-    """
-    return _load(name)
+def _lookup(name: str) -> KernelBackend:
+    try:
+        return _backends[name]
+    except KeyError:
+        raise ConfigurationError(
+            f"unknown kernel backend {name!r}; known: {', '.join(sorted(_backends))}"
+        ) from None
 
 
 def numpy_backend() -> KernelBackend:
-    """The always-available numpy reference backend."""
-    return _load("numpy")
+    """The numpy kernels, whatever the process default is."""
+    return _NUMPY
 
 
 def set_default_backend(name: str | None) -> None:
-    """Install the process-wide default (the CLI ``--backend`` knob).
-
-    ``None`` or ``"auto"`` clears it, restoring env-var / auto-detection.
-    Unknown names raise immediately rather than at first use.
-    """
+    """Make ``"auto"`` resolve to ``name``; ``None`` restores the numpy kernels."""
     global _process_default
-    if name is not None and name != AUTO and name not in known_backends():
-        raise ConfigurationError(
-            f"unknown kernel backend {name!r}; known: "
-            f"{', '.join(known_backends())}"
-        )
-    with _lock:
-        _process_default = None if name == AUTO else name
-
-
-def default_backend_name() -> str:
-    """The name ``"auto"`` currently resolves to, before availability checks."""
-    with _lock:
-        if _process_default is not None:
-            return _process_default
-    environment = os.environ.get(ENV_VAR, "").strip()
-    return environment if environment else AUTO
+    if name is not None:
+        _lookup(name)
+    _process_default = name
 
 
 def resolve_backend(name: str | None = None) -> KernelBackend:
-    """Resolve a backend request to a loaded backend, degrading gracefully.
-
-    ``name=None`` / ``"auto"`` defers to :func:`default_backend_name`; an
-    explicitly named backend that is known but unavailable degrades to
-    the numpy reference with one :class:`KernelFallbackWarning` per
-    backend per process.
-    """
-    requested = name if name else AUTO
-    if requested == AUTO:
-        requested = default_backend_name()
-    if requested == AUTO:
-        for candidate in _AUTO_PREFERENCE:
-            try:
-                return _load(candidate)
-            except KernelUnavailableError:
-                continue
-            except ConfigurationError:
-                continue  # preference entry not registered (stripped builds)
-        return numpy_backend()
-    try:
-        return _load(requested)
-    except KernelUnavailableError as error:
-        with _lock:
-            first_time = requested not in _warned
-            _warned.add(requested)
-        if first_time:
-            warnings.warn(
-                f"kernel backend {requested!r} is unavailable "
-                f"({error}); falling back to the numpy reference",
-                KernelFallbackWarning,
-                stacklevel=2,
-            )
-        return numpy_backend()
-
-
-def _reset(*, forget_warnings: bool = True) -> None:
-    """Test hook: drop cached instances, the process default, and warn state.
-
-    Registered factories survive — they are module-level wiring, not
-    per-test state.
-    """
-    global _process_default
-    with _lock:
-        _cache.clear()
-        _process_default = None
-        if forget_warnings:
-            _warned.clear()
+    """The backend registered as ``name``, else the process default, else numpy."""
+    if name is None or name == AUTO:
+        name = _process_default
+        if name is None:
+            return _NUMPY
+    return _lookup(name)

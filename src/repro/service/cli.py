@@ -129,18 +129,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--backend",
-        choices=("auto", "numpy", "numba"),
-        default="auto",
-        help=(
-            "default kernel backend for every stream whose config says "
-            "'auto': 'numpy' is the always-available reference, 'numba' "
-            "JIT-compiles the hot-path kernels (falls back to numpy with a "
-            "warning when unavailable); 'auto' honours "
-            "REPRO_KERNEL_BACKEND and otherwise auto-detects"
-        ),
-    )
-    parser.add_argument(
         "--fault-plan",
         default=None,
         metavar="FILE",
@@ -167,12 +155,6 @@ def _serve(argv: Sequence[str] | None) -> None:
     import asyncio
 
     args = build_parser().parse_args(argv)
-    if args.backend != "auto":
-        # Streams whose StreamConfig.backend is "auto" resolve through the
-        # process default, so this pins the whole service in one place.
-        from repro.kernels.registry import set_default_backend
-
-        set_default_backend(args.backend)
     fault_plan = None
     if args.fault_plan is not None:
         fault_plan = FaultPlan.from_file(args.fault_plan)

@@ -68,12 +68,6 @@ class StreamConfig:
         Registered SliceNStitch variant maintaining the factors.
     theta, eta, regularization, nonnegative, seed:
         Hyper-parameters forwarded to :class:`~repro.core.base.SNSConfig`.
-    backend:
-        Kernel backend for the model hot path (see :mod:`repro.kernels`),
-        forwarded to :class:`~repro.core.base.SNSConfig`.  ``"auto"``
-        honours ``repro serve --backend`` / ``REPRO_KERNEL_BACKEND`` and
-        otherwise auto-detects; an execution detail (checkpoints restore
-        across backends), recorded per stream in telemetry.
     relaxed:
         ``False`` (the default) keeps the exact algorithm; ``True`` runs the
         relaxed batch update (see :mod:`repro.core.relaxed`), forwarded to
@@ -104,7 +98,6 @@ class StreamConfig:
     eta: float = 1000.0
     regularization: float = 1e-12
     nonnegative: bool = False
-    backend: str = "auto"
     relaxed: bool = False
     seed: int = 0
     als_iterations: int = 10
@@ -152,10 +145,6 @@ class StreamConfig:
                 f"unknown method {self.method!r}; choose one of "
                 f"{sorted(ALGORITHMS)}"
             )
-        if not isinstance(self.backend, str) or not self.backend:
-            raise ConfigurationError(
-                f"backend must be a backend name or 'auto', got {self.backend!r}"
-            )
         if self.als_iterations <= 0:
             raise ConfigurationError(
                 f"als_iterations must be positive, got {self.als_iterations}"
@@ -177,11 +166,14 @@ class StreamConfig:
 
         Unknown keys raise :class:`ConfigurationError` rather than being
         silently dropped — a typoed hyper-parameter must not produce a
-        stream with defaults the caller never asked for.  Three keys of
+        stream with defaults the caller never asked for.  Four keys of
         older configs are the exceptions: ``sampling``, which configs written
         while there were two slice samplers carry (``"vectorized"`` is the
-        sampler that remains and is dropped, any other value raises), and
-        ``shards`` and ``staleness``, rewritten to ``relaxed`` by
+        sampler that remains and is dropped, any other value raises);
+        ``backend``, which configs written while streams chose a kernel
+        backend carry (any string is dropped, because one set of kernels
+        remains, and anything else raises); and ``shards`` and
+        ``staleness``, rewritten to ``relaxed`` by
         :func:`~repro.core.base.migrate_relaxed`.
         """
         payload = dict(payload)
@@ -190,6 +182,11 @@ class StreamConfig:
             raise ConfigurationError(
                 f"stream config has sampling={sampling!r}; only the "
                 "'vectorized' slice sampler exists"
+            )
+        backend = payload.pop("backend", "auto")
+        if not isinstance(backend, str):
+            raise ConfigurationError(
+                f"backend must be a backend name, got {backend!r}"
             )
         migrate_relaxed(payload)
         known = {field.name for field in dataclasses.fields(cls)}

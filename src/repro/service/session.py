@@ -128,7 +128,6 @@ class StreamSession:
             regularization=self.config.regularization,
             nonnegative=self.config.nonnegative,
             seed=self.config.seed,
-            backend=self.config.backend,
             relaxed=self.config.relaxed,
         )
 
@@ -401,7 +400,6 @@ class StreamSession:
                     "pending_records": processor.n_pending_records,
                     "events_applied": processor.n_events_emitted,
                     "n_updates": self._model.n_updates,
-                    "kernel_backend": self._model.kernel_backend,
                     "relaxed": self._model.config.relaxed,
                 }
             )
@@ -411,9 +409,6 @@ class StreamSession:
     def telemetry_snapshot(self) -> dict[str, Any]:
         """Lifetime telemetry counters of this stream."""
         payload = self.telemetry.to_dict()
-        payload["kernel_backend"] = (
-            self._model.kernel_backend if self.is_live else None
-        )
         payload["relaxed"] = self._model.config.relaxed if self.is_live else None
         return payload
 

@@ -44,7 +44,9 @@ Checkpoints written while the randomised variants had a second, legacy slice
 sampler record a ``sampling`` key in the model config.
 :meth:`~repro.core.base.SNSConfig.from_dict` drops it when it names the
 remaining ``"vectorized"`` sampler and refuses ``"legacy"`` runs, which
-cannot be continued exactly.
+cannot be continued exactly.  Checkpoints written while there were two
+kernel backends name one as ``backend`` in the model config, which
+``from_dict`` drops, and record a ``kernel_backend`` that restore ignores.
 
 Checkpoints are self-contained: restoring does not need the original stream
 object (the records still in flight are stored in the checkpoint itself).
@@ -371,10 +373,6 @@ def _pack_model_state(
     return {
         "name": state["name"],
         "config": state["config"],
-        # The backend that actually executed the run (diagnostic only —
-        # restore rebuilds the model from its config and may resolve to a
-        # different backend on this machine).
-        "kernel_backend": state.get("kernel_backend"),
         "n_updates": state["n_updates"],
         "rng_state": state["rng_state"],
         "n_factors": len(state["factors"]),

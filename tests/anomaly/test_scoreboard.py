@@ -167,7 +167,7 @@ def test_non_finite_errors_keep_the_board_sorted(rng, bad):
     for position in range(150):
         detector.observe((0, position), float(rng.normal()), event_time=position)
     detector.observe((9, 9), bad, event_time=150.0)
-    # The statistics are non-finite from here on, so these are placeholders.
+    # The bad error stays out of the statistics, so these are scored.
     for position in range(151, 171):
         detector.observe((0, position), float(rng.normal()), event_time=position)
     assert detector.count == 171
@@ -181,6 +181,95 @@ def test_non_finite_errors_keep_the_board_sorted(rng, bad):
             assert top[0].coordinate == (9, 9) and top[0].z_score == math.inf
         else:
             assert (9, 9) not in {score.coordinate for score in top}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf],
+                         ids=["nan", "inf", "-inf"])
+def test_scoring_continues_after_a_non_finite_error(rng, bad):
+    detector = ZScoreDetector(warmup=5)
+    for position in range(150):
+        detector.observe((0, position), float(rng.normal()), event_time=position)
+    mean, std = detector.mean, detector.std
+    detector.observe((9, 9), bad, event_time=150.0)
+    assert detector.count == 151
+    assert (detector.mean, detector.std) == (mean, std)
+    restored = json_round_trip(detector)
+    for position in range(151, 171):
+        error = float(rng.normal())
+        score = detector.observe((0, position), error, event_time=position)
+        assert not score.is_warmup and math.isfinite(score.z_score)
+        assert restored.observe((0, position), error, event_time=position) == score
+    assert restored.state_dict() == detector.state_dict()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf],
+                         ids=["nan", "inf", "-inf"])
+def test_non_finite_errors_alone_never_end_the_warmup(bad):
+    detector = ZScoreDetector(warmup=5)
+    for position in range(40):
+        score = detector.observe((0, position), bad, event_time=position)
+        assert score.is_warmup and score.z_score == 0.0
+    assert detector.count == 40
+    assert (detector.mean, detector.std) == (0.0, 0.0)
+    assert detector.top_k(SCOREBOARD_SIZE) == []
+
+
+finite_or_not = st.lists(
+    st.one_of(
+        st.floats(-10.0, 10.0, allow_nan=False),
+        st.sampled_from([0.0, 1.0, math.nan, math.inf, -math.inf]),
+    ),
+    max_size=150,
+)
+
+
+@given(warmup=st.integers(1, 20), errors=finite_or_not, cut=st.floats(0.0, 1.0))
+@settings(max_examples=100, deadline=None)
+def test_statistics_are_those_of_the_finite_errors(warmup, errors, cut):
+    # Warm-up counts every observation; the mean and deviation a score is
+    # measured against are those of the finite errors before it.
+    detector = ZScoreDetector(warmup=warmup)
+    finite = FullHistoryDetector(warmup=1)
+    restore_at = int(cut * len(errors))
+    scores = []
+    for position, error in enumerate(errors):
+        if position == restore_at:
+            detector = json_round_trip(detector)
+        mean, std = finite.mean, finite.std
+        score = detector.observe((0, position), error, event_time=float(position))
+        assert score.is_warmup == (position < warmup or std == 0.0)
+        if not score.is_warmup:
+            expected = (abs(error) - mean) / std
+            assert score.z_score == expected or (
+                math.isnan(score.z_score) and math.isnan(expected)
+            )
+        if math.isfinite(error):
+            finite.observe((0, position), error, event_time=float(position))
+        scores.append(score)
+    assert detector.count == len(errors)
+    assert (detector.mean, detector.std) == (finite.mean, finite.std)
+    ranked = sorted(
+        (s for s in scores if not s.is_warmup and not math.isnan(s.z_score)),
+        key=lambda s: (s.z_score, s.error),
+        reverse=True,
+    )
+    for board in (detector, json_round_trip(detector)):
+        assert board.top_k(SCOREBOARD_SIZE) == ranked[:SCOREBOARD_SIZE]
+
+
+def test_payload_without_finite_count_continues_exactly(rng):
+    errors = [float(error) for error in rng.normal(size=80)]
+    detector = ZScoreDetector(warmup=5)
+    for position, error in enumerate(errors[:40]):
+        detector.observe((0, position), error, event_time=position)
+    state = json.loads(json.dumps(detector.state_dict()))
+    del state["finite_count"]
+    restored = ZScoreDetector.from_state(state)
+    for position, error in enumerate(errors[40:], start=40):
+        assert restored.observe((0, position), error, event_time=position) == (
+            detector.observe((0, position), error, event_time=position)
+        )
+    assert restored.state_dict() == detector.state_dict()
 
 
 def test_a_nan_score_in_an_old_payload_is_dropped(rng):

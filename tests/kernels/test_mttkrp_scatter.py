@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.kernels import numpy_backend
-from repro.kernels.registry import load_backend
+from repro.kernels.registry import resolve_backend
 
 
 def add_at_mttkrp(indices, values, factors, mode, mode_size):
@@ -80,7 +80,7 @@ def test_repeated_coordinates_accumulate_in_order():
 
 def test_registry_backend_uses_the_same_kernel():
     indices, values, factors = random_case((6, 5, 4), 3, nnz=60, seed=11)
-    backend = load_backend("numpy")
+    backend = resolve_backend("numpy")
     for mode, mode_size in enumerate((6, 5, 4)):
         assert_same_bits(
             backend.mttkrp_coo(indices, values, factors, mode, mode_size),

@@ -1,4 +1,4 @@
-"""The numpy reference's regularized solve on systems it cannot factor.
+"""The numpy regularized solve: singular systems, inputs, batched rows.
 
 ``solve_regularized`` calls numpy's LAPACK ``dgesv`` gufuncs directly, so
 an exactly singular system comes back NaN instead of raising
@@ -55,3 +55,34 @@ def test_solve_leaves_its_inputs_alone():
         np.testing.assert_array_equal(matrix, matrix_before)
         np.testing.assert_array_equal(rhs, rhs_before)
         np.testing.assert_allclose(solution @ matrix, rhs, rtol=1e-12, atol=1e-12)
+
+
+def test_batched_rows_match_row_by_row():
+    # One (B, R) solve goes through the multi-RHS gufunc, one row through
+    # solve1; they may differ in the last bits, never by more.
+    rng = np.random.default_rng(7)
+    rank, batch = 5, 3
+    half = rng.standard_normal((rank, rank))
+    matrix = half @ half.T + rank * np.eye(rank)
+    ridge = 1e-9 * np.eye(rank)
+    rhs = rng.standard_normal((batch, rank))
+    batched = solve_regularized(matrix, rhs, ridge, np.empty_like(matrix))
+    for row in range(batch):
+        single = solve_regularized(matrix, rhs[row], ridge, np.empty_like(matrix))
+        np.testing.assert_allclose(batched[row], single, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("batch", [0, 3], ids=["row", "rows"])
+def test_scratch_buffer_is_optional(batch):
+    # Without a scratch buffer the ridged system goes into a fresh array:
+    # the same bits, and the caller's matrix still untouched.
+    rng = np.random.default_rng(13)
+    half = rng.standard_normal((4, 4))
+    matrix = half @ half.T
+    matrix_before = matrix.copy()
+    ridge = 1e-3 * np.eye(4)
+    rhs = rng.standard_normal(4) if batch == 0 else rng.standard_normal((batch, 4))
+    allocated = solve_regularized(matrix, rhs, ridge, None)
+    scratched = solve_regularized(matrix, rhs, ridge, np.empty_like(matrix))
+    assert allocated.tobytes() == scratched.tobytes()
+    np.testing.assert_array_equal(matrix, matrix_before)

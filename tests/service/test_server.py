@@ -111,6 +111,25 @@ class TestOps:
         assert not refused["ok"] and refused["error"] == "bad_request"
         assert "shards" in refused["message"]
 
+    def test_create_stream_drops_a_string_backend(self):
+        async def scenario():
+            server = StreamingServer(ServiceManager(ServiceConfig()))
+            config = dict(tiny_config().to_dict(), backend="numba")
+            created = await dispatch(server, "create_stream", stream="a", config=config)
+            config["backend"] = 5
+            request = {"op": "create_stream", "stream": "b", "config": config}
+            refused = await server._dispatch_safely(
+                json.dumps(request).encode() + b"\n"
+            )
+            stream_config = server.manager.get("a").config
+            await server.stop()
+            return created, stream_config, refused
+
+        created, stream_config, refused = asyncio.run(scenario())
+        assert created["ok"] and stream_config == tiny_config()
+        assert not refused["ok"] and refused["error"] == "bad_request"
+        assert "backend" in refused["message"]
+
     def test_full_lifecycle_queries(self):
         async def scenario():
             server = StreamingServer(ServiceManager(ServiceConfig()))

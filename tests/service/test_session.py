@@ -47,6 +47,18 @@ class TestConfig:
         with pytest.raises(ConfigurationError, match="sampling"):
             StreamConfig.from_dict(payload)
 
+    @pytest.mark.parametrize("backend", ["auto", "numpy", "numba"])
+    def test_string_backend_key_is_dropped(self, stream_config, backend):
+        # Configs saved while streams chose a kernel backend name one.
+        payload = dict(stream_config.to_dict(), backend=backend)
+        assert StreamConfig.from_dict(payload) == stream_config
+
+    @pytest.mark.parametrize("backend", [5, None, ["numpy"]])
+    def test_non_string_backend_rejected(self, stream_config, backend):
+        payload = dict(stream_config.to_dict(), backend=backend)
+        with pytest.raises(ConfigurationError, match="backend"):
+            StreamConfig.from_dict(payload)
+
     @pytest.mark.parametrize(
         "shards, staleness, expected",
         [(None, None, False), (None, 0, False), (1, 0, False), (1, 2, True)],
@@ -309,6 +321,34 @@ class TestDurability:
         self._save_with_sampling(live_session(), tmp_path / "s", "legacy")
         with pytest.raises(ConfigurationError, match="sampling"):
             StreamSession.load(tmp_path / "s")
+
+    def test_load_drops_numba_backend_keys(self, tmp_path):
+        # A stream saved while streams chose a kernel backend: "backend" in
+        # meta.json's config and in the checkpoint's model config, and the
+        # backend that ran as the manifest's "kernel_backend".
+        session = live_session(method="sns_rnd_plus")
+        target = tmp_path / "s"
+        session.save(target)
+        meta = json.loads((target / "meta.json").read_text())
+        meta["config"]["backend"] = "numba"
+        (target / "meta.json").write_text(json.dumps(meta))
+        manifest_path = target / "state" / MANIFEST_FILENAME
+        manifest = json.loads(manifest_path.read_text())
+        manifest["model"]["config"]["backend"] = "numba"
+        manifest["model"]["kernel_backend"] = "numba"
+        manifest_path.write_text(json.dumps(manifest))
+
+        restored = StreamSession.load(target)
+        assert restored.config == session.config
+        assert restored.config.method == "sns_rnd_plus"
+        extra = live_chunks(3, seed=2)[2]
+        session.ingest(extra)
+        restored.ingest(extra)
+        for fa, fb in zip(
+            session.factors()["factors"], restored.factors()["factors"]
+        ):
+            assert np.array_equal(np.array(fa), np.array(fb))
+        assert restored._detector.state_dict() == session._detector.state_dict()
 
     @pytest.mark.parametrize("relaxed", [False, True])
     def test_load_maps_single_shard_meta(self, tmp_path, relaxed):

@@ -2,7 +2,7 @@
 
 Relaxed runs (``relaxed=True``, see :mod:`repro.core.relaxed`) relax
 consistency *within* a batch, but their durability contract is as strict as
-the exact path's: for every variant × kernel backend, a run interrupted at a
+the exact path's: for every variant, a run interrupted at a
 batch boundary and restored must continue bit-identically — factors and
 Grams ``np.array_equal`` — to the uninterrupted relaxed run.  The relaxed
 update keeps no state between batches, so the model's factors, Grams and
@@ -16,16 +16,11 @@ whole batches and checkpoints are taken between them, never inside one.
 (Splitting a batch in two is still a *valid* relaxed execution, just a
 different one — the per-event exact path is the only engine whose results
 are invariant to batch boundaries.)
-
-The ``numba`` backend degrades to the numpy reference when numba is not
-importable (this is exercised either way — resolution happens inside the
-model), so the suite runs on any box.
 """
 
 from __future__ import annotations
 
 import json
-import warnings
 
 import numpy as np
 import pytest
@@ -60,25 +55,14 @@ def relaxed_setup():
     return stream, config, initial.decomposition
 
 
-def build_run(relaxed_setup, variant: str, backend: str):
+def build_run(relaxed_setup, variant: str):
     stream, config, initial = relaxed_setup
     processor = ContinuousStreamProcessor(stream, config)
-    with warnings.catch_warnings():
-        # backend="numba" degrades to numpy with a warning when numba is
-        # not importable; that fallback is part of what this suite covers.
-        warnings.simplefilter("ignore")
-        model = create_algorithm(
-            variant,
-            SNSConfig(
-                rank=RANK,
-                theta=5,
-                eta=1000.0,
-                seed=0,
-                backend=backend,
-                relaxed=True,
-            ),
-        )
-        model.initialize(processor.window, initial)
+    model = create_algorithm(
+        variant,
+        SNSConfig(rank=RANK, theta=5, eta=1000.0, seed=0, relaxed=True),
+    )
+    model.initialize(processor.window, initial)
     return processor, model
 
 
@@ -97,22 +81,17 @@ def advance_batches(processor, model, n_batches: int) -> int:
     return applied
 
 
-@pytest.mark.parametrize("backend", ["numpy", "numba"])
 @pytest.mark.parametrize("variant", sorted(ALGORITHMS))
-def test_relaxed_resume_matches_uninterrupted_run(
-    relaxed_setup, tmp_path, variant, backend
-):
-    reference_processor, reference_model = build_run(relaxed_setup, variant, backend)
+def test_relaxed_resume_matches_uninterrupted_run(relaxed_setup, tmp_path, variant):
+    reference_processor, reference_model = build_run(relaxed_setup, variant)
     n_reference = advance_batches(reference_processor, reference_model, N_BATCHES)
     assert n_reference == N_BATCHES
 
     half = N_BATCHES // 2 - 1
-    paused_processor, paused_model = build_run(relaxed_setup, variant, backend)
+    paused_processor, paused_model = build_run(relaxed_setup, variant)
     advance_batches(paused_processor, paused_model, half)
     paused_processor.save_checkpoint(tmp_path / "ckpt", model=paused_model)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        restored_processor, restored_model, _ = restore_run(tmp_path / "ckpt")
+    restored_processor, restored_model, _ = restore_run(tmp_path / "ckpt")
     assert restored_model is not None
     assert restored_model.config.relaxed
     advance_batches(restored_processor, restored_model, N_BATCHES - half)

@@ -38,7 +38,7 @@ SETUP = """
         processor = ContinuousStreamProcessor(stream, config)
         start = decompose(processor.window.tensor, rank=4, n_iterations=5)
         model = create_algorithm(
-            name, SNSConfig(rank=4, theta=5, backend="numpy", **options)
+            name, SNSConfig(rank=4, theta=5, **options)
         )
         model.initialize(processor.window, start.decomposition)
         return processor, model
@@ -51,7 +51,6 @@ def run_python(*parts: str) -> list[str]:
     The interpreter runs on this checkout; returns its stdout lines.
     """
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    env.pop("REPRO_KERNEL_BACKEND", None)
     code = "\n".join(textwrap.dedent(part) for part in parts)
     completed = subprocess.run(
         [sys.executable, "-c", code],
