@@ -12,6 +12,7 @@ import numpy as np
 
 from benchmarks._reporting import emit
 from benchmarks.conftest import scaled_events
+from repro.experiments.config import ExperimentSettings
 from repro.experiments.reporting import format_table
 from repro.experiments.speed_fitness import format_speed_fitness, run_speed_fitness
 
@@ -20,15 +21,15 @@ DATASETS = ("divvy_bikes", "chicago_crime", "nyc_taxi", "ride_austin")
 
 def test_fig5_speed_and_fitness(benchmark):
     """Regenerate Fig. 5 across all four synthetic datasets."""
-    overrides = {
-        "scale": 0.12,
-        "max_events": scaled_events(2200),
-        "n_checkpoints": 8,
-        "als_iterations": 8,
-    }
+    settings = ExperimentSettings(
+        scale=0.12,
+        max_events=scaled_events(2200),
+        n_checkpoints=8,
+        als_iterations=8,
+    )
     result = benchmark.pedantic(
         run_speed_fitness,
-        kwargs={"datasets": DATASETS, "settings_overrides": overrides},
+        kwargs={"settings": settings, "datasets": DATASETS},
         rounds=1,
         iterations=1,
     )

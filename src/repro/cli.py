@@ -101,9 +101,10 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         help=(
             "persist the full run state of every continuous method under "
-            "DIR/<method> (window, scheduler, factors, RNG stream); an "
-            "interrupted run restarted with --resume continues exactly "
-            "where it stopped"
+            "DIR/<method> (window, scheduler, factors, RNG stream); sweep "
+            "points go under DIR/<point>/<method>, and fig5 puts each "
+            "dataset under DIR/<dataset>/<method>; an interrupted run "
+            "restarted with --resume continues exactly where it stopped"
         ),
     )
     parser.add_argument(
@@ -205,19 +206,7 @@ def run(argv: Sequence[str] | None = None) -> str:
     if args.experiment == "fig4":
         return format_fitness_over_time(run_fitness_over_time(_settings(args)))
     if args.experiment == "fig5":
-        overrides = {
-            "scale": args.scale,
-            "max_events": args.max_events,
-            "n_checkpoints": args.n_checkpoints,
-            "seed": args.seed,
-            "batched": args.batched or args.relaxed,
-            "relaxed": args.relaxed,
-            "checkpoint_dir": args.checkpoint_dir,
-            "checkpoint_events": args.checkpoint_events,
-            "resume": args.resume,
-            "n_workers": args.workers,
-        }
-        return format_speed_fitness(run_speed_fitness(settings_overrides=overrides))
+        return format_speed_fitness(run_speed_fitness(_settings(args)))
     if args.experiment == "fig6":
         return format_scalability(run_scalability(_settings(args)))
     if args.experiment == "fig7":

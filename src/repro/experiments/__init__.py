@@ -34,6 +34,7 @@ from repro.experiments.runner import (
     MethodResult,
     run_experiment,
     run_method,
+    run_sweep,
 )
 
 __all__ = [
@@ -45,6 +46,7 @@ __all__ = [
     "method_task",
     "run_experiment",
     "run_method",
+    "run_sweep",
     "run_tasks",
     "run_tasks_over_snapshot",
 ]

@@ -98,17 +98,6 @@ def run_anomaly_experiment(
     model adapts once per batch.
     """
     settings = settings or ExperimentSettings(dataset="nyc_taxi")
-    if settings.checkpoint_events is not None and settings.checkpoint_events <= 0:
-        raise ConfigurationError(
-            f"checkpoint_events must be positive, got {settings.checkpoint_events}"
-        )
-    if settings.checkpoint_dir is None and (
-        settings.checkpoint_events is not None or settings.resume
-    ):
-        raise ConfigurationError(
-            "checkpoint_events/resume require checkpoint_dir — without it "
-            "no checkpoint is ever written or read"
-        )
     top_k = n_anomalies if top_k is None else top_k
     if top_k > SCOREBOARD_SIZE:
         raise ConfigurationError(

@@ -64,8 +64,11 @@ class ExperimentSettings:
         differently at the ~1e-12 level.
     checkpoint_dir:
         Directory for *real* on-disk checkpoints
-        (:mod:`repro.stream.checkpoint`); each continuous method saves its
-        run state under ``<checkpoint_dir>/<method>``.  ``None`` (default)
+        (:mod:`repro.stream.checkpoint`) and the fan-out work dir; each
+        continuous method saves its run state under
+        ``<checkpoint_dir>/<method>``, and each sweep point under
+        ``<checkpoint_dir>/<point>/<method>``
+        (:func:`repro.experiments.runner.run_sweep`).  ``None`` (default)
         disables checkpointing.  Periodic baselines carry no checkpointable
         state and are skipped.
     checkpoint_events:

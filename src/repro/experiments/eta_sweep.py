@@ -12,7 +12,7 @@ from collections.abc import Sequence
 
 from repro.experiments.config import ExperimentSettings
 from repro.experiments.reporting import format_table
-from repro.experiments.runner import prepare_experiment
+from repro.experiments.runner import run_sweep
 from repro.metrics.fitness import relative_fitness
 
 
@@ -32,48 +32,21 @@ def run_eta_sweep(
 ) -> EtaSweepResult:
     """Run the Fig. 8 sweep on one dataset.
 
-    Every (method, η) replay — and the shared ALS reference — is an
-    independent task over one prepared snapshot; ``settings.n_workers > 1``
-    fans them out over worker processes with identical results.
+    One :func:`~repro.experiments.runner.run_sweep` point per (method, η),
+    plus the ALS reference once (η does not affect it).
     """
-    from repro.experiments.parallel import (
-        method_result_from_payload,
-        method_task,
-        run_tasks_over_snapshot,
-    )
-
     settings = settings or ExperimentSettings()
-    stream, spec, window_config, initial, _ = prepare_experiment(settings)
-    shared = dict(
-        rank=spec.rank,
-        max_events=settings.max_events,
-        fitness_every=settings.fitness_every,
-        seed=settings.seed,
-        batched=settings.batched,
-        relaxed=settings.relaxed,
-    )
-    tasks = [method_task("als", "als", **shared)]
-    for eta in etas:
-        for method in methods:
-            tasks.append(
-                method_task(
-                    f"{method}@eta={float(eta):g}",
-                    method,
-                    theta=spec.theta,
-                    eta=float(eta),
-                    **shared,
-                )
-            )
-    payloads = run_tasks_over_snapshot(
-        stream, window_config, initial, tasks, n_workers=settings.n_workers
-    )
-    reference = method_result_from_payload(payloads["als"])
+    points = [("als", "als", {})] + [
+        (f"{method}@eta={float(eta):g}", method, {"eta": float(eta)})
+        for eta in etas
+        for method in methods
+    ]
+    results = run_sweep(settings, points).methods
+    reference = results["als"]
     rel: dict[str, list[float]] = {method: [] for method in methods}
     for eta in etas:
         for method in methods:
-            outcome = method_result_from_payload(
-                payloads[f"{method}@eta={float(eta):g}"]
-            )
+            outcome = results[f"{method}@eta={float(eta):g}"]
             rel[method].append(
                 relative_fitness(outcome.average_fitness, reference.average_fitness)
             )

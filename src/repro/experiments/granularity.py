@@ -25,8 +25,9 @@ import numpy as np
 
 from repro.als.als import decompose
 from repro.experiments.config import ExperimentSettings
+from repro.experiments.parallel import ExperimentTask
 from repro.experiments.reporting import format_table
-from repro.experiments.runner import prepare_experiment
+from repro.experiments.runner import run_sweep
 from repro.metrics.timing import Stopwatch
 from repro.stream.processor import ContinuousStreamProcessor
 from repro.stream.stream import MultiAspectStream
@@ -114,66 +115,38 @@ def run_granularity(
 ) -> GranularityResult:
     """Run the Fig. 1 experiment (defaults to the NY-Taxi-like dataset).
 
-    ``settings.n_workers > 1`` fans the conventional divisor points and the
-    continuous replay out over worker processes sharing one prepared
-    snapshot; the points are identical to a sequential run.
+    The continuous replay is one :func:`~repro.experiments.runner.run_sweep`
+    point; the conventional fits at every divisor run as its extra tasks
+    over the same prepared snapshot, so ``settings.n_workers > 1`` fans all
+    of them out with points identical to a sequential run.
     """
-    from repro.experiments.parallel import (
-        ExperimentTask,
-        method_result_from_payload,
-        method_task,
-        run_tasks_over_snapshot,
-    )
-
     settings = settings or ExperimentSettings(dataset="nyc_taxi")
-    stream, spec, coarse_config, initial, _ = prepare_experiment(settings)
-    rank = spec.rank
-
     # Conventional CPD at every fine granularity T' = T / divisor, plus the
     # continuous CPD replay at the coarse period (updated on every event).
-    tasks = [
+    conventional = [
         ExperimentTask(
             key=f"conventional@divisor={int(divisor)}",
             kind="conventional_cpd",
             params={
                 "divisor": int(divisor),
-                "rank": rank,
+                "rank": settings.spec.rank,
                 "als_iterations": als_iterations,
                 "seed": settings.seed,
             },
         )
         for divisor in divisors
     ]
-    tasks.append(
-        method_task(
-            "continuous",
-            continuous_method,
-            rank=rank,
-            theta=spec.theta,
-            eta=spec.eta,
-            max_events=settings.max_events,
-            fitness_every=settings.fitness_every,
-            seed=settings.seed,
-            batched=settings.batched,
-            relaxed=settings.relaxed,
-        )
+    result = run_sweep(
+        settings, [("continuous", continuous_method, {})], extra_tasks=conventional
     )
-    payloads = run_tasks_over_snapshot(
-        stream, coarse_config, initial, tasks, n_workers=settings.n_workers
-    )
-
-    points: list[GranularityPoint] = []
-    for divisor in divisors:
-        payload = payloads[f"conventional@divisor={int(divisor)}"]
-        points.append(
-            GranularityPoint(
-                **{
-                    field.name: payload[field.name]
-                    for field in dataclasses.fields(GranularityPoint)
-                }
-            )
+    fields = [field.name for field in dataclasses.fields(GranularityPoint)]
+    points = [
+        GranularityPoint(
+            **{name: result.extra_payloads[task.key][name] for name in fields}
         )
-    outcome = method_result_from_payload(payloads["continuous"])
+        for task in conventional
+    ]
+    outcome = result.methods["continuous"]
     points.append(
         GranularityPoint(
             family="continuous",
@@ -185,7 +158,7 @@ def run_granularity(
     )
     return GranularityResult(
         dataset=settings.dataset,
-        coarse_period=coarse_config.period,
+        coarse_period=result.window_config.period,
         points=points,
     )
 

@@ -92,8 +92,9 @@ class ExperimentTask:
     checkpoint_subdir:
         Directory under the pool work dir for this task's run checkpoints.
         ``None`` (default) uses ``key``; ``""`` uses the work dir itself —
-        :func:`repro.experiments.runner.run_experiment` uses that to keep the
-        ``<checkpoint_dir>/<method>`` layout identical to sequential runs.
+        :func:`repro.experiments.runner.run_sweep` uses that for a point
+        keyed by its own method name, so a method roster checkpoints at
+        ``<checkpoint_dir>/<method>``.
     """
 
     key: str
@@ -162,7 +163,7 @@ def execute_task(
     experiment builds its coarse scoring window once, not per divisor.
     """
     if task.kind == "method":
-        # Local import: runner imports this module lazily for the same reason.
+        # Local import: runner imports this module.
         from repro.experiments.runner import run_method
 
         params = task.params

@@ -3,16 +3,19 @@
 ``run_method`` replays the same stream of window events against one method —
 a SliceNStitch variant (updated on *every* event) or a conventional baseline
 (updated once per period) — and records fitness checkpoints plus per-update
-timing.  ``run_experiment`` runs a whole roster of methods from an identical
-ALS initialisation and derives relative fitness against the ALS baseline,
-reproducing the protocol of Section VI-A.
+timing.  ``run_sweep`` runs a list of (method, hyper-parameter) points from
+an identical ALS initialisation, reproducing the protocol of Section VI-A;
+every figure experiment builds its replays through it.  ``run_experiment``
+is the sweep of a plain method roster, and ``ExperimentResult`` derives
+relative fitness against the ALS baseline.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from pathlib import Path
+from typing import Any
 
 import numpy as np
 
@@ -27,6 +30,12 @@ from repro.data.datasets import DatasetSpec
 from repro.data.generators import generate_dataset
 from repro.exceptions import ConfigurationError
 from repro.experiments.config import ExperimentSettings
+from repro.experiments.parallel import (
+    ExperimentTask,
+    method_result_from_payload,
+    method_task,
+    run_tasks_over_snapshot,
+)
 from repro.metrics.fitness import relative_fitness
 from repro.metrics.timing import UpdateTimer
 from repro.stream.checkpoint import is_checkpoint, restore_run
@@ -61,13 +70,20 @@ class MethodResult:
 
 @dataclasses.dataclass(slots=True)
 class ExperimentResult:
-    """Results of all methods replayed on one dataset."""
+    """Results of all methods replayed on one dataset.
+
+    ``methods`` is keyed by :func:`run_sweep` point key, which is the method
+    name for :func:`run_experiment`.
+    """
 
     dataset: str
     window_config: WindowConfig
     initial_fitness: float
     methods: dict[str, MethodResult]
     reference: str = "als"
+    extra_payloads: dict[str, dict[str, Any]] = dataclasses.field(
+        default_factory=dict
+    )
 
     def reference_fitness_at(self, time: float) -> float:
         """Fitness of the reference (ALS) as of ``time``.
@@ -438,55 +454,56 @@ def prepare_experiment(
     return stream, spec, window_config, initial.decomposition, initial.fitness
 
 
-def run_experiment(
+def run_sweep(
     settings: ExperimentSettings,
-    methods: Sequence[str],
-    theta: int | None = None,
-    eta: float | None = None,
+    points: Sequence[tuple[str, str, Mapping[str, Any]]],
+    extra_tasks: Sequence[ExperimentTask] = (),
 ) -> ExperimentResult:
-    """Run every method in ``methods`` on the dataset described by ``settings``.
+    """Replay every ``(key, method, overrides)`` point from one shared start.
 
-    With ``settings.n_workers > 1`` the shared preparation (dataset, window,
-    ALS initialisation) still happens once, is persisted as an experiment
-    snapshot, and the per-method replays fan out over worker processes
-    (:mod:`repro.experiments.parallel`).  Results are identical to the
-    sequential run for every method — the replays are deterministic functions
-    of the snapshot — only wall-clock timings differ.  ``n_workers=1`` (the
-    default) runs everything in-process, bit-identically to older releases,
-    and keeps the ``<checkpoint_dir>/<method>`` layout either way.
+    The paper's protocol (Section VI-A): the dataset, the window and the ALS
+    initialisation are prepared once, and every point replays its method
+    from there.  A replay takes R, θ and η from the dataset's Table III
+    values and its event budget and fitness cadence from ``settings``; a
+    point's ``overrides`` may replace only ``theta``, ``eta``, ``max_events``
+    and ``fitness_every`` (any other key is a ``TypeError``).  This is the
+    one place that forwards ``seed``, ``batched``, ``relaxed``,
+    ``checkpoint_events``, ``checkpoint_dir`` (the fan-out work dir),
+    ``resume`` and ``n_workers`` to the replays.
+
+    A point keyed by its own method name checkpoints under
+    ``<checkpoint_dir>/<method>``, any other point under
+    ``<checkpoint_dir>/<key>/<method>``.  ``extra_tasks`` (Fig. 1's
+    conventional-CPD fits) run over the same snapshot; their payloads come
+    back in :attr:`ExperimentResult.extra_payloads`.  The returned
+    ``methods`` maps each point key to its :class:`MethodResult`.
     """
-    # Local import: parallel imports run_method from this module.
-    from repro.experiments.parallel import (
-        method_result_from_payload,
-        method_task,
-        run_tasks_over_snapshot,
-    )
-
     stream, spec, window_config, initial, initial_fitness = prepare_experiment(settings)
+    defaults = {
+        "theta": spec.theta,
+        "eta": spec.eta,
+        "max_events": settings.max_events,
+        "fitness_every": settings.fitness_every,
+    }
     tasks = [
         method_task(
+            key,
             method,
-            method,
+            **{**defaults, **overrides},
             rank=spec.rank,
-            theta=spec.theta if theta is None else theta,
-            eta=spec.eta if eta is None else eta,
-            max_events=settings.max_events,
-            fitness_every=settings.fitness_every,
             seed=settings.seed,
             batched=settings.batched,
             relaxed=settings.relaxed,
             checkpoint_events=settings.checkpoint_events,
-            # Keep run checkpoints at <checkpoint_dir>/<method>, the
-            # sequential layout, so runs interoperate across n_workers.
-            checkpoint_subdir="",
+            checkpoint_subdir="" if key == method else None,
         )
-        for method in methods
+        for key, method, overrides in points
     ]
     payloads = run_tasks_over_snapshot(
         stream,
         window_config,
         initial,
-        tasks,
+        [*tasks, *extra_tasks],
         n_workers=settings.n_workers,
         work_dir=settings.checkpoint_dir,
         resume=settings.resume,
@@ -498,12 +515,25 @@ def run_experiment(
             "initial_fitness": initial_fitness,
         },
     )
-    results = {
-        method: method_result_from_payload(payloads[method]) for method in methods
-    }
     return ExperimentResult(
         dataset=settings.dataset,
         window_config=window_config,
         initial_fitness=initial_fitness,
-        methods=results,
+        methods={
+            task.key: method_result_from_payload(payloads[task.key])
+            for task in tasks
+        },
+        extra_payloads={task.key: payloads[task.key] for task in extra_tasks},
     )
+
+
+def run_experiment(
+    settings: ExperimentSettings, methods: Sequence[str]
+) -> ExperimentResult:
+    """Run every method in ``methods`` on the dataset described by ``settings``.
+
+    One :func:`run_sweep` point per method, keyed by the method name, so
+    run checkpoints sit at ``<checkpoint_dir>/<method>`` whatever
+    ``settings.n_workers`` is.
+    """
+    return run_sweep(settings, [(method, method, {}) for method in methods])

@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.experiments.config import ExperimentSettings
 from repro.experiments.reporting import format_table
-from repro.experiments.runner import prepare_experiment
+from repro.experiments.runner import run_sweep
 
 
 @dataclasses.dataclass(slots=True)
@@ -47,44 +47,26 @@ def run_scalability(
 ) -> ScalabilityResult:
     """Run the Fig. 6 experiment on one dataset.
 
-    Every (method, event-count) replay is an independent task over one
-    prepared snapshot; ``settings.n_workers > 1`` fans them out over worker
-    processes.  Total update time is accumulated inside each worker, so the
-    series keeps its meaning under fan-out.
+    One :func:`~repro.experiments.runner.run_sweep` point per (method, event
+    count), each with a single fitness sample at its end.  Total update time
+    is accumulated inside each replay, so the series keeps its meaning when
+    ``settings.n_workers > 1`` fans the points out.
     """
-    from repro.experiments.parallel import (
-        method_result_from_payload,
-        method_task,
-        run_tasks_over_snapshot,
-    )
-
     settings = settings or ExperimentSettings()
-    stream, spec, window_config, initial, _ = prepare_experiment(settings)
-    tasks = [
-        method_task(
+    points = [
+        (
             f"{method}@events={int(count)}",
             method,
-            rank=spec.rank,
-            theta=spec.theta,
-            eta=spec.eta,
-            max_events=int(count),
-            fitness_every=max(int(count), 1),  # single fitness sample at the end
-            seed=settings.seed,
-            batched=settings.batched,
-            relaxed=settings.relaxed,
+            {"max_events": int(count), "fitness_every": max(int(count), 1)},
         )
         for count in event_counts
         for method in methods
     ]
-    payloads = run_tasks_over_snapshot(
-        stream, window_config, initial, tasks, n_workers=settings.n_workers
-    )
+    results = run_sweep(settings, points).methods
     total_seconds: dict[str, list[float]] = {method: [] for method in methods}
     for count in event_counts:
         for method in methods:
-            outcome = method_result_from_payload(
-                payloads[f"{method}@events={int(count)}"]
-            )
+            outcome = results[f"{method}@events={int(count)}"]
             total_seconds[method].append(outcome.total_update_seconds)
     return ScalabilityResult(
         dataset=settings.dataset,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 from collections.abc import Sequence
+from pathlib import Path
 
 from repro.experiments.config import (
     DEFAULT_CONTINUOUS_METHODS,
@@ -57,30 +58,35 @@ class SpeedFitnessResult:
 
 
 def run_speed_fitness(
+    settings: ExperimentSettings | None = None,
     datasets: Sequence[str] = ("divvy_bikes", "chicago_crime", "nyc_taxi", "ride_austin"),
     methods: Sequence[str] | None = None,
-    settings_overrides: dict[str, object] | None = None,
-    n_workers: int | None = None,
 ) -> SpeedFitnessResult:
     """Run the Fig. 5 experiment across datasets.
 
-    ``n_workers`` (or an ``n_workers`` key in ``settings_overrides``) fans
-    each dataset's method roster out over worker processes; the per-method
-    update timings are measured inside the workers and stay comparable.
+    Every dataset runs with ``settings``, its ``dataset`` replaced.  With
+    ``settings.checkpoint_dir`` set, each dataset's run state goes to its
+    own ``<checkpoint_dir>/<dataset>/<method>``, so a ``resume`` continues
+    each dataset from its own checkpoints.
     """
+    settings = settings or ExperimentSettings()
     if methods is None:
         methods = list(DEFAULT_CONTINUOUS_METHODS) + list(DEFAULT_PERIODIC_METHODS)
     else:
         methods = list(methods)
     if "als" not in methods:
         methods.append("als")
-    overrides = dict(settings_overrides or {})
-    if n_workers is not None:
-        overrides["n_workers"] = n_workers
     experiments: dict[str, ExperimentResult] = {}
     for dataset in datasets:
-        settings = ExperimentSettings(dataset=dataset, **overrides)  # type: ignore[arg-type]
-        experiments[dataset] = run_experiment(settings, methods)
+        checkpoint_dir = settings.checkpoint_dir
+        if checkpoint_dir is not None:
+            checkpoint_dir = str(Path(checkpoint_dir) / dataset)
+        experiments[dataset] = run_experiment(
+            dataclasses.replace(
+                settings, dataset=dataset, checkpoint_dir=checkpoint_dir
+            ),
+            methods,
+        )
     return SpeedFitnessResult(experiments=experiments, methods=methods)
 
 

@@ -13,7 +13,7 @@ from collections.abc import Sequence
 
 from repro.experiments.config import ExperimentSettings
 from repro.experiments.reporting import format_table
-from repro.experiments.runner import prepare_experiment
+from repro.experiments.runner import run_sweep
 from repro.metrics.fitness import relative_fitness
 
 
@@ -34,49 +34,23 @@ def run_theta_sweep(
 ) -> ThetaSweepResult:
     """Run the Fig. 7 sweep on one dataset.
 
-    Every (method, θ) replay — and the shared ALS reference — is an
-    independent task over one prepared snapshot; ``settings.n_workers > 1``
-    fans them out over worker processes with identical results.
+    One :func:`~repro.experiments.runner.run_sweep` point per (method, θ),
+    plus the ALS reference once (θ does not affect it).
     """
-    from repro.experiments.parallel import (
-        method_result_from_payload,
-        method_task,
-        run_tasks_over_snapshot,
-    )
-
     settings = settings or ExperimentSettings()
-    stream, spec, window_config, initial, _ = prepare_experiment(settings)
-    thetas = sorted({max(int(round(spec.theta * f)), 1) for f in fractions})
-    shared = dict(
-        rank=spec.rank,
-        max_events=settings.max_events,
-        fitness_every=settings.fitness_every,
-        seed=settings.seed,
-        batched=settings.batched,
-        relaxed=settings.relaxed,
-    )
-    # ALS reference run once (θ does not affect it).
-    tasks = [method_task("als", "als", **shared)]
-    for theta in thetas:
-        for method in methods:
-            tasks.append(
-                method_task(
-                    f"{method}@theta={theta}",
-                    method,
-                    theta=theta,
-                    eta=spec.eta,
-                    **shared,
-                )
-            )
-    payloads = run_tasks_over_snapshot(
-        stream, window_config, initial, tasks, n_workers=settings.n_workers
-    )
-    reference = method_result_from_payload(payloads["als"])
+    thetas = sorted({max(int(round(settings.spec.theta * f)), 1) for f in fractions})
+    points = [("als", "als", {})] + [
+        (f"{method}@theta={theta}", method, {"theta": theta})
+        for theta in thetas
+        for method in methods
+    ]
+    results = run_sweep(settings, points).methods
+    reference = results["als"]
     rel: dict[str, list[float]] = {method: [] for method in methods}
     micro: dict[str, list[float]] = {method: [] for method in methods}
     for theta in thetas:
         for method in methods:
-            outcome = method_result_from_payload(payloads[f"{method}@theta={theta}"])
+            outcome = results[f"{method}@theta={theta}"]
             rel[method].append(
                 relative_fitness(outcome.average_fitness, reference.average_fitness)
             )

@@ -38,6 +38,7 @@ its last checkpoint.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from collections.abc import Mapping, Sequence
@@ -224,6 +225,12 @@ class StreamSession:
         Returns the number of events applied.
         """
         to_time = float(to_time)
+        if not math.isfinite(to_time):
+            raise ServiceError(
+                "bad_request",
+                f"cannot advance stream {self.stream_id!r} to {to_time}: "
+                "the time must be finite",
+            )
         if not self.is_live:
             raise ServiceError(
                 "conflict",

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import math
 
 from repro.exceptions import ShapeError
 
@@ -46,6 +47,14 @@ class StreamRecord:
             raise ShapeError(f"negative categorical index in {self.indices}")
         object.__setattr__(self, "value", float(self.value))
         object.__setattr__(self, "time", float(self.time))
+        # NaN and Infinity parse from JSON.  A NaN time compares false
+        # against every event and drains the whole schedule at once, an
+        # infinite one freezes the clock, and a NaN value poisons the fit.
+        if not (math.isfinite(self.value) and math.isfinite(self.time)):
+            raise ShapeError(
+                f"record value and time must be finite, got value "
+                f"{self.value} at time {self.time}"
+            )
 
 
 class EventKind(enum.Enum):

@@ -367,6 +367,7 @@ class ContinuousStreamProcessor:
         max_events:
             Stop after this many events.
         """
+        _check_end_time(end_time)
         if self._iterating:
             raise ConcurrentIterationError(
                 "another events()/iter_batches() iteration is already active "
@@ -482,15 +483,15 @@ class ContinuousStreamProcessor:
             the tensor-unit period ``T``.  ``0.0`` groups only simultaneous
             events.
         """
-        window_length = self._config.window_length
-        period = self._config.period
         if batch_window is None:
-            batch_window = period
+            batch_window = self._config.period
         batch_window = float(batch_window)
-        if batch_window < 0.0:
+        # Negated so that NaN, which compares false, is refused too.
+        if not batch_window >= 0.0:
             raise ConfigurationError(
                 f"batch_window must be >= 0, got {batch_window}"
             )
+        _check_end_time(end_time)
         if self._iterating:
             raise ConcurrentIterationError(
                 "another events()/iter_batches() iteration is already active "
@@ -633,6 +634,12 @@ class ContinuousStreamProcessor:
                 model.update_batch(batch)
             count += batch.n_events
         return count
+
+
+def _check_end_time(end_time: float | None) -> None:
+    """Refuse a NaN drain limit: it compares false, so it would mean no limit."""
+    if end_time is not None and math.isnan(end_time):
+        raise ConfigurationError("end_time must not be NaN")
 
 
 def bootstrap_window(

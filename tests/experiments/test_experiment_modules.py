@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.anomaly.detector import SCOREBOARD_SIZE
+from repro.data.datasets import get_dataset_spec
 from repro.exceptions import ConfigurationError
 from repro.experiments import anomaly_experiment, runner
 from repro.experiments.anomaly_experiment import (
@@ -30,6 +31,7 @@ from repro.experiments.granularity import format_granularity, run_granularity
 from repro.experiments.scalability import format_scalability, run_scalability
 from repro.experiments.speed_fitness import format_speed_fitness, run_speed_fitness
 from repro.experiments.theta_sweep import format_theta_sweep, run_theta_sweep
+from repro.stream.checkpoint import is_checkpoint
 
 TINY = ExperimentSettings(
     dataset="chicago_crime", scale=0.08, max_events=200, n_checkpoints=4,
@@ -65,10 +67,9 @@ class TestFitnessOverTime:
 class TestSpeedFitness:
     def test_single_dataset_roster(self):
         result = run_speed_fitness(
+            TINY,
             datasets=("chicago_crime",),
             methods=["sns_rnd_plus", "als"],
-            settings_overrides={"scale": 0.08, "max_events": 200,
-                                "n_checkpoints": 4, "als_iterations": 3},
         )
         rows = result.rows()
         assert len(rows) == 2
@@ -80,6 +81,29 @@ class TestSpeedFitness:
         speedup = result.speedup_over_fastest_baseline("chicago_crime", "sns_rnd_plus")
         assert speedup > 0 or math.isnan(speedup)
         assert "Fig. 5" in format_speed_fitness(result)
+
+    def test_each_dataset_checkpoints_and_resumes_on_its_own(self, tmp_path):
+        settings = dataclasses.replace(TINY, max_events=60, n_checkpoints=3)
+        methods = ["sns_vec_plus", "als"]
+        run_speed_fitness(
+            dataclasses.replace(settings, checkpoint_dir=str(tmp_path)),
+            datasets=("divvy_bikes", "chicago_crime"),
+            methods=methods,
+        )
+        for dataset in ("divvy_bikes", "chicago_crime"):
+            assert is_checkpoint(tmp_path / dataset / "sns_vec_plus")
+        resumed = run_speed_fitness(
+            dataclasses.replace(
+                settings, checkpoint_dir=str(tmp_path), resume=True
+            ),
+            datasets=("divvy_bikes",),
+            methods=methods,
+        )
+        fresh = run_speed_fitness(settings, datasets=("divvy_bikes",), methods=methods)
+        assert (
+            resumed.experiments["divvy_bikes"].methods["sns_vec_plus"].fitness_series
+            == fresh.experiments["divvy_bikes"].methods["sns_vec_plus"].fitness_series
+        )
 
 
 class TestScalability:
@@ -192,3 +216,91 @@ class TestRelaxedForwarding:
             self.RELAXED, methods=("sns_rnd_plus",), n_anomalies=4, replay_periods=2
         )
         self.assert_relaxed(built_configs)
+
+
+class _Captured(Exception):
+    """Stops an experiment once its replay tasks are built."""
+
+
+class TestKnobForwarding:
+    """Every figure experiment hands every settings knob to every replay."""
+
+    SWEEPS = {
+        "fig1": (lambda s: run_granularity(s, divisors=(2,), als_iterations=2), {}),
+        "fig4": (lambda s: run_fitness_over_time(s, methods=["sns_vec", "als"]), {}),
+        "fig5": (
+            lambda s: run_speed_fitness(
+                s, datasets=("divvy_bikes",), methods=["sns_vec"]
+            ),
+            {},
+        ),
+        "fig6": (
+            lambda s: run_scalability(s, methods=("sns_vec",), event_counts=(50,)),
+            {"max_events": 50, "fitness_every": 50},
+        ),
+        "fig7": (
+            lambda s: run_theta_sweep(s, methods=("sns_rnd",), fractions=(0.25,)),
+            {"theta": 5},
+        ),
+        "fig8": (
+            lambda s: run_eta_sweep(s, methods=("sns_vec_plus",), etas=(32.0,)),
+            {"eta": 32.0},
+        ),
+    }
+
+    @pytest.mark.parametrize("figure", sorted(SWEEPS))
+    def test_every_replay_task_carries_every_knob(
+        self, figure, tmp_path, monkeypatch
+    ):
+        settings = ExperimentSettings(
+            dataset="chicago_crime",
+            scale=0.08,
+            max_events=120,
+            n_checkpoints=3,
+            als_iterations=2,
+            seed=7,
+            batched=True,
+            relaxed=True,
+            checkpoint_dir=str(tmp_path),
+            checkpoint_events=40,
+            resume=True,
+            n_workers=2,
+        )
+        for field in dataclasses.fields(ExperimentSettings):
+            assert getattr(settings, field.name) != field.default, field.name
+        calls = []
+
+        def capture(stream, window_config, initial, tasks, **kwargs):
+            calls.append((tasks, kwargs))
+            raise _Captured
+
+        monkeypatch.setattr(runner, "run_tasks_over_snapshot", capture)
+        experiment, swept = self.SWEEPS[figure]
+        with pytest.raises(_Captured):
+            experiment(settings)
+        [(tasks, kwargs)] = calls
+        dataset = "divvy_bikes" if figure == "fig5" else settings.dataset
+        work_dir = tmp_path / dataset if figure == "fig5" else tmp_path
+        assert kwargs == {
+            "n_workers": 2,
+            "work_dir": str(work_dir),
+            "resume": True,
+            "extra": kwargs["extra"],
+        }
+        spec = get_dataset_spec(dataset)
+        replays = [task for task in tasks if task.kind == "method"]
+        assert replays
+        for task in replays:
+            point = swept if task.params["method"] != "als" else {}
+            assert task.params == {
+                "method": task.params["method"],
+                "rank": spec.rank,
+                "theta": point.get("theta", spec.theta),
+                "eta": point.get("eta", spec.eta),
+                "max_events": point.get("max_events", 120),
+                "fitness_every": point.get("fitness_every", 40),
+                "seed": 7,
+                "batched": True,
+                "relaxed": True,
+                "checkpoint_events": 40,
+            }, task.key

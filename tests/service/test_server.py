@@ -21,7 +21,13 @@ from repro.service.manager import ServiceManager
 from repro.service.server import StreamingServer
 from repro.service.session import StreamSession
 
-from helpers import live_chunks, tiny_config, warm_records, wire_records
+from helpers import (
+    live_chunks,
+    make_records,
+    tiny_config,
+    warm_records,
+    wire_records,
+)
 
 
 def sequential_reference(warm, chunks) -> StreamSession:
@@ -187,6 +193,60 @@ class TestOps:
         assert f"0..{SCOREBOARD_SIZE}" in refused["message"]
         assert deepest["ok"] and deepest["k"] == SCOREBOARD_SIZE
         assert default["ok"] and default["k"] == 20
+
+
+class TestNonFiniteInput:
+    """NaN and Infinity parse from JSON; neither may reach a live window."""
+
+    @pytest.mark.parametrize(
+        "request_fields",
+        [
+            {"op": "ingest", "records": [[[1, 2], 1.0, float("nan")]]},
+            {"op": "ingest", "records": [[[1, 2], 1.0, float("inf")]]},
+            {"op": "ingest", "records": [[[1, 2], float("nan"), 21.0]]},
+            {"op": "advance", "time": float("nan")},
+            {"op": "advance", "time": float("inf")},
+        ],
+        ids=["nan-time", "inf-time", "nan-value", "advance-nan", "advance-inf"],
+    )
+    def test_is_refused_with_the_window_and_clock_unchanged(self, request_fields):
+        config = tiny_config(mode_sizes=(8, 6), window_length=4)
+        warm = make_records(40, start=0.0, spacing=0.5, seed=1, mode_sizes=(8, 6))
+
+        def state(server):
+            processor = server.manager.get("s")._processor
+            return (
+                processor.window.tensor.nnz,
+                len(processor._scheduler),
+                server.manager.get("s").clock,
+            )
+
+        async def scenario():
+            server = StreamingServer(ServiceManager(ServiceConfig()))
+            await dispatch(
+                server, "create_stream", stream="s", config=config.to_dict()
+            )
+            await dispatch(server, "ingest", stream="s", records=wire_records(warm))
+            await dispatch(server, "start_stream", stream="s")
+            before = state(server)
+            line = json.dumps({**request_fields, "stream": "s"}).encode() + b"\n"
+            response = await server._dispatch_safely(line)
+            flush = await dispatch(server, "flush", stream="s")
+            after = state(server)
+            await server.stop()
+            return before, response, flush, after
+
+        before, response, flush, after = asyncio.run(scenario())
+        nnz, scheduled, _ = before
+        assert nnz > 0 and scheduled > 0
+        assert after == before
+        if request_fields["op"] == "ingest":
+            assert not response["ok"] and response["error"] == "bad_request"
+            assert "finite" in response["message"]
+        else:  # an advance is queued; its refusal surfaces at the flush
+            assert response["ok"]
+            [error] = flush["deferred_errors"]
+            assert error.startswith("bad_request") and "finite" in error
 
 
 class TestConcurrentTenants:

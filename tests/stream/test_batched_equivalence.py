@@ -281,7 +281,18 @@ def test_apply_batch_validates_untrusted_batches():
     assert window.tensor.get((0, 1)) == 1.0
 
 
-def test_iter_batches_rejects_negative_batch_window():
+@pytest.mark.parametrize(
+    ("drain", "kwargs"),
+    [
+        ("iter_batches", {"batch_window": -1.0}),
+        # NaN compares false against every event time, so it would drain
+        # the whole schedule into one batch / mean "no end".
+        ("iter_batches", {"batch_window": float("nan")}),
+        ("iter_batches", {"end_time": float("nan")}),
+        ("events", {"end_time": float("nan")}),
+    ],
+)
+def test_drains_reject_invalid_arguments(drain, kwargs):
     from repro.exceptions import ConfigurationError
 
     records = [StreamRecord(indices=(0,), value=1.0, time=float(t)) for t in range(4)]
@@ -289,4 +300,6 @@ def test_iter_batches_rejects_negative_batch_window():
     config = WindowConfig(mode_sizes=(2,), window_length=2, period=1.0)
     processor = ContinuousStreamProcessor(stream, config)
     with pytest.raises(ConfigurationError):
-        next(processor.iter_batches(batch_window=-1.0))
+        next(getattr(processor, drain)(**kwargs))
+    assert processor.n_events_emitted == 0
+    assert processor.run() == 6  # the refused call consumed nothing

@@ -5,6 +5,16 @@ from __future__ import annotations
 import pytest
 
 from repro.cli import EXPERIMENTS, _settings, build_parser, main, run
+from repro.stream.checkpoint import is_checkpoint
+
+
+def fitness_columns(report: str, n_columns: int) -> list[list[str]]:
+    """The first ``n_columns`` cells of every table row in ``report``."""
+    return [
+        [cell.strip() for cell in line.split("|")[:n_columns]]
+        for line in report.splitlines()
+        if "|" in line
+    ]
 
 
 class TestParser:
@@ -97,3 +107,37 @@ class TestCheckpointResumeEndToEnd:
                     "--resume", *checkpoint_args]
         )
         assert resumed == uninterrupted
+
+    @pytest.mark.parametrize(
+        ("experiment", "methods", "n_points", "n_fitness_columns"),
+        [
+            # fig7's fourth column is wall-clock update time.
+            ("fig7", ("sns_rnd", "sns_rnd_plus"), 5, 3),
+            ("fig8", ("sns_vec_plus", "sns_rnd_plus"), 6, 3),
+        ],
+    )
+    def test_sweep_checkpoints_every_point_and_resumes_exactly(
+        self, tmp_path, experiment, methods, n_points, n_fitness_columns
+    ):
+        base = [experiment, "--dataset", "chicago_crime", "--scale", "0.08",
+                "--seed", "1"]
+        uninterrupted = run(base + ["--max-events", "60",
+                                    "--n-checkpoints", "3"])
+        checkpoint_args = ["--checkpoint-dir", str(tmp_path)]
+        run(base + ["--max-events", "40", "--n-checkpoints", "2",
+                    "--checkpoint-events", "20", *checkpoint_args])
+        # One checkpoint per sweep point, at <dir>/<point>/<method>; the ALS
+        # reference is periodic and keeps none.
+        checkpoints = sorted(
+            path.relative_to(tmp_path).parts
+            for path in tmp_path.glob("*/*")
+            if is_checkpoint(path)
+        )
+        assert len(checkpoints) == n_points * len(methods)
+        assert all(point.startswith(f"{method}@") for point, method in checkpoints)
+        assert {method for _, method in checkpoints} == set(methods)
+        resumed = run(base + ["--max-events", "60", "--n-checkpoints", "3",
+                              "--resume", *checkpoint_args])
+        assert fitness_columns(resumed, n_fitness_columns) == fitness_columns(
+            uninterrupted, n_fitness_columns
+        )
