@@ -38,6 +38,11 @@ EXPERIMENTS = (
     "table3",
 )
 
+#: Defaults of the replay-sizing flags, by argparse dest.  The parser leaves
+#: them ``None`` so that fig9, whose replay length is fixed by its protocol
+#: and which reads none of them, can refuse them when they are given.
+REPLAY_DEFAULTS = {"max_events": 2000, "n_checkpoints": 20, "workers": 1}
+
 
 def build_parser() -> argparse.ArgumentParser:
     """Build the CLI argument parser."""
@@ -55,7 +60,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="synthetic dataset to use (single-dataset experiments)",
     )
     parser.add_argument(
-        "--max-events", type=int, default=2000, help="events replayed after warm-up"
+        "--max-events",
+        type=int,
+        default=None,
+        help="events replayed after warm-up (default 2000; not taken by fig9)",
     )
     parser.add_argument(
         "--scale", type=float, default=0.3, help="dataset size multiplier"
@@ -64,13 +72,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--n-checkpoints",
         type=int,
-        default=20,
+        default=None,
         metavar="N",
         help=(
             "number of fitness samples taken over the replay (the cadence "
             "is max-events / N); keep the implied cadence fixed across an "
             "interrupted run and its --resume continuation to get "
-            "identically-placed samples"
+            "identically-placed samples (default 20; not taken by fig9)"
         ),
     )
     parser.add_argument(
@@ -130,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--workers",
         type=int,
-        default=1,
+        default=None,
         metavar="N",
         help=(
             "worker processes for the experiment fan-out: prepare once, "
@@ -138,10 +146,15 @@ def build_parser() -> argparse.ArgumentParser:
             "method/sweep-point tasks in parallel (results identical to a "
             "sequential run; a killed worker's task resumes from its "
             "crash-recovery checkpoint).  1 (default) runs sequentially "
-            "in-process"
+            "in-process; not taken by fig9"
         ),
     )
     return parser
+
+
+def _replay_flag(args: argparse.Namespace, dest: str) -> int:
+    value = getattr(args, dest)
+    return REPLAY_DEFAULTS[dest] if value is None else value
 
 
 def _settings(args: argparse.Namespace) -> ExperimentSettings:
@@ -150,15 +163,15 @@ def _settings(args: argparse.Namespace) -> ExperimentSettings:
     return ExperimentSettings(
         dataset=args.dataset,
         scale=args.scale,
-        max_events=args.max_events,
-        n_checkpoints=args.n_checkpoints,
+        max_events=_replay_flag(args, "max_events"),
+        n_checkpoints=_replay_flag(args, "n_checkpoints"),
         seed=args.seed,
         batched=args.batched or args.relaxed,
         relaxed=args.relaxed,
         checkpoint_dir=args.checkpoint_dir,
         checkpoint_events=args.checkpoint_events,
         resume=args.resume,
-        n_workers=args.workers,
+        n_workers=_replay_flag(args, "workers"),
     )
 
 
@@ -200,7 +213,15 @@ def run(argv: Sequence[str] | None = None) -> str:
     from repro.experiments.speed_fitness import format_speed_fitness, run_speed_fitness
     from repro.experiments.theta_sweep import format_theta_sweep, run_theta_sweep
 
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.experiment == "fig9":
+        for dest in REPLAY_DEFAULTS:
+            if getattr(args, dest) is not None:
+                parser.error(
+                    f"fig9 does not take --{dest.replace('_', '-')}: it "
+                    "replays a fixed number of periods, sequentially"
+                )
     if args.experiment == "fig1":
         return format_granularity(run_granularity(_settings(args)))
     if args.experiment == "fig4":

@@ -32,10 +32,15 @@ from repro.core.registry import ALGORITHMS, create_algorithm
 from repro.als.als import decompose
 from repro.experiments.config import ExperimentSettings
 from repro.experiments.reporting import format_table
-from repro.experiments.runner import method_kind, method_label
+from repro.experiments.runner import (
+    method_kind,
+    method_label,
+    restore_checked_run,
+    stream_fingerprint,
+)
 from repro.data.generators import generate_dataset
 from repro.exceptions import ConfigurationError, DataGenerationError
-from repro.stream.checkpoint import is_checkpoint, restore_run
+from repro.stream.checkpoint import is_checkpoint
 from repro.stream.events import EventKind
 from repro.stream.processor import ContinuousStreamProcessor
 from repro.stream.window import WindowConfig
@@ -216,19 +221,9 @@ def _run_continuous(
         and settings.resume
         and is_checkpoint(checkpoint_path)
     ):
-        processor, model, saved = restore_run(checkpoint_path)
-        if model is None or model.name != method:
-            raise ConfigurationError(
-                f"checkpoint at {checkpoint_path} does not hold a "
-                f"{method!r} model"
-            )
-        if dataclasses.asdict(config) != dataclasses.asdict(model.config):
-            raise ConfigurationError(
-                f"checkpoint at {checkpoint_path} was taken with different "
-                "hyper-parameters; rerun with the original settings or start "
-                "a fresh checkpoint directory"
-            )
-        saved = saved or {}
+        processor, model, saved = restore_checked_run(
+            checkpoint_path, stream, window_config, method, config
+        )
         n_events = int(saved.get("n_events", 0))
         if "detector" in saved:
             detector = ZScoreDetector.from_state(saved["detector"])
@@ -247,7 +242,11 @@ def _run_continuous(
         processor.save_checkpoint(
             checkpoint_path,
             model=model,
-            extra={"n_events": n_events, "detector": detector.state_dict()},
+            extra={
+                "stream": stream_fingerprint(stream),
+                "n_events": n_events,
+                "detector": detector.state_dict(),
+            },
         )
 
     checkpoint_events = settings.checkpoint_events

@@ -71,9 +71,6 @@ FAULT_EXIT_CODE = 70
 #: genuine resume path.  Never set outside tests / the CI smoke job.
 FAULT_ENV = "REPRO_PARALLEL_FAIL"
 
-#: Environment override for the multiprocessing start method.
-START_METHOD_ENV = "REPRO_PARALLEL_START_METHOD"
-
 
 @dataclasses.dataclass(frozen=True)
 class ExperimentTask:
@@ -296,14 +293,13 @@ def _worker_main(
 # Pool scheduler
 # ----------------------------------------------------------------------
 def _resolve_start_method(start_method: str | None) -> str:
-    requested = start_method or os.environ.get(START_METHOD_ENV)
     available = multiprocessing.get_all_start_methods()
-    if requested is not None:
-        if requested not in available:
+    if start_method is not None:
+        if start_method not in available:
             raise ConfigurationError(
-                f"start method {requested!r} not available (have {available})"
+                f"start method {start_method!r} not available (have {available})"
             )
-        return requested
+        return start_method
     # fork is dramatically cheaper (no per-worker re-import of numpy); the
     # workers are spawn-safe regardless, so platforms without fork still work.
     return "fork" if "fork" in available else "spawn"
@@ -395,8 +391,9 @@ def run_tasks(
                     result_path.unlink()
                 if not resume and failures[task.key] == 0:
                     _clear_stale_task_state(root, task, result_path)
+                # Not created here: a method task's checkpoint write makes
+                # its own parents, and the other tasks never checkpoint.
                 checkpoint_dir = _task_checkpoint_dir(root, task)
-                checkpoint_dir.mkdir(parents=True, exist_ok=True)
                 process = context.Process(
                     target=_worker_main,
                     args=(

@@ -142,6 +142,63 @@ def method_label(name: str) -> str:
     return baseline_display_name(name)
 
 
+def stream_fingerprint(stream: MultiAspectStream) -> dict[str, Any]:
+    """What a run checkpoint records of the stream it replays.
+
+    The record count and the first and last record times: two datasets, or
+    two scales of one dataset, with the same window shape differ here.
+    """
+    return {
+        "n_records": len(stream),
+        "first_time": stream.start_time,
+        "last_time": stream.end_time,
+    }
+
+
+def restore_checked_run(
+    path: Path,
+    stream: MultiAspectStream,
+    window_config: WindowConfig,
+    method: str,
+    config: SNSConfig,
+) -> tuple[ContinuousStreamProcessor, Any, dict[str, Any]]:
+    """Restore a run checkpoint to resume, refusing one of another run.
+
+    ``restore_run`` brings back the checkpoint's own window, stream and
+    model, so continuing a checkpoint taken on other settings would report
+    that run under this one's name.  The checkpoint must hold a ``method``
+    model built with ``config``, a window configured as ``window_config``
+    and — when its ``extra`` payload records one — the
+    :func:`stream_fingerprint` of ``stream``.  Returns ``(processor, model,
+    extra)``, with ``extra`` an empty dict when the checkpoint saved none.
+    """
+    processor, model, saved = restore_run(path)
+    if model is None or model.name != method:
+        raise ConfigurationError(
+            f"checkpoint at {path} does not hold a {method!r} model"
+        )
+    saved = saved or {}
+    requested = dataclasses.asdict(config)
+    recorded = dataclasses.asdict(model.config)
+    mismatched = sorted(
+        key for key, value in requested.items() if value != recorded[key]
+    )
+    if processor.config != window_config:
+        mismatched.append("window_config")
+    # Checkpoints saved before the fingerprint existed are checked on the
+    # window configuration only.
+    fingerprint = saved.get("stream")
+    if fingerprint is not None and fingerprint != stream_fingerprint(stream):
+        mismatched.append("stream")
+    if mismatched:
+        raise ConfigurationError(
+            f"checkpoint at {path} was taken on a different run (differs in "
+            f"{mismatched}); rerun with the original settings or start a "
+            "fresh checkpoint directory"
+        )
+    return processor, model, saved
+
+
 def run_method(
     stream: MultiAspectStream,
     window_config: WindowConfig,
@@ -227,36 +284,13 @@ def run_method(
     n_events = 0
     model = None
     if checkpoint_path is not None and resume and is_checkpoint(checkpoint_path):
-        processor, model, saved = restore_run(checkpoint_path)
-        if model is None or model.name != method:
-            raise ConfigurationError(
-                f"checkpoint at {checkpoint_path} does not hold a "
-                f"{method!r} model"
-            )
-        # The restored model was rebuilt from its *saved* hyper-parameters;
-        # silently continuing under different requested ones would label the
-        # run with settings it never used.
-        requested = SNSConfig(
-            rank=rank,
-            theta=theta,
-            eta=eta,
-            seed=seed,
-            relaxed=relaxed,
+        processor, model, saved = restore_checked_run(
+            checkpoint_path,
+            stream,
+            window_config,
+            method,
+            SNSConfig(rank=rank, theta=theta, eta=eta, seed=seed, relaxed=relaxed),
         )
-        requested_dict = dataclasses.asdict(requested)
-        saved_dict = dataclasses.asdict(model.config)
-        if requested_dict != saved_dict:
-            mismatched = sorted(
-                key
-                for key, value in requested_dict.items()
-                if value != saved_dict[key]
-            )
-            raise ConfigurationError(
-                f"checkpoint at {checkpoint_path} was taken with different "
-                f"hyper-parameters (differs in {mismatched}); rerun with the "
-                "original settings or start a fresh checkpoint directory"
-            )
-        saved = saved or {}
         n_events = int(saved.get("n_events", 0))
         checkpoint_times = [float(t) for t in saved.get("fitness_times", [])]
         fitness_series = [float(f) for f in saved.get("fitness_values", [])]
@@ -300,6 +334,7 @@ def run_method(
             checkpoint_path,
             model=model,
             extra={
+                "stream": stream_fingerprint(stream),
                 "n_events": n_events,
                 "fitness_times": checkpoint_times,
                 "fitness_values": fitness_series,

@@ -12,26 +12,29 @@ against a :class:`~repro.stream.window.TensorWindow`:
    event schedules the record's next event ``T`` time units later, exactly as
    in Algorithm 1, so each record causes ``W + 1`` events in total.
 
-The :meth:`ContinuousStreamProcessor.events` generator yields
-``(event, delta)`` pairs in chronological order *after* applying the delta to
-the window, so consumers always observe the up-to-date window ``X + ΔX``
-together with the change ``ΔX`` — the exact inputs of Problem 2.
+One method, :meth:`ContinuousStreamProcessor._drain_group`, pops events off
+the schedule in that order and builds their ``ΔX`` as a
+:class:`~repro.stream.deltas.DeltaBatch`; both engines are views of it.
 
-Batched engine
---------------
-:meth:`ContinuousStreamProcessor.iter_batches` is the high-throughput
-counterpart of :meth:`events`: it drains every event inside a batch window
-(arrivals, shifts, and expiries between consecutive update points) from the
-scheduler in one pull and coalesces their entry changes into a single
-:class:`~repro.stream.deltas.DeltaBatch`.  :meth:`run_batched` consumes those
-batches, either scattering them straight into the window (pure replay) or
-handing them to a model's ``update_batch``.  Both paths are *exactly*
-equivalent to the per-event path: windows end up bit-identical and models see
-the same per-event semantics (see ``tests/stream/test_batched_equivalence``).
+* :meth:`ContinuousStreamProcessor.iter_batches` (and :meth:`run_batched`)
+  drains every event inside a batch window — arrivals, shifts and expiries
+  between consecutive update points — in one pull, and leaves applying the
+  batch to the consumer: one scatter into the window (pure replay) or a
+  model's ``update_batch``.
+* :meth:`ContinuousStreamProcessor.events` (and :meth:`run`) drains batches
+  of one and yields ``(event, delta)`` pairs *after* applying the delta to
+  the window, so consumers always observe the up-to-date window ``X + ΔX``
+  together with the change ``ΔX`` — the exact inputs of Problem 2.
+
+Windows and models end up bit-identical on both engines (see
+``tests/stream/test_batched_equivalence``, which checks both against the
+reference loop in ``benchmarks/reference_drain.py``).
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import math
 from collections.abc import Iterator, Sequence
 from heapq import heappop, heappush
@@ -98,11 +101,6 @@ class ContinuousStreamProcessor:
         self._n_events_emitted = 0
         self._future_records: list[StreamRecord] = []
         self._iterating = False
-        # Step -> event kind, precomputed once; both event paths use it.
-        self._kind_by_step: tuple[EventKind, ...] = tuple(
-            WindowEvent.kind_for_step(step, config.window_length)
-            for step in range(config.window_length + 1)
-        )
         # The stream is read once here and not kept: its records live on in
         # the window, the scheduler and the pending records.
         self._bootstrap(stream)
@@ -117,6 +115,15 @@ class ContinuousStreamProcessor:
     # ------------------------------------------------------------------
     # Properties
     # ------------------------------------------------------------------
+    @functools.cached_property
+    def _kind_by_step(self) -> tuple[EventKind, ...]:
+        """Step -> event kind, built once per processor."""
+        window_length = self._config.window_length
+        return tuple(
+            WindowEvent.kind_for_step(step, window_length)
+            for step in range(window_length + 1)
+        )
+
     @property
     def window(self) -> TensorWindow:
         """The tensor window, kept up to date as events are emitted."""
@@ -298,10 +305,6 @@ class ContinuousStreamProcessor:
         processor._n_events_emitted = int(n_events_emitted)
         processor._future_records = list(future_records)
         processor._iterating = False
-        processor._kind_by_step = tuple(
-            WindowEvent.kind_for_step(step, config.window_length)
-            for step in range(config.window_length + 1)
-        )
         if ingest_horizon is None:
             ingest_horizon = (
                 future_records[0].time if future_records else start_time
@@ -351,6 +354,102 @@ class ContinuousStreamProcessor:
     # ------------------------------------------------------------------
     # Event generation
     # ------------------------------------------------------------------
+    @contextlib.contextmanager
+    def _exclusive_drain(self) -> Iterator[None]:
+        """Hold the processor's one drain for an events()/iter_batches() run."""
+        if self._iterating:
+            raise ConcurrentIterationError(
+                "another events()/iter_batches() iteration is already active "
+                "on this processor; a concurrent drain would corrupt the "
+                "scheduler heap — exhaust or close the active iterator first"
+            )
+        self._iterating = True
+        try:
+            yield
+        finally:
+            self._iterating = False
+
+    def _drain_group(
+        self, end_time: float | None, budget: int | None, batch_window: float
+    ) -> DeltaBatch | None:
+        """Pop the next group of events off the schedule as one batch.
+
+        The group starts at the next due event and takes, in Algorithm 1's
+        order, every event that fires within ``batch_window`` of it and not
+        after ``end_time`` — at most ``budget`` of them (``None``: no cap).
+        Each popped event schedules its record's next one as the group is
+        drained, so chains within a group are respected.  Returns ``None``
+        when no event is due by ``end_time``.
+        """
+        first_time = self.next_event_time
+        if first_time is None or (end_time is not None and first_time > end_time):
+            # Stop *before* touching any state (no sequence number taken),
+            # so that resuming with a later end_time numbers simultaneous
+            # events exactly as an uninterrupted run does.
+            return None
+        group_end = first_time + batch_window
+        if end_time is not None and end_time < group_end:
+            group_end = end_time
+        window_length = self._config.window_length
+        period = self._config.period
+        records = self._future_records
+        kind_by_step = self._kind_by_step
+        arrival_kind = EventKind.ARRIVAL
+        newest_unit = window_length - 1
+        raw_events: list[tuple[float, int, EventKind, StreamRecord, int]] = []
+        coordinates: list[tuple[int, ...]] = []
+        values: list[float] = []
+        append_event = raw_events.append
+        append_coordinate = coordinates.append
+        append_value = values.append
+        # Inlined drain: operate on the raw heap and a local sequence
+        # counter (handed back below) to avoid per-event method calls.
+        heap, sequence = self._scheduler.begin_drain()
+        while budget is None or len(raw_events) < budget:
+            # Scheduled (shift/expiry) events win ties against new arrivals
+            # so old mass has moved before a simultaneous new arrival is
+            # applied.
+            if heap and (not records or heap[0][0] <= records[-1].time):
+                if heap[0][0] > group_end:
+                    break
+                entry = heappop(heap)
+                record = entry[3]
+                step = entry[4]
+            elif records and records[-1].time <= group_end:
+                record = records.pop()
+                step = 0
+                entry = (record.time, sequence, arrival_kind, record, 0)
+                sequence += 1
+            else:
+                break
+            # The ΔX of Definition 6 (time index W - 1 is the newest unit):
+            # the value leaves unit W - w and enters unit W - w - 1.
+            prefix = record.indices
+            value = record.value
+            if step:
+                append_coordinate((*prefix, window_length - step))
+                append_value(-value)
+            if step < window_length:
+                append_coordinate((*prefix, newest_unit - step))
+                append_value(value)
+            next_step = step + 1
+            if next_step <= window_length:
+                heappush(
+                    heap,
+                    (
+                        record.time + next_step * period,
+                        sequence,
+                        kind_by_step[next_step],
+                        record,
+                        next_step,
+                    ),
+                )
+                sequence += 1
+            append_event(entry)
+        self._scheduler.end_drain(sequence)
+        self._n_events_emitted += len(raw_events)
+        return DeltaBatch(raw_events, coordinates, values, window_length, trusted=True)
+
     def events(
         self,
         end_time: float | None = None,
@@ -358,7 +457,11 @@ class ContinuousStreamProcessor:
     ) -> Iterator[tuple[WindowEvent, Delta]]:
         """Yield ``(event, delta)`` pairs in chronological order.
 
-        The delta is applied to :attr:`window` *before* the pair is yielded.
+        Each pair is a batch of one from the drain behind
+        :meth:`iter_batches`, and its delta is applied to :attr:`window`
+        *before* the pair is yielded.  (A batch of one rather than a
+        zero-width batch window: simultaneous events stay scheduled until
+        asked for, so closing the iterator mid-tie loses none of them.)
 
         Parameters
         ----------
@@ -368,76 +471,18 @@ class ContinuousStreamProcessor:
             Stop after this many events.
         """
         _check_end_time(end_time)
-        if self._iterating:
-            raise ConcurrentIterationError(
-                "another events()/iter_batches() iteration is already active "
-                "on this processor; a concurrent drain would corrupt the "
-                "scheduler heap — exhaust or close the active iterator first"
-            )
-        self._iterating = True
-        try:
-            yield from self._events(
-                end_time,
-                max_events,
-                self._config.window_length,
-                self._config.period,
-            )
-        finally:
-            self._iterating = False
-
-    def _events(
-        self,
-        end_time: float | None,
-        max_events: int | None,
-        window_length: int,
-        period: float,
-    ) -> Iterator[tuple[WindowEvent, Delta]]:
-        emitted = 0
-        while True:
-            if max_events is not None and emitted >= max_events:
-                return
-            next_arrival_time = (
-                self._future_records[-1].time if self._future_records else None
-            )
-            next_scheduled_time = self._scheduler.peek_time()
-            if next_arrival_time is None and next_scheduled_time is None:
-                return
-            # Scheduled (shift/expiry) events win ties against new arrivals so
-            # old mass has moved before a simultaneous new arrival is applied.
-            take_scheduled = next_arrival_time is None or (
-                next_scheduled_time is not None
-                and next_scheduled_time <= next_arrival_time
-            )
-            next_time = next_scheduled_time if take_scheduled else next_arrival_time
-            if end_time is not None and next_time > end_time:
-                # Stop *before* touching any state: popping first and undoing
-                # the pop would consume a sequence number (arrivals are
-                # scheduled-then-popped), making a paused-and-resumed run
-                # number simultaneous events differently from an
-                # uninterrupted one.  Leaving the event in place keeps
-                # resuming with a later end_time exactly equivalent.
-                return
-            if take_scheduled:
-                event = self._scheduler.pop()
-            else:
-                record = self._future_records.pop()
-                event = self._scheduler.schedule(
-                    record.time, EventKind.ARRIVAL, record, step=0
-                )
-                self._scheduler.pop()  # immediately consume the arrival we queued
-            delta = Delta.from_event(event, window_length)
-            self._window.apply_delta(delta)
-            next_step = event.step + 1
-            if next_step <= window_length:
-                self._scheduler.schedule(
-                    event.record.time + next_step * period,
-                    self._kind_by_step[next_step],
-                    event.record,
-                    next_step,
-                )
-            emitted += 1
-            self._n_events_emitted += 1
-            yield event, delta
+        with self._exclusive_drain():
+            apply = self._window.apply_entry_changes
+            emitted = 0
+            while max_events is None or emitted < max_events:
+                batch = self._drain_group(end_time, 1, 0.0)
+                if batch is None:
+                    return
+                event = batch.events[0]
+                entries = tuple(zip(batch.coordinates, batch.raw_values))
+                apply(entries, trusted=True)
+                emitted += 1
+                yield event, Delta(entries, event.record, event.step, event.kind)
 
     def run(
         self, end_time: float | None = None, max_events: int | None = None
@@ -461,7 +506,7 @@ class ContinuousStreamProcessor:
 
         Each batch contains every event (arrival, shift, expiry) whose fire
         time falls within ``batch_window`` of the group's first event, in the
-        exact order — including tie-breaking — of the per-event path, with
+        exact order — including tie-breaking — of :meth:`events`, with
         successor events scheduled as the group is drained so that chains
         within a group are respected.  Unlike :meth:`events`, the deltas are
         **not** applied to the window here: the consumer decides whether to
@@ -492,121 +537,15 @@ class ContinuousStreamProcessor:
                 f"batch_window must be >= 0, got {batch_window}"
             )
         _check_end_time(end_time)
-        if self._iterating:
-            raise ConcurrentIterationError(
-                "another events()/iter_batches() iteration is already active "
-                "on this processor; a concurrent drain would corrupt the "
-                "scheduler heap — exhaust or close the active iterator first"
-            )
-        self._iterating = True
-        try:
-            yield from self._iter_batches(end_time, max_events, batch_window)
-        finally:
-            self._iterating = False
-
-    def _iter_batches(
-        self,
-        end_time: float | None,
-        max_events: int | None,
-        batch_window: float,
-    ) -> Iterator[DeltaBatch]:
-        window_length = self._config.window_length
-        period = self._config.period
-        scheduler = self._scheduler
-        records = self._future_records
-        kind_by_step = self._kind_by_step
-        arrival_kind = EventKind.ARRIVAL
-        newest_unit = window_length - 1
-        emitted = 0
-        while True:
-            if max_events is not None and emitted >= max_events:
-                return
-            next_arrival = records[-1].time if records else None
-            next_scheduled = scheduler.peek_time()
-            if next_arrival is None and next_scheduled is None:
-                return
-            if next_scheduled is None:
-                first_time = next_arrival
-            elif next_arrival is None or next_scheduled <= next_arrival:
-                first_time = next_scheduled
-            else:
-                first_time = next_arrival
-            if end_time is not None and first_time > end_time:
-                return
-            group_end = first_time + batch_window
-            if end_time is not None and end_time < group_end:
-                group_end = end_time
-            raw_events: list[tuple[float, int, EventKind, StreamRecord, int]] = []
-            coordinates: list[tuple[int, ...]] = []
-            values: list[float] = []
-            budget = (
-                max_events - emitted if max_events is not None else None
-            )
-            append_event = raw_events.append
-            append_coordinate = coordinates.append
-            append_value = values.append
-            # Inlined drain: operate on the raw heap and a local sequence
-            # counter (handed back below) to avoid per-event method calls.
-            heap, sequence = scheduler.begin_drain()
-            while budget is None or len(raw_events) < budget:
-                if heap:
-                    next_time = heap[0][0]
-                    # Same tie rule as events(): scheduled shifts/expiries
-                    # win ties against new arrivals.
-                    take_scheduled = not records or next_time <= records[-1].time
-                    if not take_scheduled:
-                        next_time = records[-1].time
-                elif records:
-                    take_scheduled = False
-                    next_time = records[-1].time
-                else:
-                    break
-                if next_time > group_end:
-                    break
-                if take_scheduled:
-                    entry = heappop(heap)
-                    record = entry[3]
-                    step = entry[4]
-                else:
-                    record = records.pop()
-                    step = 0
-                    entry = (record.time, sequence, arrival_kind, record, 0)
-                    sequence += 1
-                prefix = record.indices
-                value = record.value
-                if step == 0:
-                    append_coordinate((*prefix, newest_unit))
-                    append_value(value)
-                elif step == window_length:
-                    append_coordinate((*prefix, 0))
-                    append_value(-value)
-                else:
-                    append_coordinate((*prefix, window_length - step))
-                    append_value(-value)
-                    append_coordinate((*prefix, window_length - step - 1))
-                    append_value(value)
-                next_step = step + 1
-                if next_step <= window_length:
-                    heappush(
-                        heap,
-                        (
-                            record.time + next_step * period,
-                            sequence,
-                            kind_by_step[next_step],
-                            record,
-                            next_step,
-                        ),
-                    )
-                    sequence += 1
-                append_event(entry)
-            scheduler.end_drain(sequence)
-            if not raw_events:
-                return
-            emitted += len(raw_events)
-            self._n_events_emitted += len(raw_events)
-            yield DeltaBatch(
-                raw_events, coordinates, values, window_length, trusted=True
-            )
+        with self._exclusive_drain():
+            emitted = 0
+            while max_events is None or emitted < max_events:
+                budget = None if max_events is None else max_events - emitted
+                batch = self._drain_group(end_time, budget, batch_window)
+                if batch is None:
+                    return
+                emitted += batch.n_events
+                yield batch
 
     def run_batched(
         self,

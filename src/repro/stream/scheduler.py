@@ -9,16 +9,16 @@ Internally the heap stores plain ``(time, sequence, kind, record, step)``
 tuples instead of :class:`~repro.stream.events.WindowEvent` objects: tuple
 comparison short-circuits on ``(time, sequence)`` at C speed, which makes
 heap maintenance several times cheaper than comparing dataclasses.  The
-batched event engine (:meth:`ContinuousStreamProcessor.iter_batches`) drains
-these raw entries directly via :meth:`begin_drain`/:meth:`end_drain`; the
-classic per-event API (:meth:`pop`) materialises a :class:`WindowEvent` per
-entry.
+processor's one drain (:meth:`ContinuousStreamProcessor._drain_group`, behind
+both ``events()`` and ``iter_batches()``) works on these raw entries directly
+via :meth:`begin_drain`/:meth:`end_drain`; :meth:`schedule` and :meth:`pop`
+materialise a :class:`WindowEvent` per entry.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 
 from repro.stream.events import EventKind, StreamRecord, WindowEvent
 
@@ -59,7 +59,7 @@ class EventScheduler:
     def begin_drain(self) -> tuple[list[RawEvent], int]:
         """Hand the raw heap and sequence counter to an inlined drain loop.
 
-        The batched event engine pops and pushes thousands of entries per
+        The processor's drain pops and pushes thousands of entries per
         batch; going through :meth:`pop`/:meth:`push_raw` costs a Python
         method call per entry.  ``begin_drain`` returns ``(heap, sequence)``
         so the drain can use :func:`heapq.heappush`/:func:`heapq.heappop`
@@ -112,13 +112,3 @@ class EventScheduler:
         return WindowEvent(
             time=time, sequence=sequence, kind=kind, record=record, step=step
         )
-
-    def pop_until(self, time: float) -> Iterator[WindowEvent]:
-        """Yield (and remove) every pending event with ``event.time <= time``."""
-        while self._heap and self._heap[0][0] <= time:
-            yield self.pop()
-
-    def drain(self) -> Iterator[WindowEvent]:
-        """Yield (and remove) every pending event in time order."""
-        while self._heap:
-            yield self.pop()

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.anomaly.detector import SCOREBOARD_SIZE, ZScoreDetector
-from repro.exceptions import CheckpointError
+from repro.exceptions import CheckpointError, ConfigurationError
 from repro.experiments.anomaly_experiment import run_anomaly_experiment
 from repro.experiments.config import ExperimentSettings
 from repro.stream.checkpoint import load_checkpoint
@@ -165,3 +165,24 @@ class TestInterruptedRunResume:
         res_extra = load_checkpoint(tmp_path / "res" / f"anomaly-{METHOD}").extra
         assert res_extra["detector"] == ref_extra["detector"]
         assert res_extra["n_events"] == ref_extra["n_events"]
+
+
+def test_resume_at_another_scale_is_refused(tmp_path):
+    # Two scales of one dataset share the window shape and the model's
+    # hyper-parameters; only the stream fingerprint the checkpoint records
+    # tells the runs apart.
+    def run(scale, resume=False):
+        return run_anomaly_experiment(
+            ExperimentSettings(
+                checkpoint_dir=str(tmp_path),
+                resume=resume,
+                **{**SETTINGS, "scale": scale},
+            ),
+            methods=(METHOD,),
+            n_anomalies=8,
+            replay_periods=3,
+        )
+
+    run(0.12)
+    with pytest.raises(ConfigurationError, match=r"differs in \['stream'\]"):
+        run(0.16, resume=True)

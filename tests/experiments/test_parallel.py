@@ -404,3 +404,22 @@ class TestSweepFanOut:
             assert par_point.fitness == seq_point.fitness
             assert par_point.n_parameters == seq_point.n_parameters
         assert parallel.continuous().fitness == sequential.continuous().fitness
+
+    def test_tasks_that_never_checkpoint_leave_no_directory(self, tmp_path):
+        # Fig. 1's conventional-CPD points are batch fits with no run state;
+        # only the continuous method's replay writes a checkpoint.
+        small = dataclasses.replace(
+            SETTINGS,
+            max_events=60,
+            n_checkpoints=3,
+            n_workers=2,
+            checkpoint_dir=str(tmp_path),
+        )
+        run_granularity(small, divisors=(2, 1), als_iterations=3)
+        for divisor in (2, 1):
+            key = f"conventional@divisor={divisor}"
+            assert (tmp_path / f"{key}{RESULT_SUFFIX}").is_file()
+            assert not (tmp_path / key).exists()
+        assert sorted(
+            path.name for path in tmp_path.iterdir() if path.is_dir()
+        ) == ["_snapshot", "continuous"]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -314,6 +316,69 @@ class TestCheckpointResume:
                 stream, window_config, "sns_rnd_plus", max_events=200, theta=9,
                 checkpoint_dir=tmp_path, resume=True, **kwargs
             )
+
+    def test_resume_on_another_stream_is_rejected(self, runner_setup, tmp_path):
+        # The same window shape over another stream: restore_run brings
+        # back the checkpoint's own stream, which this run would then
+        # report as its own.
+        stream, window_config, initial, _ = runner_setup
+        kwargs = dict(initial_factors=initial, rank=5, fitness_every=100)
+        run_method(
+            stream, window_config, "sns_vec", max_events=100,
+            checkpoint_dir=tmp_path, **kwargs
+        )
+        with pytest.raises(ConfigurationError, match=r"differs in \['stream'\]"):
+            run_method(
+                stream.head(len(stream) - 1), window_config, "sns_vec",
+                max_events=200, checkpoint_dir=tmp_path, resume=True, **kwargs
+            )
+
+    def test_resume_under_another_window_config_is_rejected(
+        self, runner_setup, tmp_path
+    ):
+        stream, window_config, initial, _ = runner_setup
+        kwargs = dict(initial_factors=initial, rank=5, fitness_every=100)
+        run_method(
+            stream, window_config, "sns_vec", max_events=100,
+            checkpoint_dir=tmp_path, **kwargs
+        )
+        wider = WindowConfig(
+            mode_sizes=window_config.mode_sizes,
+            window_length=window_config.window_length,
+            period=2 * window_config.period,
+        )
+        with pytest.raises(
+            ConfigurationError, match=r"differs in \['window_config'\]"
+        ):
+            run_method(
+                stream, wider, "sns_vec", max_events=200,
+                checkpoint_dir=tmp_path, resume=True, **kwargs
+            )
+
+    def test_checkpoint_without_fingerprint_is_checked_on_window_only(
+        self, runner_setup, tmp_path
+    ):
+        # Checkpoints saved before the stream fingerprint existed carry no
+        # "stream" entry in their extra payload; they still resume.
+        stream, window_config, initial, _ = runner_setup
+        kwargs = dict(initial_factors=initial, rank=5, fitness_every=100)
+        run_method(
+            stream, window_config, "sns_vec", max_events=100,
+            checkpoint_dir=tmp_path, **kwargs
+        )
+        manifest_path = tmp_path / "sns_vec" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        assert manifest["extra"].pop("stream") == {
+            "n_records": len(stream),
+            "first_time": stream.start_time,
+            "last_time": stream.end_time,
+        }
+        manifest_path.write_text(json.dumps(manifest))
+        resumed = run_method(
+            stream.head(len(stream) - 1), window_config, "sns_vec",
+            max_events=200, checkpoint_dir=tmp_path, resume=True, **kwargs
+        )
+        assert resumed.n_events == 200
 
     def test_checkpoint_knobs_without_dir_are_rejected(self, runner_setup):
         stream, window_config, initial, _ = runner_setup

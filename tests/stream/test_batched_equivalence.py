@@ -1,16 +1,23 @@
-"""Property-based equivalence suite for the batched event engine.
+"""Property-based equivalence suite for the two stream engines.
 
-The batched engine (``ContinuousStreamProcessor.iter_batches`` /
-``run_batched`` / ``ContinuousCPD.update_batch``) promises *exact*
-equivalence with the per-event path:
+Both engines are views of one drain
+(``ContinuousStreamProcessor._drain_group``): ``iter_batches`` /
+``run_batched`` / ``ContinuousCPD.update_batch`` take whole groups of
+events, ``events`` / ``run`` take batches of one.  Both are checked here
+against the reference loop in ``benchmarks/reference_drain.py`` — the
+per-event loop written out through the scheduler's public calls, sharing no
+drain code with either engine:
 
-* pure replay leaves the tensor window **bit-identical** to applying every
-  delta one at a time (the grouped scatter-add reproduces the same float
-  operations in the same order, including drop-tolerance snapping), and
-* every SliceNStitch variant driven through ``update_batch`` produces
-  bit-identical factor matrices to the per-event ``events()`` + ``update``
-  loop: both engines run the same per-event update rule on the same window
-  states.
+* both engines yield the reference's events (time, sequence, kind, record,
+  step) and deltas, in order, and leave the same window, down to the
+  storage order of ``items()`` when deltas are applied one event at a time;
+* pure batched replay leaves the tensor window **bit-identical** (the
+  grouped scatter-add reproduces the same float operations in the same
+  order, including drop-tolerance snapping), and
+* every SliceNStitch variant reaches bit-identical factor matrices through
+  the reference + ``update``, ``events()`` + ``update`` and
+  ``run_batched(model)``: all three run the same per-event update rule on
+  the same window states.
 
 These properties are checked on random seeded streams with float values and
 irregular float timestamps, across batch windows from "simultaneous events
@@ -19,10 +26,13 @@ only" to several periods.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from benchmarks.reference_drain import reference_events, reference_run
 from repro.core.base import SNSConfig
 from repro.core.registry import ALGORITHMS, create_algorithm
 from repro.stream.events import StreamRecord
@@ -93,43 +103,86 @@ def window_entries(processor):
     return dict(processor.window.tensor.items())
 
 
+def reference(case, **limits):
+    """A fresh processor drained by the reference loop, and its events."""
+    stream, config, start_time, _ = case
+    processor = ContinuousStreamProcessor(stream, config, start_time=start_time)
+    pairs = list(reference_events(processor, **limits))
+    return processor, [event_key(event) for event, _ in pairs], [
+        delta for _, delta in pairs
+    ]
+
+
 @given(stream_and_config())
 @settings(max_examples=60, deadline=None)
 def test_pure_replay_is_bit_identical(case):
     stream, config, start_time, batch_window = case
-    sequential = ContinuousStreamProcessor(stream, config, start_time=start_time)
-    sequential.run()
+    expected, _, _ = reference(case)
     batched = ContinuousStreamProcessor(stream, config, start_time=start_time)
     n_batched = batched.run_batched(batch_window=batch_window)
-    assert n_batched == sequential.n_events_emitted
-    assert batched.n_events_emitted == sequential.n_events_emitted
-    assert window_entries(batched) == window_entries(sequential)
-    assert batched.window.n_deltas_applied == sequential.window.n_deltas_applied
+    assert n_batched == expected.n_events_emitted
+    assert batched.n_events_emitted == expected.n_events_emitted
+    assert window_entries(batched) == window_entries(expected)
+    assert batched.window.n_deltas_applied == expected.window.n_deltas_applied
     assert not batched.has_pending_events
 
 
 @given(stream_and_config())
 @settings(max_examples=60, deadline=None)
-def test_batched_event_stream_matches_per_event_stream(case):
+def test_both_engines_match_the_reference_event_stream(case):
     stream, config, start_time, batch_window = case
-    sequential = ContinuousStreamProcessor(stream, config, start_time=start_time)
-    expected = [event_key(event) for event, _ in sequential.events()]
+    expected, expected_keys, expected_deltas = reference(case)
+    expected_items = list(expected.window.tensor.items())
+
+    per_event = ContinuousStreamProcessor(stream, config, start_time=start_time)
+    pairs = list(per_event.events())
+    assert [event_key(event) for event, _ in pairs] == expected_keys
+    assert [delta for _, delta in pairs] == expected_deltas
+    assert list(per_event.window.tensor.items()) == expected_items
+    assert per_event.n_events_emitted == expected.n_events_emitted
+    assert per_event.window.n_deltas_applied == expected.window.n_deltas_applied
+
     batched = ContinuousStreamProcessor(stream, config, start_time=start_time)
-    observed = []
+    keys = []
+    deltas = []
     for batch in batched.iter_batches(batch_window=batch_window):
         assert batch.n_events > 0
         assert batch.start_time <= batch.end_time
-        observed.extend(event_key(event) for event in batch.events)
-        batched.window.apply_batch(batch)
-    assert observed == expected
+        keys.extend(event_key(event) for event in batch.events)
+        deltas.extend(batch.deltas)
+        # One event at a time, as update_batch applies a batch.
+        for _, _, entries in batch.entry_groups():
+            batched.window.apply_entry_changes(entries, trusted=True)
+    assert keys == expected_keys
+    assert deltas == expected_deltas
+    assert list(batched.window.tensor.items()) == expected_items
+    assert batched.n_events_emitted == expected.n_events_emitted
+
+
+@given(stream_and_config(), st.integers(min_value=0, max_value=12))
+@settings(max_examples=60, deadline=None)
+def test_closing_events_midway_loses_no_event(case, n_first):
+    """events() drains one event per step, so closing it mid-tie drops none."""
+    stream, config, start_time, _ = case
+    expected, expected_keys, _ = reference(case)
+    processor = ContinuousStreamProcessor(stream, config, start_time=start_time)
+    iterator = processor.events()
+    keys = [event_key(event) for event, _ in itertools.islice(iterator, n_first)]
+    iterator.close()
+    assert processor.n_events_emitted == len(keys)
+    keys.extend(event_key(event) for event, _ in processor.events())
+    assert keys == expected_keys
+    assert list(processor.window.tensor.items()) == list(
+        expected.window.tensor.items()
+    )
 
 
 @given(stream_and_config())
 @settings(max_examples=40, deadline=None)
 def test_batch_deltas_match_per_event_deltas(case):
     stream, config, start_time, batch_window = case
-    sequential = ContinuousStreamProcessor(stream, config, start_time=start_time)
-    expected = [delta.entries for _, delta in sequential.events()]
+    _, _, expected_deltas = reference(case)
+    expected = [delta.entries for delta in expected_deltas]
     batched = ContinuousStreamProcessor(stream, config, start_time=start_time)
     observed = []
     entry_total = 0
@@ -165,35 +218,42 @@ def test_models_reach_identical_factors(name, case):
     ]
     sns_config = SNSConfig(rank=rank, theta=3, eta=100.0, seed=11)
 
-    sequential = ContinuousStreamProcessor(stream, config, start_time=start_time)
-    model_sequential = create_algorithm(name, sns_config)
-    model_sequential.initialize(sequential.window, factors)
-    for _, delta in sequential.events():
-        model_sequential.update(delta)
+    def fresh():
+        processor = ContinuousStreamProcessor(stream, config, start_time=start_time)
+        model = create_algorithm(name, sns_config)
+        model.initialize(processor.window, factors)
+        return processor, model
 
-    batched = ContinuousStreamProcessor(stream, config, start_time=start_time)
-    model_batched = create_algorithm(name, sns_config)
-    model_batched.initialize(batched.window, factors)
+    expected, model_expected = fresh()
+    for _, delta in reference_events(expected):
+        model_expected.update(delta)
+
+    per_event, model_per_event = fresh()
+    for _, delta in per_event.events():
+        model_per_event.update(delta)
+
+    batched, model_batched = fresh()
     batched.run_batched(model=model_batched, batch_window=batch_window)
 
-    assert window_entries(batched) == window_entries(sequential)
-    assert model_batched.n_updates == model_sequential.n_updates
-    for factor_sequential, factor_batched in zip(
-        model_sequential.factors, model_batched.factors
-    ):
-        assert np.array_equal(factor_batched, factor_sequential, equal_nan=True)
+    for processor, model in ((per_event, model_per_event), (batched, model_batched)):
+        assert window_entries(processor) == window_entries(expected)
+        assert model.n_updates == model_expected.n_updates
+        for factor_expected, factor in zip(model_expected.factors, model.factors):
+            assert np.array_equal(factor, factor_expected, equal_nan=True)
 
 
 @given(stream_and_config(), st.integers(min_value=1, max_value=10))
 @settings(max_examples=40, deadline=None)
 def test_run_batched_respects_max_events(case, max_events):
     stream, config, start_time, batch_window = case
-    sequential = ContinuousStreamProcessor(stream, config, start_time=start_time)
-    n_sequential = sequential.run(max_events=max_events)
+    expected, _, _ = reference(case, max_events=max_events)
+    per_event = ContinuousStreamProcessor(stream, config, start_time=start_time)
+    assert per_event.run(max_events=max_events) == expected.n_events_emitted
     batched = ContinuousStreamProcessor(stream, config, start_time=start_time)
     n_batched = batched.run_batched(max_events=max_events, batch_window=batch_window)
-    assert n_batched == n_sequential
-    assert window_entries(batched) == window_entries(sequential)
+    assert n_batched == expected.n_events_emitted
+    assert window_entries(per_event) == window_entries(expected)
+    assert window_entries(batched) == window_entries(expected)
 
 
 @given(stream_and_config(), st.floats(min_value=0.0, max_value=30.0, allow_nan=False))
@@ -201,15 +261,18 @@ def test_run_batched_respects_max_events(case, max_events):
 def test_run_batched_respects_end_time(case, horizon):
     stream, config, start_time, batch_window = case
     end_time = start_time + horizon
-    sequential = ContinuousStreamProcessor(stream, config, start_time=start_time)
-    n_sequential = sequential.run(end_time=end_time)
+    expected, _, _ = reference(case, end_time=end_time)
+    per_event = ContinuousStreamProcessor(stream, config, start_time=start_time)
+    assert per_event.run(end_time=end_time) == expected.n_events_emitted
     batched = ContinuousStreamProcessor(stream, config, start_time=start_time)
     n_batched = batched.run_batched(end_time=end_time, batch_window=batch_window)
-    assert n_batched == n_sequential
-    assert window_entries(batched) == window_entries(sequential)
-    # Both processors must also agree on what is still pending.
-    assert batched.n_pending_records == sequential.n_pending_records
-    assert batched.has_pending_events == sequential.has_pending_events
+    assert n_batched == expected.n_events_emitted
+    for processor in (per_event, batched):
+        assert window_entries(processor) == window_entries(expected)
+        # Every processor must also agree on what is still pending.
+        assert processor.n_pending_records == expected.n_pending_records
+        assert processor.has_pending_events == expected.has_pending_events
+        assert processor.next_event_time == expected.next_event_time
 
 
 @given(

@@ -16,8 +16,9 @@ class TestEventScheduler:
         scheduler.schedule(5.0, EventKind.SHIFT, RECORD, 1)
         scheduler.schedule(1.0, EventKind.ARRIVAL, RECORD, 0)
         scheduler.schedule(3.0, EventKind.SHIFT, RECORD, 1)
-        times = [event.time for event in scheduler.drain()]
+        times = [scheduler.pop().time for _ in range(len(scheduler))]
         assert times == [1.0, 3.0, 5.0]
+        assert len(scheduler) == 0
 
     def test_ties_break_by_insertion_order(self):
         scheduler = EventScheduler()
@@ -54,14 +55,6 @@ class TestEventScheduler:
         scheduler.schedule(4.0, EventKind.ARRIVAL, RECORD, 0)
         assert scheduler.peek_time() == 4.0
         assert len(scheduler) == 1
-
-    def test_pop_until(self):
-        scheduler = EventScheduler()
-        for time in (1.0, 2.0, 3.0, 4.0):
-            scheduler.schedule(time, EventKind.ARRIVAL, RECORD, 0)
-        popped = [event.time for event in scheduler.pop_until(2.5)]
-        assert popped == [1.0, 2.0]
-        assert len(scheduler) == 2
 
     def test_sequence_numbers_increase(self):
         scheduler = EventScheduler()

@@ -2,9 +2,17 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.cli import EXPERIMENTS, _settings, build_parser, main, run
+from repro.exceptions import ConfigurationError
+from repro.experiments.anomaly_experiment import (
+    format_anomaly_experiment,
+    run_anomaly_experiment,
+)
+from repro.experiments.config import ExperimentSettings
 from repro.stream.checkpoint import is_checkpoint
 
 
@@ -140,4 +148,51 @@ class TestCheckpointResumeEndToEnd:
                               "--resume", *checkpoint_args])
         assert fitness_columns(resumed, n_fitness_columns) == fitness_columns(
             uninterrupted, n_fitness_columns
+        )
+
+    @pytest.mark.parametrize(
+        ("dataset", "scale", "differs"),
+        [
+            ("chicago_crime", "0.08", "['window_config', 'stream']"),
+            # Another scale of the same dataset has the same window shape.
+            ("nyc_taxi", "0.1", "['stream']"),
+        ],
+    )
+    def test_resume_refuses_another_runs_checkpoint(
+        self, tmp_path, dataset, scale, differs
+    ):
+        checkpoint_args = ["--max-events", "60", "--checkpoint-dir", str(tmp_path)]
+        run(["fig8", "--dataset", "nyc_taxi", "--scale", "0.08", *checkpoint_args])
+        with pytest.raises(ConfigurationError, match=re.escape(differs)):
+            run(["fig8", "--dataset", dataset, "--scale", scale,
+                 *checkpoint_args, "--resume"])
+
+
+class TestFig9ReplayFlags:
+    """fig9 replays a fixed number of periods and reads no sizing flag."""
+
+    @pytest.mark.parametrize("flag", ["--max-events", "--n-checkpoints", "--workers"])
+    def test_each_unused_flag_is_a_usage_error(self, flag, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            run(["fig9", flag, "10"])
+        assert exit_info.value.code == 2
+        assert f"fig9 does not take {flag}" in capsys.readouterr().err
+
+    def test_plain_fig9_prints_the_library_report(self):
+        report = run(
+            ["fig9", "--dataset", "chicago_crime", "--scale", "0.08", "--seed", "1"]
+        )
+        assert report == format_anomaly_experiment(
+            run_anomaly_experiment(
+                ExperimentSettings(dataset="chicago_crime", scale=0.08, seed=1)
+            )
+        )
+        assert "Fig. 9" in report
+
+    def test_other_experiments_keep_the_flag_defaults(self):
+        settings = _settings(build_parser().parse_args(["fig8"]))
+        assert (settings.max_events, settings.n_checkpoints, settings.n_workers) == (
+            2000,
+            20,
+            1,
         )
