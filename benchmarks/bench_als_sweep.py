@@ -80,7 +80,7 @@ TENANT_STREAM = {
 def per_mode_fit(tensor, config: ALSConfig) -> ALSResult:
     """``ALS.fit`` as the per-mode loop: a full ``mttkrp`` for every mode."""
     rng = np.random.default_rng(config.seed)
-    factors = initialize_factors(tensor, config.rank, config.init, rng)
+    factors = initialize_factors(tensor, config.rank, rng)
     grams = [gram(factor) for factor in factors]
     history: list[float] = []
     converged = False

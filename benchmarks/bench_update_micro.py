@@ -87,14 +87,20 @@ def test_update_latency(benchmark, prepared_stream, name):
     assert model.n_updates > 0
 
 
-def _best_of(function, repetitions: int = 3) -> float:
-    """Best wall-clock time of ``repetitions`` runs (noise-robust minimum)."""
-    times = []
+def _best_of(*functions, repetitions: int = 3) -> list[float]:
+    """Best wall-clock time of each function over ``repetitions`` rounds.
+
+    Each round runs every function once, in turn, so load that comes and
+    goes during the measurement falls on all of them alike instead of on
+    whichever one was being timed in its own block.
+    """
+    best = [float("inf")] * len(functions)
     for _ in range(repetitions):
-        start = time.perf_counter()
-        function()
-        times.append(time.perf_counter() - start)
-    return min(times)
+        for position, function in enumerate(functions):
+            start = time.perf_counter()
+            function()
+            best[position] = min(best[position], time.perf_counter() - start)
+    return best
 
 
 def test_batched_vs_sequential_throughput(prepared_stream):
@@ -164,12 +170,12 @@ def test_batched_vs_sequential_throughput(prepared_stream):
     def run_batched() -> None:
         ContinuousStreamProcessor(stream, config).run_batched(max_events=n_events)
 
-    # The bar's two drains are timed back to back, and the per-event
-    # engine after them.  "sequential" is the reference loop: the loop
-    # run() ran when the older baselines were recorded.
-    sequential_seconds = _best_of(run_reference)
-    batched_seconds = _best_of(run_batched)
-    per_event_seconds = _best_of(run_per_event)
+    # The three drains alternate round by round.  "sequential" is the
+    # reference loop: the loop run() ran when the older baselines were
+    # recorded.
+    sequential_seconds, batched_seconds, per_event_seconds = _best_of(
+        run_reference, run_batched, run_per_event
+    )
     engine = {
         "n_events": n_events,
         "sequential_events_per_second": n_events / sequential_seconds,
@@ -198,8 +204,9 @@ def test_batched_vs_sequential_throughput(prepared_stream):
             model.initialize(processor.window, initial)
             processor.run_batched(model=model, max_events=n_model_events)
 
-        model_sequential_seconds = _best_of(run_model_sequential)
-        model_batched_seconds = _best_of(run_model_batched)
+        model_sequential_seconds, model_batched_seconds = _best_of(
+            run_model_sequential, run_model_batched
+        )
         variants[name] = {
             "n_events": n_model_events,
             "sequential_events_per_second": n_model_events
@@ -209,7 +216,8 @@ def test_batched_vs_sequential_throughput(prepared_stream):
         }
 
     lines = [
-        "batched event engine vs per-event replay (events/sec, best of 3)",
+        "batched event engine vs per-event replay "
+        "(events/sec, best of 3 alternating rounds)",
         "",
         "pure replay: reference per-event loop, per-event engine, batched",
         f"{'':<16}{'reference':>12}{'per-event':>12}{'batched':>12}",

@@ -52,17 +52,14 @@ class ALSConfig:
         this value.  ``0`` disables early stopping.
     regularization:
         Tikhonov term added to the Gram-product diagonal before inversion.
-    init:
-        Initialisation strategy, ``"random"`` or ``"svd"``.
     seed:
-        Seed of the random generator used by the initialiser.
+        Seed of the random generator that draws the initial factors.
     """
 
     rank: int
     n_iterations: int = 20
     tolerance: float = 1e-6
     regularization: float = 1e-12
-    init: str = "random"
     seed: int | None = 0
 
     def __post_init__(self) -> None:
@@ -115,7 +112,7 @@ class ALS:
         config = self._config
         rng = np.random.default_rng(config.seed)
         if initial_factors is None:
-            factors = initialize_factors(tensor, config.rank, config.init, rng)
+            factors = initialize_factors(tensor, config.rank, rng)
         else:
             factors = [np.array(f, dtype=np.float64, copy=True) for f in initial_factors]
             self._check_initial(tensor, factors)
@@ -174,7 +171,6 @@ def decompose(
     n_iterations: int = 20,
     tolerance: float = 1e-6,
     seed: int | None = 0,
-    init: str = "random",
 ) -> ALSResult:
     """One-call convenience wrapper around :class:`ALS`."""
     config = ALSConfig(
@@ -182,6 +178,5 @@ def decompose(
         n_iterations=n_iterations,
         tolerance=tolerance,
         seed=seed,
-        init=init,
     )
     return ALS(config).fit(tensor)

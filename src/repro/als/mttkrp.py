@@ -188,54 +188,15 @@ def mttkrp_row(
     factors: Sequence[np.ndarray],
     mode: int,
     index: int,
-    extra_entries: Sequence[tuple[tuple[int, ...], float]] = (),
     kernels: KernelBackend | None = None,
 ) -> np.ndarray:
     """Single row ``X_(mode)(index, :) (KR_{n != mode} A(n))`` of the MTTKRP.
 
     Only the non-zeros whose ``mode``-th coordinate equals ``index`` are
-    visited — this is the ``Omega(m)_{i_m}`` sum of Eqs. (12) and (21).
-    ``extra_entries`` lets callers fold in the (at most two) entries of a
-    delta ``ΔX`` that may not be stored in ``tensor`` yet; entries whose
-    ``mode``-th coordinate differs from ``index`` are ignored.
-
-    Both paths use the slice arrays the tensor builds in one pass; the
-    delta entries are appended after the stored ones — the same entries in
-    the same order the historical iterator path visited, so results are
-    bit-identical.
+    visited — this is the ``Omega(m)_{i_m}`` sum of Eqs. (12) and (21) —
+    through the slice arrays the tensor builds in one pass.
     """
     if kernels is None:
         kernels = numpy_backend()
     index_array, value_array = tensor.mode_slice_arrays(mode, index)
-    if extra_entries:
-        kept = [
-            (coordinate, value)
-            for coordinate, value in extra_entries
-            if coordinate[mode] == index
-        ]
-        if kept:
-            extra_indices = np.array(
-                [coordinate for coordinate, _value in kept], dtype=np.int64
-            )
-            extra_values = np.array(
-                [value for _coordinate, value in kept], dtype=np.float64
-            )
-            if value_array.size:
-                index_array = np.concatenate((index_array, extra_indices), axis=0)
-                value_array = np.concatenate((value_array, extra_values))
-            else:
-                index_array, value_array = extra_indices, extra_values
     return kernels.mttkrp_rows(index_array, value_array, factors, mode)
-
-
-def _other_rows_product(
-    factors: Sequence[np.ndarray], mode: int, coordinate: Sequence[int]
-) -> np.ndarray:
-    """Hadamard product of the other modes' factor rows at ``coordinate``."""
-    rank = factors[0].shape[1]
-    product = np.ones(rank, dtype=np.float64)
-    for other_mode, factor in enumerate(factors):
-        if other_mode == mode:
-            continue
-        product *= factor[coordinate[other_mode], :]
-    return product

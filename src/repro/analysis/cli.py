@@ -1,8 +1,8 @@
 """``repro lint`` — run the invariant checkers over the source tree.
 
-Exit status is 0 when no *new* findings remain after inline suppressions
-and the baseline, 1 otherwise, 2 on usage/configuration errors.  The JSON
-format is stable and machine-consumed by CI (uploaded as an artifact).
+Exit status is 0 when no finding remains after inline suppressions, 1
+otherwise, 2 on usage errors.  The JSON format is stable and
+machine-consumed by CI (uploaded as an artifact).
 """
 
 from __future__ import annotations
@@ -13,15 +13,9 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from repro.analysis.baseline import (
-    load_baseline,
-    split_by_baseline,
-    write_baseline,
-)
 from repro.analysis.checkers import ALL_CHECKERS
 from repro.analysis.framework import all_rules, run_checkers
 from repro.analysis.source import Project
-from repro.exceptions import ConfigurationError
 
 
 def _default_root() -> Path:
@@ -55,21 +49,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="report format (default: text)",
     )
     parser.add_argument(
-        "--baseline",
-        type=Path,
-        default=None,
-        metavar="FILE",
-        help=(
-            "baseline file of accepted findings; only findings not in the "
-            "baseline fail the run (a missing file is an empty baseline)"
-        ),
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite --baseline FILE from the current findings and exit 0",
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
         help="print the rule catalog and exit",
@@ -97,8 +76,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     if options.list_rules:
         _print_rules()
         return 0
-    if options.update_baseline and options.baseline is None:
-        parser.error("--update-baseline requires --baseline FILE")
 
     roots = options.paths or [_default_root()]
     files: dict = {}
@@ -114,52 +91,31 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     result = run_checkers(project, ALL_CHECKERS)
 
-    try:
-        baseline = (
-            load_baseline(options.baseline)
-            if options.baseline is not None
-            else set()
-        )
-    except ConfigurationError as error:
-        print(f"repro lint: {error}", file=sys.stderr)
-        return 2
-    new, baselined = split_by_baseline(result.findings, baseline)
-
-    if options.update_baseline:
-        write_baseline(options.baseline, result.findings)
-        print(
-            f"wrote {len(result.findings)} finding(s) to {options.baseline}"
-        )
-        return 0
-
     if options.format == "json":
         payload = {
             "files_checked": result.files_checked,
             "rules": [rule.id for rule in all_rules(ALL_CHECKERS)],
-            "findings": [finding.to_dict() for finding in new],
-            "baselined": [finding.to_dict() for finding in baselined],
+            "findings": [finding.to_dict() for finding in result.findings],
             "suppressed": [
                 finding.to_dict() for finding in result.suppressed
             ],
         }
         print(json.dumps(payload, indent=2))
     else:
-        for finding in new:
+        for finding in result.findings:
             print(finding.format_text())
         if options.show_suppressed:
             for finding in result.suppressed:
                 print(f"{finding.format_text()} (suppressed)")
         summary = (
             f"{result.files_checked} file(s) checked, "
-            f"{len(new)} finding(s)"
+            f"{len(result.findings)} finding(s)"
         )
-        if baselined:
-            summary += f", {len(baselined)} baselined"
         if result.suppressed:
             summary += f", {len(result.suppressed)} suppressed"
         print(summary)
 
-    return 0 if not new else 1
+    return 0 if result.clean else 1
 
 
 if __name__ == "__main__":

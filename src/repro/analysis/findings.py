@@ -2,7 +2,7 @@
 
 A :class:`Finding` is one rule violation at one source location.  Findings
 are plain data: checkers yield them, the framework filters suppressed ones,
-the CLI formats them, and the baseline stores stable keys for them.
+and the CLI formats them.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ import dataclasses
 from typing import Any
 
 #: Finding severities, in decreasing order of urgency.  Severity is
-#: informational — any unsuppressed, non-baselined finding fails the lint.
+#: informational — any unsuppressed finding fails the lint.
 SEVERITY_ERROR = "error"
 SEVERITY_WARNING = "warning"
 SEVERITIES = (SEVERITY_ERROR, SEVERITY_WARNING)
@@ -41,8 +41,8 @@ class Finding:
 
     rule: str
     severity: str
-    #: Dotted module name (``repro.service.server``) — the stable coordinate
-    #: used by baselines; does not depend on the invocation directory.
+    #: Dotted module name (``repro.service.server``) — a stable coordinate
+    #: that does not depend on the invocation directory.
     module: str
     #: Path as scanned (diagnostic; may be absolute or ``<memory>``).
     path: str

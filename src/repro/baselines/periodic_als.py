@@ -37,20 +37,3 @@ class PeriodicALS(PeriodicCPD):
                 self._factors[mode] = self._solve(hadamard, sweep.mttkrp(mode))
                 grams[mode] = self._factors[mode].T @ self._factors[mode]
                 sweep.commit(mode, self._factors[mode])
-
-
-class OracleALS(PeriodicALS):
-    """ALS from a fresh random start with more sweeps (offline reference).
-
-    Used by the relative-fitness computation when a stronger offline
-    reference than the warm-started periodic ALS is wanted.
-    """
-
-    name = "oracle_als"
-
-    def _update_period(self) -> None:
-        self._factors = [
-            self._rng.random(factor.shape) for factor in self._factors
-        ]
-        for _ in range(3):
-            super()._update_period()

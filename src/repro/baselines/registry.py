@@ -6,13 +6,12 @@ from repro.baselines.base import BaselineConfig, PeriodicCPD
 from repro.baselines.cp_stream import CPStream
 from repro.baselines.necpd import NeCPD
 from repro.baselines.online_scp import OnlineSCP
-from repro.baselines.periodic_als import OracleALS, PeriodicALS
+from repro.baselines.periodic_als import PeriodicALS
 from repro.exceptions import UnknownAlgorithmError
 
 #: Name -> class for every once-per-period baseline.
 BASELINES: dict[str, type[PeriodicCPD]] = {
     PeriodicALS.name: PeriodicALS,
-    OracleALS.name: OracleALS,
     OnlineSCP.name: OnlineSCP,
     CPStream.name: CPStream,
     NeCPD.name: NeCPD,
@@ -21,7 +20,6 @@ BASELINES: dict[str, type[PeriodicCPD]] = {
 #: Display labels matching the paper's figures.
 DISPLAY_NAMES: dict[str, str] = {
     "als": "ALS",
-    "oracle_als": "ALS (cold start)",
     "online_scp": "OnlineSCP",
     "cp_stream": "CP-stream",
     "necpd": "NeCPD",

@@ -23,6 +23,8 @@ import sys
 from collections.abc import Sequence
 from typing import TYPE_CHECKING
 
+from repro.exceptions import ReproError
+
 if TYPE_CHECKING:
     from repro.experiments.config import ExperimentSettings
 
@@ -82,16 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--batched",
-        action="store_true",
-        help=(
-            "replay events through the batched engine (run_batched / "
-            "update_batch): higher throughput, results equivalent for the "
-            "SliceNStitch variants and for the periodic baselines (both "
-            "engines update baselines at exact period boundaries)"
-        ),
-    )
-    parser.add_argument(
         "--relaxed",
         action="store_true",
         help=(
@@ -100,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
             "Gauss-Seidel order (time rows, then one categorical mode at a "
             "time).  Faster, at a fitness cost gated in "
             "benchmarks/results/BENCH_sharded.json; theta is unused.  "
-            "Implies --batched; off (default) keeps the exact path"
+            "Off (default) keeps the exact path, updated once per event"
         ),
     )
     parser.add_argument(
@@ -166,7 +158,6 @@ def _settings(args: argparse.Namespace) -> ExperimentSettings:
         max_events=_replay_flag(args, "max_events"),
         n_checkpoints=_replay_flag(args, "n_checkpoints"),
         seed=args.seed,
-        batched=args.batched or args.relaxed,
         relaxed=args.relaxed,
         checkpoint_dir=args.checkpoint_dir,
         checkpoint_events=args.checkpoint_events,
@@ -262,8 +253,17 @@ def run(argv: Sequence[str] | None = None) -> str:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """Console entry point."""
-    print(run(argv))
+    """Console entry point.
+
+    A library error (bad settings, a checkpoint of another run) ends the
+    command with a one-line message on stderr and exit status 2.
+    """
+    try:
+        report = run(argv)
+    except ReproError as error:
+        print(f"slicenstitch: error: {error}", file=sys.stderr)
+        return 2
+    print(report)
     return 0
 
 

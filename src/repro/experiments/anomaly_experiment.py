@@ -94,13 +94,15 @@ def run_anomaly_experiment(
     events and at the end of the run.  With ``settings.resume=True`` an
     existing checkpoint there is restored and the replay continues — the
     resumed run emits the identical score stream (and hence identical
-    precision@k / detection delays) as an uninterrupted one, on both the
-    per-event and the batched engine.
+    precision@k / detection delays) as an uninterrupted one.
 
-    With ``settings.batched=True`` continuous methods are replayed through
-    the batched engine (:func:`repro.anomaly.score_batch`): observed values
-    stay exact per event, predictions use batch-start factors, and the
-    model adapts once per batch.
+    An exact continuous method scores and updates once per event.  With
+    ``settings.relaxed=True`` it is replayed through the batched engine
+    (:func:`repro.anomaly.score_batch`), the only engine the relaxed update
+    runs on: observed values stay exact per event, predictions use
+    batch-start factors, and the model adapts once per batch.  A per-period
+    baseline replays per event to each period boundary up to the end of the
+    replay and scores the unit that boundary completes.
     """
     settings = settings or ExperimentSettings(dataset="nyc_taxi")
     top_k = n_anomalies if top_k is None else top_k
@@ -119,6 +121,12 @@ def run_anomaly_experiment(
     start_time = clean_stream.start_time + window_config.span
     replay_end = start_time + replay_periods * window_config.period
     injection_end = replay_end - window_config.period
+    # The period boundaries the baselines score at; the last is computed
+    # as replay_end is, so it is the same float.
+    boundaries = [
+        start_time + step * window_config.period
+        for step in range(1, replay_periods + 1)
+    ]
     if (
         injection_end <= start_time
         or clean_stream.end_time < replay_end
@@ -152,7 +160,7 @@ def run_anomaly_experiment(
             )
         else:
             detector = _run_periodic(
-                stream, window_config, method, initial, spec, settings, replay_end
+                stream, window_config, method, initial, spec, settings, boundaries
             )
         precision, delay = _evaluate(
             detector, anomalies, top_k, window_config.period, kind
@@ -254,7 +262,7 @@ def _run_continuous(
     if checkpoint_path is not None and checkpoint_events is not None:
         next_save = (n_events // checkpoint_events + 1) * checkpoint_events
 
-    if settings.batched:
+    if settings.relaxed:
         for batch in processor.iter_batches(end_time=replay_end):
             score_batch(model, batch, detector)
             n_events += batch.n_events
@@ -295,7 +303,7 @@ def _run_periodic(
     initial,
     spec,
     settings: ExperimentSettings,
-    replay_end: float,
+    boundaries: Sequence[float],
 ) -> ZScoreDetector:
     processor = ContinuousStreamProcessor(
         stream, window_config, start_time=stream.start_time + window_config.span
@@ -304,27 +312,27 @@ def _run_periodic(
     model.initialize(processor.window, initial)
     detector = ZScoreDetector()
     period = window_config.period
-    next_boundary = processor.start_time + period
     newest = window_config.window_length - 1
-    for event, _ in processor.events(end_time=replay_end):
-        while event.time >= next_boundary:
-            # Score the just-completed unit with the factors from the previous
-            # boundary, then let the baseline update.
-            decomposition = model.decomposition
-            entries = list(processor.window.unit_entries(newest))
-            if entries:
-                coordinates = [coordinate for coordinate, _ in entries]
-                observed = np.array([value for _, value in entries])
-                predicted = decomposition.values_at(np.array(coordinates))
-                for coordinate, error in zip(coordinates, observed - predicted):
-                    detector.observe(
-                        coordinate=coordinate,
-                        error=float(error),
-                        event_time=next_boundary - period / 2.0,
-                        detection_time=next_boundary,
-                    )
-            model.update_period()
-            next_boundary += period
+    for boundary in boundaries:
+        # The window exactly at the boundary: every event up to and
+        # including it applied, none after.  Score the just-completed unit
+        # with the factors from the previous boundary, then let the
+        # baseline update.
+        processor.run(end_time=boundary)
+        decomposition = model.decomposition
+        entries = list(processor.window.unit_entries(newest))
+        if entries:
+            coordinates = [coordinate for coordinate, _ in entries]
+            observed = np.array([value for _, value in entries])
+            predicted = decomposition.values_at(np.array(coordinates))
+            for coordinate, error in zip(coordinates, observed - predicted):
+                detector.observe(
+                    coordinate=coordinate,
+                    error=float(error),
+                    event_time=boundary - period / 2.0,
+                    detection_time=boundary,
+                )
+        model.update_period()
     return detector
 
 

@@ -49,19 +49,6 @@ class ExperimentSettings:
         ALS sweeps used to initialise every method.
     seed:
         Seed forwarded to data generation and algorithms.
-    batched:
-        Replay events through the batched engine
-        (:meth:`ContinuousStreamProcessor.run_batched` /
-        ``ContinuousCPD.update_batch``) instead of the per-event loop.
-        Results are bit-identical for the SliceNStitch variants (windows and
-        factors: both engines run the same per-event update rule); the
-        engine's own replay is faster.
-        Periodic baselines share the same semantics on both engines: one
-        update per period boundary against the window exactly at the
-        boundary (every event up to and including it applied, none after).
-        Scores agree to float precision — the grouped scatter can store
-        window entries in a different order, so float reductions round
-        differently at the ~1e-12 level.
     checkpoint_dir:
         Directory for *real* on-disk checkpoints
         (:mod:`repro.stream.checkpoint`) and the fan-out work dir; each
@@ -80,12 +67,14 @@ class ExperimentSettings:
         one exists, continuing to ``max_events`` total events; requires
         ``checkpoint_dir``.
     relaxed:
-        ``False`` (the default) runs the exact algorithms.  ``True`` selects
-        the relaxed batch update (:mod:`repro.core.relaxed`), which solves
-        every row a batch touches once, in block Gauss-Seidel order;
-        forwarded to :class:`repro.core.base.SNSConfig`.  Ignored by the
-        periodic baselines.  Requires ``batched=True`` — the per-event loop
-        never goes through ``update_batch``.
+        ``False`` (the default) runs the exact algorithms, each updated once
+        per event (``ContinuousStreamProcessor.events``), as in the paper.
+        ``True`` selects the relaxed batch update (:mod:`repro.core.relaxed`),
+        which solves every row a batch touches once, in block Gauss-Seidel
+        order; such runs replay through the batched engine
+        (``iter_batches`` / ``update_batch``), the only engine it runs on.
+        Forwarded to :class:`repro.core.base.SNSConfig`.  Ignored by the
+        periodic baselines, which replay per event to each period boundary.
     n_workers:
         Number of worker processes the experiment fan-out may use
         (:mod:`repro.experiments.parallel`).  ``1`` (the default) runs every
@@ -102,7 +91,6 @@ class ExperimentSettings:
     n_checkpoints: int = 20
     als_iterations: int = 10
     seed: int = 0
-    batched: bool = False
     relaxed: bool = False
     checkpoint_dir: str | None = None
     checkpoint_events: int | None = None
@@ -127,11 +115,6 @@ class ExperimentSettings:
         if self.als_iterations <= 0:
             raise ConfigurationError(
                 f"als_iterations must be positive, got {self.als_iterations}"
-            )
-        if self.relaxed and not self.batched:
-            raise ConfigurationError(
-                "relaxed requires batched=True — the relaxed path "
-                "executes update_batch, which the per-event loop never calls"
             )
         if self.checkpoint_events is not None and self.checkpoint_events <= 0:
             raise ConfigurationError(

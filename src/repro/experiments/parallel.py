@@ -118,7 +118,6 @@ def method_task(
     max_events: int = 3000,
     fitness_every: int = 150,
     seed: int | None = 0,
-    batched: bool = False,
     relaxed: bool = False,
     checkpoint_events: int | None = None,
     checkpoint_subdir: str | None = None,
@@ -135,7 +134,6 @@ def method_task(
             "max_events": int(max_events),
             "fitness_every": int(fitness_every),
             "seed": seed,
-            "batched": bool(batched),
             "relaxed": bool(relaxed),
             "checkpoint_events": checkpoint_events,
         },
@@ -175,7 +173,6 @@ def execute_task(
             max_events=params.get("max_events", 3000),
             fitness_every=params.get("fitness_every", 150),
             seed=params.get("seed", 0),
-            batched=params.get("batched", False),
             relaxed=params.get("relaxed", False),
             checkpoint_dir=checkpoint_dir,
             checkpoint_events=(

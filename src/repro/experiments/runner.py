@@ -211,7 +211,6 @@ def run_method(
     fitness_every: int = 150,
     seed: int | None = 0,
     baseline_config: BaselineConfig | None = None,
-    batched: bool = False,
     relaxed: bool = False,
     checkpoint_dir: str | Path | None = None,
     checkpoint_events: int | None = None,
@@ -224,24 +223,19 @@ def run_method(
     period update, matching how the paper reports "elapsed time per update"
     for each family.
 
-    Periodic baselines are scored with the same semantics on both engines:
-    every period boundary with stream activity at or before it gets one
+    The engine follows from the update rule.  An exact variant is updated
+    per event (``processor.events``), as in the paper.  With
+    ``relaxed=True`` the variant consumes one :class:`DeltaBatch` per batch
+    window via ``update_batch`` — the relaxed update runs only there — and
+    its fitness samples are recorded at batch granularity rather than on
+    exact event counts.
+
+    Periodic baselines replay per event to each period boundary: every
+    boundary with stream activity at or before it gets one
     ``update_period`` over the window exactly *at* that boundary (every event
     up to and including the boundary applied, none after it), and boundaries
     keep being scored until the stream is exhausted — including a boundary
-    the stream ends exactly on.  (The per-event loop historically updated
-    baselines only after the first event at-or-past each boundary, so it
-    never scored trailing boundaries when the stream ran out first; both
-    engines now share the boundary-exact semantics.)
-
-    With ``batched=True`` the stream is replayed through the batched engine:
-    continuous methods consume one :class:`DeltaBatch` per batch window via
-    ``update_batch`` (bit-identical to the per-event loop — see the
-    equivalence test suite), and their fitness samples are recorded at batch
-    granularity rather than on exact event counts; periodic baselines advance
-    the window with vectorized pure replay between boundaries and score the
-    same boundaries over the same window values as the per-event engine
-    (equivalent to float precision).
+    the stream ends exactly on.
 
     Checkpointing (continuous methods only — periodic baselines carry no
     checkpointable state and are skipped): with ``checkpoint_dir`` set, the
@@ -252,20 +246,16 @@ def run_method(
     is restored and the replay continues to ``max_events`` *total* events —
     exactly, as if never interrupted (see :mod:`repro.stream.checkpoint`):
     window, factors, and final fitness are what the uninterrupted run
-    produces, and on the per-event engine so is the whole fitness series.
-    (On the batched engine the series may gain an extra sample at the
-    interruption point, because sampling happens at batch granularity.)
+    produces, and for an exact variant so is the whole fitness series.  A
+    relaxed run solves each batch as a whole, so it continues exactly only
+    from where a batch of the uninterrupted run ends; a ``max_events`` that
+    cuts a batch short changes the batches after it.
     Timing statistics are cumulative across resumes: the checkpoint carries
     the lifetime ``total_update_seconds`` / update count, so
     ``mean_update_microseconds`` reflects the whole run, not just the events
     replayed after the restore.
     """
     kind = method_kind(method)
-    if relaxed and not batched:
-        raise ConfigurationError(
-            "relaxed requires batched=True — the relaxed path "
-            "executes update_batch, which the per-event loop never calls"
-        )
     if checkpoint_events is not None and checkpoint_events <= 0:
         raise ConfigurationError(
             f"checkpoint_events must be positive, got {checkpoint_events}"
@@ -355,7 +345,7 @@ def run_method(
     timer.restore(resumed_update_seconds, resumed_update_count)
     resumed_events = n_events
     remaining = max(max_events - n_events, 0)
-    if batched and kind == "continuous":
+    if relaxed and kind == "continuous":
         next_fitness = (n_events // fitness_every + 1) * fitness_every
         for batch in processor.iter_batches(max_events=remaining):
             timer.start()
@@ -389,21 +379,15 @@ def run_method(
                 ) * checkpoint_events
     else:
         # Periodic baselines only read the window at period boundaries, so
-        # the stream between boundaries is replayed without model updates —
-        # per event or with the pure batched scatter (bit-identical windows).
+        # the stream between boundaries is replayed without model updates.
         # Every boundary with data at or before it gets its update_period
         # over the window exactly *at* the boundary — in particular the
         # final one, even when the stream ends exactly on it or is exhausted
-        # before max_events; both engines share these semantics.
+        # before max_events.
         while n_events < max_events:
-            if batched:
-                applied = processor.run_batched(
-                    end_time=next_boundary, max_events=max_events - n_events
-                )
-            else:
-                applied = processor.run(
-                    end_time=next_boundary, max_events=max_events - n_events
-                )
+            applied = processor.run(
+                end_time=next_boundary, max_events=max_events - n_events
+            )
             n_events += applied
             if applied == 0 and not processor.has_pending_events:
                 break
@@ -412,7 +396,7 @@ def run_method(
                 # The event budget truncated the replay mid-period: the
                 # window has not reached the boundary, so scoring it would
                 # violate the boundary-exact invariant.  Stop without a
-                # sample, exactly like the historical per-event loop.
+                # sample.
                 break
             timer.start()
             model.update_period()
@@ -433,13 +417,13 @@ def run_method(
     if kind == "continuous":
         # n_updates is the lifetime event counter for both engines, and the
         # timer holds lifetime seconds (resumes seed it from the checkpoint).
-        # Per-update time is per *event*: the batched timer wrapped whole
+        # Per-update time is per *event*: a relaxed run's timer wrapped whole
         # update_batch calls, so normalise by the lifetime event count to
         # stay comparable with Fig. 5.  A resume from a pre-fix checkpoint
         # has no lifetime numerator, so its per-call numerator is normalised
         # by the per-call event count instead.
         n_updates = model.n_updates
-        if batched:
+        if relaxed:
             timed_events = n_events if timer_is_lifetime else n_events - resumed_events
             mean_update_microseconds = (
                 timer.total_seconds / timed_events * 1e6 if timed_events else 0.0
@@ -502,7 +486,7 @@ def run_sweep(
     values and its event budget and fitness cadence from ``settings``; a
     point's ``overrides`` may replace only ``theta``, ``eta``, ``max_events``
     and ``fitness_every`` (any other key is a ``TypeError``).  This is the
-    one place that forwards ``seed``, ``batched``, ``relaxed``,
+    one place that forwards ``seed``, ``relaxed``,
     ``checkpoint_events``, ``checkpoint_dir`` (the fan-out work dir),
     ``resume`` and ``n_workers`` to the replays.
 
@@ -527,7 +511,6 @@ def run_sweep(
             **{**defaults, **overrides},
             rank=spec.rank,
             seed=settings.seed,
-            batched=settings.batched,
             relaxed=settings.relaxed,
             checkpoint_events=settings.checkpoint_events,
             checkpoint_subdir="" if key == method else None,

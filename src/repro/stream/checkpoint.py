@@ -119,11 +119,6 @@ class StreamCheckpoint:
         """The caller-supplied payload stored at save time (or ``None``)."""
         return self.manifest.get("extra")
 
-    @property
-    def has_model(self) -> bool:
-        """True when model state was saved alongside the processor."""
-        return self.manifest.get("model") is not None
-
 
 def is_checkpoint(path: str | Path) -> bool:
     """True if ``path`` looks like a checkpoint directory (manifest present)."""

@@ -19,7 +19,6 @@ from repro.tensor.products import (
 from repro.tensor.matricization import (
     fold,
     unfold_dense,
-    unfold_sparse,
 )
 from repro.tensor.random import (
     random_factors,
@@ -37,7 +36,6 @@ __all__ = [
     "outer",
     "fold",
     "unfold_dense",
-    "unfold_sparse",
     "random_factors",
     "random_kruskal",
     "random_sparse_tensor",

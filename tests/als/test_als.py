@@ -67,10 +67,6 @@ class TestDecomposition:
         for left, right in zip(first.decomposition.factors, second.decomposition.factors):
             np.testing.assert_array_equal(left, right)
 
-    def test_svd_init_also_fits(self, small_tensor):
-        result = decompose(small_tensor, rank=3, n_iterations=10, init="svd", seed=0)
-        assert np.isfinite(result.fitness)
-
     def test_empty_tensor_is_handled(self):
         result = decompose(SparseTensor((3, 3, 3)), rank=2, n_iterations=2)
         assert result.fitness == pytest.approx(1.0) or result.fitness == float("-inf")

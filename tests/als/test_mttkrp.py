@@ -60,17 +60,6 @@ class TestMttkrpRow:
                     atol=1e-9,
                 )
 
-    def test_extra_entries_are_included(self, rng):
-        tensor = SparseTensor((4, 3, 2), entries={(0, 1, 0): 2.0})
-        factors = random_factors(tensor.shape, rank=2, rng=rng, nonnegative=False)
-        extra = [((0, 2, 1), 3.0), ((1, 0, 0), 5.0)]  # second has a different row
-        row = mttkrp_row(tensor, factors, 0, 0, extra_entries=extra)
-        augmented = tensor.copy()
-        augmented.add((0, 2, 1), 3.0)
-        np.testing.assert_allclose(
-            row, mttkrp_row(augmented, factors, 0, 0), atol=1e-12
-        )
-
     def test_row_with_no_nonzeros_is_zero(self, rng):
         tensor = SparseTensor((4, 3), entries={(1, 1): 1.0})
         factors = random_factors(tensor.shape, rank=2, rng=rng)
@@ -90,24 +79,18 @@ class TestMttkrpRow:
             np.testing.assert_allclose(row, factors[0][index, :], atol=1e-8)
 
 
-def _legacy_mttkrp_row(tensor, factors, mode, index, extra_entries=()):
-    """The pre-kernel list-based ``mttkrp_row`` slow path, verbatim.
+def _legacy_mttkrp_row(tensor, factors, mode, index):
+    """The pre-kernel list-based ``mttkrp_row`` loop, verbatim.
 
-    Kept as the bit-exactness oracle for the array-based ``extra_entries``
-    path that replaced it: the entries are visited in the same order
-    (stored slice entries, then kept extras), so the float operations and
-    hence the bits must match exactly.
+    Kept as the bit-exactness oracle for the array-based path that replaced
+    it: the slice's entries are visited in the same order, so the float
+    operations and hence the bits must match exactly.
     """
     rank = factors[0].shape[1]
     coordinates = []
     values = []
     for coordinate, value in tensor.mode_slice(mode, index):
         coordinates.append(coordinate)
-        values.append(value)
-    for coordinate, value in extra_entries:
-        if coordinate[mode] != index:
-            continue
-        coordinates.append(tuple(coordinate))
         values.append(value)
     if not coordinates:
         return np.zeros(rank, dtype=np.float64)
@@ -123,51 +106,16 @@ def _legacy_mttkrp_row(tensor, factors, mode, index, extra_entries=()):
     return product.sum(axis=0)
 
 
-class TestExtraEntriesBitExact:
-    """The array-ops ``extra_entries`` path is bit-identical to the legacy one."""
-
-    def _random_case(self, rng, n_stored):
-        shape = (5, 4, 3)
-        tensor = SparseTensor(shape)
-        for _ in range(n_stored):
-            coordinate = tuple(int(rng.integers(0, n)) for n in shape)
-            tensor.add(coordinate, float(rng.standard_normal()))
-        factors = random_factors(shape, rank=3, rng=rng, nonnegative=False)
-        return tensor, factors
-
-    def test_stored_plus_extras(self, rng):
-        tensor, factors = self._random_case(rng, n_stored=25)
-        extra = [
-            ((0, 1, 2), 1.5),
-            ((0, 3, 0), -2.25),
-            ((2, 0, 0), 7.0),  # different row: must be ignored for index 0
-        ]
-        for mode in range(tensor.order):
-            for index in range(tensor.shape[mode]):
-                np.testing.assert_array_equal(
-                    mttkrp_row(tensor, factors, mode, index, extra_entries=extra),
-                    _legacy_mttkrp_row(tensor, factors, mode, index, extra),
-                )
-
-    def test_extras_only_empty_slice(self, rng):
-        tensor, factors = self._random_case(rng, n_stored=0)
-        extra = [((1, 2, 0), 3.5), ((1, 0, 1), -0.5)]
-        np.testing.assert_array_equal(
-            mttkrp_row(tensor, factors, 0, 1, extra_entries=extra),
-            _legacy_mttkrp_row(tensor, factors, 0, 1, extra),
-        )
-
-    def test_all_extras_filtered_out(self, rng):
-        tensor, factors = self._random_case(rng, n_stored=10)
-        extra = [((4, 0, 0), 2.0)]  # never matches index 1 of mode 0
-        np.testing.assert_array_equal(
-            mttkrp_row(tensor, factors, 0, 1, extra_entries=extra),
-            _legacy_mttkrp_row(tensor, factors, 0, 1, extra),
-        )
-
-    def test_no_entries_anywhere_gives_zeros(self, rng):
-        tensor, factors = self._random_case(rng, n_stored=0)
-        np.testing.assert_array_equal(
-            mttkrp_row(tensor, factors, 1, 2, extra_entries=[((0, 3, 0), 1.0)]),
-            np.zeros(3),
-        )
+def test_stored_entries_match_the_list_loop_bit_for_bit(rng):
+    shape = (5, 4, 3)
+    tensor = SparseTensor(shape)
+    for _ in range(25):
+        coordinate = tuple(int(rng.integers(0, n)) for n in shape)
+        tensor.add(coordinate, float(rng.standard_normal()))
+    factors = random_factors(shape, rank=3, rng=rng, nonnegative=False)
+    for mode in range(tensor.order):
+        for index in range(tensor.shape[mode]):
+            np.testing.assert_array_equal(
+                mttkrp_row(tensor, factors, mode, index),
+                _legacy_mttkrp_row(tensor, factors, mode, index),
+            )

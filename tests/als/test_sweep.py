@@ -1,6 +1,6 @@
 """The gather-once ALS sweep is bit-identical to the per-mode Eq. 4 recipe.
 
-``ALS.fit`` and ``PeriodicALS`` / ``OracleALS`` take their MTTKRPs from
+``ALS.fit`` and ``PeriodicALS`` take their MTTKRPs from
 :class:`repro.als.mttkrp.MTTKRPSweep`.  The references below run the
 per-mode loop on the public :func:`repro.als.mttkrp.mttkrp` and
 ``np.linalg.pinv`` instead, and every factor, Gram, fitness value, sweep
@@ -18,7 +18,7 @@ from repro.als.als import ALS, ALSConfig, decompose
 from repro.als.initialization import initialize_factors
 from repro.als.mttkrp import MTTKRPSweep, mttkrp
 from repro.baselines.base import BaselineConfig
-from repro.baselines.periodic_als import OracleALS, PeriodicALS
+from repro.baselines.periodic_als import PeriodicALS
 from repro.exceptions import ShapeError
 from repro.stream.window import TensorWindow, WindowConfig
 from repro.tensor.kruskal import KruskalTensor
@@ -59,7 +59,7 @@ def reference_fit(tensor, config, initial_factors=None):
     """``ALS.fit`` as the per-mode loop: one full ``mttkrp`` per mode."""
     rng = np.random.default_rng(config.seed)
     if initial_factors is None:
-        factors = initialize_factors(tensor, config.rank, config.init, rng)
+        factors = initialize_factors(tensor, config.rank, rng)
     else:
         factors = [np.array(f, dtype=np.float64, copy=True) for f in initial_factors]
     grams = [gram(factor) for factor in factors]
@@ -186,21 +186,6 @@ class TestPeriodicBaselines:
             for actual, factor, expected_gram in zip(model.factors, expected, grams):
                 assert np.array_equal(actual, factor)
                 assert np.array_equal(actual.T @ actual, expected_gram)
-
-    @pytest.mark.parametrize("order, nnz, rank", CASES)
-    def test_oracle_als_matches_per_mode_loop(self, order, nnz, rank):
-        tensor = make_tensor(order, nnz, seed=6)
-        initial = random_factors(tensor.shape, rank, rng=np.random.default_rng(3))
-        config = BaselineConfig(rank=rank, n_iterations=2, seed=9)
-        model = OracleALS(config)
-        model.initialize(window_of(tensor), initial)
-        model.update_period()
-        rng = np.random.default_rng(config.seed)
-        expected = [rng.random(factor.shape) for factor in initial]
-        for _ in range(3):
-            reference_period(tensor, expected, config)
-        for actual, factor in zip(model.factors, expected):
-            assert np.array_equal(actual, factor)
 
 
 class TestMTTKRPSweep:

@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import pytest
+
 import repro
 from repro.analysis.checkers import ALL_CHECKERS
 from repro.analysis.cli import main as lint_main
@@ -12,7 +14,6 @@ from repro.analysis.framework import run_checkers
 from repro.analysis.source import Project
 
 PACKAGE_ROOT = Path(repro.__file__).resolve().parent
-REPO_BASELINE = PACKAGE_ROOT.parents[1] / ".repro-lint-baseline.json"
 
 FLAWED = """
 import random
@@ -37,12 +38,6 @@ class TestSelfCheck:
             finding.format_text() for finding in result.findings
         )
 
-    def test_shipped_baseline_is_empty(self):
-        """Every accepted deviation is an inline allow-comment, not a
-        baseline entry — the baseline only exists for adopting new rules."""
-        payload = json.loads(REPO_BASELINE.read_text())
-        assert payload["findings"] == []
-
     def test_cli_is_clean_on_shipped_tree(self, capsys):
         assert lint_main([str(PACKAGE_ROOT)]) == 0
         assert "0 finding(s)" in capsys.readouterr().out
@@ -62,45 +57,52 @@ class TestCli:
         root = write_package(tmp_path)
         assert lint_main([str(root), "--format", "json"]) == 1
         payload = json.loads(capsys.readouterr().out)
+        assert set(payload) == {"files_checked", "rules", "findings", "suppressed"}
         assert payload["files_checked"] == 1
         [finding] = payload["findings"]
         assert finding["rule"] == "global-random"
         assert finding["module"] == "repro_fixture.core.flawed"
         assert finding["line"] == 5
 
-    def test_baseline_accepts_known_findings(self, tmp_path, capsys):
+    def test_there_is_no_baseline_to_accept_findings(self, tmp_path, capsys):
+        # Every accepted deviation is an inline allow-comment; any other
+        # finding fails the run.
         root = write_package(tmp_path)
-        baseline = tmp_path / "baseline.json"
-        assert (
-            lint_main(
-                [
-                    str(root),
-                    "--baseline",
-                    str(baseline),
-                    "--update-baseline",
-                ]
-            )
-            == 0
-        )
-        capsys.readouterr()
-        assert lint_main([str(root), "--baseline", str(baseline)]) == 0
-        out = capsys.readouterr().out
-        assert "1 baselined" in out
+        with pytest.raises(SystemExit) as exit_info:
+            lint_main([str(root), "--baseline", str(tmp_path / "baseline.json")])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --baseline" in capsys.readouterr().err
 
-    def test_new_finding_fails_despite_baseline(self, tmp_path, capsys):
+    def test_update_baseline_is_a_usage_error(self, tmp_path, capsys):
         root = write_package(tmp_path)
-        baseline = tmp_path / "baseline.json"
-        lint_main(
-            [str(root), "--baseline", str(baseline), "--update-baseline"]
-        )
-        (root / "core" / "worse.py").write_text(
-            "import random\nshuffled = random.shuffle([1, 2])\n"
-        )
-        capsys.readouterr()
-        assert lint_main([str(root), "--baseline", str(baseline)]) == 1
+        with pytest.raises(SystemExit) as exit_info:
+            lint_main([str(root), "--update-baseline"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --update-baseline" in capsys.readouterr().err
+
+    def test_help_names_no_baseline(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            lint_main(["--help"])
+        assert exit_info.value.code == 0
         out = capsys.readouterr().out
-        assert "worse" in out
-        assert "1 baselined" in out
+        assert "--show-suppressed" in out
+        assert "baseline" not in out
+
+    def test_json_reports_an_allowed_finding_as_suppressed(self, tmp_path, capsys):
+        root = write_package(
+            tmp_path,
+            source=(
+                "import random\n"
+                "value = random.random()  # repro: allow[global-random] demo\n"
+            ),
+        )
+        assert lint_main([str(root), "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert set(payload) == {"files_checked", "rules", "findings", "suppressed"}
+        assert payload["findings"] == []
+        [waived] = payload["suppressed"]
+        assert waived["rule"] == "global-random"
+        assert waived["line"] == 2
 
     def test_missing_directory_is_usage_error(self, tmp_path, capsys):
         assert lint_main([str(tmp_path / "nowhere")]) == 2

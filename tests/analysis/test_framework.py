@@ -1,16 +1,10 @@
-"""Framework behaviour: suppressions, baselines, loading, ordering."""
+"""Framework behaviour: suppressions, loading, ordering."""
 
 from __future__ import annotations
 
 import pytest
 
 from analysis_helpers import lint, rule_ids
-from repro.analysis.baseline import (
-    finding_key,
-    load_baseline,
-    split_by_baseline,
-    write_baseline,
-)
 from repro.analysis.checkers import ALL_CHECKERS
 from repro.analysis.checkers.determinism import DeterminismChecker
 from repro.analysis.framework import all_rules, run_checkers
@@ -120,55 +114,6 @@ class TestProjectLoading:
         )
         coordinates = [(f.module, f.line) for f in result.findings]
         assert coordinates == sorted(coordinates)
-
-
-class TestBaseline:
-    def _findings(self):
-        result = lint(
-            {
-                "repro.core.x": """
-                import random
-                value = random.random()
-                """
-            },
-            DeterminismChecker(),
-        )
-        return result.findings
-
-    def test_roundtrip_and_split(self, tmp_path):
-        findings = self._findings()
-        path = tmp_path / "baseline.json"
-        write_baseline(path, findings)
-        baseline = load_baseline(path)
-        assert baseline == {finding_key(f) for f in findings}
-        new, known = split_by_baseline(findings, baseline)
-        assert new == []
-        assert known == findings
-
-    def test_missing_file_is_empty_baseline(self, tmp_path):
-        assert load_baseline(tmp_path / "absent.json") == set()
-
-    def test_malformed_file_raises_configuration_error(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        path.write_text('{"format": "something-else"}')
-        with pytest.raises(ConfigurationError):
-            load_baseline(path)
-
-    def test_baseline_key_ignores_line_numbers(self):
-        shifted = lint(
-            {
-                "repro.core.x": """
-                import random
-
-                # an unrelated edit above the finding
-                value = random.random()
-                """
-            },
-            DeterminismChecker(),
-        ).findings
-        assert {finding_key(f) for f in self._findings()} == {
-            finding_key(f) for f in shifted
-        }
 
 
 class TestRuleCatalog:

@@ -109,11 +109,11 @@ class SimulatedCrash(Exception):
     pass
 
 
-@pytest.mark.parametrize("batched", [False, True], ids=["per-event", "batched"])
+@pytest.mark.parametrize("relaxed", [False, True], ids=["exact", "relaxed"])
 class TestInterruptedRunResume:
-    """Acceptance: interrupt + resume == uninterrupted, on both engines."""
+    """Acceptance: interrupt + resume == uninterrupted, on both update rules."""
 
-    def test_resumed_run_matches_uninterrupted(self, tmp_path, batched, monkeypatch):
+    def test_resumed_run_matches_uninterrupted(self, tmp_path, relaxed, monkeypatch):
         from repro.stream.processor import ContinuousStreamProcessor
 
         def run(checkpoint_dir, resume=False, checkpoint_events=None):
@@ -122,7 +122,7 @@ class TestInterruptedRunResume:
                     checkpoint_dir=str(checkpoint_dir),
                     checkpoint_events=checkpoint_events,
                     resume=resume,
-                    batched=batched,
+                    relaxed=relaxed,
                     **SETTINGS,
                 ),
                 methods=(METHOD,),

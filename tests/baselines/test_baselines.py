@@ -9,7 +9,7 @@ from repro.baselines.base import BaselineConfig
 from repro.baselines.cp_stream import CPStream
 from repro.baselines.necpd import NeCPD
 from repro.baselines.online_scp import OnlineSCP
-from repro.baselines.periodic_als import OracleALS, PeriodicALS
+from repro.baselines.periodic_als import PeriodicALS
 from repro.baselines.registry import (
     BASELINES,
     available_baselines,
@@ -63,7 +63,6 @@ class TestRegistry:
     def test_available(self):
         assert set(available_baselines()) == {
             "als",
-            "oracle_als",
             "online_scp",
             "cp_stream",
             "necpd",
@@ -143,14 +142,6 @@ class TestPeriodicALS:
         refit_fitness = model.fitness()
         frozen_fitness = frozen.fitness(processor.window.tensor)
         assert refit_fitness > frozen_fitness
-
-    def test_oracle_als_refits_from_scratch(
-        self, small_processor, small_initial_factors
-    ):
-        model = OracleALS(BaselineConfig(rank=4, n_iterations=2, seed=0))
-        model.initialize(small_processor.window, small_initial_factors)
-        model.update_period()
-        assert np.isfinite(model.fitness())
 
 
 class TestOnlineSCP:

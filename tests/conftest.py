@@ -6,8 +6,6 @@ the whole suite runs in seconds; the benchmarks exercise realistic sizes.
 
 from __future__ import annotations
 
-import sys
-
 import numpy as np
 import pytest
 
@@ -24,26 +22,6 @@ from repro.tensor.sparse import SparseTensor
 def rng() -> np.random.Generator:
     """Deterministic random generator."""
     return np.random.default_rng(12345)
-
-
-@pytest.fixture
-def hide_scipy(monkeypatch: pytest.MonkeyPatch) -> None:
-    """Make every ``import scipy...`` fail as if SciPy were not installed.
-
-    A ``None`` entry in ``sys.modules`` halts that import; the submodules
-    already loaded by earlier tests are hidden too, because importing a
-    cached submodule never consults its parent's entry.
-    """
-    names = {
-        "scipy",
-        "scipy.linalg",
-        "scipy.linalg.lapack",
-        "scipy.sparse",
-        "scipy.sparse.linalg",
-    }
-    names.update(name for name in sys.modules if name.startswith("scipy."))
-    for name in names:
-        monkeypatch.setitem(sys.modules, name, None)
 
 
 @pytest.fixture

@@ -13,8 +13,10 @@ import math
 import numpy as np
 import pytest
 
+from benchmarks.reference_drain import reference_events
 from repro.anomaly.detector import SCOREBOARD_SIZE
-from repro.data.datasets import get_dataset_spec
+from repro.anomaly.scoring import score_batch
+from repro.data.datasets import DATASETS, get_dataset_spec
 from repro.exceptions import ConfigurationError
 from repro.experiments import anomaly_experiment, runner
 from repro.experiments.anomaly_experiment import (
@@ -32,12 +34,25 @@ from repro.experiments.scalability import format_scalability, run_scalability
 from repro.experiments.speed_fitness import format_speed_fitness, run_speed_fitness
 from repro.experiments.theta_sweep import format_theta_sweep, run_theta_sweep
 from repro.stream.checkpoint import is_checkpoint
+from repro.stream.events import EventKind
+from repro.stream.processor import ContinuousStreamProcessor
+from repro.stream.window import WindowConfig
 
 TINY = ExperimentSettings(
     dataset="chicago_crime", scale=0.08, max_events=200, n_checkpoints=4,
     als_iterations=3, seed=0,
 )
 
+
+
+def window_config_of(settings: ExperimentSettings) -> WindowConfig:
+    """The window an experiment builds for ``settings.dataset``."""
+    spec = settings.spec
+    return WindowConfig(
+        mode_sizes=spec.mode_sizes,
+        window_length=spec.window_length,
+        period=spec.period,
+    )
 
 class TestGranularity:
     def test_runs_and_reports(self):
@@ -159,6 +174,77 @@ class TestAnomalyExperiment:
             assert periodic.mean_detection_delay > 0.0
         assert "Fig. 9" in format_anomaly_experiment(result)
 
+    @pytest.fixture
+    def injected_streams(self, monkeypatch):
+        """The streams fig9 replays, anomalies included, as it builds them."""
+        inject = anomaly_experiment.inject_anomalies
+        streams = []
+
+        def injecting(*args, **kwargs):
+            stream, anomalies = inject(*args, **kwargs)
+            streams.append(stream)
+            return stream, anomalies
+
+        monkeypatch.setattr(anomaly_experiment, "inject_anomalies", injecting)
+        return streams
+
+    @pytest.mark.parametrize("dataset", sorted(DATASETS))
+    def test_baselines_score_the_newest_unit_at_every_boundary(
+        self, injected_streams, dataset
+    ):
+        # A baseline scores the unit each period boundary completes, on the
+        # window exactly at that boundary, up to and including the last one.
+        settings = ExperimentSettings(dataset=dataset, scale=0.1)
+        baselines = ("online_scp", "cp_stream")
+        periods = 4
+        result = run_anomaly_experiment(
+            settings, methods=baselines, replay_periods=periods
+        )
+        [stream] = injected_streams
+        config = window_config_of(settings)
+        processor = ContinuousStreamProcessor(stream, config)
+        expected = 0
+        for step in range(1, periods + 1):
+            processor.run(end_time=processor.start_time + step * config.period)
+            expected += processor.window.unit_nnz(config.window_length - 1)
+        assert expected > 0
+        for method in baselines:
+            assert result.methods[method].n_scored == expected, method
+
+    @pytest.mark.parametrize("relaxed", [False, True], ids=["exact", "relaxed"])
+    def test_continuous_method_scores_every_arrival_once(
+        self, injected_streams, monkeypatch, relaxed
+    ):
+        # Per event or per batch, every arrival up to the end of the replay
+        # is scored once; only a relaxed run scores through score_batch.
+        scored_batches = []
+
+        def counting(model, batch, detector):
+            scored_batches.append(batch.n_events)
+            return score_batch(model, batch, detector)
+
+        monkeypatch.setattr(anomaly_experiment, "score_batch", counting)
+        settings = ExperimentSettings(dataset="nyc_taxi", scale=0.1, relaxed=relaxed)
+        periods = 3
+        result = run_anomaly_experiment(
+            settings, methods=("sns_vec_plus",), n_anomalies=4,
+            replay_periods=periods,
+        )
+        [stream] = injected_streams
+        config = window_config_of(settings)
+        processor = ContinuousStreamProcessor(stream, config)
+        replay_end = processor.start_time + periods * config.period
+        kinds = [
+            event.kind for event, _ in reference_events(processor, end_time=replay_end)
+        ]
+        assert result.methods["sns_vec_plus"].n_scored == kinds.count(
+            EventKind.ARRIVAL
+        )
+        if relaxed:
+            assert sum(scored_batches) == len(kinds)
+        else:
+            assert scored_batches == []
+
     @pytest.mark.parametrize(
         "kwargs",
         [{"top_k": SCOREBOARD_SIZE + 1}, {"n_anomalies": SCOREBOARD_SIZE + 1}],
@@ -178,7 +264,7 @@ class TestAnomalyExperiment:
 class TestRelaxedForwarding:
     """Every figure entry point builds its models with the requested knob."""
 
-    RELAXED = dataclasses.replace(TINY, batched=True, relaxed=True)
+    RELAXED = dataclasses.replace(TINY, relaxed=True)
 
     @pytest.fixture
     def built_configs(self, monkeypatch):
@@ -259,7 +345,6 @@ class TestKnobForwarding:
             n_checkpoints=3,
             als_iterations=2,
             seed=7,
-            batched=True,
             relaxed=True,
             checkpoint_dir=str(tmp_path),
             checkpoint_events=40,
@@ -300,7 +385,6 @@ class TestKnobForwarding:
                 "max_events": point.get("max_events", 120),
                 "fitness_every": point.get("fitness_every", 40),
                 "seed": 7,
-                "batched": True,
                 "relaxed": True,
                 "checkpoint_events": 40,
             }, task.key

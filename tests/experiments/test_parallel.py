@@ -99,12 +99,12 @@ class TestRunExperimentEquivalence:
             for seq_factor, par_factor in zip(seq_model.factors, par_model.factors):
                 assert (np.asarray(seq_factor) == np.asarray(par_factor)).all()
 
-    def test_batched_engine_parallel_equals_sequential(self):
+    def test_relaxed_parallel_equals_sequential(self):
         methods = ("sns_rnd_plus", "als")
-        batched = dataclasses.replace(SETTINGS, batched=True)
-        sequential = run_experiment(batched, methods)
+        relaxed = dataclasses.replace(SETTINGS, relaxed=True)
+        sequential = run_experiment(relaxed, methods)
         parallel = run_experiment(
-            dataclasses.replace(batched, n_workers=2), methods
+            dataclasses.replace(relaxed, n_workers=2), methods
         )
         for method in methods:
             _assert_method_results_equal(
@@ -258,6 +258,45 @@ class TestCrashRecovery:
         )
         # The pre-existing matching result was adopted; the task never re-ran.
         assert payloads["done"] == sentinel
+
+    def test_result_fingerprinted_with_an_engine_flag_is_rerun(
+        self, prepared, tmp_path
+    ):
+        # Result files written while tasks carried a `batched` parameter
+        # match no task now: resume re-runs the task, with the same result.
+        stream, spec, window_config, initial, _ = prepared
+        snapshot_path = tmp_path / "snapshot"
+        save_experiment_snapshot(snapshot_path, stream, window_config, initial)
+        work_dir = tmp_path / "pool"
+        work_dir.mkdir()
+        task = method_task(
+            "old", "sns_vec", rank=spec.rank, max_events=40, fitness_every=20
+        )
+        fingerprint = task_fingerprint(task)
+        fingerprint["params"]["batched"] = False
+        stale = {
+            "task_kind": "method",
+            "sentinel": True,
+            "task_fingerprint": fingerprint,
+        }
+        (work_dir / f"old{RESULT_SUFFIX}").write_text(json.dumps(stale))
+        payloads = run_tasks(
+            [task],
+            snapshot_path=snapshot_path,
+            work_dir=work_dir,
+            n_workers=1,
+            resume=True,
+        )
+        assert "sentinel" not in payloads["old"]
+        assert payloads["old"]["task_fingerprint"] == task_fingerprint(task)
+        reference = run_method(
+            stream, window_config, "sns_vec",
+            initial_factors=initial, rank=spec.rank,
+            max_events=40, fitness_every=20,
+        )
+        _assert_method_results_equal(
+            reference, method_result_from_payload(payloads["old"])
+        )
 
     def test_resume_with_larger_budget_continues_instead_of_reusing(
         self, prepared, tmp_path

@@ -7,9 +7,19 @@ import json
 import numpy as np
 import pytest
 
+from benchmarks.reference_drain import reference_run
 from repro.als.als import decompose
+from repro.baselines.base import BaselineConfig
+from repro.baselines.registry import create_baseline
+from repro.core.base import SNSConfig
+from repro.core.registry import create_algorithm
 from repro.data.generators import generate_synthetic_stream
 from repro.exceptions import ConfigurationError
+from repro.experiments import runner
+from repro.experiments.config import (
+    DEFAULT_CONTINUOUS_METHODS,
+    DEFAULT_PERIODIC_METHODS,
+)
 from repro.experiments.runner import (
     ExperimentResult,
     MethodResult,
@@ -19,6 +29,9 @@ from repro.experiments.runner import (
 )
 from repro.stream.processor import ContinuousStreamProcessor
 from repro.stream.window import WindowConfig
+
+#: The five SliceNStitch variants.
+VARIANTS = sorted(DEFAULT_CONTINUOUS_METHODS)
 
 
 @pytest.fixture(scope="module")
@@ -64,41 +77,6 @@ class TestRunMethod:
         assert result.mean_update_microseconds > 0
         assert np.isfinite(result.average_fitness)
 
-    def test_batched_continuous_matches_sequential(self, runner_setup):
-        stream, window_config, initial, _ = runner_setup
-        kwargs = dict(
-            initial_factors=initial, rank=5, max_events=300, fitness_every=100
-        )
-        sequential = run_method(stream, window_config, "sns_vec_plus", **kwargs)
-        batched = run_method(
-            stream, window_config, "sns_vec_plus", batched=True, **kwargs
-        )
-        assert batched.kind == "continuous"
-        assert batched.n_events == sequential.n_events
-        # n_updates and mean_update_microseconds are per-event in both paths.
-        assert batched.n_updates == sequential.n_updates
-        assert batched.mean_update_microseconds > 0
-        # The batched engine is numerically equivalent, so the final state —
-        # and therefore the final fitness — must agree to float precision.
-        assert batched.final_fitness == pytest.approx(
-            sequential.final_fitness, rel=1e-9
-        )
-
-    def test_batched_periodic_method_runs(self, runner_setup):
-        stream, window_config, initial, _ = runner_setup
-        result = run_method(
-            stream, window_config, "als",
-            initial_factors=initial, rank=5,
-            max_events=300, fitness_every=100, batched=True,
-        )
-        assert result.kind == "periodic"
-        assert result.n_events == 300
-        assert result.n_updates >= 1
-        assert np.isfinite(result.final_fitness)
-        assert result.checkpoint_times == sorted(result.checkpoint_times)
-        assert result.mean_update_microseconds > 0
-        assert np.isfinite(result.average_fitness)
-
     def test_periodic_method_result(self, runner_setup):
         stream, window_config, initial, _ = runner_setup
         result = run_method(
@@ -120,64 +98,239 @@ class TestRunMethod:
         )
         assert len(result.fitness_series) == 1  # falls back to final fitness
 
+    def test_batched_continuous_matches_sequential(self, runner_setup):
+        # run_method replays an exact variant per event; the library's
+        # batched engine, driven on the same model, ends on the same state.
+        stream, window_config, initial, _ = runner_setup
+        sequential = run_method(
+            stream, window_config, "sns_vec_plus",
+            initial_factors=initial, rank=5, max_events=300, fitness_every=100,
+        )
+        processor = ContinuousStreamProcessor(stream, window_config)
+        model = create_algorithm(
+            "sns_vec_plus", SNSConfig(rank=5, theta=20, eta=1000.0, seed=0)
+        )
+        model.initialize(processor.window, initial)
+        assert processor.run_batched(model=model, max_events=300) == 300
+        assert model.n_updates == sequential.n_updates == 300
+        assert model.fitness() == pytest.approx(sequential.final_fitness, rel=1e-9)
+
+
+@pytest.fixture
+def built_models(monkeypatch):
+    """Every model ``run_method`` builds, in the order it builds them."""
+    models = []
+
+    def recording(factory):
+        def build(*args, **kwargs):
+            model = factory(*args, **kwargs)
+            models.append(model)
+            return model
+
+        return build
+
+    monkeypatch.setattr(
+        runner, "create_algorithm", recording(runner.create_algorithm)
+    )
+    monkeypatch.setattr(runner, "create_baseline", recording(runner.create_baseline))
+    return models
+
+
+def started_variant(stream, window_config, initial, method, relaxed):
+    """A fresh processor and ``method`` built as ``run_method`` builds it."""
+    processor = ContinuousStreamProcessor(stream, window_config)
+    model = create_algorithm(
+        method, SNSConfig(rank=5, theta=5, eta=1000.0, seed=0, relaxed=relaxed)
+    )
+    model.initialize(processor.window, initial)
+    return processor, model
+
+
+class TestEngineFollowsUpdateRule:
+    """The update rule picks the engine; there is no option to pick it."""
+
+    @pytest.mark.parametrize("method", VARIANTS)
+    def test_exact_variant_is_updated_per_event(
+        self, runner_setup, built_models, method
+    ):
+        stream, window_config, initial, _ = runner_setup
+        result = run_method(
+            stream, window_config, method, initial_factors=initial, rank=5,
+            theta=5, max_events=250, fitness_every=60,
+        )
+        [model] = built_models
+        processor, expected = started_variant(
+            stream, window_config, initial, method, relaxed=False
+        )
+        times = []
+        for count, (event, delta) in enumerate(processor.events(max_events=250), 1):
+            expected.update(delta)
+            if count % 60 == 0:
+                times.append(event.time)
+        # Samples fall on exact event counts, one per update.
+        assert result.checkpoint_times == times
+        assert result.n_updates == result.n_events == 250
+        for actual, factor in zip(model.factors, expected.factors):
+            assert np.array_equal(actual, factor)
+        assert result.final_fitness == expected.fitness()
+
+    @pytest.mark.parametrize("method", VARIANTS)
+    def test_relaxed_variant_is_updated_per_batch(
+        self, runner_setup, built_models, method
+    ):
+        stream, window_config, initial, _ = runner_setup
+        result = run_method(
+            stream, window_config, method, initial_factors=initial, rank=5,
+            theta=5, max_events=250, fitness_every=60, relaxed=True,
+        )
+        [model] = built_models
+        processor, expected = started_variant(
+            stream, window_config, initial, method, relaxed=True
+        )
+        times = []
+        n_events = 0
+        for batch in processor.iter_batches(max_events=250):
+            expected.update_batch(batch)
+            crossed = (n_events + batch.n_events) // 60 > n_events // 60
+            n_events += batch.n_events
+            if crossed:
+                times.append(batch.end_time)
+        # Samples fall on batch ends, and the relaxed update ran on them.
+        assert result.checkpoint_times == times
+        assert result.n_updates == result.n_events == n_events == 250
+        for actual, factor in zip(model.factors, expected.factors):
+            assert np.array_equal(actual, factor)
+        assert result.final_fitness == expected.fitness()
+
+
+def batched_boundary_scores(stream, window_config, initial, max_events):
+    """ALS scored at each period boundary, replayed on the batched engine.
+
+    The boundary rules of :func:`run_method`: score the window at every
+    boundary the replay reaches, stop without a sample when the event budget
+    ends the replay short of the next boundary.  Returns the sample times,
+    the fitness values, the events applied, the number of updates and the
+    final fitness.
+    """
+    processor = ContinuousStreamProcessor(stream, window_config)
+    model = create_baseline("als", BaselineConfig(rank=5, n_iterations=3, seed=0))
+    model.initialize(processor.window, initial)
+    boundary = processor.start_time + window_config.period
+    times, values, n_events = [], [], 0
+    while n_events < max_events:
+        applied = processor.run_batched(
+            end_time=boundary, max_events=max_events - n_events
+        )
+        n_events += applied
+        if applied == 0 and not processor.has_pending_events:
+            break
+        upcoming = processor.next_event_time
+        if upcoming is not None and upcoming <= boundary:
+            break
+        model.update_period()
+        times.append(boundary)
+        values.append(model.fitness())
+        boundary += window_config.period
+        if n_events >= max_events:
+            break
+    n_updates = len(times)
+    if not times:
+        # No boundary reached: one sample of the starting fit.
+        times.append(processor.start_time)
+        values.append(model.fitness())
+    return times, values, n_events, n_updates, model.fitness()
+
 
 class TestBaselineBoundarySemantics:
-    """Both engines score periodic baselines identically (boundary-exact)."""
+    """Periodic baselines are scored on the window at each period boundary."""
 
     @pytest.mark.parametrize("max_events", [37, 300, 600])
     def test_engines_agree_bit_for_bit(self, runner_setup, max_events):
+        # run_method replays per event to each boundary; the batched engine
+        # reaches the same boundaries with the same windows.  (The grouped
+        # scatter can store entries in another order than per-event applies,
+        # so ALS's float reductions round differently: values agree to float
+        # precision, structure exactly.)
         stream, window_config, initial, _ = runner_setup
-        kwargs = dict(
-            initial_factors=initial, rank=5, max_events=max_events,
-            fitness_every=100,
+        sequential = run_method(
+            stream, window_config, "als", initial_factors=initial, rank=5,
+            max_events=max_events, fitness_every=100,
         )
-        sequential = run_method(stream, window_config, "als", **kwargs)
-        batched = run_method(stream, window_config, "als", batched=True, **kwargs)
-        # Identical semantics: the same boundaries are scored over the same
-        # window values.  (The grouped scatter can store entries in a
-        # different order than per-event applies, so ALS's float reductions
-        # round differently — values agree to float precision, structure
-        # exactly.)
-        assert batched.fitness_series == pytest.approx(
-            sequential.fitness_series, rel=1e-9
+        times, values, n_events, n_updates, final = batched_boundary_scores(
+            stream, window_config, initial, max_events
         )
-        assert batched.checkpoint_times == sequential.checkpoint_times
-        assert batched.n_events == sequential.n_events
-        assert batched.n_updates == sequential.n_updates
-        assert batched.final_fitness == pytest.approx(
-            sequential.final_fitness, rel=1e-9
+        assert sequential.checkpoint_times == times
+        assert sequential.fitness_series == pytest.approx(values, rel=1e-9)
+        assert sequential.n_events == n_events
+        assert sequential.n_updates == n_updates
+        assert sequential.final_fitness == pytest.approx(final, rel=1e-9)
+
+    @pytest.mark.parametrize("method", DEFAULT_PERIODIC_METHODS)
+    def test_every_baseline_scores_the_window_at_each_boundary(
+        self, runner_setup, monkeypatch, method
+    ):
+        stream, window_config, initial, _ = runner_setup
+        seen = []
+        create_baseline = runner.create_baseline
+
+        def build(*args, **kwargs):
+            model = create_baseline(*args, **kwargs)
+            update_period = model.update_period
+
+            def recorded():
+                seen.append(dict(model.window.tensor.items()))
+                update_period()
+
+            model.update_period = recorded
+            return model
+
+        monkeypatch.setattr(runner, "create_baseline", build)
+        result = run_method(
+            stream, window_config, method, initial_factors=initial,
+            rank=5, max_events=1500, fitness_every=100,
         )
+        # The oracle: the reference per-event drain, stopped at each boundary.
+        processor = ContinuousStreamProcessor(stream, window_config)
+        expected_times, expected_windows = [], []
+        boundary = processor.start_time + window_config.period
+        n_events = 0
+        while True:
+            n_events += reference_run(
+                processor, end_time=boundary, max_events=1500 - n_events
+            )
+            upcoming = processor.next_event_time
+            if upcoming is not None and upcoming <= boundary:
+                break
+            expected_times.append(boundary)
+            expected_windows.append(dict(processor.window.tensor.items()))
+            boundary += window_config.period
+            if n_events >= 1500:
+                break
+        assert len(expected_times) >= 3
+        assert result.checkpoint_times == expected_times
+        assert seen == expected_windows
+        assert result.n_updates == len(expected_times)
 
     def test_trailing_boundaries_scored_when_stream_exhausts(self, runner_setup):
-        # Ask for far more events than the stream holds: the per-event loop
-        # historically stopped scoring at the last event, silently dropping
-        # every boundary at or past it; both engines must now score them.
+        # Ask for far more events than the stream holds: every boundary at
+        # or past the last event must still be scored.
         stream, window_config, initial, _ = runner_setup
-        kwargs = dict(
+        result = run_method(
+            stream, window_config, "als",
             initial_factors=initial, rank=5, max_events=10**6,
             fitness_every=10**6,
         )
-        sequential = run_method(stream, window_config, "als", **kwargs)
-        batched = run_method(stream, window_config, "als", batched=True, **kwargs)
-        assert sequential.n_events < 10**6  # the stream really ran out
-        assert sequential.checkpoint_times == batched.checkpoint_times
-        # Trailing windows are nearly empty, so ALS is ill-conditioned and
-        # amplifies the engines' storage-order rounding; the scored
-        # boundaries (the point of this test) still agree closely.
-        assert batched.fitness_series == pytest.approx(
-            sequential.fitness_series, rel=1e-5, abs=1e-5
-        )
+        assert result.n_events < 10**6  # the stream really ran out
         # The last scored boundary is at or past the final event: no window
         # state is left unscored when the stream ends.
         last_event_time = max(record.time for record in stream.records) + (
             window_config.window_length * window_config.period
         )
-        assert sequential.checkpoint_times[-1] >= last_event_time - window_config.period
+        assert result.checkpoint_times[-1] >= last_event_time - window_config.period
 
     def test_truncated_final_period_is_not_scored(self, runner_setup):
         # When max_events stops the replay mid-period, the window has not
-        # reached the next boundary, so no sample may be emitted for it —
-        # on either engine.
+        # reached the next boundary, so no sample may be emitted for it.
         stream, window_config, initial, _ = runner_setup
         probe = ContinuousStreamProcessor(stream, window_config)
         first_boundary = probe.start_time + window_config.period
@@ -187,13 +340,10 @@ class TestBaselineBoundarySemantics:
             initial_factors=initial, rank=5, max_events=max_events,
             fitness_every=10**6,
         )
-        for batched in (False, True):
-            result = run_method(
-                stream, window_config, "als", batched=batched, **kwargs
-            )
-            assert result.n_events == max_events
-            assert result.n_updates == 1
-            assert result.checkpoint_times == [pytest.approx(first_boundary)]
+        result = run_method(stream, window_config, "als", **kwargs)
+        assert result.n_events == max_events
+        assert result.n_updates == 1
+        assert result.checkpoint_times == [pytest.approx(first_boundary)]
 
     def test_boundary_scored_when_stream_ends_exactly_on_it(self, runner_setup):
         # Cap the replay so it ends exactly at a period boundary: that
@@ -206,27 +356,33 @@ class TestBaselineBoundarySemantics:
             initial_factors=initial, rank=5, max_events=events_to_boundary,
             fitness_every=events_to_boundary,
         )
-        sequential = run_method(stream, window_config, "als", **kwargs)
-        batched = run_method(stream, window_config, "als", batched=True, **kwargs)
-        assert sequential.checkpoint_times[-1] == pytest.approx(boundary)
-        assert sequential.checkpoint_times == batched.checkpoint_times
-        assert batched.fitness_series == pytest.approx(
-            sequential.fitness_series, rel=1e-9
-        )
+        result = run_method(stream, window_config, "als", **kwargs)
+        assert result.checkpoint_times[-1] == pytest.approx(boundary)
 
 
 class TestCheckpointResume:
-    @pytest.mark.parametrize("batched", [False, True], ids=["per_event", "batched"])
+    @pytest.mark.parametrize("relaxed", [False, True], ids=["exact", "relaxed"])
     def test_resume_reproduces_uninterrupted_run(
-        self, runner_setup, tmp_path, batched
+        self, runner_setup, tmp_path, relaxed
     ):
         stream, window_config, initial, _ = runner_setup
         kwargs = dict(
             initial_factors=initial, rank=5, theta=5,
-            max_events=300, fitness_every=100, batched=batched,
+            max_events=300, fitness_every=100, relaxed=relaxed,
         )
         reference = run_method(stream, window_config, "sns_rnd_plus", **kwargs)
-        interrupted = dict(kwargs, max_events=150, checkpoint_dir=tmp_path)
+        # A relaxed update solves a batch as a whole, so the interruption
+        # falls where a batch of the uninterrupted run ends: the first
+        # batch end at or past event 150.
+        probe = ContinuousStreamProcessor(stream, window_config)
+        interruption = 0
+        for batch in probe.iter_batches(max_events=300):
+            probe.window.apply_batch(batch)
+            interruption += batch.n_events
+            if interruption >= 150:
+                break
+        assert interruption < 300
+        interrupted = dict(kwargs, max_events=interruption, checkpoint_dir=tmp_path)
         run_method(stream, window_config, "sns_rnd_plus", **interrupted)
         assert (tmp_path / "sns_rnd_plus").is_dir()
         resumed = run_method(
@@ -235,14 +391,8 @@ class TestCheckpointResume:
         )
         assert resumed.n_events == reference.n_events == 300
         assert resumed.final_fitness == reference.final_fitness
-        if not batched:
-            # Per-event fitness sampling is on exact event counts, so the
-            # whole series matches; the batched engine may add one sample at
-            # the interruption point (batch-granularity sampling).
-            assert resumed.fitness_series == reference.fitness_series
-            assert resumed.checkpoint_times == reference.checkpoint_times
-        else:
-            assert resumed.fitness_series[-1] == reference.fitness_series[-1]
+        assert resumed.fitness_series == reference.fitness_series
+        assert resumed.checkpoint_times == reference.checkpoint_times
 
     def test_completed_run_resumes_to_larger_horizon(self, runner_setup, tmp_path):
         stream, window_config, initial, _ = runner_setup

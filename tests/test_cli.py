@@ -40,11 +40,16 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["fig4", "--dataset", "imagenet"])
 
-    def test_relaxed_selects_the_relaxed_batched_path(self):
-        exact = _settings(build_parser().parse_args(["fig4"]))
-        assert not exact.relaxed and not exact.batched
-        relaxed = _settings(build_parser().parse_args(["fig4", "--relaxed"]))
-        assert relaxed.relaxed and relaxed.batched
+    def test_relaxed_selects_the_relaxed_update(self):
+        assert not _settings(build_parser().parse_args(["fig4"])).relaxed
+        assert _settings(build_parser().parse_args(["fig4", "--relaxed"])).relaxed
+
+    def test_batched_is_a_usage_error(self, capsys):
+        # The engine follows from --relaxed; there is no flag to pick it.
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["fig4", "--batched"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --batched" in capsys.readouterr().err
 
 
 class TestTableCommands:
@@ -64,6 +69,53 @@ class TestTableCommands:
         assert main(["table3"]) == 0
         captured = capsys.readouterr()
         assert "Table III" in captured.out
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["fig4", "--scale", "-1"], "scale must be positive, got -1.0"),
+            (["fig9", "--scale", "0"], "scale must be positive, got 0.0"),
+            (["fig1", "--max-events", "0"], "max_events must be positive, got 0"),
+            (
+                ["fig5", "--n-checkpoints", "0"],
+                "n_checkpoints must be positive, got 0",
+            ),
+            (["fig6", "--workers", "0"], "n_workers must be >= 1, got 0"),
+            (
+                ["fig7", "--checkpoint-events", "10"],
+                "checkpoint_events requires checkpoint_dir — without it no "
+                "checkpoint would ever be written",
+            ),
+            (
+                ["fig8", "--resume"],
+                "resume=True requires checkpoint_dir to locate the checkpoint",
+            ),
+            (
+                ["fig4", "--checkpoint-dir", "{tmp}", "--checkpoint-events", "0"],
+                "checkpoint_events must be positive, got 0",
+            ),
+        ],
+        ids=[
+            "negative-scale",
+            "zero-scale",
+            "zero-max-events",
+            "zero-n-checkpoints",
+            "zero-workers",
+            "checkpoint-events-without-dir",
+            "resume-without-dir",
+            "zero-checkpoint-events",
+        ],
+    )
+    def test_main_reports_a_library_error_in_one_line(
+        self, capsys, tmp_path, argv, message
+    ):
+        checkpoint_dir = tmp_path / "checkpoints"
+        argv = [arg.format(tmp=checkpoint_dir) for arg in argv]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"slicenstitch: error: {message}\n"
+        assert not checkpoint_dir.exists()
 
 
 class TestExperimentCommand:
@@ -159,13 +211,21 @@ class TestCheckpointResumeEndToEnd:
         ],
     )
     def test_resume_refuses_another_runs_checkpoint(
-        self, tmp_path, dataset, scale, differs
+        self, tmp_path, dataset, scale, differs, capsys
     ):
         checkpoint_args = ["--max-events", "60", "--checkpoint-dir", str(tmp_path)]
         run(["fig8", "--dataset", "nyc_taxi", "--scale", "0.08", *checkpoint_args])
+        resume = ["fig8", "--dataset", dataset, "--scale", scale,
+                  *checkpoint_args, "--resume"]
         with pytest.raises(ConfigurationError, match=re.escape(differs)):
-            run(["fig8", "--dataset", dataset, "--scale", scale,
-                 *checkpoint_args, "--resume"])
+            run(resume)
+        # From the console entry point: one line on stderr, exit status 2.
+        capsys.readouterr()
+        assert main(resume) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("slicenstitch: error: checkpoint at ")
+        assert line.endswith("start a fresh checkpoint directory")
+        assert f"differs in {differs}" in line
 
 
 class TestFig9ReplayFlags:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -62,6 +63,25 @@ class TestPublicApi:
             if isinstance(obj, type) and issubclass(obj, Exception) and name != "ReproError":
                 if obj.__module__ == "repro.exceptions":
                     assert issubclass(obj, exceptions.ReproError)
+
+    @pytest.mark.parametrize(
+        "module, name, parameter",
+        [
+            # The experiments derive the engine from the update rule.
+            ("repro.experiments.config", "ExperimentSettings", "batched"),
+            ("repro.experiments.runner", "run_method", "batched"),
+            ("repro.experiments.parallel", "method_task", "batched"),
+            # ALS always starts from uniform random factors.
+            ("repro.als.als", "ALSConfig", "init"),
+            ("repro.als.als", "decompose", "init"),
+            ("repro.als.initialization", "initialize_factors", "strategy"),
+        ],
+    )
+    def test_options_with_one_value_in_use_are_constants(
+        self, module, name, parameter
+    ):
+        target = getattr(importlib.import_module(module), name)
+        assert parameter not in inspect.signature(target).parameters
 
 
 class TestLazyExports:

@@ -1,14 +1,15 @@
-"""SciPy is optional, and no variant loads it.
+"""SciPy is not a dependency: no module imports it.
 
-``import repro`` and every SliceNStitch variant, on the exact path and on
-the relaxed batch update, need numpy only: the sampled variants and the
-least-squares solves call numpy's own LAPACK gufuncs, so their results do
-not depend on whether SciPy is installed.  The import checks run in fresh
-interpreters, because this test process has usually loaded SciPy already.
+``import repro``, every SliceNStitch variant, on the exact path and on the
+relaxed batch update, ALS and the periodic baselines need numpy only: the
+sampled variants and the least-squares solves call numpy's own LAPACK
+gufuncs, so their results do not depend on whether SciPy is installed.  The import checks run in fresh
+interpreters, because this test process may have loaded SciPy already.
 """
 
 from __future__ import annotations
 
+import ast
 import os
 import subprocess
 import sys
@@ -63,6 +64,21 @@ def run_python(*parts: str) -> list[str]:
     return completed.stdout.splitlines()
 
 
+def test_no_module_imports_scipy():
+    importers = []
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "scipy" for name in names):
+                importers.append(f"{path.relative_to(SRC)}:{node.lineno}")
+    assert importers == []
+
+
 def test_numpy_only_variants_never_load_scipy():
     lines = run_python(
         "import sys\nimport repro.cli\nimport repro.service.cli",
@@ -85,6 +101,34 @@ def test_numpy_only_variants_never_load_scipy():
         "sns_vec 100",
         "sns_vec_plus 100",
         "relaxed sns_rnd 100",
+        "[]",
+    ]
+
+
+def test_als_and_baselines_never_load_scipy():
+    # ALS starts from random factors, and every baseline solves with numpy.
+    lines = run_python(
+        "import sys",
+        SETUP,
+        """
+    from repro.baselines import BaselineConfig, available_baselines, create_baseline
+
+    processor = ContinuousStreamProcessor(stream, config)
+    start = decompose(processor.window.tensor, rank=4, n_iterations=5)
+    processor.run(max_events=300)
+    for name in available_baselines():
+        model = create_baseline(name, BaselineConfig(rank=4))
+        model.initialize(processor.window, start.decomposition)
+        model.update_period()
+        print(name, model.n_period_updates)
+    print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+    """,
+    )
+    assert lines == [
+        "als 1",
+        "cp_stream 1",
+        "necpd 1",
+        "online_scp 1",
         "[]",
     ]
 
