@@ -101,7 +101,6 @@ def _score_from_dict(entry: Mapping[str, Any]) -> AnomalyScore:
         error=float(entry["error"]),
         event_time=float(entry["event_time"]),
         detection_time=float(entry["detection_time"]),
-        is_warmup=bool(entry.get("is_warmup", False)),
     )
 
 
@@ -227,27 +226,18 @@ class ZScoreDetector:
     def load_state(self, state: Mapping[str, Any]) -> None:
         """Restore the running state saved by :meth:`state_dict`.
 
-        Also reads the older payload that listed every score in observation
-        order under ``"scores"``, warm-up placeholders included, and keeps
-        the :data:`SCOREBOARD_SIZE` best of them.  Payloads without a
-        ``"finite_count"`` come from detectors that folded every error into
-        the statistics, so it defaults to ``count``.
+        Every key :meth:`state_dict` writes is required; a missing or
+        unreadable one raises :class:`~repro.exceptions.CheckpointError`.
         """
         try:
             warmup = max(int(state["warmup"]), 1)
             count = int(state["count"])
-            finite_count = int(state.get("finite_count", count))
+            finite_count = int(state["finite_count"])
             mean = float(state["mean"])
             m2 = float(state["m2"])
-            if "scoreboard" in state:
-                indexed = (
-                    (int(entry["index"]), entry) for entry in state["scoreboard"]
-                )
-            else:
-                indexed = enumerate(state["scores"])
             board: list[_Entry] = []
-            for index, entry in indexed:
-                _offer(board, _score_from_dict(entry), index)
+            for entry in state["scoreboard"]:
+                _offer(board, _score_from_dict(entry), int(entry["index"]))
         except (KeyError, TypeError, ValueError) as error:
             raise CheckpointError(
                 f"detector state payload is unreadable: {error}"

@@ -31,14 +31,22 @@ from __future__ import annotations
 
 import abc
 import dataclasses
+import typing
 from collections.abc import Mapping, Sequence
 from typing import Any
 
 import numpy as np
 
 from repro.core.relaxed import update_batch as relaxed_update_batch
-from repro.exceptions import ConfigurationError, NotFittedError, RankError, ShapeError
+from repro.exceptions import (
+    CheckpointError,
+    ConfigurationError,
+    NotFittedError,
+    RankError,
+    ShapeError,
+)
 from repro.kernels.registry import resolve_backend
+from repro.stream.checkpoint import require_keys
 from repro.stream.deltas import Delta, DeltaBatch
 from repro.stream.window import TensorWindow
 from repro.tensor.kruskal import KruskalTensor
@@ -125,58 +133,21 @@ class SNSConfig:
             )
 
     @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "SNSConfig":
-        """Rebuild a config saved as a plain dict (e.g. in a checkpoint).
+    def from_dict(cls, payload: Any) -> "SNSConfig":
+        """Rebuild a config saved by :meth:`ContinuousCPD.state_dict`.
 
-        Keys the saved dict lacks take their defaults: checkpoints written
-        before a field existed were implicitly run with its default.
-        Checkpoints written while there were two slice samplers carry a
-        ``sampling`` key; ``"vectorized"`` is the sampler that remains and
-        is dropped, any other value raises :class:`ConfigurationError`
-        because that run cannot be continued exactly.  A string ``backend``
-        is dropped too: checkpoints written while there were two kernel
-        backends may name ``"numba"``, and a restored model runs on
-        whatever ``"auto"`` resolves to.  Configs with a ``shards`` or
-        ``staleness`` key go through :func:`migrate_relaxed`.
+        The saved dict is read as written: every field but ``backend`` is
+        required, no other key is accepted, and each value must have its
+        field's type; anything else raises
+        :class:`~repro.exceptions.CheckpointError` naming the key.
+        ``backend`` is the seam through which a caller substitutes kernels,
+        not a hyper-parameter, so ``state_dict`` leaves it out and a
+        restored model runs on whatever ``"auto"`` resolves to.
         """
-        fields = dict(payload)
-        if isinstance(fields.get("backend"), str):
+        fields = typing.get_type_hints(cls)
+        if not (isinstance(payload, dict) and "backend" in payload):
             del fields["backend"]
-        sampling = fields.pop("sampling", "vectorized")
-        if sampling != "vectorized":
-            raise ConfigurationError(
-                f"saved config has sampling={sampling!r}; only the "
-                "'vectorized' slice sampler exists, so this run cannot be "
-                "restored"
-            )
-        migrate_relaxed(fields)
-        return cls(**fields)
-
-
-def migrate_relaxed(fields: dict[str, Any]) -> None:
-    """Rewrite a config saved with ``shards``/``staleness`` keys to ``relaxed``.
-
-    Configs written while the relaxed update solved against a factor
-    snapshot carry an integer ``staleness`` (``None`` = exact), and older
-    ones ``shards`` next to it, where ``staleness`` 0 meant the exact path
-    whenever ``shards`` was in ``{None, 1}``.  After that rule, a
-    ``staleness`` of ``None`` maps to the exact path and any integer to
-    ``relaxed=True``.  More than one shard raises
-    :class:`ConfigurationError`: that run's per-shard sample streams and
-    summation order cannot be continued.  Edits ``fields`` in place; a dict
-    with neither key is left alone.
-    """
-    if "shards" in fields:
-        shards = fields.pop("shards")
-        if shards not in (None, 1):
-            raise ConfigurationError(
-                f"saved config has shards={shards!r}; only single-shard runs "
-                "can be continued"
-            )
-        if fields.get("staleness") == 0:
-            fields["staleness"] = None
-    if fields.pop("staleness", None) is not None:
-        fields["relaxed"] = True
+        return cls(**require_keys(payload, fields, "saved model config"))
 
 
 class ContinuousCPD(abc.ABC):
@@ -331,7 +302,8 @@ class ContinuousCPD(abc.ABC):
         """Full serializable run state of this model.
 
         Returns a nested dict of plain values and numpy arrays: the registry
-        ``name``, the hyper-parameter ``config`` (as a plain dict), the
+        ``name``, the hyper-parameter ``config`` (as a plain dict, without
+        the ``backend`` seam), the
         ``n_updates`` counter, the numpy ``Generator`` bit-generator state
         (so the slice sampler resumes on the exact same draws), the factor
         and Gram matrices, and a variant-specific ``aux`` dict
@@ -340,9 +312,11 @@ class ContinuousCPD(abc.ABC):
         :mod:`repro.stream.checkpoint` for the on-disk format.
         """
         self._require_initialized()
+        config = dataclasses.asdict(self._config)
+        del config["backend"]
         return {
             "name": self.name,
-            "config": dataclasses.asdict(self._config),
+            "config": config,
             "n_updates": int(self._n_updates),
             "rng_state": self._rng.bit_generator.state,
             "factors": [factor.copy() for factor in self._factors],
@@ -354,42 +328,33 @@ class ContinuousCPD(abc.ABC):
         """Adopt ``window`` and restore the run state saved by :meth:`state_dict`.
 
         ``window`` must already hold the tensor state the checkpoint was
-        taken at (the checkpoint restore path rebuilds it first).  The model
-        must have been constructed with the same hyper-parameters as the
-        saved one; a mismatch in ``name`` or ``config`` raises
+        taken at (the checkpoint restore path rebuilds it first), and
+        ``state`` every key :meth:`state_dict` writes.  The model must have
+        been constructed with the same hyper-parameters as the saved one; a
+        mismatch in ``name`` or ``config`` raises
         :class:`~repro.exceptions.ConfigurationError` instead of silently
-        resuming a different algorithm.  State saved by the snapshot-based
-        relaxed update (``shard_*`` aux entries) raises it too: that run
-        cannot be continued by the Gauss-Seidel update.
+        resuming a different algorithm.
         """
-        name = state.get("name")
+        name = state["name"]
         if name != self.name:
             raise ConfigurationError(
                 f"cannot load state of algorithm {name!r} into {self.name!r}"
             )
-        if state.get("config") is not None:
-            saved_config = dataclasses.asdict(SNSConfig.from_dict(state["config"]))
-            current_config = dataclasses.asdict(self._config)
-            # The kernels are not a model hyper-parameter: a checkpoint
-            # restores whatever kernels this instance was built with.
-            saved_config.pop("backend")
-            current_config.pop("backend")
-            if saved_config != current_config:
-                mismatched = sorted(
-                    key
-                    for key in current_config
-                    if saved_config[key] != current_config[key]
-                )
-                raise ConfigurationError(
-                    f"checkpointed config does not match this instance "
-                    f"(differs in {mismatched})"
-                )
-        aux = state.get("aux") or {}
-        snapshot_keys = sorted(key for key in aux if key.startswith("shard_"))
-        if snapshot_keys:
+        saved_config = dataclasses.asdict(SNSConfig.from_dict(state["config"]))
+        current_config = dataclasses.asdict(self._config)
+        # The kernels are not a model hyper-parameter: a checkpoint
+        # restores whatever kernels this instance was built with.
+        saved_config.pop("backend")
+        current_config.pop("backend")
+        if saved_config != current_config:
+            mismatched = sorted(
+                key
+                for key in current_config
+                if saved_config[key] != current_config[key]
+            )
             raise ConfigurationError(
-                f"checkpointed state carries {snapshot_keys} from the "
-                "snapshot-based relaxed update; this run cannot be restored"
+                f"checkpointed config does not match this instance "
+                f"(differs in {mismatched})"
             )
         factors = [
             np.array(factor, dtype=np.float64, copy=True)
@@ -416,13 +381,16 @@ class ContinuousCPD(abc.ABC):
         self._window = window
         self._factors = factors
         self._grams = grams
-        self._n_updates = int(state.get("n_updates", 0))
+        self._n_updates = int(state["n_updates"])
         self._rng = np.random.default_rng(self._config.seed)
-        rng_state = state.get("rng_state")
-        if rng_state is not None:
-            self._rng.bit_generator.state = rng_state
+        try:
+            self._rng.bit_generator.state = state["rng_state"]
+        except (KeyError, TypeError, ValueError) as error:
+            raise CheckpointError(
+                f"checkpointed rng_state is unreadable: {error!r}"
+            ) from error
         self._post_restore()
-        self._load_aux_state(aux)
+        self._load_aux_state(state["aux"])
 
     def _aux_state(self) -> dict[str, Any]:
         """Variant-specific extra state (arrays / lists of arrays)."""

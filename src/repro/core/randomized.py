@@ -65,7 +65,9 @@ class RandomizedCPD(ContinuousCPD):
     def _load_aux_state(self, aux) -> None:
         prev_grams = aux.get("prev_grams")
         if prev_grams is None:
-            return  # _post_initialize already reset them from the Grams
+            raise ConfigurationError(
+                "randomized-variant checkpoint state is missing 'prev_grams'"
+            )
         rank = self.rank
         restored = [
             np.array(gram, dtype=np.float64, copy=True) for gram in prev_grams

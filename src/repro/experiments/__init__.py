@@ -24,10 +24,10 @@ Module                     Paper content
 
 from repro.experiments.config import ExperimentSettings, default_settings
 from repro.experiments.parallel import (
+    ExperimentSnapshot,
     ExperimentTask,
     method_task,
     run_tasks,
-    run_tasks_over_snapshot,
 )
 from repro.experiments.runner import (
     ExperimentResult,
@@ -41,6 +41,7 @@ __all__ = [
     "ExperimentSettings",
     "default_settings",
     "ExperimentResult",
+    "ExperimentSnapshot",
     "ExperimentTask",
     "MethodResult",
     "method_task",
@@ -48,5 +49,4 @@ __all__ = [
     "run_method",
     "run_sweep",
     "run_tasks",
-    "run_tasks_over_snapshot",
 ]

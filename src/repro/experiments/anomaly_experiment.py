@@ -230,11 +230,15 @@ def _run_continuous(
         and is_checkpoint(checkpoint_path)
     ):
         processor, model, saved = restore_checked_run(
-            checkpoint_path, stream, window_config, method, config
+            checkpoint_path,
+            stream,
+            window_config,
+            method,
+            config,
+            {"stream": dict, "n_events": int, "detector": dict},
         )
-        n_events = int(saved.get("n_events", 0))
-        if "detector" in saved:
-            detector = ZScoreDetector.from_state(saved["detector"])
+        n_events = saved["n_events"]
+        detector = ZScoreDetector.from_state(saved["detector"])
     else:
         processor = ContinuousStreamProcessor(
             stream, window_config, start_time=stream.start_time + window_config.span

@@ -1,25 +1,25 @@
-"""Process-pool fan-out of independent experiment tasks over a shared snapshot.
+"""Process-pool fan-out of independent experiment tasks over one preparation.
 
 The paper's evaluation replays the same event stream against ~10 methods and
 many sweep points, and every one of those replays is independent once the
 shared preparation (dataset generation, window bootstrap, ALS initialisation)
 is done.  This module turns that independence into wall-clock speed:
 
-1. The parent prepares the experiment **once** and persists the prepared
-   state — stream records, window configuration, ALS initial factors — as an
-   experiment snapshot (:func:`repro.stream.checkpoint.save_experiment_snapshot`).
-2. Worker processes rehydrate the snapshot (bit-identical: records and
-   factors round-trip through float64 npz arrays exactly) and run one
-   :class:`ExperimentTask` each, writing the outcome as a JSON result file.
-3. The pool scheduler (:func:`run_tasks`) keeps ``n_workers`` processes busy
-   and implements crash recovery: every method task checkpoints its run state
-   under ``work_dir/<task>`` (the existing :mod:`repro.stream.checkpoint`
-   machinery), so a failed or killed worker's task is **resumed** from its
-   last checkpoint — not restarted — on the next attempt.
+1. The parent prepares the experiment **once**: an :class:`ExperimentSnapshot`
+   holds the stream, the window configuration and the ALS initial factors.
+2. :func:`run_tasks` runs one :class:`ExperimentTask` per worker process,
+   handing the snapshot over as a process argument — inherited under
+   ``fork``, pickled (bit-exactly) under ``spawn`` — so no worker regenerates
+   data or reruns ALS, and nothing is written to disk for the handover.
+   Each worker writes its outcome as a JSON result file.
+3. The pool keeps ``n_workers`` processes busy and implements crash
+   recovery: every method task checkpoints its run state under
+   ``work_dir/<task>`` (the :mod:`repro.stream.checkpoint` machinery), so a
+   failed or killed worker's task is **resumed** from its last checkpoint —
+   not restarted — on the next attempt.
 
 ``n_workers=1`` never forks: tasks execute in-process, in order, with the
-parent's live objects, so the sequential default stays bit-identical to the
-pre-parallel code path.  Because every ``run_method`` replay is a
+parent's live objects.  Because every ``run_method`` replay is a
 deterministic function of the snapshot and the task parameters, the parallel
 results are identical to the sequential ones for every method — fitness
 series, final factors, everything except wall-clock timings.
@@ -47,19 +47,22 @@ from pathlib import Path
 from typing import Any
 
 from repro.exceptions import ConfigurationError, WorkerError
-from repro.stream.checkpoint import (
-    ExperimentSnapshot,
-    load_experiment_snapshot,
-    save_experiment_snapshot,
-)
+from repro.stream.checkpoint import write_json_atomic
 from repro.stream.stream import MultiAspectStream
 from repro.stream.window import WindowConfig
 
-#: Directory (under the pool's work dir) holding the shared snapshot.
-SNAPSHOT_DIRNAME = "_snapshot"
-
 #: Suffix of the per-task result payload files.
 RESULT_SUFFIX = ".result.json"
+
+#: Failed attempts a task may have before :func:`run_tasks` gives up on it.
+MAX_TASK_FAILURES = 2
+
+#: How worker processes start: fork is much cheaper (no per-worker
+#: re-import of numpy); the workers are spawn-safe, and spawn is the only
+#: choice on platforms without fork.
+START_METHOD = (
+    "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
+)
 
 #: Exit code used by the fault-injection hook (see :data:`FAULT_ENV`).
 FAULT_EXIT_CODE = 70
@@ -70,6 +73,21 @@ FAULT_EXIT_CODE = 70
 #: simulating a mid-run worker kill.  The scheduler's retry then exercises the
 #: genuine resume path.  Never set outside tests / the CI smoke job.
 FAULT_ENV = "REPRO_PARALLEL_FAIL"
+
+
+@dataclasses.dataclass(frozen=True, slots=True)
+class ExperimentSnapshot:
+    """A prepared experiment: what every task replays from.
+
+    The stream, the window configuration and the shared initial factors
+    (a :class:`~repro.tensor.kruskal.KruskalTensor` or a sequence of factor
+    matrices).  Workers receive it as a process argument, so a worker's
+    ``run_method`` outcome is identical to an in-process run.
+    """
+
+    stream: MultiAspectStream
+    window_config: WindowConfig
+    initial_factors: Any
 
 
 @dataclasses.dataclass(frozen=True)
@@ -148,7 +166,7 @@ def execute_task(
     resume: bool = False,
     cache: dict[str, Any] | None = None,
 ) -> dict[str, Any]:
-    """Run one task against a (rehydrated or in-memory) snapshot.
+    """Run one task against a prepared experiment.
 
     Returns a JSON-serializable payload; :func:`method_result_from_payload`
     turns a ``"method"`` payload back into a
@@ -246,14 +264,8 @@ def _fault_events(task_key: str) -> int | None:
     return None
 
 
-def _write_json_atomic(path: Path, payload: dict[str, Any]) -> None:
-    temp = path.with_name(f"{path.name}.tmp-{os.getpid()}")
-    temp.write_text(json.dumps(payload))
-    temp.replace(path)
-
-
 def _worker_main(
-    snapshot_path: str,
+    snapshot: ExperimentSnapshot,
     task: ExperimentTask,
     checkpoint_dir: str | None,
     result_path: str,
@@ -261,12 +273,11 @@ def _worker_main(
 ) -> None:
     """Entry point of one worker process (spawn-safe: picklable args only).
 
-    Rehydrates the shared snapshot, runs the task, and writes the result
-    payload atomically; the presence of the result file is the scheduler's
-    success signal, so a worker killed mid-run leaves no half-result behind.
+    Runs the task and writes the result payload atomically; the presence of
+    the result file is the scheduler's success signal, so a worker killed
+    mid-run leaves no half-result behind.
     """
     try:
-        snapshot = load_experiment_snapshot(snapshot_path)
         fail_at = None if resume else _fault_events(task.key)
         if fail_at is not None and task.kind == "method":
             # Simulated kill: replay a prefix (run_method leaves its final
@@ -279,7 +290,7 @@ def _worker_main(
         payload = execute_task(
             snapshot, task, checkpoint_dir=checkpoint_dir, resume=resume
         )
-        _write_json_atomic(Path(result_path), payload)
+        write_json_atomic(Path(result_path), payload)
     except BaseException:  # pragma: no cover - exercised via worker exit codes
         traceback.print_exc()
         sys.stderr.flush()
@@ -289,19 +300,6 @@ def _worker_main(
 # ----------------------------------------------------------------------
 # Pool scheduler
 # ----------------------------------------------------------------------
-def _resolve_start_method(start_method: str | None) -> str:
-    available = multiprocessing.get_all_start_methods()
-    if start_method is not None:
-        if start_method not in available:
-            raise ConfigurationError(
-                f"start method {start_method!r} not available (have {available})"
-            )
-        return start_method
-    # fork is dramatically cheaper (no per-worker re-import of numpy); the
-    # workers are spawn-safe regardless, so platforms without fork still work.
-    return "fork" if "fork" in available else "spawn"
-
-
 def _task_checkpoint_dir(root: Path, task: ExperimentTask) -> Path:
     subdir = task.checkpoint_subdir if task.checkpoint_subdir is not None else task.key
     return root / subdir if subdir else root
@@ -333,22 +331,28 @@ def _clear_stale_task_state(
 
 
 def run_tasks(
+    snapshot: ExperimentSnapshot,
     tasks: Sequence[ExperimentTask],
     *,
-    snapshot_path: str | Path,
-    work_dir: str | Path,
-    n_workers: int,
+    n_workers: int = 1,
+    work_dir: str | Path | None = None,
     resume: bool = False,
-    max_task_failures: int = 2,
-    start_method: str | None = None,
 ) -> dict[str, dict[str, Any]]:
-    """Fan ``tasks`` out over ``n_workers`` processes; return payloads by key.
+    """Run ``tasks`` against ``snapshot``, in-process or fanned out.
 
-    Crash recovery: a task whose worker exits without writing its result file
-    (crash, ``SIGKILL``, unhandled exception) is re-queued and retried with
-    ``resume=True``, so method tasks continue from their last on-disk
-    checkpoint under ``work_dir/<task>`` instead of starting over.  A task
-    that fails more than ``max_task_failures`` times raises
+    ``n_workers=1`` executes every task in this process, in order, against
+    the live objects — no forking, bit-identical to the sequential code.
+    Method tasks checkpoint under ``work_dir`` when it is given.
+
+    ``n_workers>1`` fans the tasks out over that many processes, each
+    handed ``snapshot`` as a process argument, and returns their payloads
+    by key; ``work_dir`` (a temporary directory when ``None``) holds the
+    task checkpoints and result files.  Crash recovery: a task whose worker
+    exits without writing its result file (crash, ``SIGKILL``, unhandled
+    exception) is re-queued and retried with ``resume=True``, so method
+    tasks continue from their last on-disk checkpoint under
+    ``work_dir/<task>`` instead of starting over.  A task that fails more
+    than :data:`MAX_TASK_FAILURES` times raises
     :class:`~repro.exceptions.WorkerError`.  With ``resume=True`` result
     files already present in ``work_dir`` are trusted when their stored
     :func:`task_fingerprint` matches the scheduled task (they are written
@@ -359,18 +363,31 @@ def run_tasks(
     _validate_tasks(tasks)
     if n_workers < 1:
         raise ConfigurationError(f"n_workers must be >= 1, got {n_workers}")
-    if max_task_failures < 0:
-        raise ConfigurationError(
-            f"max_task_failures must be >= 0, got {max_task_failures}"
-        )
-    snapshot_path = str(snapshot_path)
+    results: dict[str, dict[str, Any]] = {}
+    if n_workers == 1:
+        cache: dict[str, Any] = {}
+        for task in tasks:
+            checkpoint_dir = (
+                _task_checkpoint_dir(Path(work_dir), task)
+                if work_dir is not None
+                else None
+            )
+            results[task.key] = execute_task(
+                snapshot, task, checkpoint_dir=checkpoint_dir, resume=resume,
+                cache=cache,
+            )
+        return results
+    if work_dir is None:
+        with tempfile.TemporaryDirectory(prefix="repro-parallel-") as scratch:
+            return run_tasks(
+                snapshot, tasks, n_workers=n_workers, work_dir=scratch, resume=resume
+            )
     root = Path(work_dir)
     root.mkdir(parents=True, exist_ok=True)
-    context = multiprocessing.get_context(_resolve_start_method(start_method))
+    context = multiprocessing.get_context(START_METHOD)
     pending: deque[ExperimentTask] = deque(tasks)
     failures: dict[str, int] = {task.key: 0 for task in tasks}
     running: list[tuple[Any, ExperimentTask, Path]] = []
-    results: dict[str, dict[str, Any]] = {}
     try:
         while pending or running:
             while pending and len(running) < n_workers:
@@ -394,7 +411,7 @@ def run_tasks(
                 process = context.Process(
                     target=_worker_main,
                     args=(
-                        snapshot_path,
+                        snapshot,
                         task,
                         str(checkpoint_dir),
                         str(result_path),
@@ -420,7 +437,7 @@ def run_tasks(
                     results[task.key] = json.loads(result_path.read_text())
                     continue
                 failures[task.key] += 1
-                if failures[task.key] > max_task_failures:
+                if failures[task.key] > MAX_TASK_FAILURES:
                     raise WorkerError(
                         f"task {task.key!r} failed {failures[task.key]} time(s) "
                         f"(last worker exit code {exitcode}); its checkpoint — "
@@ -436,71 +453,3 @@ def run_tasks(
                 process.terminate()
             process.join()
     return results
-
-
-def run_tasks_over_snapshot(
-    stream: MultiAspectStream,
-    window_config: WindowConfig,
-    initial_factors: Any,
-    tasks: Sequence[ExperimentTask],
-    *,
-    n_workers: int = 1,
-    work_dir: str | Path | None = None,
-    resume: bool = False,
-    extra: Any = None,
-    max_task_failures: int = 2,
-    start_method: str | None = None,
-) -> dict[str, dict[str, Any]]:
-    """Run ``tasks`` against a prepared experiment, in-process or fanned out.
-
-    ``n_workers=1`` executes every task in this process, in order, against
-    the live objects — no snapshot file, no forking, bit-identical to the
-    sequential code it replaces.  ``n_workers>1`` persists the shared
-    snapshot (under ``work_dir``, or a temporary directory when ``None``)
-    and dispatches to :func:`run_tasks`.
-    """
-    _validate_tasks(tasks)
-    if n_workers < 1:
-        raise ConfigurationError(f"n_workers must be >= 1, got {n_workers}")
-    if n_workers == 1:
-        snapshot = ExperimentSnapshot(
-            stream=stream,
-            window_config=window_config,
-            initial_factors=initial_factors,
-            extra=extra,
-        )
-        results: dict[str, dict[str, Any]] = {}
-        cache: dict[str, Any] = {}
-        for task in tasks:
-            checkpoint_dir = (
-                _task_checkpoint_dir(Path(work_dir), task)
-                if work_dir is not None
-                else None
-            )
-            results[task.key] = execute_task(
-                snapshot, task, checkpoint_dir=checkpoint_dir, resume=resume,
-                cache=cache,
-            )
-        return results
-
-    def _fan_out(root: Path) -> dict[str, dict[str, Any]]:
-        snapshot_path = root / SNAPSHOT_DIRNAME
-        save_experiment_snapshot(
-            snapshot_path, stream, window_config, initial_factors, extra=extra
-        )
-        return run_tasks(
-            tasks,
-            snapshot_path=snapshot_path,
-            work_dir=root,
-            n_workers=n_workers,
-            resume=resume,
-            max_task_failures=max_task_failures,
-            start_method=start_method,
-        )
-
-    if work_dir is None:
-        with tempfile.TemporaryDirectory(prefix="repro-parallel-") as scratch:
-            return _fan_out(Path(scratch))
-    root = Path(work_dir)
-    root.mkdir(parents=True, exist_ok=True)
-    return _fan_out(root)

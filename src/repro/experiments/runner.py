@@ -31,14 +31,15 @@ from repro.data.generators import generate_dataset
 from repro.exceptions import ConfigurationError
 from repro.experiments.config import ExperimentSettings
 from repro.experiments.parallel import (
+    ExperimentSnapshot,
     ExperimentTask,
     method_result_from_payload,
     method_task,
-    run_tasks_over_snapshot,
+    run_tasks,
 )
 from repro.metrics.fitness import relative_fitness
 from repro.metrics.timing import UpdateTimer
-from repro.stream.checkpoint import is_checkpoint, restore_run
+from repro.stream.checkpoint import is_checkpoint, require_keys, restore_run
 from repro.stream.processor import ContinuousStreamProcessor
 from repro.stream.stream import MultiAspectStream
 from repro.stream.window import WindowConfig
@@ -155,29 +156,43 @@ def stream_fingerprint(stream: MultiAspectStream) -> dict[str, Any]:
     }
 
 
+#: The ``extra`` payload of a :func:`run_method` checkpoint: each key and
+#: its type (see :func:`~repro.stream.checkpoint.require_keys`).
+RUN_EXTRA_KEYS = {
+    "stream": dict,
+    "n_events": int,
+    "fitness_times": list[float],
+    "fitness_values": list[float],
+    "timer_total_seconds": float,
+    "timer_n_updates": int,
+}
+
+
 def restore_checked_run(
     path: Path,
     stream: MultiAspectStream,
     window_config: WindowConfig,
     method: str,
     config: SNSConfig,
+    extra_keys: Mapping[str, Any],
 ) -> tuple[ContinuousStreamProcessor, Any, dict[str, Any]]:
     """Restore a run checkpoint to resume, refusing one of another run.
 
     ``restore_run`` brings back the checkpoint's own window, stream and
     model, so continuing a checkpoint taken on other settings would report
     that run under this one's name.  The checkpoint must hold a ``method``
-    model built with ``config``, a window configured as ``window_config``
-    and — when its ``extra`` payload records one — the
-    :func:`stream_fingerprint` of ``stream``.  Returns ``(processor, model,
-    extra)``, with ``extra`` an empty dict when the checkpoint saved none.
+    model built with ``config``, a window configured as ``window_config``,
+    and an ``extra`` payload with exactly ``extra_keys`` (the caller's
+    bookkeeping, :func:`~repro.stream.checkpoint.require_keys`) whose
+    ``stream`` is the :func:`stream_fingerprint` of ``stream``.  Returns
+    ``(processor, model, extra)``.
     """
     processor, model, saved = restore_run(path)
     if model is None or model.name != method:
         raise ConfigurationError(
             f"checkpoint at {path} does not hold a {method!r} model"
         )
-    saved = saved or {}
+    require_keys(saved, extra_keys, f"checkpoint extra at {path}")
     requested = dataclasses.asdict(config)
     recorded = dataclasses.asdict(model.config)
     mismatched = sorted(
@@ -185,10 +200,7 @@ def restore_checked_run(
     )
     if processor.config != window_config:
         mismatched.append("window_config")
-    # Checkpoints saved before the fingerprint existed are checked on the
-    # window configuration only.
-    fingerprint = saved.get("stream")
-    if fingerprint is not None and fingerprint != stream_fingerprint(stream):
+    if saved["stream"] != stream_fingerprint(stream):
         mismatched.append("stream")
     if mismatched:
         raise ConfigurationError(
@@ -253,7 +265,9 @@ def run_method(
     Timing statistics are cumulative across resumes: the checkpoint carries
     the lifetime ``total_update_seconds`` / update count, so
     ``mean_update_microseconds`` reflects the whole run, not just the events
-    replayed after the restore.
+    replayed after the restore.  The checkpoint's ``extra`` payload is read
+    as written (:data:`RUN_EXTRA_KEYS`); one of another run, or of another
+    format version, raises :class:`~repro.exceptions.ConfigurationError`.
     """
     kind = method_kind(method)
     if checkpoint_events is not None and checkpoint_events <= 0:
@@ -280,19 +294,16 @@ def run_method(
             window_config,
             method,
             SNSConfig(rank=rank, theta=theta, eta=eta, seed=seed, relaxed=relaxed),
+            RUN_EXTRA_KEYS,
         )
-        n_events = int(saved.get("n_events", 0))
-        checkpoint_times = [float(t) for t in saved.get("fitness_times", [])]
-        fitness_series = [float(f) for f in saved.get("fitness_values", [])]
-        # Lifetime timing carried across resumes.  Pre-fix checkpoints lack
-        # the keys; those runs fall back to per-call timing (numerator AND
-        # denominator cover only the events replayed after the restore).
-        timer_is_lifetime = "timer_total_seconds" in saved
-        resumed_update_seconds = float(saved.get("timer_total_seconds", 0.0))
-        resumed_update_count = int(saved.get("timer_n_updates", 0))
+        n_events = saved["n_events"]
+        checkpoint_times = [float(t) for t in saved["fitness_times"]]
+        fitness_series = [float(f) for f in saved["fitness_values"]]
+        # Lifetime timing carried across resumes.
+        resumed_update_seconds = float(saved["timer_total_seconds"])
+        resumed_update_count = saved["timer_n_updates"]
     else:
         processor = ContinuousStreamProcessor(stream, window_config)
-        timer_is_lifetime = True
         resumed_update_seconds = 0.0
         resumed_update_count = 0
     if model is None:
@@ -343,7 +354,6 @@ def run_method(
     next_boundary = processor.start_time + period
     timer = UpdateTimer()
     timer.restore(resumed_update_seconds, resumed_update_count)
-    resumed_events = n_events
     remaining = max(max_events - n_events, 0)
     if relaxed and kind == "continuous":
         next_fitness = (n_events // fitness_every + 1) * fitness_every
@@ -419,14 +429,11 @@ def run_method(
         # timer holds lifetime seconds (resumes seed it from the checkpoint).
         # Per-update time is per *event*: a relaxed run's timer wrapped whole
         # update_batch calls, so normalise by the lifetime event count to
-        # stay comparable with Fig. 5.  A resume from a pre-fix checkpoint
-        # has no lifetime numerator, so its per-call numerator is normalised
-        # by the per-call event count instead.
+        # stay comparable with Fig. 5.
         n_updates = model.n_updates
         if relaxed:
-            timed_events = n_events if timer_is_lifetime else n_events - resumed_events
             mean_update_microseconds = (
-                timer.total_seconds / timed_events * 1e6 if timed_events else 0.0
+                timer.total_seconds / n_events * 1e6 if n_events else 0.0
             )
         else:
             mean_update_microseconds = timer.mean_microseconds
@@ -493,7 +500,7 @@ def run_sweep(
     A point keyed by its own method name checkpoints under
     ``<checkpoint_dir>/<method>``, any other point under
     ``<checkpoint_dir>/<key>/<method>``.  ``extra_tasks`` (Fig. 1's
-    conventional-CPD fits) run over the same snapshot; their payloads come
+    conventional-CPD fits) run on the same preparation; their payloads come
     back in :attr:`ExperimentResult.extra_payloads`.  The returned
     ``methods`` maps each point key to its :class:`MethodResult`.
     """
@@ -517,21 +524,12 @@ def run_sweep(
         )
         for key, method, overrides in points
     ]
-    payloads = run_tasks_over_snapshot(
-        stream,
-        window_config,
-        initial,
+    payloads = run_tasks(
+        ExperimentSnapshot(stream, window_config, initial),
         [*tasks, *extra_tasks],
         n_workers=settings.n_workers,
         work_dir=settings.checkpoint_dir,
         resume=settings.resume,
-        extra={
-            "dataset": settings.dataset,
-            "scale": settings.scale,
-            "seed": settings.seed,
-            "rank": spec.rank,
-            "initial_fitness": initial_fitness,
-        },
     )
     return ExperimentResult(
         dataset=settings.dataset,

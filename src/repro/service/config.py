@@ -20,7 +20,6 @@ from collections.abc import Mapping
 from pathlib import Path
 from typing import Any
 
-from repro.core.base import migrate_relaxed
 from repro.core.registry import ALGORITHMS
 from repro.exceptions import ConfigurationError
 
@@ -161,34 +160,20 @@ class StreamConfig:
         return payload
 
     @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "StreamConfig":
+    def from_dict(cls, payload: Any) -> "StreamConfig":
         """Rebuild from :meth:`to_dict` output (or a wire request).
 
-        Unknown keys raise :class:`ConfigurationError` rather than being
+        A payload that is not a JSON object, and unknown keys, raise
+        :class:`ConfigurationError` rather than a ``TypeError`` or being
         silently dropped — a typoed hyper-parameter must not produce a
-        stream with defaults the caller never asked for.  Four keys of
-        older configs are the exceptions: ``sampling``, which configs written
-        while there were two slice samplers carry (``"vectorized"`` is the
-        sampler that remains and is dropped, any other value raises);
-        ``backend``, which configs written while streams chose a kernel
-        backend carry (any string is dropped, because one set of kernels
-        remains, and anything else raises); and ``shards`` and
-        ``staleness``, rewritten to ``relaxed`` by
-        :func:`~repro.core.base.migrate_relaxed`.
+        stream with defaults the caller never asked for.  Missing keys take
+        their defaults.
         """
-        payload = dict(payload)
-        sampling = payload.pop("sampling", "vectorized")
-        if sampling != "vectorized":
+        if not isinstance(payload, Mapping):
             raise ConfigurationError(
-                f"stream config has sampling={sampling!r}; only the "
-                "'vectorized' slice sampler exists"
+                "a stream config must be a JSON object, got "
+                f"{type(payload).__name__}"
             )
-        backend = payload.pop("backend", "auto")
-        if not isinstance(backend, str):
-            raise ConfigurationError(
-                f"backend must be a backend name, got {backend!r}"
-            )
-        migrate_relaxed(payload)
         known = {field.name for field in dataclasses.fields(cls)}
         unknown = sorted(set(payload) - known)
         if unknown:

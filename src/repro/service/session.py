@@ -39,9 +39,8 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import time
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from pathlib import Path
 from typing import Any
 
@@ -59,8 +58,10 @@ from repro.service.config import StreamConfig
 from repro.service.telemetry import StreamTelemetry
 from repro.stream.checkpoint import (
     is_checkpoint,
+    require_keys,
     restore_run,
     sweep_stale_sibling_dirs,
+    write_json_atomic,
 )
 from repro.stream.events import StreamRecord
 from repro.stream.processor import ContinuousStreamProcessor
@@ -68,19 +69,36 @@ from repro.stream.stream import MultiAspectStream
 from repro.stream.window import WindowConfig
 
 _META_FORMAT = "slicenstitch-service-stream"
-_META_VERSION = 1
+_META_VERSION = 2
 #: Subdirectory of a stream's state directory holding the run checkpoint.
 _STATE_DIR = "state"
 
 PHASE_BUFFERING = "buffering"
 PHASE_LIVE = "live"
 
-
-def _write_json_atomic(path: Path, payload: dict[str, Any]) -> None:
-    """Write JSON via a temp file + rename so readers never see a torn file."""
-    temp = path.with_name(f"{path.name}.tmp-{os.getpid()}")
-    temp.write_text(json.dumps(payload, indent=2, sort_keys=True))
-    temp.replace(path)
+#: The keys :meth:`StreamSession.save` writes, with their types (see
+#: :func:`~repro.stream.checkpoint.require_keys`): every ``meta.json``, a
+#: buffering stream's ``meta.json`` on top, and a live stream's checkpoint
+#: ``extra``.
+_META_KEYS = {
+    "format": str,
+    "version": int,
+    "stream_id": str,
+    "phase": str,
+    "config": dict,
+}
+_BUFFERING_META_KEYS = {
+    "clock": float | None,
+    "last_seq": int,
+    "buffer": list,
+    "telemetry": dict,
+}
+_LIVE_EXTRA_KEYS = {
+    "clock": float,
+    "last_seq": int,
+    "detector": dict,
+    "telemetry": dict,
+}
 
 
 class StreamSession:
@@ -476,7 +494,7 @@ class StreamSession:
                     for record in self._buffer
                 ]
                 meta["telemetry"] = self.telemetry.to_dict()
-            _write_json_atomic(directory / "meta.json", meta)
+            write_json_atomic(directory / "meta.json", meta)
         except BaseException as error:
             (
                 self.telemetry.checkpoints_written,
@@ -499,7 +517,11 @@ class StreamSession:
 
         Live streams resume bit-exactly from their run checkpoint (stale
         ``*.tmp`` / ``*.old`` siblings from a mid-write kill are swept or
-        salvaged first).  Raises :class:`CheckpointError` on damaged state.
+        salvaged first).  State is read as :meth:`save` writes it: damaged
+        state, a missing, unknown or mistyped key, and state of another
+        format version raise :class:`CheckpointError` or
+        :class:`~repro.exceptions.ConfigurationError`, which
+        :meth:`ServiceManager.recover` reports per stream.
         """
         directory = Path(directory)
         meta_path = directory / "meta.json"
@@ -519,18 +541,22 @@ class StreamSession:
             )
         if meta.get("version") != _META_VERSION:
             raise CheckpointError(
-                f"unsupported service metadata version {meta.get('version')!r} "
-                f"at {meta_path}"
+                f"service metadata version {meta.get('version')!r} at "
+                f"{meta_path} is not supported (this implementation reads "
+                f"version {_META_VERSION}); delete the stream directory"
             )
-        try:
-            config = StreamConfig.from_dict(meta["config"])
-            stream_id = str(meta["stream_id"])
-            phase = meta["phase"]
-        except (KeyError, TypeError) as error:
+        phase = meta.get("phase")
+        if phase not in (PHASE_BUFFERING, PHASE_LIVE):
             raise CheckpointError(
-                f"stream metadata at {meta_path} is missing fields: {error}"
-            ) from error
-        session = cls(stream_id, config)
+                f"unknown stream phase {phase!r} at {meta_path}"
+            )
+        require_keys(
+            meta,
+            _META_KEYS | (_BUFFERING_META_KEYS if phase == PHASE_BUFFERING else {}),
+            f"stream metadata {meta_path}",
+        )
+        config = StreamConfig.from_dict(meta["config"])
+        session = cls(meta["stream_id"], config)
         if phase == PHASE_BUFFERING:
             try:
                 session._buffer = [
@@ -539,48 +565,35 @@ class StreamSession:
                         value=float(value),
                         time=float(record_time),
                     )
-                    for indices, value, record_time in meta.get("buffer", [])
+                    for indices, value, record_time in meta["buffer"]
                 ]
             except (TypeError, ValueError, ReproError) as error:
                 raise CheckpointError(
                     f"buffered records at {meta_path} are unreadable: {error}"
                 ) from error
-            clock = meta.get("clock")
+            clock = meta["clock"]
             session.clock = float("-inf") if clock is None else float(clock)
-            session.last_seq = int(meta.get("last_seq", 0) or 0)
-            session.telemetry = StreamTelemetry.from_dict(
-                meta.get("telemetry", {})
-            )
+            session.last_seq = meta["last_seq"]
+            session.telemetry = StreamTelemetry.from_dict(meta["telemetry"])
             return session
-        if phase != PHASE_LIVE:
-            raise CheckpointError(
-                f"unknown stream phase {phase!r} at {meta_path}"
-            )
         state_dir = directory / _STATE_DIR
         sweep_stale_sibling_dirs(state_dir)
         if not is_checkpoint(state_dir):
             raise CheckpointError(
-                f"live stream {stream_id!r} has no run checkpoint at {state_dir}"
+                f"live stream {session.stream_id!r} has no run checkpoint at "
+                f"{state_dir}"
             )
         processor, model, extra = restore_run(state_dir)
         if model is None:
             raise CheckpointError(
                 f"checkpoint at {state_dir} holds no model state"
             )
-        extra = extra if isinstance(extra, Mapping) else {}
+        require_keys(extra, _LIVE_EXTRA_KEYS, f"checkpoint extra at {state_dir}")
         session._processor = processor
         session._model = model
         session.phase = PHASE_LIVE
-        clock = extra.get("clock")
-        session.clock = (
-            float(clock) if clock is not None else processor.ingest_horizon
-        )
-        session.last_seq = int(extra.get("last_seq", 0) or 0)
-        if "detector" in extra:
-            session._detector = ZScoreDetector.from_state(extra["detector"])
-        else:
-            session._detector = ZScoreDetector(warmup=config.detector_warmup)
-        session.telemetry = StreamTelemetry.from_dict(
-            extra.get("telemetry", {}) or {}
-        )
+        session.clock = float(extra["clock"])
+        session.last_seq = extra["last_seq"]
+        session._detector = ZScoreDetector.from_state(extra["detector"])
+        session.telemetry = StreamTelemetry.from_dict(extra["telemetry"])
         return session

@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from collections.abc import Mapping
+import typing
 from typing import Any
+
+from repro.stream.checkpoint import require_keys
 
 
 @dataclasses.dataclass(slots=True)
@@ -131,7 +133,18 @@ class StreamTelemetry:
         return payload
 
     @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "StreamTelemetry":
-        """Rebuild from a saved snapshot, ignoring derived/unknown keys."""
-        known = {field.name for field in dataclasses.fields(cls)}
-        return cls(**{key: payload[key] for key in known if key in payload})
+    def from_dict(cls, payload: Any) -> "StreamTelemetry":
+        """Rebuild from :meth:`to_dict` output, read as written.
+
+        Every key :meth:`to_dict` writes is required and must have its
+        type (:func:`~repro.stream.checkpoint.require_keys`); the derived
+        ``checkpoint_age`` and ``degraded`` are checked, then dropped.
+        """
+        fields = typing.get_type_hints(cls)
+        del fields["last_checkpoint_monotonic"]
+        require_keys(
+            payload,
+            fields | {"checkpoint_age": float | None, "degraded": bool},
+            "stream telemetry",
+        )
+        return cls(**{key: payload[key] for key in fields})

@@ -4,10 +4,10 @@ A checkpoint is a directory holding two files:
 
 * ``manifest.json`` — format name + version, the window configuration, the
   scalar processor state (``start_time``, the event counter, the scheduler's
-  sequence counter), the model metadata (registry name, hyper-parameter
-  config, update counter, numpy bit-generator state), and an optional
-  caller-supplied ``extra`` payload (the experiment runner stores its fitness
-  bookkeeping there).
+  sequence counter, the live-ingestion horizon), the model metadata
+  (registry name, hyper-parameter config, update counter, numpy
+  bit-generator state), and a caller-supplied ``extra`` payload (the
+  experiment runner stores its fitness bookkeeping there).
 * ``state.npz`` — every array: the window's COO entries in storage order, a
   table of the unique stream records still referenced by the run, the
   scheduler heap (raw heap-array order, so the restored heap is structurally
@@ -40,28 +40,18 @@ resulting guarantee: checkpoint → restore → continue matches an
 uninterrupted run bit-identically on the window and within ``1e-12`` on the
 factors (observed: exactly equal) for all five variants × both engines.
 
-Checkpoints written while the randomised variants had a second, legacy slice
-sampler record a ``sampling`` key in the model config.
-:meth:`~repro.core.base.SNSConfig.from_dict` drops it when it names the
-remaining ``"vectorized"`` sampler and refuses ``"legacy"`` runs, which
-cannot be continued exactly.  Checkpoints written while there were two
-kernel backends name one as ``backend`` in the model config, which
-``from_dict`` drops, and record a ``kernel_backend`` that restore ignores.
-
 Checkpoints are self-contained: restoring does not need the original stream
 object (the records still in flight are stored in the checkpoint itself).
 
-Experiment snapshots
---------------------
-:func:`save_experiment_snapshot` / :func:`load_experiment_snapshot` persist a
-*prepared-but-unstarted* experiment: the full stream record table, the window
-configuration, and the shared ALS initial factors every method starts from.
-The snapshot is the unit of distribution for parallel replay
-(:mod:`repro.experiments.parallel`): the parent prepares once, ships the
-directory, and each worker rehydrates the identical stream and initial
-decomposition — no per-worker data generation or ALS.  Rehydration is exact:
-records and factors round-trip through float64 npz arrays bit-for-bit, so a
-worker's ``run_method`` outcome is identical to an in-process run.
+One format, read as written
+---------------------------
+The manifest is read exactly as :func:`save_checkpoint` writes it: every key
+it writes is required, and a missing, unknown or mistyped key raises
+:class:`~repro.exceptions.CheckpointError` naming the key
+(:func:`require_keys`).  A checkpoint of another format version — those
+written before version 2 included — raises
+:class:`~repro.exceptions.ConfigurationError` naming the version; it is not
+migrated.
 """
 
 from __future__ import annotations
@@ -70,7 +60,8 @@ import dataclasses
 import json
 import os
 import shutil
-from collections.abc import Mapping, Sequence
+import typing
+from collections.abc import Mapping
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
@@ -80,30 +71,103 @@ from repro.exceptions import CheckpointError, ConfigurationError
 from repro.stream.events import StreamRecord, WindowEvent
 from repro.stream.processor import ContinuousStreamProcessor
 from repro.stream.scheduler import EventScheduler, RawEvent
-from repro.stream.stream import MultiAspectStream
 from repro.stream.window import TensorWindow, WindowConfig
 from repro.tensor.sparse import SparseTensor
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.core.base import ContinuousCPD
-    from repro.tensor.kruskal import KruskalTensor
 
 #: Format identifier written into every manifest.
 FORMAT_NAME = "repro-stream-checkpoint"
 
 #: On-disk format version.  Bump on any incompatible layout change; loading a
 #: checkpoint with a different version raises :class:`ConfigurationError`.
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 MANIFEST_FILENAME = "manifest.json"
 ARRAYS_FILENAME = "state.npz"
 
-#: Format identifier of prepared-experiment snapshots (same file layout, a
-#: different payload: stream records + window config + initial factors).
-SNAPSHOT_FORMAT_NAME = "repro-experiment-snapshot"
+#: The manifest as :func:`save_checkpoint` writes it, one section per table:
+#: each key and the type of its value (see :func:`require_keys`).
+_MANIFEST_KEYS = {
+    "format": str,
+    "version": int,
+    "window": dict,
+    "processor": dict,
+    "model": dict | None,
+    "extra": object,
+}
+_WINDOW_KEYS = {
+    "mode_sizes": list[int],
+    "window_length": int,
+    "period": float,
+    "n_deltas_applied": int,
+    "tensor_version": int,
+    "squared_norm": float,
+}
+_PROCESSOR_KEYS = {
+    "start_time": float,
+    "n_events_emitted": int,
+    "scheduler_sequence": int,
+    "ingest_horizon": float,
+}
+_MODEL_KEYS = {
+    "name": str,
+    "config": dict,
+    "n_updates": int,
+    "rng_state": dict,
+    "n_factors": int,
+    # Aux entry -> None (one array) or the length of its list of arrays.
+    "aux_spec": dict,
+}
 
-#: On-disk snapshot format version; mismatches raise ConfigurationError.
-SNAPSHOT_FORMAT_VERSION = 1
+
+def _matches(value: Any, kind: Any) -> bool:
+    """Whether the JSON ``value`` has type ``kind`` (see :func:`require_keys`)."""
+    origin = typing.get_origin(kind)
+    if origin is list:
+        (item,) = typing.get_args(kind)
+        return isinstance(value, list) and all(_matches(v, item) for v in value)
+    if origin is not None:  # a union such as ``float | None``
+        return any(_matches(value, option) for option in typing.get_args(kind))
+    if kind is int or kind is float:
+        # JSON has one number type: an integer is a float, a bool is neither.
+        numbers = int if kind is int else (int, float)
+        return isinstance(value, numbers) and not isinstance(value, bool)
+    return isinstance(value, kind)
+
+
+def require_keys(
+    payload: Any, keys: Mapping[str, Any], where: str
+) -> dict[str, Any]:
+    """``payload`` once it holds exactly ``keys``, each with its type.
+
+    ``keys`` maps every key a writer always writes to the type of its JSON
+    value: a class (``object`` takes anything), ``list[item]``, or a union
+    such as ``float | None``.  ``float`` takes any JSON number, and a bool
+    is neither an ``int`` nor a ``float``.  A payload that is not a JSON
+    object, or that has a missing, unknown or mistyped key, raises
+    :class:`CheckpointError` naming ``where`` and the key — never a
+    ``KeyError``, ``TypeError`` or ``ValueError`` — so a reader that
+    indexes the keys afterwards cannot crash on a damaged file.
+    """
+    if not isinstance(payload, dict):
+        raise CheckpointError(
+            f"{where} is not a JSON object (got {type(payload).__name__})"
+        )
+    missing = sorted(set(keys) - set(payload))
+    if missing:
+        raise CheckpointError(f"{where} lacks the required key(s) {missing}")
+    unknown = sorted(set(payload) - set(keys))
+    if unknown:
+        raise CheckpointError(f"{where} has unknown key(s) {unknown}")
+    for key, kind in keys.items():
+        if not _matches(payload[key], kind):
+            name = kind.__name__ if isinstance(kind, type) else str(kind)
+            raise CheckpointError(
+                f"{where} has {key!r} = {payload[key]!r}; expected {name}"
+            )
+    return payload
 
 
 @dataclasses.dataclass(slots=True)
@@ -117,7 +181,7 @@ class StreamCheckpoint:
     @property
     def extra(self) -> Any:
         """The caller-supplied payload stored at save time (or ``None``)."""
-        return self.manifest.get("extra")
+        return self.manifest["extra"]
 
 
 def is_checkpoint(path: str | Path) -> bool:
@@ -145,7 +209,8 @@ def save_checkpoint(
     the swap window is that ``path`` is briefly absent while the previous
     state survives under a ``<name>.old-<pid>`` sibling.  ``extra`` must be
     JSON-serializable; callers use it to persist run-loop bookkeeping (the
-    experiment runner stores its fitness series and event count).
+    experiment runner stores its fitness series and event count) and check
+    its keys themselves when they read it back.
 
     When ``model`` is given it must track the *same* window object as
     ``processor`` — two objects that merely hold equal values would silently
@@ -228,8 +293,7 @@ def save_checkpoint(
             "start_time": processor.start_time,
             "n_events_emitted": processor.n_events_emitted,
             "scheduler_sequence": sequence,
-            # Live-ingestion watermark (see ContinuousStreamProcessor.extend);
-            # absent in pre-service checkpoints, restored with a fallback.
+            # Live-ingestion watermark (see ContinuousStreamProcessor.extend).
             "ingest_horizon": processor.ingest_horizon,
         },
         "model": None,
@@ -239,6 +303,13 @@ def save_checkpoint(
         manifest["model"] = _pack_model_state(model.state_dict(), arrays)
 
     return _atomic_write_directory(path, manifest, arrays)
+
+
+def write_json_atomic(path: Path, payload: dict[str, Any]) -> None:
+    """Write JSON via a temp file + rename so readers never see a torn file."""
+    temp = path.with_name(f"{path.name}.tmp-{os.getpid()}")
+    temp.write_text(json.dumps(payload, indent=2, sort_keys=True))
+    temp.replace(path)
 
 
 def sweep_stale_sibling_dirs(path: str | Path) -> list[Path]:
@@ -354,16 +425,16 @@ def _pack_model_state(
         arrays[f"model_factor_{mode}"] = np.asarray(factor, dtype=np.float64)
     for mode, gram in enumerate(state["grams"]):
         arrays[f"model_gram_{mode}"] = np.asarray(gram, dtype=np.float64)
-    aux_spec: dict[str, Any] = {}
-    for key, value in (state.get("aux") or {}).items():
+    aux_spec: dict[str, int | None] = {}
+    for key, value in state["aux"].items():
         if isinstance(value, (list, tuple)):
-            aux_spec[key] = {"kind": "list", "length": len(value)}
+            aux_spec[key] = len(value)
             for position, item in enumerate(value):
                 arrays[f"model_aux_{key}_{position}"] = np.asarray(
                     item, dtype=np.float64
                 )
         else:
-            aux_spec[key] = {"kind": "array"}
+            aux_spec[key] = None
             arrays[f"model_aux_{key}"] = np.asarray(value, dtype=np.float64)
     return {
         "name": state["name"],
@@ -393,89 +464,18 @@ _CHECKPOINT_ARRAY_KEYS = (
 )
 
 
-def _check_complete_directory(path: Path, what: str) -> tuple[Path, Path]:
-    """Both files present -> their paths; one present -> CheckpointError."""
-    manifest_path = path / MANIFEST_FILENAME
-    arrays_path = path / ARRAYS_FILENAME
-    has_manifest = manifest_path.is_file()
-    has_arrays = arrays_path.is_file()
-    if not has_manifest and not has_arrays:
-        raise ConfigurationError(f"{path} is not a {what} directory")
-    if not (has_manifest and has_arrays):
-        missing = ARRAYS_FILENAME if has_manifest else MANIFEST_FILENAME
-        raise CheckpointError(
-            f"{what} at {path} is incomplete ({missing} is missing) — the "
-            "directory was truncated or partially written; delete it or "
-            "restore from an intact checkpoint"
+def _aux_array_keys(
+    aux_spec: Mapping[str, int | None]
+) -> dict[str, list[str] | str]:
+    """Each aux entry's npz key, or the keys of its list of arrays."""
+    return {
+        key: (
+            f"model_aux_{key}"
+            if length is None
+            else [f"model_aux_{key}_{position}" for position in range(length)]
         )
-    return manifest_path, arrays_path
-
-
-def _read_manifest(manifest_path: Path, what: str) -> dict[str, Any]:
-    try:
-        manifest = json.loads(manifest_path.read_text())
-    except (OSError, json.JSONDecodeError) as error:
-        raise CheckpointError(
-            f"cannot read {what} manifest {manifest_path}: {error}"
-        ) from error
-    if not isinstance(manifest, dict):
-        raise CheckpointError(
-            f"{what} manifest {manifest_path} does not hold a JSON object"
-        )
-    return manifest
-
-
-def _read_arrays(arrays_path: Path, what: str) -> dict[str, np.ndarray]:
-    """Load the npz payload, mapping corruption onto :class:`CheckpointError`."""
-    try:
-        with np.load(arrays_path, allow_pickle=False) as payload:
-            return {key: payload[key] for key in payload.files}
-    except CheckpointError:
-        raise
-    except Exception as error:  # zipfile.BadZipFile, OSError, ValueError, ...
-        raise CheckpointError(
-            f"cannot read {what} arrays {arrays_path}: {error} — the file is "
-            "truncated or corrupt"
-        ) from error
-
-
-def _require_arrays(
-    arrays: Mapping[str, np.ndarray],
-    required: Sequence[str],
-    path: Path,
-    what: str,
-) -> None:
-    missing = [key for key in required if key not in arrays]
-    if missing:
-        raise CheckpointError(
-            f"{what} at {path} is missing required arrays {missing} — the "
-            "directory was truncated or written by an interrupted save"
-        )
-
-
-def _model_array_keys(model_manifest: Mapping[str, Any]) -> list[str]:
-    """Array keys a manifest's model section promises to find in the npz."""
-    keys: list[str] = []
-    try:
-        n_factors = int(model_manifest["n_factors"])
-    except (KeyError, TypeError, ValueError) as error:
-        raise CheckpointError(
-            f"checkpoint model metadata is unreadable: {error}"
-        ) from error
-    for mode in range(n_factors):
-        keys.append(f"model_factor_{mode}")
-        keys.append(f"model_gram_{mode}")
-    for key, spec in (model_manifest.get("aux_spec") or {}).items():
-        if not isinstance(spec, Mapping) or "kind" not in spec:
-            raise CheckpointError(
-                f"checkpoint model aux spec for {key!r} is unreadable"
-            )
-        if spec["kind"] == "list":
-            for position in range(int(spec.get("length", 0))):
-                keys.append(f"model_aux_{key}_{position}")
-        else:
-            keys.append(f"model_aux_{key}")
-    return keys
+        for key, length in aux_spec.items()
+    }
 
 
 def load_checkpoint(path: str | Path) -> StreamCheckpoint:
@@ -485,12 +485,34 @@ def load_checkpoint(path: str | Path) -> StreamCheckpoint:
     checkpoint at all or the format name / version does not match this
     implementation, and the narrower :class:`CheckpointError` when the
     directory *is* a checkpoint but is truncated or corrupt (one file
-    missing, unreadable manifest, damaged npz, missing arrays) — the
-    routine failure modes of a background checkpoint writer killed mid-save.
+    missing, unreadable manifest, a missing, unknown or mistyped manifest
+    key, damaged npz, missing arrays) — the routine failure modes of a
+    background checkpoint writer killed mid-save.
     """
     path = Path(path)
-    manifest_path, arrays_path = _check_complete_directory(path, "checkpoint")
-    manifest = _read_manifest(manifest_path, "checkpoint")
+    manifest_path = path / MANIFEST_FILENAME
+    arrays_path = path / ARRAYS_FILENAME
+    has_manifest = manifest_path.is_file()
+    has_arrays = arrays_path.is_file()
+    if not has_manifest and not has_arrays:
+        raise ConfigurationError(f"{path} is not a checkpoint directory")
+    if not (has_manifest and has_arrays):
+        missing = ARRAYS_FILENAME if has_manifest else MANIFEST_FILENAME
+        raise CheckpointError(
+            f"checkpoint at {path} is incomplete ({missing} is missing) — the "
+            "directory was truncated or partially written; delete it or "
+            "restore from an intact checkpoint"
+        )
+    try:
+        manifest = json.loads(manifest_path.read_text())
+    except (OSError, json.JSONDecodeError) as error:
+        raise CheckpointError(
+            f"cannot read checkpoint manifest {manifest_path}: {error}"
+        ) from error
+    if not isinstance(manifest, dict):
+        raise CheckpointError(
+            f"checkpoint manifest {manifest_path} does not hold a JSON object"
+        )
     if manifest.get("format") != FORMAT_NAME:
         raise ConfigurationError(
             f"{manifest_path} is not a {FORMAT_NAME} manifest "
@@ -499,21 +521,44 @@ def load_checkpoint(path: str | Path) -> StreamCheckpoint:
     version = manifest.get("version")
     if version != FORMAT_VERSION:
         raise ConfigurationError(
-            f"checkpoint format version {version!r} is not supported "
-            f"(this implementation reads version {FORMAT_VERSION})"
+            f"checkpoint format version {version!r} at {path} is not supported "
+            f"(this implementation reads version {FORMAT_VERSION}); delete the "
+            "checkpoint and rerun"
         )
-    for section in ("window", "processor"):
-        if not isinstance(manifest.get(section), dict):
-            raise CheckpointError(
-                f"checkpoint manifest {manifest_path} lacks its {section!r} "
-                "section — the manifest was truncated or hand-edited"
-            )
-    arrays = _read_arrays(arrays_path, "checkpoint")
+    where = f"checkpoint manifest {manifest_path}"
+    require_keys(manifest, _MANIFEST_KEYS, where)
+    require_keys(manifest["window"], _WINDOW_KEYS, f"{where}, section 'window'")
+    require_keys(
+        manifest["processor"], _PROCESSOR_KEYS, f"{where}, section 'processor'"
+    )
     required = list(_CHECKPOINT_ARRAY_KEYS)
-    model_manifest = manifest.get("model")
+    model_manifest = manifest["model"]
     if model_manifest is not None:
-        required.extend(_model_array_keys(model_manifest))
-    _require_arrays(arrays, required, path, "checkpoint")
+        require_keys(model_manifest, _MODEL_KEYS, f"{where}, section 'model'")
+        aux_spec = model_manifest["aux_spec"]
+        require_keys(
+            aux_spec,
+            dict.fromkeys(aux_spec, int | None),
+            f"{where}, model 'aux_spec'",
+        )
+        for mode in range(model_manifest["n_factors"]):
+            required += [f"model_factor_{mode}", f"model_gram_{mode}"]
+        for keys in _aux_array_keys(aux_spec).values():
+            required += [keys] if isinstance(keys, str) else keys
+    try:
+        with np.load(arrays_path, allow_pickle=False) as payload:
+            arrays = {key: payload[key] for key in payload.files}
+    except Exception as error:  # zipfile.BadZipFile, OSError, ValueError, ...
+        raise CheckpointError(
+            f"cannot read checkpoint arrays {arrays_path}: {error} — the file "
+            "is truncated or corrupt"
+        ) from error
+    missing = [key for key in required if key not in arrays]
+    if missing:
+        raise CheckpointError(
+            f"checkpoint at {path} is missing required arrays {missing} — the "
+            "directory was truncated or written by an interrupted save"
+        )
     return StreamCheckpoint(path=path, manifest=manifest, arrays=arrays)
 
 
@@ -539,10 +584,10 @@ def restore_processor(checkpoint: StreamCheckpoint) -> ContinuousStreamProcessor
         config.shape,
         arrays["window_indices"],
         arrays["window_values"],
-        version=int(window_manifest.get("tensor_version", 0)),
+        version=window_manifest["tensor_version"],
     )
     window = TensorWindow.from_tensor(
-        config, tensor, n_deltas_applied=int(window_manifest["n_deltas_applied"])
+        config, tensor, n_deltas_applied=window_manifest["n_deltas_applied"]
     )
     records = _restore_records(checkpoint, len(config.mode_sizes))
     kind_by_step = tuple(
@@ -560,22 +605,19 @@ def restore_processor(checkpoint: StreamCheckpoint) -> ContinuousStreamProcessor
             (time, sequence, kind_by_step[step], records[record_id], step)
         )
     scheduler = EventScheduler.from_snapshot(
-        heap_entries, int(processor_manifest["scheduler_sequence"])
+        heap_entries, processor_manifest["scheduler_sequence"]
     )
     future_records = [
         records[record_id] for record_id in arrays["future_records"].tolist()
     ]
-    ingest_horizon = processor_manifest.get("ingest_horizon")
     return ContinuousStreamProcessor._restore(
         config=config,
         start_time=float(processor_manifest["start_time"]),
         window=window,
         scheduler=scheduler,
         future_records=future_records,
-        n_events_emitted=int(processor_manifest["n_events_emitted"]),
-        ingest_horizon=(
-            None if ingest_horizon is None else float(ingest_horizon)
-        ),
+        n_events_emitted=processor_manifest["n_events_emitted"],
+        ingest_horizon=float(processor_manifest["ingest_horizon"]),
     )
 
 
@@ -611,7 +653,7 @@ def restore_model(
     :meth:`SNSConfig.from_dict`), then ``load_state``
     restores factors, Grams, counters, aux buffers, and the RNG stream.
     """
-    model_manifest = checkpoint.manifest.get("model")
+    model_manifest = checkpoint.manifest["model"]
     if model_manifest is None:
         return None
     # Local imports: repro.core imports repro.stream at module load time.
@@ -621,16 +663,11 @@ def restore_model(
     arrays = checkpoint.arrays
     config = SNSConfig.from_dict(model_manifest["config"])
     model = create_algorithm(model_manifest["name"], config)
-    n_factors = int(model_manifest["n_factors"])
-    aux: dict[str, Any] = {}
-    for key, spec in (model_manifest.get("aux_spec") or {}).items():
-        if spec["kind"] == "list":
-            aux[key] = [
-                arrays[f"model_aux_{key}_{position}"]
-                for position in range(int(spec["length"]))
-            ]
-        else:
-            aux[key] = arrays[f"model_aux_{key}"]
+    n_factors = model_manifest["n_factors"]
+    aux = {
+        key: arrays[keys] if isinstance(keys, str) else [arrays[k] for k in keys]
+        for key, keys in _aux_array_keys(model_manifest["aux_spec"]).items()
+    }
     state = {
         "name": model_manifest["name"],
         "config": model_manifest["config"],
@@ -652,169 +689,3 @@ def restore_run(
     processor = restore_processor(checkpoint)
     model = restore_model(checkpoint, processor.window)
     return processor, model, checkpoint.extra
-
-
-# ----------------------------------------------------------------------
-# Experiment snapshots (prepared-but-unstarted runs)
-# ----------------------------------------------------------------------
-@dataclasses.dataclass(slots=True)
-class ExperimentSnapshot:
-    """A rehydrated prepared experiment: everything a worker needs to replay.
-
-    ``stream`` and ``initial_factors`` are bit-identical to the objects the
-    parent snapshotted, so ``run_method(stream, window_config, ...)`` in a
-    worker process produces exactly the sequential result.
-    """
-
-    stream: MultiAspectStream
-    window_config: WindowConfig
-    initial_factors: "KruskalTensor"
-    extra: Any = None
-
-
-def is_experiment_snapshot(path: str | Path) -> bool:
-    """True if ``path`` holds an experiment snapshot (cheap manifest sniff)."""
-    path = Path(path)
-    manifest_path = path / MANIFEST_FILENAME
-    if not manifest_path.is_file() or not (path / ARRAYS_FILENAME).is_file():
-        return False
-    try:
-        manifest = json.loads(manifest_path.read_text())
-    except (OSError, json.JSONDecodeError):
-        return False
-    return manifest.get("format") == SNAPSHOT_FORMAT_NAME
-
-
-def save_experiment_snapshot(
-    path: str | Path,
-    stream: MultiAspectStream,
-    window_config: WindowConfig,
-    initial_factors: "KruskalTensor | Sequence[np.ndarray]",
-    extra: Any = None,
-) -> Path:
-    """Persist a prepared experiment (stream + window config + initial factors).
-
-    The write is atomic in the same sense as :func:`save_checkpoint`.
-    ``extra`` must be JSON-serializable; the parallel runner stores the
-    dataset spec scalars (rank, θ, η) and the initial fitness there so
-    workers never re-derive them.
-    """
-    from repro.tensor.kruskal import KruskalTensor
-
-    path = Path(path)
-    if stream.mode_sizes != window_config.mode_sizes:
-        raise ConfigurationError(
-            f"stream mode sizes {stream.mode_sizes} do not match window "
-            f"config {window_config.mode_sizes}"
-        )
-    if not isinstance(initial_factors, KruskalTensor):
-        initial_factors = KruskalTensor(list(initial_factors))
-    n_categorical = len(window_config.mode_sizes)
-    records = stream.records
-    arrays: dict[str, np.ndarray] = {
-        "records_indices": (
-            np.array([record.indices for record in records], dtype=np.int64)
-            if records
-            else np.empty((0, n_categorical), dtype=np.int64)
-        ),
-        "records_values": np.array(
-            [record.value for record in records], dtype=np.float64
-        ),
-        "records_times": np.array(
-            [record.time for record in records], dtype=np.float64
-        ),
-        "initial_weights": np.asarray(initial_factors.weights, dtype=np.float64),
-    }
-    for mode, factor in enumerate(initial_factors.factors):
-        arrays[f"initial_factor_{mode}"] = np.asarray(factor, dtype=np.float64)
-    manifest: dict[str, Any] = {
-        "format": SNAPSHOT_FORMAT_NAME,
-        "version": SNAPSHOT_FORMAT_VERSION,
-        "window": {
-            "mode_sizes": list(window_config.mode_sizes),
-            "window_length": window_config.window_length,
-            "period": window_config.period,
-        },
-        "mode_names": list(stream.mode_names),
-        "n_factors": len(initial_factors.factors),
-        "extra": extra,
-    }
-    return _atomic_write_directory(path, manifest, arrays)
-
-
-def load_experiment_snapshot(path: str | Path) -> ExperimentSnapshot:
-    """Rehydrate a snapshot written by :func:`save_experiment_snapshot`.
-
-    Corruption handling mirrors :func:`load_checkpoint`: a directory that is
-    recognisably a snapshot but truncated or damaged raises the narrower
-    :class:`CheckpointError` instead of a raw traceback.
-    """
-    from repro.tensor.kruskal import KruskalTensor
-
-    path = Path(path)
-    manifest_path, arrays_path = _check_complete_directory(
-        path, "experiment snapshot"
-    )
-    manifest = _read_manifest(manifest_path, "experiment snapshot")
-    if manifest.get("format") != SNAPSHOT_FORMAT_NAME:
-        raise ConfigurationError(
-            f"{manifest_path} is not a {SNAPSHOT_FORMAT_NAME} manifest "
-            f"(format={manifest.get('format')!r})"
-        )
-    version = manifest.get("version")
-    if version != SNAPSHOT_FORMAT_VERSION:
-        raise ConfigurationError(
-            f"snapshot format version {version!r} is not supported "
-            f"(this implementation reads version {SNAPSHOT_FORMAT_VERSION})"
-        )
-    if not isinstance(manifest.get("window"), dict):
-        raise CheckpointError(
-            f"snapshot manifest {manifest_path} lacks its 'window' section — "
-            "the manifest was truncated or hand-edited"
-        )
-    arrays = _read_arrays(arrays_path, "experiment snapshot")
-    required = [
-        "records_indices",
-        "records_values",
-        "records_times",
-        "initial_weights",
-    ]
-    try:
-        n_factors = int(manifest["n_factors"])
-    except (KeyError, TypeError, ValueError) as error:
-        raise CheckpointError(
-            f"snapshot manifest {manifest_path} has an unreadable "
-            f"'n_factors' entry: {error}"
-        ) from error
-    required.extend(f"initial_factor_{mode}" for mode in range(n_factors))
-    _require_arrays(arrays, required, path, "experiment snapshot")
-    window_manifest = manifest["window"]
-    window_config = WindowConfig(
-        mode_sizes=tuple(window_manifest["mode_sizes"]),
-        window_length=window_manifest["window_length"],
-        period=window_manifest["period"],
-    )
-    records = [
-        StreamRecord(indices=tuple(row), value=value, time=time)
-        for row, value, time in zip(
-            np.asarray(arrays["records_indices"], dtype=np.int64).tolist(),
-            arrays["records_values"].tolist(),
-            arrays["records_times"].tolist(),
-        )
-    ]
-    stream = MultiAspectStream(
-        records,
-        mode_sizes=window_config.mode_sizes,
-        mode_names=tuple(manifest.get("mode_names") or ()) or None,
-    )
-    factors = [
-        arrays[f"initial_factor_{mode}"]
-        for mode in range(int(manifest["n_factors"]))
-    ]
-    initial = KruskalTensor(factors, arrays["initial_weights"])
-    return ExperimentSnapshot(
-        stream=stream,
-        window_config=window_config,
-        initial_factors=initial,
-        extra=manifest.get("extra"),
-    )

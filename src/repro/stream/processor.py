@@ -288,14 +288,13 @@ class ContinuousStreamProcessor:
         scheduler: EventScheduler,
         future_records: list[StreamRecord],
         n_events_emitted: int,
-        ingest_horizon: float | None = None,
+        ingest_horizon: float,
     ) -> "ContinuousStreamProcessor":
         """Assemble a processor from restored state (no bootstrap replay).
 
         ``future_records`` must be in the internal pop order (newest first;
         arrivals are consumed from the end of the list).  ``ingest_horizon``
-        is the saved live-ingestion watermark; ``None`` (pre-horizon
-        checkpoints) falls back to the newest pending record / start time.
+        is the saved live-ingestion watermark.
         """
         processor = object.__new__(cls)
         processor._config = config
@@ -305,10 +304,6 @@ class ContinuousStreamProcessor:
         processor._n_events_emitted = int(n_events_emitted)
         processor._future_records = list(future_records)
         processor._iterating = False
-        if ingest_horizon is None:
-            ingest_horizon = (
-                future_records[0].time if future_records else start_time
-            )
         processor._ingest_horizon = float(ingest_horizon)
         return processor
 

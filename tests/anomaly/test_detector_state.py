@@ -98,6 +98,17 @@ class TestDetectorStateRoundTrip:
         with pytest.raises(CheckpointError):
             ZScoreDetector.from_state(state)
 
+    @pytest.mark.parametrize(
+        "key", ["warmup", "count", "finite_count", "mean", "m2", "scoreboard"]
+    )
+    def test_every_key_is_required(self, rng, key):
+        detector = ZScoreDetector(warmup=5)
+        _observe_many(detector, rng, 40)
+        state = detector.state_dict()
+        del state[key]
+        with pytest.raises(CheckpointError, match=key):
+            ZScoreDetector.from_state(state)
+
 
 SETTINGS = dict(
     dataset="chicago_crime", scale=0.12, n_checkpoints=4, als_iterations=3, seed=1

@@ -4,7 +4,7 @@
 existed: it kept every score in observation order and answered ``top_k``
 with a stable descending sort of all of them.  The bounded board must give
 the same answer for every ``k`` up to ``SCOREBOARD_SIZE``, through
-checkpoint round trips and from the older payload format too.
+checkpoint round trips too.
 """
 
 from __future__ import annotations
@@ -67,26 +67,6 @@ class FullHistoryDetector:
         return sorted(scored, key=lambda s: (s.z_score, s.error), reverse=True)[
             : int(k)
         ]
-
-    def state_dict(self) -> dict:
-        """The payload format that listed every score."""
-        return {
-            "warmup": self.warmup,
-            "count": self.count,
-            "mean": self.mean,
-            "m2": self.m2,
-            "scores": [
-                {
-                    "coordinate": list(score.coordinate),
-                    "z_score": score.z_score,
-                    "error": score.error,
-                    "event_time": score.event_time,
-                    "detection_time": score.detection_time,
-                    "is_warmup": score.is_warmup,
-                }
-                for score in self.scores
-            ],
-        }
 
 
 def json_round_trip(detector: ZScoreDetector) -> ZScoreDetector:
@@ -255,52 +235,6 @@ def test_statistics_are_those_of_the_finite_errors(warmup, errors, cut):
     )
     for board in (detector, json_round_trip(detector)):
         assert board.top_k(SCOREBOARD_SIZE) == ranked[:SCOREBOARD_SIZE]
-
-
-def test_payload_without_finite_count_continues_exactly(rng):
-    errors = [float(error) for error in rng.normal(size=80)]
-    detector = ZScoreDetector(warmup=5)
-    for position, error in enumerate(errors[:40]):
-        detector.observe((0, position), error, event_time=position)
-    state = json.loads(json.dumps(detector.state_dict()))
-    del state["finite_count"]
-    restored = ZScoreDetector.from_state(state)
-    for position, error in enumerate(errors[40:], start=40):
-        assert restored.observe((0, position), error, event_time=position) == (
-            detector.observe((0, position), error, event_time=position)
-        )
-    assert restored.state_dict() == detector.state_dict()
-
-
-def test_a_nan_score_in_an_old_payload_is_dropped(rng):
-    reference = FullHistoryDetector(warmup=5)
-    for position in range(40):
-        reference.observe((0, position), float(rng.normal()), event_time=position)
-    state = json.loads(json.dumps(reference.state_dict()))
-    state["scores"][20]["z_score"] = math.nan
-    detector = ZScoreDetector.from_state(state)
-    top = detector.top_k(SCOREBOARD_SIZE)
-    assert len(top) == 34  # 35 post-warm-up scores, one of them NaN
-    assert not any(math.isnan(score.z_score) for score in top)
-
-
-@pytest.mark.parametrize("n_observations", [60, 1_000])
-def test_old_payload_restores_the_same_ranking(rng, n_observations):
-    reference = FullHistoryDetector(warmup=10)
-    errors = rng.normal(size=n_observations + 200)
-    for position, error in enumerate(errors[:n_observations]):
-        reference.observe((position % 4, 0), float(error), event_time=position)
-    state = json.loads(json.dumps(reference.state_dict()))
-    detector = ZScoreDetector.from_state(state)
-    assert detector.count == reference.count
-    assert detector.mean == reference.mean
-    assert_same_ranking(detector, reference)
-    # ... and continues exactly like the run that wrote the payload.
-    for position, error in enumerate(errors[n_observations:], n_observations):
-        assert detector.observe(
-            (position % 4, 0), float(error), event_time=position
-        ) == reference.observe((position % 4, 0), float(error), event_time=position)
-    assert_same_ranking(detector, reference)
 
 
 def test_checkpoint_payload_stays_bounded(rng):

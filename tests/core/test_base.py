@@ -2,12 +2,20 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.core.base import SNSConfig
 from repro.core.sns_vec import SNSVec
-from repro.exceptions import ConfigurationError, NotFittedError, RankError, ShapeError
+from repro.exceptions import (
+    CheckpointError,
+    ConfigurationError,
+    NotFittedError,
+    RankError,
+    ShapeError,
+)
 from repro.kernels import empty_overrides
 from repro.stream.deltas import Delta
 from repro.stream.events import EventKind, StreamRecord, WindowEvent
@@ -34,18 +42,40 @@ class TestSNSConfig:
         with pytest.raises(exception):
             SNSConfig(**kwargs)
 
-    def test_from_dict_fills_missing_fields_with_defaults(self):
-        saved = {"rank": 3, "theta": 7}
-        assert SNSConfig.from_dict(saved) == SNSConfig(rank=3, theta=7)
+    def test_from_dict_reads_what_state_dict_writes(self):
+        config = SNSConfig(rank=3, theta=7, eta=50, nonnegative=True, seed=None)
+        saved = dataclasses.asdict(config)
+        del saved["backend"]
+        assert SNSConfig.from_dict(saved) == config
 
-    def test_from_dict_drops_vectorized_sampling(self):
-        # Configs saved while there were two slice samplers name theirs.
-        saved = {"rank": 3, "sampling": "vectorized"}
-        assert SNSConfig.from_dict(saved) == SNSConfig(rank=3)
+    @pytest.mark.parametrize(
+        "field", [f.name for f in dataclasses.fields(SNSConfig) if f.name != "backend"]
+    )
+    def test_from_dict_requires_every_field_but_backend(self, field):
+        saved = dataclasses.asdict(SNSConfig(rank=3))
+        del saved[field]
+        with pytest.raises(CheckpointError, match=field):
+            SNSConfig.from_dict(saved)
 
-    def test_from_dict_rejects_legacy_sampling(self):
-        with pytest.raises(ConfigurationError, match="sampling"):
-            SNSConfig.from_dict({"rank": 3, "sampling": "legacy"})
+    @pytest.mark.parametrize("key", ["sampling", "shards", "staleness", "typo"])
+    def test_from_dict_refuses_unknown_keys(self, key):
+        saved = dict(dataclasses.asdict(SNSConfig(rank=3)), **{key: None})
+        with pytest.raises(CheckpointError, match=key):
+            SNSConfig.from_dict(saved)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("rank", "3"), ("theta", 2.5), ("eta", True), ("seed", "x"), ("relaxed", 1)],
+    )
+    def test_from_dict_refuses_mistyped_values(self, field, value):
+        saved = dict(dataclasses.asdict(SNSConfig(rank=3)), **{field: value})
+        with pytest.raises(CheckpointError, match=field):
+            SNSConfig.from_dict(saved)
+
+    @pytest.mark.parametrize("saved", ["nope", 5, [1, 2], None])
+    def test_from_dict_refuses_what_is_not_an_object(self, saved):
+        with pytest.raises(CheckpointError, match="not a JSON object"):
+            SNSConfig.from_dict(saved)
 
 
 class TestLifecycle:

@@ -1,4 +1,4 @@
-"""Relaxed batch update: activation, pinned results, old configs, accuracy.
+"""Relaxed batch update: activation, pinned results, accuracy.
 
 The guarantees of :mod:`repro.core.relaxed`:
 
@@ -11,18 +11,11 @@ The guarantees of :mod:`repro.core.relaxed`:
   (θ is unused);
 * the update keeps no state of its own (resume is covered by
   ``tests/stream/test_sharded_checkpoint.py``);
-* configs saved with ``shards`` / ``staleness`` keys still load:
-  ``staleness`` ``None`` maps onto the exact path and any integer onto the
-  relaxed one; multi-shard configs and model state carrying the old
-  snapshot's ``shard_*`` aux entries are refused;
 * on many-batch workloads the relaxed fitness stays positive and close to
   the exact run's (the snapshot-based Jacobi update diverged there).
 """
 
 from __future__ import annotations
-
-import dataclasses
-import json
 
 import numpy as np
 import pytest
@@ -34,7 +27,6 @@ from repro.data.generators import generate_synthetic_stream
 from repro.exceptions import ConfigurationError
 from repro.experiments.config import ExperimentSettings
 from repro.experiments.runner import prepare_experiment
-from repro.stream.checkpoint import MANIFEST_FILENAME, restore_run
 from repro.stream.processor import ContinuousStreamProcessor
 from repro.stream.window import WindowConfig
 
@@ -147,149 +139,6 @@ def test_relaxed_fitness_stays_close_to_exact(setup):
 def test_non_boolean_relaxed_rejected(value):
     with pytest.raises(ConfigurationError, match="relaxed"):
         SNSConfig(rank=RANK, relaxed=value)
-
-
-# ----------------------------------------------------------------------
-# Configs saved with `shards` / `staleness` keys
-# ----------------------------------------------------------------------
-#: (saved shards, saved staleness) -> relaxed after loading.
-SHARDS_RULES = [
-    ((None, None), False),
-    ((None, 0), False),
-    ((1, None), False),
-    ((1, 0), False),
-    ((None, 2), True),
-    ((1, 2), True),
-]
-
-
-def old_encoding(config: SNSConfig, shards, staleness) -> dict:
-    fields = dataclasses.asdict(config)
-    del fields["relaxed"]
-    return dict(fields, shards=shards, staleness=staleness)
-
-
-@pytest.mark.parametrize("saved, expected", SHARDS_RULES)
-def test_from_dict_maps_single_shard_configs(saved, expected):
-    config = SNSConfig.from_dict(old_encoding(SNSConfig(rank=RANK), *saved))
-    assert config == SNSConfig(rank=RANK, relaxed=expected)
-
-
-@pytest.mark.parametrize(
-    "staleness, expected", [(None, False), (0, True), (1, True), (8, True)]
-)
-def test_from_dict_maps_saved_staleness(staleness, expected):
-    assert SNSConfig.from_dict({"rank": RANK, "staleness": staleness}) == SNSConfig(
-        rank=RANK, relaxed=expected
-    )
-
-
-@pytest.mark.parametrize("shards", [2, 4])
-def test_from_dict_rejects_multi_shard_configs(shards):
-    with pytest.raises(ConfigurationError, match="shards"):
-        SNSConfig.from_dict(old_encoding(SNSConfig(rank=RANK), shards, 0))
-
-
-@pytest.mark.parametrize("saved, expected", SHARDS_RULES)
-def test_load_state_maps_single_shard_configs(setup, saved, expected):
-    processor, model = run_variant(setup, "sns_vec", relaxed=expected, max_events=40)
-    state = model.state_dict()
-    state["config"] = old_encoding(model.config, *saved)
-    _, other = build(setup, "sns_vec", expected)
-    other.load_state(processor.window, state)
-    np.testing.assert_array_equal(other.factors[0], model.factors[0])
-
-
-def test_load_state_rejects_multi_shard_configs(setup):
-    processor, model = run_variant(setup, "sns_vec", relaxed=True, max_events=40)
-    state = model.state_dict()
-    state["config"] = old_encoding(model.config, 3, 0)
-    _, other = build(setup, "sns_vec", True)
-    with pytest.raises(ConfigurationError, match="shards"):
-        other.load_state(processor.window, state)
-
-
-def test_load_state_rejects_snapshot_aux(setup):
-    processor, model = run_variant(setup, "sns_vec", relaxed=True, max_events=40)
-    state = model.state_dict()
-    state["config"] = old_encoding(model.config, None, 2)
-    state["aux"]["shard_batch_counter"] = np.array([5.0])
-    _, other = build(setup, "sns_vec", True)
-    with pytest.raises(ConfigurationError, match="shard_batch_counter"):
-        other.load_state(processor.window, state)
-
-
-def save_with_old_keys(processor, model, path, shards, staleness):
-    processor.save_checkpoint(path, model=model)
-    manifest_path = path / MANIFEST_FILENAME
-    manifest = json.loads(manifest_path.read_text())
-    manifest["model"]["config"] = old_encoding(model.config, shards, staleness)
-    manifest_path.write_text(json.dumps(manifest))
-
-
-@pytest.mark.parametrize("saved, expected", SHARDS_RULES)
-def test_restore_run_maps_single_shard_configs(setup, tmp_path, saved, expected):
-    processor, model = run_variant(
-        setup, "sns_rnd_plus", relaxed=expected, max_events=40
-    )
-    save_with_old_keys(processor, model, tmp_path / "ckpt", *saved)
-    _, restored, _ = restore_run(tmp_path / "ckpt")
-    assert restored.config == model.config
-    assert restored.config.relaxed is expected
-
-
-def test_restore_run_rejects_multi_shard_configs(setup, tmp_path):
-    processor, model = run_variant(setup, "sns_vec", relaxed=True, max_events=40)
-    save_with_old_keys(processor, model, tmp_path / "ckpt", 4, 1)
-    with pytest.raises(ConfigurationError, match="shards"):
-        restore_run(tmp_path / "ckpt")
-
-
-def test_restore_run_rejects_snapshot_aux(setup, tmp_path):
-    # What the snapshot-based relaxed update wrote into every checkpoint.
-    processor, model = run_variant(setup, "sns_vec", relaxed=True, max_events=40)
-    model._aux_state = lambda: {
-        "shard_batch_counter": np.array([5.0]),
-        "shard_snapshot_factors": [factor.copy() for factor in model.factors],
-        "shard_snapshot_grams": [gram.copy() for gram in model.grams],
-    }
-    save_with_old_keys(processor, model, tmp_path / "ckpt", None, 1)
-    with pytest.raises(ConfigurationError, match="shard_"):
-        restore_run(tmp_path / "ckpt")
-
-
-def advance_batches(processor, model, n_batches):
-    batches = processor.iter_batches(batch_window=2.0)
-    try:
-        for applied, batch in enumerate(batches, start=1):
-            model.update_batch(batch)
-            if applied >= n_batches:
-                break
-    finally:
-        batches.close()  # release the processor's single-drain guard
-
-
-@pytest.mark.parametrize("variant", sorted(ALGORITHMS))
-def test_old_exact_checkpoint_continues_bit_identically(setup, tmp_path, variant):
-    # Exact runs saved with the old encoding (shards=1, staleness=0) carry
-    # no snapshot aux, so they continue on the exact path.
-    reference_processor, reference = build(setup, variant, False)
-    advance_batches(reference_processor, reference, 12)
-
-    paused_processor, paused = build(setup, variant, False)
-    advance_batches(paused_processor, paused, 5)
-    save_with_old_keys(paused_processor, paused, tmp_path / "ckpt", 1, 0)
-    restored_processor, restored, _ = restore_run(tmp_path / "ckpt")
-    assert restored.config.relaxed is False
-    advance_batches(restored_processor, restored, 7)
-
-    assert dict(restored_processor.window.tensor.items()) == dict(
-        reference_processor.window.tensor.items()
-    )
-    for mine, theirs in zip(
-        restored.factors + restored.grams, reference.factors + reference.grams
-    ):
-        np.testing.assert_array_equal(mine, theirs)
 
 
 # ----------------------------------------------------------------------

@@ -355,11 +355,11 @@ class TestKnobForwarding:
             assert getattr(settings, field.name) != field.default, field.name
         calls = []
 
-        def capture(stream, window_config, initial, tasks, **kwargs):
+        def capture(snapshot, tasks, **kwargs):
             calls.append((tasks, kwargs))
             raise _Captured
 
-        monkeypatch.setattr(runner, "run_tasks_over_snapshot", capture)
+        monkeypatch.setattr(runner, "run_tasks", capture)
         experiment, swept = self.SWEEPS[figure]
         with pytest.raises(_Captured):
             experiment(settings)
@@ -370,7 +370,6 @@ class TestKnobForwarding:
             "n_workers": 2,
             "work_dir": str(work_dir),
             "resume": True,
-            "extra": kwargs["extra"],
         }
         spec = get_dataset_spec(dataset)
         replays = [task for task in tasks if task.kind == "method"]

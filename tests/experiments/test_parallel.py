@@ -1,10 +1,11 @@
 """Parallel experiment fan-out: equivalence, crash recovery, scheduler edges.
 
 The contract under test: ``n_workers > 1`` changes *wall-clock shape only* —
-every method replay is a deterministic function of the shared snapshot and
-the task parameters, so fitness series, final factors, and event counts are
-identical to the sequential run; and a worker killed mid-task is resumed
-from its crash-recovery checkpoint, not restarted.
+every method replay is a deterministic function of the prepared experiment
+(handed to each worker as a process argument) and the task parameters, so
+fitness series, final factors, and event counts are identical to the
+sequential run; and a worker killed mid-task is resumed from its
+crash-recovery checkpoint, not restarted.
 """
 
 from __future__ import annotations
@@ -22,22 +23,18 @@ from repro.experiments.granularity import run_granularity
 from repro.experiments.parallel import (
     FAULT_ENV,
     RESULT_SUFFIX,
+    ExperimentSnapshot,
     ExperimentTask,
     execute_task,
     method_result_from_payload,
     method_task,
     run_tasks,
-    run_tasks_over_snapshot,
     task_fingerprint,
 )
 from repro.experiments.runner import prepare_experiment, run_experiment, run_method
 from repro.experiments.scalability import run_scalability
 from repro.experiments.theta_sweep import run_theta_sweep
-from repro.stream.checkpoint import (
-    ExperimentSnapshot,
-    restore_run,
-    save_experiment_snapshot,
-)
+from repro.stream.checkpoint import restore_run
 
 #: Small but non-trivial shared workload (a few hundred events, real window).
 SETTINGS = ExperimentSettings(dataset="nyc_taxi", scale=0.1, max_events=120, n_checkpoints=4)
@@ -58,6 +55,12 @@ ALL_METHODS = (
 def prepared():
     """One shared prepared experiment for the whole module."""
     return prepare_experiment(SETTINGS)
+
+
+@pytest.fixture(scope="module")
+def snapshot(prepared):
+    stream, _, window_config, initial, _ = prepared
+    return ExperimentSnapshot(stream, window_config, initial)
 
 
 def _assert_method_results_equal(sequential, parallel):
@@ -112,62 +115,23 @@ class TestRunExperimentEquivalence:
             )
 
 
-class TestSnapshotRehydration:
-    def test_rehydrated_run_matches_in_process(self, prepared, tmp_path):
-        stream, spec, window_config, initial, initial_fitness = prepared
-        path = tmp_path / "snapshot"
-        save_experiment_snapshot(
-            path, stream, window_config, initial, extra={"initial_fitness": initial_fitness}
-        )
-        from repro.stream.checkpoint import load_experiment_snapshot
-
-        snapshot = load_experiment_snapshot(path)
-        assert snapshot.extra == {"initial_fitness": initial_fitness}
-        assert snapshot.window_config == window_config
-        assert snapshot.stream.records == stream.records
-        assert snapshot.stream.mode_names == stream.mode_names
-        for rebuilt, original in zip(
-            snapshot.initial_factors.factors, initial.factors
-        ):
-            assert (rebuilt == original).all()
-        assert (snapshot.initial_factors.weights == initial.weights).all()
-        kwargs = dict(rank=spec.rank, theta=spec.theta, eta=spec.eta,
-                      max_events=80, fitness_every=20, seed=SETTINGS.seed)
-        direct = run_method(
-            stream, window_config, "sns_rnd", initial_factors=initial, **kwargs
-        )
-        rehydrated = run_method(
-            snapshot.stream,
-            snapshot.window_config,
-            "sns_rnd",
-            initial_factors=snapshot.initial_factors,
-            **kwargs,
-        )
-        _assert_method_results_equal(direct, rehydrated)
-
-
 class TestCrashRecovery:
     def test_killed_worker_task_is_resumed_not_restarted(
-        self, prepared, tmp_path, monkeypatch
+        self, prepared, snapshot, tmp_path, monkeypatch
     ):
         stream, spec, window_config, initial, _ = prepared
         kwargs = dict(rank=spec.rank, max_events=120, fitness_every=30)
         reference = run_method(
             stream, window_config, "sns_vec_plus", initial_factors=initial, **kwargs
         )
-        snapshot_path = tmp_path / "snapshot"
-        save_experiment_snapshot(snapshot_path, stream, window_config, initial)
         # The fault hook kills the worker after 120/2 events on the *first*
         # attempt only; a scheduler that restarted (resume=False) instead of
-        # resuming would crash again and exhaust max_task_failures=1.
+        # resuming would crash again and exhaust a budget of one failure.
         monkeypatch.setenv(FAULT_ENV, "victim:60")
+        monkeypatch.setattr("repro.experiments.parallel.MAX_TASK_FAILURES", 1)
         task = method_task("victim", "sns_vec_plus", **kwargs)
         payloads = run_tasks(
-            [task],
-            snapshot_path=snapshot_path,
-            work_dir=tmp_path / "pool",
-            n_workers=2,
-            max_task_failures=1,
+            snapshot, [task], work_dir=tmp_path / "pool", n_workers=2
         )
         result = method_result_from_payload(payloads["victim"])
         # Per-event engine + crash on a fitness-cadence multiple: the whole
@@ -179,37 +143,28 @@ class TestCrashRecovery:
         assert model.n_updates == 120
 
     def test_failure_budget_exhausted_raises_and_leaves_checkpoint(
-        self, prepared, tmp_path, monkeypatch
+        self, prepared, snapshot, tmp_path, monkeypatch
     ):
-        stream, spec, window_config, initial, _ = prepared
-        snapshot_path = tmp_path / "snapshot"
-        save_experiment_snapshot(snapshot_path, stream, window_config, initial)
+        spec = prepared[1]
         monkeypatch.setenv(FAULT_ENV, "victim:40")
+        monkeypatch.setattr("repro.experiments.parallel.MAX_TASK_FAILURES", 0)
         task = method_task(
             "victim", "sns_vec", rank=spec.rank, max_events=120, fitness_every=30
         )
         with pytest.raises(WorkerError, match="victim"):
-            run_tasks(
-                [task],
-                snapshot_path=snapshot_path,
-                work_dir=tmp_path / "pool",
-                n_workers=1,
-                max_task_failures=0,
-            )
+            run_tasks(snapshot, [task], work_dir=tmp_path / "pool", n_workers=2)
         # The failed attempt still persisted a resumable checkpoint.
         _, model, extra = restore_run(tmp_path / "pool" / "victim" / "sns_vec")
         assert extra["n_events"] == 40
         assert model.n_updates == 40
 
     def test_fresh_run_ignores_stale_results_and_checkpoints(
-        self, prepared, tmp_path
+        self, prepared, snapshot, tmp_path
     ):
         # A reused work dir (say, a checkpoint_dir from an earlier experiment
         # with a different event budget) must not leak its results or
         # checkpoints into a fresh (resume=False) run.
-        stream, spec, window_config, initial, _ = prepared
-        snapshot_path = tmp_path / "snapshot"
-        save_experiment_snapshot(snapshot_path, stream, window_config, initial)
+        spec = prepared[1]
         work_dir = tmp_path / "pool"
         task = method_task(
             "t", "sns_vec", rank=spec.rank, max_events=80, fitness_every=40
@@ -218,26 +173,17 @@ class TestCrashRecovery:
         stale_task = method_task(
             "t", "sns_vec", rank=spec.rank, max_events=40, fitness_every=40
         )
-        run_tasks(
-            [stale_task],
-            snapshot_path=snapshot_path,
-            work_dir=work_dir,
-            n_workers=1,
-        )
-        fresh = run_tasks(
-            [task], snapshot_path=snapshot_path, work_dir=work_dir, n_workers=1
-        )
+        run_tasks(snapshot, [stale_task], work_dir=work_dir, n_workers=2)
+        fresh = run_tasks(snapshot, [task], work_dir=work_dir, n_workers=2)
         result = method_result_from_payload(fresh["t"])
         assert result.n_events == 80  # not the stale 40-event outcome
         _, model, extra = restore_run(work_dir / "t" / "sns_vec")
         assert extra["n_events"] == 80  # stale checkpoint was cleared too
 
     def test_resume_trusts_matching_result_files(
-        self, prepared, tmp_path
+        self, prepared, snapshot, tmp_path
     ):
-        stream, spec, window_config, initial, _ = prepared
-        snapshot_path = tmp_path / "snapshot"
-        save_experiment_snapshot(snapshot_path, stream, window_config, initial)
+        spec = prepared[1]
         work_dir = tmp_path / "pool"
         work_dir.mkdir()
         task = method_task(
@@ -250,23 +196,17 @@ class TestCrashRecovery:
         }
         (work_dir / f"done{RESULT_SUFFIX}").write_text(json.dumps(sentinel))
         payloads = run_tasks(
-            [task],
-            snapshot_path=snapshot_path,
-            work_dir=work_dir,
-            n_workers=2,
-            resume=True,
+            snapshot, [task], work_dir=work_dir, n_workers=2, resume=True
         )
         # The pre-existing matching result was adopted; the task never re-ran.
         assert payloads["done"] == sentinel
 
     def test_result_fingerprinted_with_an_engine_flag_is_rerun(
-        self, prepared, tmp_path
+        self, prepared, snapshot, tmp_path
     ):
         # Result files written while tasks carried a `batched` parameter
         # match no task now: resume re-runs the task, with the same result.
         stream, spec, window_config, initial, _ = prepared
-        snapshot_path = tmp_path / "snapshot"
-        save_experiment_snapshot(snapshot_path, stream, window_config, initial)
         work_dir = tmp_path / "pool"
         work_dir.mkdir()
         task = method_task(
@@ -281,11 +221,7 @@ class TestCrashRecovery:
         }
         (work_dir / f"old{RESULT_SUFFIX}").write_text(json.dumps(stale))
         payloads = run_tasks(
-            [task],
-            snapshot_path=snapshot_path,
-            work_dir=work_dir,
-            n_workers=1,
-            resume=True,
+            snapshot, [task], work_dir=work_dir, n_workers=2, resume=True
         )
         assert "sentinel" not in payloads["old"]
         assert payloads["old"]["task_fingerprint"] == task_fingerprint(task)
@@ -299,30 +235,22 @@ class TestCrashRecovery:
         )
 
     def test_resume_with_larger_budget_continues_instead_of_reusing(
-        self, prepared, tmp_path
+        self, prepared, snapshot, tmp_path
     ):
         # A finished run's result file must not satisfy a resumed run with a
         # larger max_events: the task re-executes and continues from its
         # checkpoint, exactly like a sequential resume.
         stream, spec, window_config, initial, _ = prepared
-        snapshot_path = tmp_path / "snapshot"
-        save_experiment_snapshot(snapshot_path, stream, window_config, initial)
         work_dir = tmp_path / "pool"
         short = method_task(
             "t", "sns_vec_plus", rank=spec.rank, max_events=60, fitness_every=30
         )
-        run_tasks(
-            [short], snapshot_path=snapshot_path, work_dir=work_dir, n_workers=1
-        )
+        run_tasks(snapshot, [short], work_dir=work_dir, n_workers=2)
         longer = method_task(
             "t", "sns_vec_plus", rank=spec.rank, max_events=120, fitness_every=30
         )
         payloads = run_tasks(
-            [longer],
-            snapshot_path=snapshot_path,
-            work_dir=work_dir,
-            n_workers=1,
-            resume=True,
+            snapshot, [longer], work_dir=work_dir, n_workers=2, resume=True
         )
         result = method_result_from_payload(payloads["t"])
         reference = run_method(
@@ -334,14 +262,15 @@ class TestCrashRecovery:
 
 
 class TestSchedulerEdges:
-    def test_duplicate_task_keys_rejected(self, prepared):
-        stream, spec, window_config, initial, _ = prepared
+    def test_duplicate_task_keys_rejected(self, prepared, snapshot):
+        spec = prepared[1]
         tasks = [
             method_task("same", "sns_vec", rank=spec.rank),
             method_task("same", "sns_mat", rank=spec.rank),
         ]
-        with pytest.raises(ConfigurationError, match="duplicate"):
-            run_tasks_over_snapshot(stream, window_config, initial, tasks)
+        for n_workers in (1, 2):
+            with pytest.raises(ConfigurationError, match="duplicate"):
+                run_tasks(snapshot, tasks, n_workers=n_workers)
 
     def test_invalid_keys_and_kinds_rejected(self):
         with pytest.raises(ConfigurationError, match="path-free"):
@@ -351,36 +280,43 @@ class TestSchedulerEdges:
         with pytest.raises(ConfigurationError, match="kind"):
             ExperimentTask(key="ok", kind="nonsense")
 
-    def test_nonpositive_workers_rejected(self, prepared):
-        stream, spec, window_config, initial, _ = prepared
-        task = method_task("t", "sns_vec", rank=spec.rank)
+    def test_nonpositive_workers_rejected(self, prepared, snapshot):
+        task = method_task("t", "sns_vec", rank=prepared[1].rank)
         with pytest.raises(ConfigurationError, match="n_workers"):
-            run_tasks_over_snapshot(
-                stream, window_config, initial, [task], n_workers=0
-            )
+            run_tasks(snapshot, [task], n_workers=0)
 
-    def test_spawn_start_method_is_supported(self, prepared, tmp_path):
-        """Workers must stay spawn-safe (the distributed-replay story)."""
-        stream, spec, window_config, initial, _ = prepared
-        kwargs = dict(rank=spec.rank, max_events=40, fitness_every=20)
-        snapshot_path = tmp_path / "snapshot"
-        save_experiment_snapshot(snapshot_path, stream, window_config, initial)
+    def test_one_worker_runs_in_process(self, prepared, snapshot, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("n_workers=1 started a process pool")
+
+        monkeypatch.setattr("multiprocessing.get_context", no_pool)
+        task = method_task(
+            "t", "sns_vec", rank=prepared[1].rank, max_events=40, fitness_every=20
+        )
+        payloads = run_tasks(snapshot, [task], n_workers=1)
+        assert payloads["t"]["fitness_series"] == (
+            execute_task(snapshot, task)["fitness_series"]
+        )
+
+    def test_spawn_start_method_is_supported(
+        self, prepared, snapshot, tmp_path, monkeypatch
+    ):
+        """Workers must stay spawn-safe: spawn is the only start method on
+        platforms without fork, and it pickles the snapshot."""
+        monkeypatch.setattr("repro.experiments.parallel.START_METHOD", "spawn")
+        kwargs = dict(rank=prepared[1].rank, max_events=40, fitness_every=20)
+        tasks = [
+            method_task("vec", "sns_vec", **kwargs),
+            method_task("rnd", "sns_rnd", **kwargs),
+        ]
         payloads = run_tasks(
-            [method_task("only", "sns_vec", **kwargs)],
-            snapshot_path=snapshot_path,
-            work_dir=tmp_path / "pool",
-            n_workers=1,
-            start_method="spawn",
+            snapshot, tasks, work_dir=tmp_path / "pool", n_workers=2
         )
-        snapshot = ExperimentSnapshot(
-            stream=stream, window_config=window_config, initial_factors=initial
-        )
-        in_process = execute_task(
-            snapshot, method_task("only", "sns_vec", **kwargs)
-        )
-        spawned = payloads["only"]
-        assert spawned["fitness_series"] == in_process["fitness_series"]
-        assert spawned["final_fitness"] == in_process["final_fitness"]
+        for task in tasks:
+            in_process = execute_task(snapshot, task)
+            spawned = payloads[task.key]
+            assert spawned["fitness_series"] == in_process["fitness_series"]
+            assert spawned["final_fitness"] == in_process["final_fitness"]
 
 
 class TestSweepFanOut:
@@ -461,4 +397,4 @@ class TestSweepFanOut:
             assert not (tmp_path / key).exists()
         assert sorted(
             path.name for path in tmp_path.iterdir() if path.is_dir()
-        ) == ["_snapshot", "continuous"]
+        ) == ["continuous"]

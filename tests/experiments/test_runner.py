@@ -14,7 +14,7 @@ from repro.baselines.registry import create_baseline
 from repro.core.base import SNSConfig
 from repro.core.registry import create_algorithm
 from repro.data.generators import generate_synthetic_stream
-from repro.exceptions import ConfigurationError
+from repro.exceptions import CheckpointError, ConfigurationError
 from repro.experiments import runner
 from repro.experiments.config import (
     DEFAULT_CONTINUOUS_METHODS,
@@ -505,11 +505,10 @@ class TestCheckpointResume:
                 checkpoint_dir=tmp_path, resume=True, **kwargs
             )
 
-    def test_checkpoint_without_fingerprint_is_checked_on_window_only(
-        self, runner_setup, tmp_path
-    ):
-        # Checkpoints saved before the stream fingerprint existed carry no
-        # "stream" entry in their extra payload; they still resume.
+    @pytest.mark.parametrize("key", sorted(runner.RUN_EXTRA_KEYS))
+    def test_resume_requires_every_extra_key(self, runner_setup, tmp_path, key):
+        # A checkpoint without its stream fingerprint (or any other key
+        # run_method writes) is refused, not checked on what it has.
         stream, window_config, initial, _ = runner_setup
         kwargs = dict(initial_factors=initial, rank=5, fitness_every=100)
         run_method(
@@ -518,17 +517,34 @@ class TestCheckpointResume:
         )
         manifest_path = tmp_path / "sns_vec" / "manifest.json"
         manifest = json.loads(manifest_path.read_text())
-        assert manifest["extra"].pop("stream") == {
-            "n_records": len(stream),
-            "first_time": stream.start_time,
-            "last_time": stream.end_time,
-        }
+        del manifest["extra"][key]
         manifest_path.write_text(json.dumps(manifest))
-        resumed = run_method(
-            stream.head(len(stream) - 1), window_config, "sns_vec",
-            max_events=200, checkpoint_dir=tmp_path, resume=True, **kwargs
+        with pytest.raises(CheckpointError, match=key):
+            run_method(
+                stream, window_config, "sns_vec", max_events=200,
+                checkpoint_dir=tmp_path, resume=True, **kwargs
+            )
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("n_events", "100"), ("fitness_times", [0.0, "x"]), ("stream", None)],
+    )
+    def test_resume_refuses_mistyped_extra(self, runner_setup, tmp_path, key, value):
+        stream, window_config, initial, _ = runner_setup
+        kwargs = dict(initial_factors=initial, rank=5, fitness_every=100)
+        run_method(
+            stream, window_config, "sns_vec", max_events=100,
+            checkpoint_dir=tmp_path, **kwargs
         )
-        assert resumed.n_events == 200
+        manifest_path = tmp_path / "sns_vec" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["extra"][key] = value
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(CheckpointError, match=key):
+            run_method(
+                stream, window_config, "sns_vec", max_events=200,
+                checkpoint_dir=tmp_path, resume=True, **kwargs
+            )
 
     def test_checkpoint_knobs_without_dir_are_rejected(self, runner_setup):
         stream, window_config, initial, _ = runner_setup

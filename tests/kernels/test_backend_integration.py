@@ -2,14 +2,13 @@
 
 The kernels are not a model hyper-parameter: ``backend`` only names the
 registered kernels a model calls (the numpy ones unless a caller registered
-others), so a checkpoint restores onto whatever ``"auto"`` resolves to.
-Checkpoints written while a numba backend existed name ``"numba"`` in their
-model config and carry a ``kernel_backend`` key in their manifest; they
-must still restore and continue bit for bit.
+others).  A model's state leaves it out, so a checkpoint restores onto
+whatever ``"auto"`` resolves to and continues bit for bit.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -45,13 +44,9 @@ class TestConfigValidation:
     def test_non_string_backend_rejected(self, backend):
         with pytest.raises(ConfigurationError, match="backend"):
             SNSConfig(rank=3, backend=backend)
-        # Only a string is dropped on restore; anything else still fails.
+        saved = dict(dataclasses.asdict(SNSConfig(rank=3)), backend=backend)
         with pytest.raises(ConfigurationError, match="backend"):
-            SNSConfig.from_dict({"rank": 3, "backend": backend})
-
-    @pytest.mark.parametrize("backend", ["auto", "numpy", "numba"])
-    def test_from_dict_drops_a_string_backend(self, backend):
-        assert SNSConfig.from_dict({"rank": 3, "backend": backend}) == SNSConfig(rank=3)
+            SNSConfig.from_dict(saved)
 
 
 class TestModelBackend:
@@ -67,44 +62,30 @@ class TestModelBackend:
         target.load_state(small_processor.window, state)
         np.testing.assert_array_equal(target.factors[0], source.factors[0])
 
-    def test_load_state_accepts_pre_backend_checkpoints(
-        self, initialized_model, small_processor
-    ):
-        # Checkpoints written before the backend field existed carry no
-        # "backend" key in their config dict; they must still restore.
-        source = initialized_model()
-        state = source.state_dict()
-        legacy_config = dict(state["config"])
-        legacy_config.pop("backend")
-        state["config"] = legacy_config
-        target = create_algorithm(
-            "sns_vec", SNSConfig(rank=4, theta=5, eta=100.0, seed=1)
-        )
-        target.load_state(small_processor.window, state)
-        assert target.n_updates == source.n_updates
 
-
-def test_state_and_manifest_name_no_kernel_backend(
+def test_state_and_manifest_leave_the_kernels_out(
     tmp_path, initialized_model, small_processor
 ):
-    # Which kernels ran is not part of a model's state: the config keeps
-    # the name it was given, and nothing records what it resolved to.
+    # Which kernels ran is not part of a model's state: neither the name a
+    # model was given nor what it resolved to is recorded.
     model = initialized_model(backend="numpy")
     state = model.state_dict()
     assert "kernel_backend" not in state
-    assert state["config"]["backend"] == "numpy"
+    assert "backend" not in state["config"]
     small_processor.save_checkpoint(tmp_path / "ckpt", model=model)
     manifest = json.loads((tmp_path / "ckpt" / MANIFEST_FILENAME).read_text())
     assert "kernel_backend" not in manifest["model"]
+    assert "backend" not in manifest["model"]["config"]
 
 
-def test_checkpoint_naming_numba_restores_and_continues(
+def test_checkpoint_of_named_kernels_restores_on_auto_and_continues(
     tmp_path, small_stream, small_window_config, small_initial_factors
 ):
-    def started():
+    def started(**config_kwargs):
         processor = ContinuousStreamProcessor(small_stream, small_window_config)
         model = create_algorithm(
-            "sns_rnd_plus", SNSConfig(rank=4, theta=5, eta=100.0, seed=1)
+            "sns_rnd_plus",
+            SNSConfig(rank=4, theta=5, eta=100.0, seed=1, **config_kwargs),
         )
         model.initialize(processor.window, small_initial_factors)
         return processor, model
@@ -116,20 +97,14 @@ def test_checkpoint_naming_numba_restores_and_continues(
     reference_processor, reference = started()
     advance(reference_processor, reference, 120)
 
-    paused_processor, paused = started()
+    paused_processor, paused = started(backend="numpy")
     advance(paused_processor, paused, 60)
     path = tmp_path / "ckpt"
     paused_processor.save_checkpoint(path, model=paused)
-    # The manifest as a numba-era writer left it.
-    manifest_path = path / MANIFEST_FILENAME
-    manifest = json.loads(manifest_path.read_text())
-    manifest["model"]["config"]["backend"] = "numba"
-    manifest["model"]["kernel_backend"] = "numba"
-    manifest_path.write_text(json.dumps(manifest))
 
     processor, restored, _ = restore_run(path)
     assert restored is not None and restored.name == "sns_rnd_plus"
-    assert restored.config == paused.config
+    assert restored.config == reference.config
     advance(processor, restored, 60)
     assert restored.n_updates == reference.n_updates
     for mine, theirs in zip(restored.factors, reference.factors):

@@ -7,6 +7,7 @@ few ALS iterations) so that multi-stream scenarios — including the
 
 from __future__ import annotations
 
+import json
 import os
 import signal
 import subprocess
@@ -33,6 +34,13 @@ TINY_KWARGS = dict(
     detector_warmup=5,
     seed=0,
 )
+
+
+def edit_json(path, change) -> None:
+    """Apply ``change`` to the JSON object saved at ``path``, in place."""
+    payload = json.loads(path.read_text())
+    change(payload)
+    path.write_text(json.dumps(payload))
 
 
 def tiny_config(**overrides) -> StreamConfig:

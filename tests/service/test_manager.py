@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import asyncio
 import json
 
 import numpy as np
@@ -10,8 +11,9 @@ import pytest
 from repro.exceptions import ServiceError
 from repro.service.config import ServiceConfig
 from repro.service.manager import ServiceManager
+from repro.service.server import StreamingServer
 
-from helpers import live_chunks, tiny_config, warm_records
+from helpers import edit_json, live_chunks, tiny_config, warm_records
 
 
 def populated_manager(service_config, n_streams=3, live=True) -> ServiceManager:
@@ -24,6 +26,67 @@ def populated_manager(service_config, n_streams=3, live=True) -> ServiceManager:
             for chunk in live_chunks(2, seed=position + 50):
                 session.ingest(chunk)
     return manager
+
+
+def edit_manifest(directory, change):
+    edit_json(directory / "state" / "manifest.json", change)
+
+
+def edit_meta(directory, change):
+    edit_json(directory / "meta.json", change)
+
+
+def version_1(directory):
+    edit_meta(directory, lambda meta: meta.update(version=1))
+    edit_manifest(directory, lambda manifest: manifest.update(version=1))
+
+
+#: A stream directory written before format 2, and three damaged ones:
+#: kind -> (edit of the stream directory, what the failure reason names).
+DAMAGE = {
+    "version 1": (version_1, "version 1"),
+    "unknown model config key": (
+        lambda d: edit_manifest(d, lambda m: m["model"]["config"].update(bogus=1)),
+        "bogus",
+    ),
+    "mistyped last_seq": (
+        lambda d: edit_manifest(d, lambda m: m["extra"].update(last_seq="abc")),
+        "last_seq",
+    ),
+    "config not an object": (
+        lambda d: edit_meta(d, lambda meta: meta.update(config="nope")),
+        "config",
+    ),
+}
+
+
+def assert_recovers_only_the_intact_stream(service_config, damaged):
+    """``tenant-0`` intact, each ``damaged`` stream id broken as its kind
+    says: recover() restores tenant-0, lists the rest under ``failed``, and
+    a server over the same root starts."""
+    manager = populated_manager(service_config, n_streams=len(damaged) + 1)
+    manager.checkpoint_all()
+    for stream_id, kind in damaged.items():
+        DAMAGE[kind][0](manager.stream_directory(stream_id))
+
+    fresh = ServiceManager(service_config)
+    report = fresh.recover()
+    assert report["recovered"] == ["tenant-0"]
+    assert sorted(report["failed"]) == sorted(damaged)
+    for stream_id, kind in damaged.items():
+        assert DAMAGE[kind][1] in report["failed"][stream_id]
+    original = manager.get("tenant-0").factors()["factors"]
+    for fa, fb in zip(original, fresh.get("tenant-0").factors()["factors"]):
+        assert np.array_equal(np.array(fa), np.array(fb))
+
+    async def start_and_stop():
+        server = StreamingServer(ServiceManager(service_config))
+        await server.start()
+        streams = server.manager.stream_ids
+        await server.stop()
+        return streams
+
+    assert asyncio.run(start_and_stop()) == ["tenant-0"]
 
 
 class TestAdmission:
@@ -102,6 +165,20 @@ class TestDurability:
         assert report["recovered"] == ["tenant-0", "tenant-2"]
         assert "tenant-1" in report["failed"]
         assert "tenant-1" not in fresh
+
+    @pytest.mark.parametrize("kind", sorted(DAMAGE))
+    def test_recover_reports_a_damaged_stream_and_the_server_starts(
+        self, service_config, kind
+    ):
+        # Each of these once crashed recover() (TypeError or ValueError),
+        # and with it StreamingServer.start(), instead of being reported.
+        assert_recovers_only_the_intact_stream(service_config, {"tenant-1": kind})
+
+    def test_recover_reports_old_and_damaged_streams_together(self, service_config):
+        assert_recovers_only_the_intact_stream(
+            service_config,
+            {f"tenant-{n}": kind for n, kind in enumerate(sorted(DAMAGE), start=1)},
+        )
 
     def test_recover_rejects_renamed_directory(self, service_config):
         manager = populated_manager(service_config, n_streams=1)

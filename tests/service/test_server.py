@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import time
 
 import numpy as np
 import pytest
@@ -93,48 +94,31 @@ class TestOps:
 
         asyncio.run(scenario())
 
-    def test_create_stream_maps_old_shards_key(self):
+    @staticmethod
+    def _create(config):
         async def scenario():
             server = StreamingServer(ServiceManager(ServiceConfig()))
-            config = dict(tiny_config().to_dict(), shards=1, staleness=2)
-            del config["relaxed"]
-            await dispatch(server, "create_stream", stream="a", config=config)
-            await dispatch(
-                server, "ingest", stream="a", records=wire_records(warm_records())
-            )
-            await dispatch(server, "start_stream", stream="a")
-            stats = await dispatch(server, "stats", stream="a")
-            config["shards"] = 4
-            request = {"op": "create_stream", "stream": "b", "config": config}
-            refused = await server._dispatch_safely(
+            request = {"op": "create_stream", "stream": "a", "config": config}
+            response = await server._dispatch_safely(
                 json.dumps(request).encode() + b"\n"
             )
+            streams = server.manager.stream_ids
             await server.stop()
-            return stats, refused
+            return response, streams
 
-        stats, refused = asyncio.run(scenario())
-        assert stats["relaxed"] is True and "shards" not in stats
-        assert not refused["ok"] and refused["error"] == "bad_request"
-        assert "shards" in refused["message"]
+        return asyncio.run(scenario())
 
-    def test_create_stream_drops_a_string_backend(self):
-        async def scenario():
-            server = StreamingServer(ServiceManager(ServiceConfig()))
-            config = dict(tiny_config().to_dict(), backend="numba")
-            created = await dispatch(server, "create_stream", stream="a", config=config)
-            config["backend"] = 5
-            request = {"op": "create_stream", "stream": "b", "config": config}
-            refused = await server._dispatch_safely(
-                json.dumps(request).encode() + b"\n"
-            )
-            stream_config = server.manager.get("a").config
-            await server.stop()
-            return created, stream_config, refused
+    @pytest.mark.parametrize("key", ["sampling", "backend", "shards", "staleness"])
+    def test_create_stream_refuses_keys_of_older_configs(self, key):
+        response, streams = self._create(dict(tiny_config().to_dict(), **{key: 1}))
+        assert not response["ok"] and response["error"] == "bad_request"
+        assert key in response["message"] and streams == []
 
-        created, stream_config, refused = asyncio.run(scenario())
-        assert created["ok"] and stream_config == tiny_config()
-        assert not refused["ok"] and refused["error"] == "bad_request"
-        assert "backend" in refused["message"]
+    @pytest.mark.parametrize("config", ["nope", 5, [1, 2]])
+    def test_create_stream_refuses_a_config_that_is_not_an_object(self, config):
+        response, streams = self._create(config)
+        assert not response["ok"] and response["error"] == "bad_request"
+        assert "JSON object" in response["message"] and streams == []
 
     def test_full_lifecycle_queries(self):
         async def scenario():
@@ -528,6 +512,44 @@ class TestCheckpointing:
         assert response["ok"]
         assert response["path"] is not None
         assert (tmp_path / "state" / "s" / "meta.json").is_file()
+
+    def test_periodic_sweep_checkpoints_an_idle_live_stream(self, tmp_path):
+        # No checkpoint_events: only the background sweep writes here.
+        root = tmp_path / "state"
+        config = ServiceConfig(checkpoint_root=str(root), checkpoint_interval=0.05)
+
+        async def scenario():
+            server = StreamingServer(ServiceManager(config))
+            await server.start()
+            await create_and_start(server, "s", warm_records(seed=12))
+            for chunk in live_chunks(2, seed=13):
+                await dispatch(
+                    server, "ingest", stream="s", records=wire_records(chunk)
+                )
+            await dispatch(server, "flush", stream="s")
+            # The stream is idle from here on; the sweep runs every 50 ms,
+            # so the deadline is generous.
+            telemetry = server.manager.get("s").telemetry
+            deadline = time.monotonic() + 30.0
+            while (
+                telemetry.checkpoints_written < 1
+                or telemetry.events_since_checkpoint > 0
+            ):
+                assert time.monotonic() < deadline, "the sweep never checkpointed"
+                await asyncio.sleep(0.05)
+            # Hold further sweeps, then read what the last one left on disk.
+            server._checkpoint_task.cancel()
+            await server._writer.wait_idle("s")
+            restored = StreamSession.load(root / "s")
+            factors = server.manager.get("s").factors()["factors"]
+            await server.stop()
+            return restored, factors
+
+        restored, factors = asyncio.run(scenario())
+        assert restored.is_live
+        assert restored.telemetry.checkpoints_written >= 1
+        for fa, fb in zip(factors, restored.factors()["factors"]):
+            assert np.array_equal(np.array(fa), np.array(fb))
 
 
 class TestIdempotentIngest:

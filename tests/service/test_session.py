@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import json
 
 import numpy as np
@@ -15,7 +14,7 @@ from repro.service.session import StreamSession
 from repro.stream.checkpoint import MANIFEST_FILENAME
 from repro.stream.events import StreamRecord
 
-from helpers import live_chunks, tiny_config, warm_records
+from helpers import edit_json, live_chunks, tiny_config, warm_records
 
 
 def live_session(seed=1, chunk_seed=2, n_chunks=2, **overrides) -> StreamSession:
@@ -37,60 +36,15 @@ class TestConfig:
         with pytest.raises(ConfigurationError, match="raank"):
             StreamConfig.from_dict(payload)
 
-    def test_vectorized_sampling_key_is_dropped(self, stream_config):
-        # Configs saved while there were two slice samplers name theirs.
-        payload = dict(stream_config.to_dict(), sampling="vectorized")
-        assert StreamConfig.from_dict(payload) == stream_config
-
-    def test_legacy_sampling_rejected(self, stream_config):
-        payload = dict(stream_config.to_dict(), sampling="legacy")
-        with pytest.raises(ConfigurationError, match="sampling"):
+    @pytest.mark.parametrize("key", ["sampling", "backend", "shards", "staleness"])
+    def test_keys_of_older_configs_are_unknown(self, stream_config, key):
+        payload = dict(stream_config.to_dict(), **{key: None})
+        with pytest.raises(ConfigurationError, match=key):
             StreamConfig.from_dict(payload)
 
-    @pytest.mark.parametrize("backend", ["auto", "numpy", "numba"])
-    def test_string_backend_key_is_dropped(self, stream_config, backend):
-        # Configs saved while streams chose a kernel backend name one.
-        payload = dict(stream_config.to_dict(), backend=backend)
-        assert StreamConfig.from_dict(payload) == stream_config
-
-    @pytest.mark.parametrize("backend", [5, None, ["numpy"]])
-    def test_non_string_backend_rejected(self, stream_config, backend):
-        payload = dict(stream_config.to_dict(), backend=backend)
-        with pytest.raises(ConfigurationError, match="backend"):
-            StreamConfig.from_dict(payload)
-
-    @pytest.mark.parametrize(
-        "shards, staleness, expected",
-        [(None, None, False), (None, 0, False), (1, 0, False), (1, 2, True)],
-    )
-    def test_single_shard_configs_map_onto_relaxed(
-        self, stream_config, shards, staleness, expected
-    ):
-        # Configs written while streams could run several shards carry
-        # `shards`; staleness 0 then meant the exact path.
-        payload = dict(stream_config.to_dict(), shards=shards, staleness=staleness)
-        del payload["relaxed"]
-        assert StreamConfig.from_dict(payload) == dataclasses.replace(
-            stream_config, relaxed=expected
-        )
-
-    @pytest.mark.parametrize(
-        "staleness, expected", [(None, False), (0, True), (3, True)]
-    )
-    def test_saved_staleness_maps_onto_relaxed(
-        self, stream_config, staleness, expected
-    ):
-        # Configs written while the relaxed update read a factor snapshot
-        # carry an integer staleness (None = exact).
-        payload = dict(stream_config.to_dict(), staleness=staleness)
-        del payload["relaxed"]
-        assert StreamConfig.from_dict(payload) == dataclasses.replace(
-            stream_config, relaxed=expected
-        )
-
-    def test_multi_shard_configs_rejected(self, stream_config):
-        payload = dict(stream_config.to_dict(), shards=4, staleness=0)
-        with pytest.raises(ConfigurationError, match="shards"):
+    @pytest.mark.parametrize("payload", ["nope", 5, [1, 2], None])
+    def test_a_config_that_is_not_an_object_is_rejected(self, payload):
+        with pytest.raises(ConfigurationError, match="JSON object"):
             StreamConfig.from_dict(payload)
 
     @pytest.mark.parametrize(
@@ -300,106 +254,53 @@ class TestDurability:
         assert restored.telemetry.checkpoints_written == 1
         assert restored.telemetry.events_since_checkpoint == 0
 
-    @staticmethod
-    def _save_with_sampling(session, target, sampling):
-        session.save(target)
-        meta = json.loads((target / "meta.json").read_text())
-        meta["config"]["sampling"] = sampling
-        (target / "meta.json").write_text(json.dumps(meta))
-
-    def test_load_drops_vectorized_sampling_key(self, tmp_path):
-        session = live_session()
-        self._save_with_sampling(session, tmp_path / "s", "vectorized")
-        restored = StreamSession.load(tmp_path / "s")
-        assert restored.config == session.config
-        for fa, fb in zip(
-            session.factors()["factors"], restored.factors()["factors"]
-        ):
-            assert np.array_equal(np.array(fa), np.array(fb))
-
-    def test_load_rejects_legacy_sampling(self, tmp_path):
-        self._save_with_sampling(live_session(), tmp_path / "s", "legacy")
-        with pytest.raises(ConfigurationError, match="sampling"):
+    def test_load_refuses_version_1_metadata(self, tmp_path):
+        live_session().save(tmp_path / "s")
+        edit_json(
+            tmp_path / "s" / "meta.json", lambda meta: meta.update(version=1)
+        )
+        with pytest.raises(CheckpointError, match="version 1"):
             StreamSession.load(tmp_path / "s")
 
-    def test_load_drops_numba_backend_keys(self, tmp_path):
-        # A stream saved while streams chose a kernel backend: "backend" in
-        # meta.json's config and in the checkpoint's model config, and the
-        # backend that ran as the manifest's "kernel_backend".
-        session = live_session(method="sns_rnd_plus")
-        target = tmp_path / "s"
-        session.save(target)
-        meta = json.loads((target / "meta.json").read_text())
-        meta["config"]["backend"] = "numba"
-        (target / "meta.json").write_text(json.dumps(meta))
-        manifest_path = target / "state" / MANIFEST_FILENAME
-        manifest = json.loads(manifest_path.read_text())
-        manifest["model"]["config"]["backend"] = "numba"
-        manifest["model"]["kernel_backend"] = "numba"
-        manifest_path.write_text(json.dumps(manifest))
-
-        restored = StreamSession.load(target)
-        assert restored.config == session.config
-        assert restored.config.method == "sns_rnd_plus"
-        extra = live_chunks(3, seed=2)[2]
-        session.ingest(extra)
-        restored.ingest(extra)
-        for fa, fb in zip(
-            session.factors()["factors"], restored.factors()["factors"]
-        ):
-            assert np.array_equal(np.array(fa), np.array(fb))
-        assert restored._detector.state_dict() == session._detector.state_dict()
-
-    @pytest.mark.parametrize("relaxed", [False, True])
-    def test_load_maps_single_shard_meta(self, tmp_path, relaxed):
-        # A stream saved with the old encoding: `shards` and `staleness` in
-        # meta.json and in the checkpoint's model config, where the server
-        # pinned shards=1 and staleness=0 for exact streams.
-        session = live_session(relaxed=relaxed)
-        target = tmp_path / "s"
-        session.save(target)
-        staleness = 2 if relaxed else None
-        meta = json.loads((target / "meta.json").read_text())
-        del meta["config"]["relaxed"]
-        meta["config"].update(shards=None, staleness=staleness)
-        (target / "meta.json").write_text(json.dumps(meta))
-        manifest_path = target / "state" / MANIFEST_FILENAME
-        manifest = json.loads(manifest_path.read_text())
-        del manifest["model"]["config"]["relaxed"]
-        manifest["model"]["config"].update(shards=1, staleness=staleness or 0)
-        manifest_path.write_text(json.dumps(manifest))
-
-        restored = StreamSession.load(target)
-        assert restored.config == session.config
-        assert restored._model.config == session._model.config
-        assert restored.stats()["relaxed"] is relaxed
-        assert restored.telemetry_snapshot()["relaxed"] is relaxed
-        assert "shards" not in restored.stats()
-        assert "shards" not in restored.telemetry_snapshot()
-        extra = live_chunks(3, seed=2)[2]
-        session.ingest(extra)
-        restored.ingest(extra)
-        for fa, fb in zip(
-            session.factors()["factors"], restored.factors()["factors"]
-        ):
-            assert np.array_equal(np.array(fa), np.array(fb))
-
-    def test_load_rejects_multi_shard_meta(self, tmp_path):
-        session = live_session()
+    @pytest.mark.parametrize(
+        "phase, key",
+        [
+            ("buffering", key)
+            for key in ("stream_id", "phase", "config", "clock", "last_seq",
+                        "buffer", "telemetry")
+        ]
+        + [("live", key) for key in ("stream_id", "config")],
+    )
+    def test_load_requires_every_metadata_key(self, tmp_path, phase, key):
+        session = StreamSession("s", tiny_config())
+        session.ingest(warm_records())
+        if phase == "live":
+            session.start()
         session.save(tmp_path / "s")
-        meta = json.loads((tmp_path / "s" / "meta.json").read_text())
-        meta["config"]["shards"] = 4
-        (tmp_path / "s" / "meta.json").write_text(json.dumps(meta))
-        with pytest.raises(ConfigurationError, match="shards"):
+        edit_json(tmp_path / "s" / "meta.json", lambda meta: meta.pop(key))
+        with pytest.raises(ConfigurationError, match=key):
             StreamSession.load(tmp_path / "s")
 
-    def test_load_rejects_snapshot_aux(self, tmp_path):
-        # Relaxed streams saved by the snapshot-based update carry shard_*
-        # aux entries; the Gauss-Seidel update cannot continue them.
-        session = live_session(relaxed=True)
-        session._model._aux_state = lambda: {"shard_batch_counter": np.array([3.0])}
-        session.save(tmp_path / "s")
-        with pytest.raises(ConfigurationError, match="shard_batch_counter"):
+    @pytest.mark.parametrize("key", ["clock", "last_seq", "detector", "telemetry"])
+    def test_load_requires_every_checkpoint_extra_key(self, tmp_path, key):
+        live_session().save(tmp_path / "s")
+        edit_json(
+            tmp_path / "s" / "state" / MANIFEST_FILENAME,
+            lambda manifest: manifest["extra"].pop(key),
+        )
+        with pytest.raises(CheckpointError, match=key):
+            StreamSession.load(tmp_path / "s")
+
+    @pytest.mark.parametrize(
+        "key, value", [("clock", "abc"), ("last_seq", "abc"), ("last_seq", 1.5)]
+    )
+    def test_load_refuses_mistyped_checkpoint_extra(self, tmp_path, key, value):
+        live_session().save(tmp_path / "s")
+        edit_json(
+            tmp_path / "s" / "state" / MANIFEST_FILENAME,
+            lambda manifest: manifest["extra"].update({key: value}),
+        )
+        with pytest.raises(CheckpointError, match=key):
             StreamSession.load(tmp_path / "s")
 
     @pytest.mark.parametrize(

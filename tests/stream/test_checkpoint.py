@@ -3,8 +3,9 @@
 The exact-equivalence guarantee across all variants and engines lives in
 ``test_checkpoint_equivalence.py``; this module covers the format itself and
 the edge cases: empty-window snapshots, snapshots taken between simultaneous
-events (mid-tie), manifest validation, the model state protocol (including
-configs saved with a ``sampling`` key), and the persisted event counter.
+events (mid-tie), manifest validation (version 2, read as written: every key
+required, no unknown or mistyped one), the model state protocol, and the
+persisted event counter.
 """
 
 from __future__ import annotations
@@ -16,22 +17,18 @@ import weakref
 import numpy as np
 import pytest
 
-from repro.als.als import decompose
 from repro.core.base import SNSConfig
 from repro.core.registry import create_algorithm
-from repro.exceptions import ConfigurationError
+from repro.exceptions import CheckpointError, ConfigurationError
 from repro.stream.checkpoint import (
     ARRAYS_FILENAME,
     FORMAT_VERSION,
     MANIFEST_FILENAME,
-    SNAPSHOT_FORMAT_VERSION,
     is_checkpoint,
-    is_experiment_snapshot,
     load_checkpoint,
-    load_experiment_snapshot,
+    require_keys,
     restore_run,
     save_checkpoint,
-    save_experiment_snapshot,
 )
 from repro.stream.events import EventKind, StreamRecord
 from repro.stream.processor import ContinuousStreamProcessor
@@ -232,6 +229,149 @@ class TestManifestValidation:
             load_checkpoint(path)
 
 
+def saved_run(processor, initial_factors, path):
+    """A checkpoint of an sns_rnd_plus run (aux: a list of prev-Grams)."""
+    model = create_algorithm("sns_rnd_plus", SNSConfig(rank=4, theta=5, seed=0))
+    model.initialize(processor.window, initial_factors)
+    for _, delta in processor.events(max_events=20):
+        model.update(delta)
+    return processor.save_checkpoint(path, model=model, extra={"n": 1})
+
+
+def edit_manifest(path, section, edit):
+    """Apply ``edit`` to a manifest ``section`` (``None``: the top level)."""
+    manifest_path = path / MANIFEST_FILENAME
+    manifest = json.loads(manifest_path.read_text())
+    edit(manifest if section is None else manifest[section])
+    manifest_path.write_text(json.dumps(manifest))
+
+
+#: Every key a version-2 manifest holds: (section or None for the top level,
+#: key).
+MANIFEST_KEYS = [
+    (None, key) for key in ("window", "processor", "model", "extra")
+] + [
+    ("window", key)
+    for key in (
+        "mode_sizes",
+        "window_length",
+        "period",
+        "n_deltas_applied",
+        "tensor_version",
+        "squared_norm",
+    )
+] + [
+    ("processor", key)
+    for key in (
+        "start_time",
+        "n_events_emitted",
+        "scheduler_sequence",
+        "ingest_horizon",
+    )
+] + [
+    ("model", key)
+    for key in ("name", "config", "n_updates", "rng_state", "n_factors", "aux_spec")
+]
+
+
+@pytest.mark.parametrize(
+    "value, kind, matches",
+    [
+        (3, int, True),
+        (True, int, False),
+        (3.0, int, False),
+        (3, float, True),
+        (2.5, float, True),
+        (False, float, False),
+        ("3", float, False),
+        (None, float | None, True),
+        ("x", float | None, False),
+        ([1, 2], list[int], True),
+        ([1, "2"], list[int], False),
+        ({"a": 1}, dict, True),
+        ("anything", object, True),
+    ],
+)
+def test_require_keys_checks_json_types(value, kind, matches):
+    if matches:
+        assert require_keys({"key": value}, {"key": kind}, "payload")
+    else:
+        with pytest.raises(CheckpointError, match="'key'"):
+            require_keys({"key": value}, {"key": kind}, "payload")
+
+
+class TestFormatTwoReadAsWritten:
+    def test_manifest_holds_exactly_the_listed_keys(
+        self, small_processor, small_initial_factors, tmp_path
+    ):
+        path = saved_run(small_processor, small_initial_factors, tmp_path / "c")
+        manifest = json.loads((path / MANIFEST_FILENAME).read_text())
+        assert manifest["version"] == FORMAT_VERSION == 2
+        for section in (None, "window", "processor", "model"):
+            keys = {key for where, key in MANIFEST_KEYS if where == section}
+            payload = manifest if section is None else manifest[section]
+            assert set(payload) - {"format", "version"} == keys
+
+    def test_version_1_checkpoint_is_refused(
+        self, small_processor, small_initial_factors, tmp_path
+    ):
+        path = saved_run(small_processor, small_initial_factors, tmp_path / "c")
+        edit_manifest(path, None, lambda manifest: manifest.update(version=1))
+        with pytest.raises(ConfigurationError, match="version 1"):
+            restore_run(path)
+
+    @pytest.mark.parametrize("section, key", MANIFEST_KEYS)
+    def test_every_key_is_required(
+        self, small_processor, small_initial_factors, tmp_path, section, key
+    ):
+        path = saved_run(small_processor, small_initial_factors, tmp_path / "c")
+        edit_manifest(path, section, lambda payload: payload.pop(key))
+        with pytest.raises(CheckpointError, match=key):
+            restore_run(path)
+
+    @pytest.mark.parametrize(
+        "section, key",
+        [(None, "kernel_backend"), ("window", "extra"), ("model", "kernel_backend")],
+    )
+    def test_unknown_keys_are_refused(
+        self, small_processor, small_initial_factors, tmp_path, section, key
+    ):
+        path = saved_run(small_processor, small_initial_factors, tmp_path / "c")
+        edit_manifest(path, section, lambda payload: payload.update({key: "numba"}))
+        with pytest.raises(CheckpointError, match=key):
+            restore_run(path)
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("window", "mode_sizes", ["5", 4]),
+            ("window", "window_length", 3.0),
+            ("window", "period", True),
+            ("processor", "ingest_horizon", None),
+            ("processor", "n_events_emitted", "20"),
+            ("model", "n_updates", 1.5),
+            ("model", "rng_state", "abc"),
+            ("model", "aux_spec", {"prev_grams": "3"}),
+            ("model", "config", "nope"),
+        ],
+    )
+    def test_mistyped_values_are_refused(
+        self, small_processor, small_initial_factors, tmp_path, section, key, value
+    ):
+        path = saved_run(small_processor, small_initial_factors, tmp_path / "c")
+        edit_manifest(path, section, lambda payload: payload.update({key: value}))
+        with pytest.raises(CheckpointError, match=key):
+            restore_run(path)
+
+    def test_damaged_rng_state_is_refused(
+        self, small_processor, small_initial_factors, tmp_path
+    ):
+        path = saved_run(small_processor, small_initial_factors, tmp_path / "c")
+        edit_manifest(path, "model", lambda model: model["rng_state"].pop("state"))
+        with pytest.raises(CheckpointError, match="rng_state"):
+            restore_run(path)
+
+
 class TestModelStateProtocol:
     @pytest.fixture
     def initialized_model(self, small_processor, small_initial_factors):
@@ -286,44 +426,6 @@ class TestModelStateProtocol:
         with pytest.raises(ConfigurationError, match="theta"):
             other.load_state(processor.window, state)
 
-    def test_load_state_drops_vectorized_sampling_key(self, initialized_model):
-        # States saved while there were two slice samplers name theirs.
-        processor, model = initialized_model
-        state = model.state_dict()
-        state["config"] = dict(state["config"], sampling="vectorized")
-        other = create_algorithm("sns_rnd_plus", SNSConfig(rank=4, theta=5, seed=0))
-        other.load_state(processor.window, state)
-        np.testing.assert_array_equal(other.factors[0], model.factors[0])
-
-    def test_load_state_rejects_legacy_sampling(self, initialized_model):
-        processor, model = initialized_model
-        state = model.state_dict()
-        state["config"] = dict(state["config"], sampling="legacy")
-        other = create_algorithm("sns_rnd_plus", SNSConfig(rank=4, theta=5, seed=0))
-        with pytest.raises(ConfigurationError, match="sampling"):
-            other.load_state(processor.window, state)
-
-    @staticmethod
-    def _save_with_sampling(processor, model, path, sampling):
-        processor.save_checkpoint(path, model=model)
-        manifest_path = path / MANIFEST_FILENAME
-        manifest = json.loads(manifest_path.read_text())
-        manifest["model"]["config"]["sampling"] = sampling
-        manifest_path.write_text(json.dumps(manifest))
-
-    def test_restore_drops_vectorized_sampling_key(self, initialized_model, tmp_path):
-        processor, model = initialized_model
-        self._save_with_sampling(processor, model, tmp_path / "ckpt", "vectorized")
-        _, restored, _ = restore_run(tmp_path / "ckpt")
-        assert restored.config == model.config
-        np.testing.assert_array_equal(restored.factors[1], model.factors[1])
-
-    def test_restore_rejects_legacy_sampling(self, initialized_model, tmp_path):
-        processor, model = initialized_model
-        self._save_with_sampling(processor, model, tmp_path / "ckpt", "legacy")
-        with pytest.raises(ConfigurationError, match="sampling"):
-            restore_run(tmp_path / "ckpt")
-
     def test_sns_mat_weights_survive(self, small_processor, small_initial_factors, tmp_path):
         model = create_algorithm("sns_mat", SNSConfig(rank=4, seed=0))
         model.initialize(small_processor.window, small_initial_factors)
@@ -343,79 +445,3 @@ class TestUnifiedEventCounter:
         small_processor.save_checkpoint(tmp_path / "ckpt")
         restored, _, _ = restore_run(tmp_path / "ckpt")
         assert restored.n_events_emitted == 33
-
-
-class TestExperimentSnapshots:
-    """Prepared-experiment snapshots: exact roundtrip + format validation."""
-
-    @pytest.fixture
-    def snapshot_parts(self, small_stream, small_window_config, small_processor):
-        initial = decompose(
-            small_processor.window.tensor, rank=4, n_iterations=5, seed=3
-        ).decomposition
-        return small_stream, small_window_config, initial
-
-    def test_roundtrip_is_exact(self, snapshot_parts, tmp_path):
-        stream, config, initial = snapshot_parts
-        path = save_experiment_snapshot(
-            tmp_path / "snap", stream, config, initial, extra={"note": "x"}
-        )
-        assert is_experiment_snapshot(path)
-        snapshot = load_experiment_snapshot(path)
-        assert snapshot.window_config == config
-        assert snapshot.stream.records == stream.records
-        assert snapshot.stream.mode_sizes == stream.mode_sizes
-        assert snapshot.stream.mode_names == stream.mode_names
-        for rebuilt, original in zip(
-            snapshot.initial_factors.factors, initial.factors
-        ):
-            assert (rebuilt == np.asarray(original)).all()
-        assert (snapshot.initial_factors.weights == initial.weights).all()
-        assert snapshot.extra == {"note": "x"}
-
-    def test_plain_factor_list_is_accepted(self, snapshot_parts, tmp_path):
-        stream, config, initial = snapshot_parts
-        path = save_experiment_snapshot(
-            tmp_path / "snap", stream, config, initial.factors
-        )
-        snapshot = load_experiment_snapshot(path)
-        for rebuilt, original in zip(
-            snapshot.initial_factors.factors, initial.factors
-        ):
-            assert (rebuilt == np.asarray(original)).all()
-        assert (snapshot.initial_factors.weights == 1.0).all()
-
-    def test_mismatched_stream_and_config_rejected(self, snapshot_parts, tmp_path):
-        stream, config, initial = snapshot_parts
-        other = WindowConfig(mode_sizes=(9, 9), window_length=4, period=10.0)
-        with pytest.raises(ConfigurationError, match="mode sizes"):
-            save_experiment_snapshot(tmp_path / "snap", stream, other, initial)
-
-    def test_snapshot_and_run_checkpoint_formats_are_distinct(
-        self, snapshot_parts, small_processor, tmp_path
-    ):
-        stream, config, initial = snapshot_parts
-        snapshot_path = save_experiment_snapshot(
-            tmp_path / "snap", stream, config, initial
-        )
-        checkpoint_path = small_processor.save_checkpoint(tmp_path / "ckpt")
-        assert not is_experiment_snapshot(checkpoint_path)
-        with pytest.raises(ConfigurationError, match="manifest|format"):
-            load_experiment_snapshot(checkpoint_path)
-        with pytest.raises(ConfigurationError, match="manifest|format"):
-            load_checkpoint(snapshot_path)
-
-    def test_snapshot_version_mismatch_raises(self, snapshot_parts, tmp_path):
-        stream, config, initial = snapshot_parts
-        path = save_experiment_snapshot(tmp_path / "snap", stream, config, initial)
-        manifest_path = path / MANIFEST_FILENAME
-        manifest = json.loads(manifest_path.read_text())
-        manifest["version"] = SNAPSHOT_FORMAT_VERSION + 1
-        manifest_path.write_text(json.dumps(manifest))
-        with pytest.raises(ConfigurationError, match="version"):
-            load_experiment_snapshot(path)
-
-    def test_missing_directory_raises(self, tmp_path):
-        assert not is_experiment_snapshot(tmp_path / "nope")
-        with pytest.raises(ConfigurationError):
-            load_experiment_snapshot(tmp_path / "nope")

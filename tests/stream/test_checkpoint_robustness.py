@@ -13,9 +13,7 @@ from repro.stream.checkpoint import (
     MANIFEST_FILENAME,
     is_checkpoint,
     load_checkpoint,
-    load_experiment_snapshot,
     save_checkpoint,
-    save_experiment_snapshot,
     sweep_stale_sibling_dirs,
 )
 
@@ -24,16 +22,6 @@ from repro.stream.checkpoint import (
 def checkpoint_dir(small_processor, tmp_path):
     small_processor.run(max_events=50)
     return save_checkpoint(tmp_path / "ckpt", small_processor)
-
-
-@pytest.fixture
-def snapshot_dir(small_stream, small_window_config, small_initial_factors, tmp_path):
-    return save_experiment_snapshot(
-        tmp_path / "snap",
-        small_stream,
-        small_window_config,
-        small_initial_factors,
-    )
 
 
 class TestCorruptCheckpoint:
@@ -89,28 +77,6 @@ class TestCorruptCheckpoint:
         (checkpoint_dir / MANIFEST_FILENAME).write_text(json.dumps(manifest))
         with pytest.raises(ConfigurationError):
             load_checkpoint(checkpoint_dir)
-
-
-class TestCorruptSnapshot:
-    def test_intact_snapshot_loads(self, snapshot_dir):
-        load_experiment_snapshot(snapshot_dir)
-
-    def test_missing_arrays_file(self, snapshot_dir):
-        (snapshot_dir / ARRAYS_FILENAME).unlink()
-        with pytest.raises(CheckpointError, match="incomplete"):
-            load_experiment_snapshot(snapshot_dir)
-
-    def test_truncated_npz(self, snapshot_dir):
-        arrays_path = snapshot_dir / ARRAYS_FILENAME
-        payload = arrays_path.read_bytes()
-        arrays_path.write_bytes(payload[:64])
-        with pytest.raises(CheckpointError, match="truncated or corrupt"):
-            load_experiment_snapshot(snapshot_dir)
-
-    def test_unparseable_manifest(self, snapshot_dir):
-        (snapshot_dir / MANIFEST_FILENAME).write_text("]")
-        with pytest.raises(CheckpointError, match="cannot read"):
-            load_experiment_snapshot(snapshot_dir)
 
 
 class TestStaleSiblingSweep:

@@ -20,8 +20,6 @@ are invariant to batch boundaries.)
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 import pytest
 
@@ -29,7 +27,7 @@ from repro.als.als import decompose
 from repro.core.base import SNSConfig
 from repro.core.registry import ALGORITHMS, create_algorithm
 from repro.data.generators import generate_synthetic_stream
-from repro.stream.checkpoint import MANIFEST_FILENAME, restore_run
+from repro.stream.checkpoint import restore_run
 from repro.stream.processor import ContinuousStreamProcessor
 from repro.stream.window import WindowConfig
 
@@ -113,22 +111,3 @@ def test_relaxed_resume_matches_uninterrupted_run(relaxed_setup, tmp_path, varia
     ):
         assert np.array_equal(restored, reference), f"Gram {mode} differs"
     assert restored_model.fitness() == reference_model.fitness()
-
-
-def test_old_checkpoints_restore_onto_exact_path(relaxed_setup, tmp_path):
-    """A checkpoint saved without a relaxed key restores onto the exact path."""
-    stream, config, initial = relaxed_setup
-    processor = ContinuousStreamProcessor(stream, config)
-    model = create_algorithm(
-        "sns_vec", SNSConfig(rank=RANK, theta=5, eta=1000.0, seed=0)
-    )
-    model.initialize(processor.window, initial)
-    processor.run_batched(model=model, max_events=50)
-    processor.save_checkpoint(tmp_path / "ckpt", model=model)
-    manifest_path = tmp_path / "ckpt" / MANIFEST_FILENAME
-    manifest = json.loads(manifest_path.read_text())
-    del manifest["model"]["config"]["relaxed"]
-    manifest_path.write_text(json.dumps(manifest))
-    _, restored, _ = restore_run(tmp_path / "ckpt")
-    assert restored is not None
-    assert restored.config.relaxed is False

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import re
 
 import pytest
@@ -226,6 +227,20 @@ class TestCheckpointResumeEndToEnd:
         assert line.startswith("slicenstitch: error: checkpoint at ")
         assert line.endswith("start a fresh checkpoint directory")
         assert f"differs in {differs}" in line
+
+    def test_resume_refuses_a_version_1_checkpoint(self, tmp_path, capsys):
+        checkpoint_args = ["--max-events", "60", "--checkpoint-dir", str(tmp_path)]
+        fig8 = ["fig8", "--dataset", "nyc_taxi", "--scale", "0.08", *checkpoint_args]
+        run(fig8)
+        for manifest_path in tmp_path.glob("*/*/manifest.json"):
+            manifest = json.loads(manifest_path.read_text())
+            manifest["version"] = 1
+            manifest_path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main([*fig8, "--resume"]) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("slicenstitch: error: checkpoint format version 1")
+        assert line.endswith("delete the checkpoint and rerun")
 
 
 class TestFig9ReplayFlags:
