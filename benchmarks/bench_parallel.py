@@ -2,18 +2,19 @@
 
 Replays the paper's default method roster (5 SliceNStitch variants + 5
 periodic baselines) on the nyc_taxi-like stream twice through
-``run_experiment`` — sequentially (``n_workers=1``) and fanned out over 4
-worker processes, each handed the one prepared experiment as a process
-argument — and reports the wall-clock ratio plus a per-method spot check
-that the parallel results are identical.
+``run_experiment`` — sequentially (``n_workers=1``) and fanned out over a
+pool of 4 worker processes, each handed the one prepared experiment by the
+pool's initializer — and reports the wall-clock ratio plus a per-method
+spot check that the parallel results are identical.
 
 Speedup depends on physical parallelism: on a machine with >= 4 usable cores
 the fan-out is expected to reach >= 2.5x on this roster (the tasks are
-CPU-bound, independent, and far longer than the fork and result-file
-overhead).  The JSON records both wall clocks, their ratio and the usable
-CPU count, not the overhead on its own.  On fewer cores the measured ratio
-is recorded as-is and the speedup assertion is skipped — a 1-core container
-cannot express process-level parallelism, only its overhead.
+CPU-bound, independent, and far longer than the cost of forking the pool
+and pickling each result back).  The JSON records both wall clocks, their
+ratio and the usable CPU count, not the overhead on its own.  On fewer
+cores the measured ratio is recorded as-is and the speedup assertion is
+skipped — a 1-core container cannot express process-level parallelism,
+only its overhead.
 
 Results land in ``results/BENCH_parallel.json`` / ``.txt``.
 """

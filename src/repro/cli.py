@@ -133,12 +133,11 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help=(
-            "worker processes for the experiment fan-out: prepare once, "
-            "snapshot the prepared state, and replay independent "
-            "method/sweep-point tasks in parallel (results identical to a "
-            "sequential run; a killed worker's task resumes from its "
-            "crash-recovery checkpoint).  1 (default) runs sequentially "
-            "in-process; not taken by fig9"
+            "worker processes for the experiment fan-out: prepare once and "
+            "replay independent method/sweep-point tasks on a process pool "
+            "(results identical to a sequential run; a killed worker fails "
+            "the run, and --resume continues it from --checkpoint-dir).  "
+            "1 (default) runs sequentially in-process; not taken by fig9"
         ),
     )
     return parser

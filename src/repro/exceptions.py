@@ -49,7 +49,11 @@ class TimerError(ReproError, RuntimeError):
 
 
 class WorkerError(ReproError, RuntimeError):
-    """A parallel experiment worker failed beyond the configured retry budget."""
+    """A parallel experiment worker process died before its tasks finished.
+
+    The message names the unfinished tasks and the checkpoint directory a
+    ``resume`` rerun continues them from.
+    """
 
 
 class CheckpointError(ConfigurationError):

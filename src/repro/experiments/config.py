@@ -78,11 +78,12 @@ class ExperimentSettings:
     n_workers:
         Number of worker processes the experiment fan-out may use
         (:mod:`repro.experiments.parallel`).  ``1`` (the default) runs every
-        method replay sequentially in-process — bit-identical to older
-        releases.  ``> 1`` prepares once, persists the prepared state as a
-        shared snapshot, and replays independent method/sweep-point tasks in
-        worker processes with per-task crash-recovery checkpoints; results
-        are identical to sequential, only wall-clock timings differ.
+        method replay sequentially in-process.  ``> 1`` prepares once and
+        replays the independent method/sweep-point tasks on a process pool
+        whose workers inherit (or, under spawn, unpickle) the prepared
+        experiment; results are identical to sequential, only wall-clock
+        timings differ.  A worker that dies fails the run, and ``resume``
+        continues it from ``checkpoint_dir`` as it does a sequential run.
     """
 
     dataset: str = "nyc_taxi"

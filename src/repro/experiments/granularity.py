@@ -79,8 +79,8 @@ def conventional_point(
     """One conventional-CPD point: batch ALS at granularity ``T / divisor``.
 
     Self-contained (the coarse scoring window is rebuilt from the stream when
-    not supplied), so it can run in a fan-out worker against a rehydrated
-    experiment snapshot.
+    not supplied), so it can run as a fan-out task against the prepared
+    experiment (:mod:`repro.experiments.parallel`).
     """
     divisor = int(divisor)
     fine_period = coarse_config.period / divisor
@@ -139,13 +139,7 @@ def run_granularity(
     result = run_sweep(
         settings, [("continuous", continuous_method, {})], extra_tasks=conventional
     )
-    fields = [field.name for field in dataclasses.fields(GranularityPoint)]
-    points = [
-        GranularityPoint(
-            **{name: result.extra_payloads[task.key][name] for name in fields}
-        )
-        for task in conventional
-    ]
+    points = [result.extra_payloads[task.key] for task in conventional]
     outcome = result.methods["continuous"]
     points.append(
         GranularityPoint(

@@ -33,7 +33,6 @@ from repro.experiments.config import ExperimentSettings
 from repro.experiments.parallel import (
     ExperimentSnapshot,
     ExperimentTask,
-    method_result_from_payload,
     method_task,
     run_tasks,
 )
@@ -74,7 +73,8 @@ class ExperimentResult:
     """Results of all methods replayed on one dataset.
 
     ``methods`` is keyed by :func:`run_sweep` point key, which is the method
-    name for :func:`run_experiment`.
+    name for :func:`run_experiment`; ``extra_payloads`` holds the results of
+    the sweep's extra tasks by task key.
     """
 
     dataset: str
@@ -82,9 +82,7 @@ class ExperimentResult:
     initial_fitness: float
     methods: dict[str, MethodResult]
     reference: str = "als"
-    extra_payloads: dict[str, dict[str, Any]] = dataclasses.field(
-        default_factory=dict
-    )
+    extra_payloads: dict[str, Any] = dataclasses.field(default_factory=dict)
 
     def reference_fitness_at(self, time: float) -> float:
         """Fitness of the reference (ALS) as of ``time``.
@@ -500,7 +498,7 @@ def run_sweep(
     A point keyed by its own method name checkpoints under
     ``<checkpoint_dir>/<method>``, any other point under
     ``<checkpoint_dir>/<key>/<method>``.  ``extra_tasks`` (Fig. 1's
-    conventional-CPD fits) run on the same preparation; their payloads come
+    conventional-CPD fits) run on the same preparation; their results come
     back in :attr:`ExperimentResult.extra_payloads`.  The returned
     ``methods`` maps each point key to its :class:`MethodResult`.
     """
@@ -524,7 +522,7 @@ def run_sweep(
         )
         for key, method, overrides in points
     ]
-    payloads = run_tasks(
+    results = run_tasks(
         ExperimentSnapshot(stream, window_config, initial),
         [*tasks, *extra_tasks],
         n_workers=settings.n_workers,
@@ -535,11 +533,8 @@ def run_sweep(
         dataset=settings.dataset,
         window_config=window_config,
         initial_fitness=initial_fitness,
-        methods={
-            task.key: method_result_from_payload(payloads[task.key])
-            for task in tasks
-        },
-        extra_payloads={task.key: payloads[task.key] for task in extra_tasks},
+        methods={task.key: results[task.key] for task in tasks},
+        extra_payloads={task.key: results[task.key] for task in extra_tasks},
     )
 
 

@@ -651,25 +651,48 @@ def restore_model(
     class is resolved through the algorithm registry by its saved name and
     reconstructed with its saved hyper-parameters (through
     :meth:`SNSConfig.from_dict`), then ``load_state``
-    restores factors, Grams, counters, aux buffers, and the RNG stream.
+    restores factors, Grams, counters, aux buffers, and the RNG stream.  An
+    unregistered name, or a factor or Gram array whose shape does not fit
+    ``window`` and the saved rank, raises :class:`CheckpointError` naming
+    it.
     """
     model_manifest = checkpoint.manifest["model"]
     if model_manifest is None:
         return None
     # Local imports: repro.core imports repro.stream at module load time.
     from repro.core.base import SNSConfig
-    from repro.core.registry import create_algorithm
+    from repro.core.registry import ALGORITHMS, create_algorithm
 
+    where = f"checkpoint at {checkpoint.path}"
+    name = model_manifest["name"]
+    if name not in ALGORITHMS:
+        raise CheckpointError(f"{where} holds a model of unknown algorithm {name!r}")
     arrays = checkpoint.arrays
     config = SNSConfig.from_dict(model_manifest["config"])
-    model = create_algorithm(model_manifest["name"], config)
     n_factors = model_manifest["n_factors"]
+    if n_factors != window.order:
+        raise CheckpointError(
+            f"{where} holds {n_factors} factor matrices for an "
+            f"order-{window.order} window"
+        )
+    rank = config.rank
+    for mode, size in enumerate(window.shape):
+        for key, expected in (
+            (f"model_factor_{mode}", (size, rank)),
+            (f"model_gram_{mode}", (rank, rank)),
+        ):
+            if arrays[key].shape != expected:
+                raise CheckpointError(
+                    f"{where} has array {key!r} of shape {arrays[key].shape}, "
+                    f"expected {expected}"
+                )
+    model = create_algorithm(name, config)
     aux = {
         key: arrays[keys] if isinstance(keys, str) else [arrays[k] for k in keys]
         for key, keys in _aux_array_keys(model_manifest["aux_spec"]).items()
     }
     state = {
-        "name": model_manifest["name"],
+        "name": name,
         "config": model_manifest["config"],
         "n_updates": model_manifest["n_updates"],
         "rng_state": model_manifest["rng_state"],

@@ -6,11 +6,15 @@ the whole suite runs in seconds; the benchmarks exercise realistic sizes.
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.als.als import decompose
 from repro.data.generators import generate_synthetic_stream
+from repro.experiments.parallel import START_METHOD
 from repro.stream.processor import ContinuousStreamProcessor
 from repro.stream.stream import MultiAspectStream
 from repro.stream.events import StreamRecord
@@ -93,3 +97,28 @@ def small_initial_factors(small_processor: ContinuousStreamProcessor):
         small_processor.window.tensor, rank=4, n_iterations=8, seed=3
     )
     return result.decomposition
+
+
+@pytest.fixture
+def kill_after_first_save(monkeypatch):
+    """Install, for a directory name ``victim``, a checkpoint save that ends
+    its process right after the first save under a directory so named.
+
+    Pool workers inherit the patch by forking, so this kills a fan-out
+    worker mid-task (the test is skipped where fork is unavailable);
+    ``monkeypatch.undo()`` lifts it.
+    """
+    if START_METHOD != "fork":
+        pytest.skip("pool workers inherit the patch only by fork")
+    save = ContinuousStreamProcessor.save_checkpoint
+
+    def install(victim: str) -> None:
+        def save_then_die(self, path, *args, **kwargs):
+            saved = save(self, path, *args, **kwargs)
+            if Path(path).parent.name == victim:
+                os._exit(1)
+            return saved
+
+        monkeypatch.setattr(ContinuousStreamProcessor, "save_checkpoint", save_then_die)
+
+    return install

@@ -1,17 +1,21 @@
-"""Parallel experiment fan-out: equivalence, crash recovery, scheduler edges.
+"""Parallel experiment fan-out: equivalence, kill-then-resume, scheduler edges.
 
 The contract under test: ``n_workers > 1`` changes *wall-clock shape only* —
 every method replay is a deterministic function of the prepared experiment
-(handed to each worker as a process argument) and the task parameters, so
-fitness series, final factors, and event counts are identical to the
-sequential run; and a worker killed mid-task is resumed from its
-crash-recovery checkpoint, not restarted.
+(handed to each pool worker by the pool's initializer) and the task
+parameters, so fitness series, final factors, and event counts are
+identical to the sequential run; and a run whose worker is killed mid-task
+fails with :class:`WorkerError`, after which ``resume=True`` continues the
+task from its checkpoint to the uninterrupted result.
+
+The kill is the ``kill_after_first_save`` fixture: a patched checkpoint
+save that ends its process, which pool workers inherit by forking.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -21,20 +25,19 @@ from repro.experiments.config import ExperimentSettings
 from repro.experiments.eta_sweep import run_eta_sweep
 from repro.experiments.granularity import run_granularity
 from repro.experiments.parallel import (
-    FAULT_ENV,
-    RESULT_SUFFIX,
+    START_METHOD,
     ExperimentSnapshot,
     ExperimentTask,
     execute_task,
-    method_result_from_payload,
     method_task,
     run_tasks,
-    task_fingerprint,
 )
 from repro.experiments.runner import prepare_experiment, run_experiment, run_method
 from repro.experiments.scalability import run_scalability
 from repro.experiments.theta_sweep import run_theta_sweep
 from repro.stream.checkpoint import restore_run
+from repro.stream.processor import ContinuousStreamProcessor
+
 
 #: Small but non-trivial shared workload (a few hundred events, real window).
 SETTINGS = ExperimentSettings(dataset="nyc_taxi", scale=0.1, max_events=120, n_checkpoints=4)
@@ -116,130 +119,69 @@ class TestRunExperimentEquivalence:
 
 
 class TestCrashRecovery:
-    def test_killed_worker_task_is_resumed_not_restarted(
-        self, prepared, snapshot, tmp_path, monkeypatch
+    def test_killed_worker_fails_the_run_and_resume_continues_it(
+        self, prepared, snapshot, tmp_path, monkeypatch, kill_after_first_save
     ):
         stream, spec, window_config, initial, _ = prepared
         kwargs = dict(rank=spec.rank, max_events=120, fitness_every=30)
         reference = run_method(
-            stream, window_config, "sns_vec_plus", initial_factors=initial, **kwargs
+            stream, window_config, "sns_vec_plus", initial_factors=initial,
+            checkpoint_dir=tmp_path / "reference", **kwargs,
         )
-        # The fault hook kills the worker after 120/2 events on the *first*
-        # attempt only; a scheduler that restarted (resume=False) instead of
-        # resuming would crash again and exhaust a budget of one failure.
-        monkeypatch.setenv(FAULT_ENV, "victim:60")
-        monkeypatch.setattr("repro.experiments.parallel.MAX_TASK_FAILURES", 1)
-        task = method_task("victim", "sns_vec_plus", **kwargs)
-        payloads = run_tasks(
-            snapshot, [task], work_dir=tmp_path / "pool", n_workers=2
-        )
-        result = method_result_from_payload(payloads["victim"])
-        # Per-event engine + crash on a fitness-cadence multiple: the whole
-        # series (not just the final value) must match the uninterrupted run.
-        _assert_method_results_equal(reference, result)
-        # The task's lifetime checkpoint reflects the full resumed run.
-        _, model, extra = restore_run(tmp_path / "pool" / "victim" / "sns_vec_plus")
-        assert extra["n_events"] == 120
-        assert model.n_updates == 120
-
-    def test_failure_budget_exhausted_raises_and_leaves_checkpoint(
-        self, prepared, snapshot, tmp_path, monkeypatch
-    ):
-        spec = prepared[1]
-        monkeypatch.setenv(FAULT_ENV, "victim:40")
-        monkeypatch.setattr("repro.experiments.parallel.MAX_TASK_FAILURES", 0)
-        task = method_task(
-            "victim", "sns_vec", rank=spec.rank, max_events=120, fitness_every=30
-        )
-        with pytest.raises(WorkerError, match="victim"):
-            run_tasks(snapshot, [task], work_dir=tmp_path / "pool", n_workers=2)
-        # The failed attempt still persisted a resumable checkpoint.
-        _, model, extra = restore_run(tmp_path / "pool" / "victim" / "sns_vec")
+        tasks = [
+            method_task("victim", "sns_vec_plus", checkpoint_events=40, **kwargs),
+            method_task("bystander", "sns_vec", checkpoint_events=40, **kwargs),
+        ]
+        work_dir = tmp_path / "pool"
+        kill_after_first_save("victim")
+        with pytest.raises(WorkerError, match="victim") as failure:
+            run_tasks(snapshot, tasks, work_dir=work_dir, n_workers=2)
+        assert str(work_dir) in str(failure.value)
+        assert multiprocessing.active_children() == []
+        # The victim died right after its first periodic save.
+        _, _, extra = restore_run(work_dir / "victim" / "sns_vec_plus")
         assert extra["n_events"] == 40
-        assert model.n_updates == 40
+
+        monkeypatch.undo()
+        results = run_tasks(
+            snapshot, tasks, work_dir=work_dir, n_workers=2, resume=True
+        )
+        # Per-event engine: the whole series (not just the final value)
+        # matches the uninterrupted run, and so do the saved factors.
+        _assert_method_results_equal(reference, results["victim"])
+        assert results["bystander"].n_events == 120
+        _, reference_model, _ = restore_run(tmp_path / "reference" / "sns_vec_plus")
+        _, model, extra = restore_run(work_dir / "victim" / "sns_vec_plus")
+        assert extra["n_events"] == 120
+        for expected, factor in zip(reference_model.factors, model.factors):
+            assert np.array_equal(expected, factor)
 
     def test_fresh_run_ignores_stale_results_and_checkpoints(
         self, prepared, snapshot, tmp_path
     ):
         # A reused work dir (say, a checkpoint_dir from an earlier experiment
-        # with a different event budget) must not leak its results or
-        # checkpoints into a fresh (resume=False) run.
+        # with a different event budget) must not leak its checkpoints into
+        # a fresh (resume=False) run.
         spec = prepared[1]
         work_dir = tmp_path / "pool"
         task = method_task(
             "t", "sns_vec", rank=spec.rank, max_events=80, fitness_every=40
         )
-        # Earlier run: different budget, leaves result + finished checkpoint.
+        # Earlier run: different budget, leaves a finished checkpoint.
         stale_task = method_task(
             "t", "sns_vec", rank=spec.rank, max_events=40, fitness_every=40
         )
         run_tasks(snapshot, [stale_task], work_dir=work_dir, n_workers=2)
         fresh = run_tasks(snapshot, [task], work_dir=work_dir, n_workers=2)
-        result = method_result_from_payload(fresh["t"])
-        assert result.n_events == 80  # not the stale 40-event outcome
+        assert fresh["t"].n_events == 80  # not the stale 40-event outcome
         _, model, extra = restore_run(work_dir / "t" / "sns_vec")
-        assert extra["n_events"] == 80  # stale checkpoint was cleared too
-
-    def test_resume_trusts_matching_result_files(
-        self, prepared, snapshot, tmp_path
-    ):
-        spec = prepared[1]
-        work_dir = tmp_path / "pool"
-        work_dir.mkdir()
-        task = method_task(
-            "done", "sns_vec", rank=spec.rank, max_events=40, fitness_every=20
-        )
-        sentinel = {
-            "task_kind": "method",
-            "sentinel": True,
-            "task_fingerprint": task_fingerprint(task),
-        }
-        (work_dir / f"done{RESULT_SUFFIX}").write_text(json.dumps(sentinel))
-        payloads = run_tasks(
-            snapshot, [task], work_dir=work_dir, n_workers=2, resume=True
-        )
-        # The pre-existing matching result was adopted; the task never re-ran.
-        assert payloads["done"] == sentinel
-
-    def test_result_fingerprinted_with_an_engine_flag_is_rerun(
-        self, prepared, snapshot, tmp_path
-    ):
-        # Result files written while tasks carried a `batched` parameter
-        # match no task now: resume re-runs the task, with the same result.
-        stream, spec, window_config, initial, _ = prepared
-        work_dir = tmp_path / "pool"
-        work_dir.mkdir()
-        task = method_task(
-            "old", "sns_vec", rank=spec.rank, max_events=40, fitness_every=20
-        )
-        fingerprint = task_fingerprint(task)
-        fingerprint["params"]["batched"] = False
-        stale = {
-            "task_kind": "method",
-            "sentinel": True,
-            "task_fingerprint": fingerprint,
-        }
-        (work_dir / f"old{RESULT_SUFFIX}").write_text(json.dumps(stale))
-        payloads = run_tasks(
-            snapshot, [task], work_dir=work_dir, n_workers=2, resume=True
-        )
-        assert "sentinel" not in payloads["old"]
-        assert payloads["old"]["task_fingerprint"] == task_fingerprint(task)
-        reference = run_method(
-            stream, window_config, "sns_vec",
-            initial_factors=initial, rank=spec.rank,
-            max_events=40, fitness_every=20,
-        )
-        _assert_method_results_equal(
-            reference, method_result_from_payload(payloads["old"])
-        )
+        assert extra["n_events"] == 80  # the stale checkpoint was replaced
 
     def test_resume_with_larger_budget_continues_instead_of_reusing(
         self, prepared, snapshot, tmp_path
     ):
-        # A finished run's result file must not satisfy a resumed run with a
-        # larger max_events: the task re-executes and continues from its
-        # checkpoint, exactly like a sequential resume.
+        # A finished run's checkpoint continues to a resumed run's larger
+        # max_events, exactly like a sequential resume.
         stream, spec, window_config, initial, _ = prepared
         work_dir = tmp_path / "pool"
         short = method_task(
@@ -249,16 +191,15 @@ class TestCrashRecovery:
         longer = method_task(
             "t", "sns_vec_plus", rank=spec.rank, max_events=120, fitness_every=30
         )
-        payloads = run_tasks(
+        results = run_tasks(
             snapshot, [longer], work_dir=work_dir, n_workers=2, resume=True
         )
-        result = method_result_from_payload(payloads["t"])
         reference = run_method(
             stream, window_config, "sns_vec_plus",
             initial_factors=initial, rank=spec.rank,
             max_events=120, fitness_every=30,
         )
-        _assert_method_results_equal(reference, result)
+        _assert_method_results_equal(reference, results["t"])
 
 
 class TestSchedulerEdges:
@@ -293,10 +234,32 @@ class TestSchedulerEdges:
         task = method_task(
             "t", "sns_vec", rank=prepared[1].rank, max_events=40, fitness_every=20
         )
-        payloads = run_tasks(snapshot, [task], n_workers=1)
-        assert payloads["t"]["fitness_series"] == (
-            execute_task(snapshot, task)["fitness_series"]
+        results = run_tasks(snapshot, [task], n_workers=1)
+        assert results["t"].fitness_series == (
+            execute_task(snapshot, task).fitness_series
         )
+
+    def test_task_error_reaches_the_caller_as_itself(self, prepared, snapshot):
+        task = method_task("t", "sns_typo", rank=prepared[1].rank)
+        for n_workers in (1, 2):
+            with pytest.raises(ConfigurationError, match="sns_typo"):
+                run_tasks(snapshot, [task], n_workers=n_workers)
+            assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(
+        START_METHOD != "fork", reason="pool workers inherit the patch only by fork"
+    )
+    def test_fan_out_without_a_checkpoint_dir_writes_no_checkpoint(
+        self, monkeypatch
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a run without checkpoint_dir saved a checkpoint")
+
+        monkeypatch.setattr(ContinuousStreamProcessor, "save_checkpoint", refuse)
+        result = run_experiment(
+            dataclasses.replace(SETTINGS, n_workers=2), ("sns_vec", "sns_rnd")
+        )
+        assert result.methods["sns_vec"].n_events == SETTINGS.max_events
 
     def test_spawn_start_method_is_supported(
         self, prepared, snapshot, tmp_path, monkeypatch
@@ -309,14 +272,14 @@ class TestSchedulerEdges:
             method_task("vec", "sns_vec", **kwargs),
             method_task("rnd", "sns_rnd", **kwargs),
         ]
-        payloads = run_tasks(
+        results = run_tasks(
             snapshot, tasks, work_dir=tmp_path / "pool", n_workers=2
         )
         for task in tasks:
             in_process = execute_task(snapshot, task)
-            spawned = payloads[task.key]
-            assert spawned["fitness_series"] == in_process["fitness_series"]
-            assert spawned["final_fitness"] == in_process["final_fitness"]
+            spawned = results[task.key]
+            assert spawned.fitness_series == in_process.fitness_series
+            assert spawned.final_fitness == in_process.final_fitness
 
 
 class TestSweepFanOut:
@@ -392,9 +355,8 @@ class TestSweepFanOut:
         )
         run_granularity(small, divisors=(2, 1), als_iterations=3)
         for divisor in (2, 1):
-            key = f"conventional@divisor={divisor}"
-            assert (tmp_path / f"{key}{RESULT_SUFFIX}").is_file()
-            assert not (tmp_path / key).exists()
+            assert not (tmp_path / f"conventional@divisor={divisor}").exists()
         assert sorted(
             path.name for path in tmp_path.iterdir() if path.is_dir()
         ) == ["continuous"]
+        assert not list(tmp_path.rglob("*.result.json"))

@@ -41,10 +41,27 @@ def version_1(directory):
     edit_manifest(directory, lambda manifest: manifest.update(version=1))
 
 
-#: A stream directory written before format 2, and three damaged ones:
+def truncate_factor_0(directory):
+    path = directory / "state" / "state.npz"
+    with np.load(path) as payload:
+        arrays = dict(payload)
+    arrays["model_factor_0"] = arrays["model_factor_0"][:, :1]
+    np.savez(path, **arrays)
+
+
+#: A stream directory written before format 2, and six damaged ones:
 #: kind -> (edit of the stream directory, what the failure reason names).
 DAMAGE = {
     "version 1": (version_1, "version 1"),
+    "unknown model name": (
+        lambda d: edit_manifest(d, lambda m: m["model"].update(name="sns_typo")),
+        "sns_typo",
+    ),
+    "truncated factor": (truncate_factor_0, "model_factor_0"),
+    "factor count": (
+        lambda d: edit_manifest(d, lambda m: m["model"].update(n_factors=1)),
+        "1 factor matrices",
+    ),
     "unknown model config key": (
         lambda d: edit_manifest(d, lambda m: m["model"]["config"].update(bogus=1)),
         "bogus",

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import multiprocessing
 import re
 
 import pytest
@@ -14,7 +15,7 @@ from repro.experiments.anomaly_experiment import (
     run_anomaly_experiment,
 )
 from repro.experiments.config import ExperimentSettings
-from repro.stream.checkpoint import is_checkpoint
+from repro.stream.checkpoint import is_checkpoint, restore_run
 
 
 def fitness_columns(report: str, n_columns: int) -> list[list[str]]:
@@ -203,6 +204,7 @@ class TestCheckpointResumeEndToEnd:
             uninterrupted, n_fitness_columns
         )
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
     @pytest.mark.parametrize(
         ("dataset", "scale", "differs"),
         [
@@ -212,23 +214,25 @@ class TestCheckpointResumeEndToEnd:
         ],
     )
     def test_resume_refuses_another_runs_checkpoint(
-        self, tmp_path, dataset, scale, differs, capsys
+        self, tmp_path, dataset, scale, differs, workers, capfd
     ):
         checkpoint_args = ["--max-events", "60", "--checkpoint-dir", str(tmp_path)]
         run(["fig8", "--dataset", "nyc_taxi", "--scale", "0.08", *checkpoint_args])
         resume = ["fig8", "--dataset", dataset, "--scale", scale,
-                  *checkpoint_args, "--resume"]
+                  *checkpoint_args, "--resume", "--workers", workers]
         with pytest.raises(ConfigurationError, match=re.escape(differs)):
             run(resume)
-        # From the console entry point: one line on stderr, exit status 2.
-        capsys.readouterr()
+        # From the console entry point: one line on stderr, exit status 2,
+        # whether a worker process or this one found the mismatch.
+        capfd.readouterr()
         assert main(resume) == 2
-        [line] = capsys.readouterr().err.splitlines()
+        [line] = capfd.readouterr().err.splitlines()
         assert line.startswith("slicenstitch: error: checkpoint at ")
         assert line.endswith("start a fresh checkpoint directory")
         assert f"differs in {differs}" in line
 
-    def test_resume_refuses_a_version_1_checkpoint(self, tmp_path, capsys):
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_resume_refuses_a_version_1_checkpoint(self, tmp_path, workers, capfd):
         checkpoint_args = ["--max-events", "60", "--checkpoint-dir", str(tmp_path)]
         fig8 = ["fig8", "--dataset", "nyc_taxi", "--scale", "0.08", *checkpoint_args]
         run(fig8)
@@ -236,11 +240,38 @@ class TestCheckpointResumeEndToEnd:
             manifest = json.loads(manifest_path.read_text())
             manifest["version"] = 1
             manifest_path.write_text(json.dumps(manifest))
-        capsys.readouterr()
-        assert main([*fig8, "--resume"]) == 2
-        [line] = capsys.readouterr().err.splitlines()
+        capfd.readouterr()
+        assert main([*fig8, "--resume", "--workers", workers]) == 2
+        [line] = capfd.readouterr().err.splitlines()
         assert line.startswith("slicenstitch: error: checkpoint format version 1")
         assert line.endswith("delete the checkpoint and rerun")
+
+    def test_killed_fan_out_resumes_to_the_uninterrupted_report(
+        self, tmp_path, capfd, monkeypatch, kill_after_first_save
+    ):
+        """A 2-worker fig8 whose worker dies mid-task exits 2 with one line;
+        ``--resume`` then prints the uninterrupted report byte for byte."""
+        fig8 = ["fig8", "--workers", "2", "--scale", "0.1", "--max-events", "300",
+                "--checkpoint-events", "100"]
+        uninterrupted = run([*fig8, "--checkpoint-dir", str(tmp_path / "whole")])
+        checkpoint_dir = tmp_path / "killed"
+        victim = "sns_vec_plus@eta=1000"
+        kill_after_first_save(victim)
+        killed = [*fig8, "--checkpoint-dir", str(checkpoint_dir)]
+        capfd.readouterr()
+        assert main(killed) == 2
+        captured = capfd.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("slicenstitch: error: a worker process died")
+        assert victim in line and str(checkpoint_dir) in line
+        assert multiprocessing.active_children() == []
+        _, _, extra = restore_run(checkpoint_dir / victim / "sns_vec_plus")
+        assert extra["n_events"] == 100
+
+        monkeypatch.undo()
+        assert main([*killed, "--resume"]) == 0
+        assert capfd.readouterr().out == uninterrupted + "\n"
 
 
 class TestFig9ReplayFlags:
