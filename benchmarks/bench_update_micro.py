@@ -12,7 +12,8 @@ event engine (``run_batched`` / ``update_batch``) against per-event replay
 the numbers to ``results/BENCH_update_micro.json``.  Pure replay is timed on
 three drains: the reference per-event loop (``benchmarks/reference_drain.py``,
 the bar's denominator), the per-event engine (``run()``: batches of one from
-the processor's one drain) and the batched engine.  Its ``randomized``
+the processor's one drain) and the batched engine, each repeated within a
+timed round until the round lasts ``MIN_ROUND_SECONDS``.  Its ``randomized``
 section measures the SNS-RND / SNS-RND+ per-event loop and engine path
 (vectorised flat-index sampling + batched updates) and enforces the >= 3x
 acceptance bar against the seed implementation's recorded per-event
@@ -22,6 +23,7 @@ throughput.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import time
 
@@ -87,28 +89,48 @@ def test_update_latency(benchmark, prepared_stream, name):
     assert model.n_updates > 0
 
 
-def _best_of(*functions, repetitions: int = 3) -> list[float]:
-    """Best wall-clock time of each function over ``repetitions`` rounds.
+#: Shortest timed round of a pure replay.  One replay of the batched engine
+#: takes 55-110 ms at full size, and rounds that short followed the host's
+#: load: one of five full-size runs read 2.60 against the 3.0 bar.
+MIN_ROUND_SECONDS = 0.5
 
-    Each round runs every function once, in turn, so load that comes and
-    goes during the measurement falls on all of them alike instead of on
-    whichever one was being timed in its own block.
+
+def _best_of(
+    *functions, repetitions: int = 3, min_round_seconds: float = 0.0
+) -> tuple[list[float], list[int]]:
+    """Best wall-clock seconds per call of each function over ``repetitions`` rounds.
+
+    Each round runs every function in turn, so load that comes and goes
+    during the measurement falls on all of them alike instead of on
+    whichever one was being timed in its own block.  With
+    ``min_round_seconds`` a function is called, within one timed round, as
+    many times as one untimed call says it takes to last that long.
+    Returns the seconds per call and the calls per round.
     """
+    calls = [1] * len(functions)
+    if min_round_seconds > 0:
+        for position, function in enumerate(functions):
+            start = time.perf_counter()
+            function()
+            elapsed = time.perf_counter() - start
+            calls[position] = max(1, math.ceil(min_round_seconds / elapsed))
     best = [float("inf")] * len(functions)
     for _ in range(repetitions):
         for position, function in enumerate(functions):
             start = time.perf_counter()
-            function()
-            best[position] = min(best[position], time.perf_counter() - start)
-    return best
+            for _ in range(calls[position]):
+                function()
+            elapsed = (time.perf_counter() - start) / calls[position]
+            best[position] = min(best[position], elapsed)
+    return best, calls
 
 
 def test_batched_vs_sequential_throughput(prepared_stream):
     """Events/sec of the batched engine vs per-event replay, side by side.
 
     Pure replay (no model) isolates the engine itself: scheduler drain,
-    delta construction, and window maintenance.  This is where the batched
-    engine's coalesced scatter-add pays off, and where the >= 3x acceptance
+    delta construction, and window maintenance.  This is where draining a
+    whole batch window at once pays off, and where the >= 3x acceptance
     bar of the batched-engine work is enforced — against the reference
     per-event loop, which shares no drain code with either engine, so a
     faster per-event engine cannot read as a batched regression.  The
@@ -173,11 +195,14 @@ def test_batched_vs_sequential_throughput(prepared_stream):
     # The three drains alternate round by round.  "sequential" is the
     # reference loop: the loop run() ran when the older baselines were
     # recorded.
-    sequential_seconds, batched_seconds, per_event_seconds = _best_of(
-        run_reference, run_batched, run_per_event
+    (sequential_seconds, batched_seconds, per_event_seconds), calls = _best_of(
+        run_reference, run_batched, run_per_event,
+        min_round_seconds=MIN_ROUND_SECONDS,
     )
     engine = {
         "n_events": n_events,
+        "min_round_seconds": MIN_ROUND_SECONDS,
+        "replays_per_round": dict(zip(("reference", "batched", "per_event"), calls)),
         "sequential_events_per_second": n_events / sequential_seconds,
         "per_event_events_per_second": n_events / per_event_seconds,
         "batched_events_per_second": n_events / batched_seconds,
@@ -204,7 +229,7 @@ def test_batched_vs_sequential_throughput(prepared_stream):
             model.initialize(processor.window, initial)
             processor.run_batched(model=model, max_events=n_model_events)
 
-        model_sequential_seconds, model_batched_seconds = _best_of(
+        (model_sequential_seconds, model_batched_seconds), _ = _best_of(
             run_model_sequential, run_model_batched
         )
         variants[name] = {
@@ -219,7 +244,10 @@ def test_batched_vs_sequential_throughput(prepared_stream):
         "batched event engine vs per-event replay "
         "(events/sec, best of 3 alternating rounds)",
         "",
-        "pure replay: reference per-event loop, per-event engine, batched",
+        "pure replay: reference per-event loop, per-event engine, batched "
+        f"(each round >= {MIN_ROUND_SECONDS:g} s: "
+        + ", ".join(f"{n} x {name}" for name, n in engine["replays_per_round"].items())
+        + ")",
         f"{'':<16}{'reference':>12}{'per-event':>12}{'batched':>12}",
         f"{'engine (replay)':<16}"
         f"{engine['sequential_events_per_second']:>12.0f}"

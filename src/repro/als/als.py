@@ -35,6 +35,7 @@ from repro.exceptions import ConfigurationError, RankError
 from repro.tensor.kruskal import KruskalTensor
 from repro.tensor.products import gram, hadamard_all
 from repro.tensor.sparse import SparseTensor
+from repro.validation import check_fields
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -63,6 +64,7 @@ class ALSConfig:
     seed: int | None = 0
 
     def __post_init__(self) -> None:
+        check_fields(self)
         if self.rank <= 0:
             raise RankError(f"rank must be positive, got {self.rank}")
         if self.n_iterations <= 0:

@@ -25,11 +25,11 @@ from __future__ import annotations
 import dataclasses
 import heapq
 import math
-import numbers
 from collections.abc import Mapping
 from typing import Any
 
 from repro.exceptions import CheckpointError, ConfigurationError
+from repro.validation import matches
 
 Coordinate = tuple[int, ...]
 
@@ -46,11 +46,7 @@ def scoreboard_k(k: object) -> int:
     :class:`~repro.exceptions.ConfigurationError` instead of being truncated
     or slicing the board from its end.
     """
-    if (
-        isinstance(k, bool)
-        or not isinstance(k, numbers.Integral)
-        or not 0 <= k <= SCOREBOARD_SIZE
-    ):
+    if not (matches(k, int) and 0 <= k <= SCOREBOARD_SIZE):
         raise ConfigurationError(
             f"k must be an integer in 0..{SCOREBOARD_SIZE}, got {k!r}"
         )

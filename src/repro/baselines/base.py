@@ -20,6 +20,7 @@ from repro.exceptions import ConfigurationError, NotFittedError, RankError, Shap
 from repro.stream.window import TensorWindow
 from repro.tensor.kruskal import KruskalTensor
 from repro.tensor.sparse import SparseTensor
+from repro.validation import check_fields
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -55,6 +56,7 @@ class BaselineConfig:
     seed: int | None = 0
 
     def __post_init__(self) -> None:
+        check_fields(self)
         if self.rank <= 0:
             raise RankError(f"rank must be positive, got {self.rank}")
         if self.n_iterations <= 0:

@@ -52,6 +52,7 @@ from repro.stream.window import TensorWindow
 from repro.tensor.kruskal import KruskalTensor
 from repro.tensor.products import hadamard_all
 from repro.tensor.sparse import SparseTensor
+from repro.validation import check_fields
 
 Coordinate = tuple[int, ...]
 
@@ -113,6 +114,7 @@ class SNSConfig:
     relaxed: bool = False
 
     def __post_init__(self) -> None:
+        check_fields(self)
         if self.rank <= 0:
             raise RankError(f"rank must be positive, got {self.rank}")
         if self.theta <= 0:
@@ -123,13 +125,9 @@ class SNSConfig:
             raise ConfigurationError(
                 f"regularization must be >= 0, got {self.regularization}"
             )
-        if not isinstance(self.backend, str) or not self.backend:
+        if not self.backend:
             raise ConfigurationError(
                 f"backend must be a backend name or 'auto', got {self.backend!r}"
-            )
-        if not isinstance(self.relaxed, bool):
-            raise ConfigurationError(
-                f"relaxed must be True or False, got {self.relaxed!r}"
             )
 
     @classmethod

@@ -49,9 +49,9 @@ class SNSRndPlus(RandomizedCPD):
         self._upper_scratch = np.empty((rank, rank))
         self._lower_diagonal = self._lower_scratch.reshape(-1)[:: rank + 1]
         # Clipping constants, resolved once (hot path: one lookup each).
-        self._cd_eta = float(self._config.eta)
+        self._cd_eta = self._config.eta
         self._cd_lower = 0.0 if self._config.nonnegative else -self._cd_eta
-        self._cd_ridge = float(self._config.regularization)
+        self._cd_ridge = self._config.regularization
 
     # ------------------------------------------------------------------
     # updateRowRan+ (Algorithm 5)

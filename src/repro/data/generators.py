@@ -28,6 +28,7 @@ from repro.data.datasets import DatasetSpec, get_dataset_spec
 from repro.exceptions import DataGenerationError
 from repro.stream.events import StreamRecord
 from repro.stream.stream import MultiAspectStream
+from repro.validation import check_fields
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -71,7 +72,7 @@ class SyntheticStreamConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "mode_sizes", tuple(int(n) for n in self.mode_sizes))
+        check_fields(self)
         if any(n <= 0 for n in self.mode_sizes) or not self.mode_sizes:
             raise DataGenerationError(
                 f"mode_sizes must be positive and non-empty, got {self.mode_sizes}"

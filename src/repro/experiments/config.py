@@ -9,9 +9,11 @@ follow Table III via :class:`repro.data.datasets.DatasetSpec`.
 from __future__ import annotations
 
 import dataclasses
+from pathlib import Path
 
 from repro.data.datasets import DATASETS, DatasetSpec, get_dataset_spec
 from repro.exceptions import ConfigurationError
+from repro.validation import check_fields
 
 #: The methods shown in Figs. 4 and 5 of the paper, in plot order.
 DEFAULT_CONTINUOUS_METHODS = (
@@ -93,12 +95,13 @@ class ExperimentSettings:
     als_iterations: int = 10
     seed: int = 0
     relaxed: bool = False
-    checkpoint_dir: str | None = None
+    checkpoint_dir: str | Path | None = None
     checkpoint_events: int | None = None
     resume: bool = False
     n_workers: int = 1
 
     def __post_init__(self) -> None:
+        check_fields(self)
         if self.dataset not in DATASETS:
             raise ConfigurationError(
                 f"unknown dataset {self.dataset!r}; available: {sorted(DATASETS)}"

@@ -26,7 +26,7 @@ import numpy as np
 from repro.als.als import decompose
 from repro.experiments.config import ExperimentSettings
 from repro.experiments.parallel import ExperimentTask
-from repro.experiments.reporting import format_table
+from repro.experiments.reporting import format_table, worker_timing_note
 from repro.experiments.runner import run_sweep
 from repro.metrics.timing import Stopwatch
 from repro.stream.processor import ContinuousStreamProcessor
@@ -54,6 +54,7 @@ class GranularityResult:
     dataset: str
     coarse_period: float
     points: list[GranularityPoint]
+    n_workers: int = 1
 
     def conventional(self) -> list[GranularityPoint]:
         """Points of the conventional-CPD sweep, ordered by interval."""
@@ -154,6 +155,7 @@ def run_granularity(
         dataset=settings.dataset,
         coarse_period=result.window_config.period,
         points=points,
+        n_workers=settings.n_workers,
     )
 
 
@@ -177,7 +179,7 @@ def format_granularity(result: GranularityResult) -> str:
             f"Fig. 1 — continuous vs conventional CPD on {result.dataset} "
             f"(coarse period T = {result.coarse_period:g})"
         ),
-    )
+    ) + worker_timing_note(result.n_workers)
 
 
 # ----------------------------------------------------------------------

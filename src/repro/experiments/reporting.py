@@ -31,6 +31,17 @@ def format_table(
     return "\n".join(lines)
 
 
+def worker_timing_note(n_workers: int) -> str:
+    """The line under a table of update times measured by ``n_workers``
+    processes, which compete for the same cores (empty for one)."""
+    if n_workers <= 1:
+        return ""
+    return (
+        f"\nnote: update times are wall-clock from {n_workers} worker processes "
+        "sharing the cores; do not compare them with a sequential run's"
+    )
+
+
 def format_series(
     name: str, times: Sequence[float], values: Sequence[float], unit: str = ""
 ) -> str:

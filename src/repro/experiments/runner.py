@@ -256,10 +256,11 @@ def run_method(
     is restored and the replay continues to ``max_events`` *total* events —
     exactly, as if never interrupted (see :mod:`repro.stream.checkpoint`):
     window, factors, and final fitness are what the uninterrupted run
-    produces, and for an exact variant so is the whole fitness series.  A
-    relaxed run solves each batch as a whole, so it continues exactly only
-    from where a batch of the uninterrupted run ends; a ``max_events`` that
-    cuts a batch short changes the batches after it.
+    produces, and so is the whole fitness series.  A relaxed run solves
+    each batch as a whole, so its final checkpoint is taken at the last
+    batch end at or before ``max_events``, a point that every longer run
+    passes through: the batch that ``max_events`` cuts short still counts
+    towards the run's result, but a resume replays it whole.
     Timing statistics are cumulative across resumes: the checkpoint carries
     the lifetime ``total_update_seconds`` / update count, so
     ``mean_update_microseconds`` reflects the whole run, not just the events
@@ -355,22 +356,30 @@ def run_method(
     remaining = max(max_events - n_events, 0)
     if relaxed and kind == "continuous":
         next_fitness = (n_events // fitness_every + 1) * fitness_every
-        for batch in processor.iter_batches(max_events=remaining):
-            timer.start()
-            model.update_batch(batch)
-            timer.stop()
-            n_events += batch.n_events
-            if n_events >= next_fitness:
-                checkpoint_times.append(batch.end_time)
-                fitness_series.append(model.fitness())
-                next_fitness = (
-                    n_events // fitness_every + 1
-                ) * fitness_every
-            if next_save is not None and n_events >= next_save:
+        # Whole batches first, then the one max_events cuts short: it counts
+        # towards this run's result, but state is saved only at batch ends
+        # that a longer run passes too.
+        for whole in (True, False):
+            for batch in processor.iter_batches(
+                max_events=max(max_events - n_events, 0), whole_batches=whole
+            ):
+                timer.start()
+                model.update_batch(batch)
+                timer.stop()
+                n_events += batch.n_events
+                if n_events >= next_fitness:
+                    checkpoint_times.append(batch.end_time)
+                    fitness_series.append(model.fitness())
+                    next_fitness = (
+                        n_events // fitness_every + 1
+                    ) * fitness_every
+                if whole and next_save is not None and n_events >= next_save:
+                    save_state()
+                    next_save = (
+                        n_events // checkpoint_events + 1
+                    ) * checkpoint_events
+            if whole and checkpoint_path is not None:
                 save_state()
-                next_save = (
-                    n_events // checkpoint_events + 1
-                ) * checkpoint_events
     elif kind == "continuous":
         for event, delta in processor.events(max_events=remaining):
             n_events += 1
@@ -385,6 +394,9 @@ def run_method(
                 next_save = (
                     n_events // checkpoint_events + 1
                 ) * checkpoint_events
+        if checkpoint_path is not None:
+            # Final snapshot, from which a rerun with --resume continues.
+            save_state()
     else:
         # Periodic baselines only read the window at period boundaries, so
         # the stream between boundaries is replayed without model updates.
@@ -414,10 +426,6 @@ def run_method(
             next_boundary += period
             if n_events >= max_events:
                 break
-    if checkpoint_path is not None:
-        # Final snapshot: a finished run can be resumed with a larger
-        # max_events, and an interrupted rerun with --resume picks up here.
-        save_state()
     final_fitness = model.fitness()
     if not fitness_series:
         checkpoint_times.append(processor.start_time)

@@ -16,7 +16,7 @@ from repro.experiments.config import (
     DEFAULT_PERIODIC_METHODS,
     ExperimentSettings,
 )
-from repro.experiments.reporting import format_table
+from repro.experiments.reporting import format_table, worker_timing_note
 from repro.experiments.runner import ExperimentResult, run_experiment
 
 
@@ -26,6 +26,7 @@ class SpeedFitnessResult:
 
     experiments: dict[str, ExperimentResult]
     methods: list[str]
+    n_workers: int = 1
 
     def rows(self) -> list[tuple[str, str, float, float]]:
         """(dataset, method label, update time [µs], avg relative fitness) rows."""
@@ -87,7 +88,9 @@ def run_speed_fitness(
             ),
             methods,
         )
-    return SpeedFitnessResult(experiments=experiments, methods=methods)
+    return SpeedFitnessResult(
+        experiments=experiments, methods=methods, n_workers=settings.n_workers
+    )
 
 
 def format_speed_fitness(result: SpeedFitnessResult) -> str:
@@ -96,4 +99,4 @@ def format_speed_fitness(result: SpeedFitnessResult) -> str:
         ("dataset", "method", "update time [us]", "avg relative fitness"),
         result.rows(),
         title="Fig. 5 — runtime per update and average relative fitness",
-    )
+    ) + worker_timing_note(result.n_workers)

@@ -12,7 +12,7 @@ import dataclasses
 from collections.abc import Sequence
 
 from repro.experiments.config import ExperimentSettings
-from repro.experiments.reporting import format_table
+from repro.experiments.reporting import format_table, worker_timing_note
 from repro.experiments.runner import run_sweep
 from repro.metrics.fitness import relative_fitness
 
@@ -25,6 +25,7 @@ class ThetaSweepResult:
     thetas: list[int]
     relative_fitness: dict[str, list[float]]
     update_microseconds: dict[str, list[float]]
+    n_workers: int = 1
 
 
 def run_theta_sweep(
@@ -60,6 +61,7 @@ def run_theta_sweep(
         thetas=thetas,
         relative_fitness=rel,
         update_microseconds=micro,
+        n_workers=settings.n_workers,
     )
 
 
@@ -77,4 +79,4 @@ def format_theta_sweep(result: ThetaSweepResult) -> str:
         ("method", "theta", "relative fitness", "update time [us]"),
         rows,
         title=f"Fig. 7 — effect of theta on {result.dataset}",
-    )
+    ) + worker_timing_note(result.n_workers)

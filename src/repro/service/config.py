@@ -14,39 +14,14 @@ Two layers of configuration:
 from __future__ import annotations
 
 import dataclasses
-import math
-import numbers
 from collections.abc import Mapping
 from pathlib import Path
 from typing import Any
 
 from repro.core.registry import ALGORITHMS
 from repro.exceptions import ConfigurationError
-
-
-#: StreamConfig fields that must be integers (``bool`` excluded).
-_INTEGER_FIELDS = (
-    "window_length",
-    "rank",
-    "theta",
-    "seed",
-    "als_iterations",
-    "detector_warmup",
-)
-#: StreamConfig fields that must be finite numbers (``batch_window`` may be None).
-_FINITE_FIELDS = ("period", "eta", "regularization", "batch_window")
-
-
-def _is_integer(value: Any) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _is_finite(value: Any) -> bool:
-    return (
-        isinstance(value, numbers.Real)
-        and not isinstance(value, bool)
-        and math.isfinite(value)
-    )
+from repro.service.faults import FaultPlan
+from repro.validation import check_fields, from_dict
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -81,11 +56,9 @@ class StreamConfig:
     batch_window:
         Batch grouping window for the live drain (``None`` = the period).
 
-    Every field is type-checked, because wire requests are JSON: the flags
-    must be booleans, the counts and the seed integers (not ``bool``), and
-    ``period``, ``eta``, ``regularization`` and ``batch_window`` finite
-    numbers.  Anything else raises :class:`ConfigurationError` here rather
-    than a ``TypeError`` later, or worse, a silently different stream.
+    Every field must have its annotated type (:mod:`repro.validation`);
+    anything else raises :class:`ConfigurationError` here rather than a
+    ``TypeError`` later, or worse, a silently different stream.
     """
 
     mode_sizes: tuple[int, ...]
@@ -104,29 +77,7 @@ class StreamConfig:
     batch_window: float | None = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.mode_sizes, (list, tuple)) or not all(
-            _is_integer(n) for n in self.mode_sizes
-        ):
-            raise ConfigurationError(
-                f"mode_sizes must be a list of integers, got {self.mode_sizes!r}"
-            )
-        object.__setattr__(self, "mode_sizes", tuple(int(n) for n in self.mode_sizes))
-        for name in ("nonnegative", "relaxed"):
-            if not isinstance(getattr(self, name), bool):
-                raise ConfigurationError(
-                    f"{name} must be true or false, got {getattr(self, name)!r}"
-                )
-        for name in _INTEGER_FIELDS:
-            if not _is_integer(getattr(self, name)):
-                raise ConfigurationError(
-                    f"{name} must be an integer, got {getattr(self, name)!r}"
-                )
-        for name in _FINITE_FIELDS:
-            value = getattr(self, name)
-            if not _is_finite(value) and not (name == "batch_window" and value is None):
-                raise ConfigurationError(
-                    f"{name} must be a finite number, got {value!r}"
-                )
+        check_fields(self)
         if not self.mode_sizes or any(n <= 0 for n in self.mode_sizes):
             raise ConfigurationError(
                 f"mode_sizes must be positive, got {self.mode_sizes}"
@@ -161,32 +112,8 @@ class StreamConfig:
 
     @classmethod
     def from_dict(cls, payload: Any) -> "StreamConfig":
-        """Rebuild from :meth:`to_dict` output (or a wire request).
-
-        A payload that is not a JSON object, and unknown keys, raise
-        :class:`ConfigurationError` rather than a ``TypeError`` or being
-        silently dropped — a typoed hyper-parameter must not produce a
-        stream with defaults the caller never asked for.  Missing keys take
-        their defaults.
-        """
-        if not isinstance(payload, Mapping):
-            raise ConfigurationError(
-                "a stream config must be a JSON object, got "
-                f"{type(payload).__name__}"
-            )
-        known = {field.name for field in dataclasses.fields(cls)}
-        unknown = sorted(set(payload) - known)
-        if unknown:
-            raise ConfigurationError(
-                f"unknown stream config keys {unknown}; known keys: "
-                f"{sorted(known)}"
-            )
-        try:
-            return cls(**payload)
-        except TypeError as error:
-            raise ConfigurationError(
-                f"invalid stream config: {error}"
-            ) from error
+        """Rebuild from :meth:`to_dict` output (or a wire request)."""
+        return from_dict(cls, payload, "stream config")
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -242,21 +169,14 @@ class ServiceConfig:
     checkpoint_retry_max: float = 30.0
     dedup_window: int = 1024
     watchdog_stall_seconds: float = 0.0
-    fault_plan: Any = None
+    fault_plan: FaultPlan | Mapping | None = None
 
     def __post_init__(self) -> None:
-        if self.fault_plan is not None:
-            from repro.service.faults import FaultPlan
-
-            if isinstance(self.fault_plan, Mapping):
-                object.__setattr__(
-                    self, "fault_plan", FaultPlan.from_dict(self.fault_plan)
-                )
-            elif not isinstance(self.fault_plan, FaultPlan):
-                raise ConfigurationError(
-                    "fault_plan must be a FaultPlan or its dict form, got "
-                    f"{type(self.fault_plan).__name__}"
-                )
+        check_fields(self)
+        if isinstance(self.fault_plan, Mapping):
+            object.__setattr__(
+                self, "fault_plan", FaultPlan.from_dict(self.fault_plan)
+            )
         if self.max_streams <= 0:
             raise ConfigurationError(
                 f"max_streams must be positive, got {self.max_streams}"

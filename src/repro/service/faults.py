@@ -64,11 +64,12 @@ import json
 import random
 import threading
 import time
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 from pathlib import Path
 from typing import Any
 
 from repro.exceptions import ConfigurationError, InjectedFaultError
+from repro.validation import check_fields, from_dict
 
 #: Instrumented injection sites.
 SITES = (
@@ -98,16 +99,6 @@ _DEFAULT_KINDS = {
 }
 
 
-def _tuple_or_none(value: Any, what: str) -> tuple[str, ...] | None:
-    if value is None:
-        return None
-    if isinstance(value, str) or not isinstance(value, Sequence):
-        raise ConfigurationError(
-            f"fault rule {what} must be a list of strings, got {value!r}"
-        )
-    return tuple(str(item) for item in value)
-
-
 @dataclasses.dataclass(frozen=True, slots=True)
 class FaultRule:
     """One scripted fault: a site, filters, a trigger, and a fault kind."""
@@ -124,6 +115,7 @@ class FaultRule:
     message: str = ""
 
     def __post_init__(self) -> None:
+        check_fields(self)
         if self.site not in SITES:
             raise ConfigurationError(
                 f"unknown fault site {self.site!r}; choose one of {SITES}"
@@ -134,10 +126,6 @@ class FaultRule:
             raise ConfigurationError(
                 f"unknown fault kind {self.kind!r}; choose one of {KINDS}"
             )
-        object.__setattr__(
-            self, "streams", _tuple_or_none(self.streams, "streams")
-        )
-        object.__setattr__(self, "ops", _tuple_or_none(self.ops, "ops"))
         if self.stage is None:
             default_stage = {
                 "checkpoint.write": "begin",
@@ -153,14 +141,10 @@ class FaultRule:
                 f"fault site {self.site!r} has no stage {self.stage!r}; "
                 f"choose one of {stages}"
             )
-        if self.hits is not None:
-            object.__setattr__(
-                self, "hits", tuple(int(hit) for hit in self.hits)
+        if self.hits is not None and any(hit < 1 for hit in self.hits):
+            raise ConfigurationError(
+                f"fault rule hits are 1-based, got {self.hits}"
             )
-            if any(hit < 1 for hit in self.hits):
-                raise ConfigurationError(
-                    f"fault rule hits are 1-based, got {self.hits}"
-                )
         if not 0.0 <= self.probability <= 1.0:
             raise ConfigurationError(
                 f"fault probability must be in [0, 1], got {self.probability}"
@@ -223,21 +207,7 @@ class FaultRule:
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "FaultRule":
         """Rebuild from :meth:`to_dict` output (or a plan file entry)."""
-        if not isinstance(payload, Mapping):
-            raise ConfigurationError(
-                f"a fault rule must be a JSON object, got {payload!r}"
-            )
-        known = {field.name for field in dataclasses.fields(cls)}
-        unknown = sorted(set(payload) - known)
-        if unknown:
-            raise ConfigurationError(
-                f"unknown fault rule keys {unknown}; known keys: "
-                f"{sorted(known)}"
-            )
-        try:
-            return cls(**dict(payload))
-        except TypeError as error:
-            raise ConfigurationError(f"invalid fault rule: {error}") from error
+        return from_dict(cls, payload, "fault rule")
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -248,8 +218,7 @@ class FaultPlan:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "rules", tuple(self.rules))
-        object.__setattr__(self, "seed", int(self.seed))
+        check_fields(self)
 
     def to_dict(self) -> dict[str, Any]:
         """Plain JSON-serialisable representation."""
@@ -261,29 +230,10 @@ class FaultPlan:
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "FaultPlan":
         """Rebuild from :meth:`to_dict` output (or a parsed plan file)."""
-        if not isinstance(payload, Mapping):
-            raise ConfigurationError(
-                f"a fault plan must be a JSON object, got {payload!r}"
-            )
-        unknown = sorted(set(payload) - {"seed", "rules"})
-        if unknown:
-            raise ConfigurationError(
-                f"unknown fault plan keys {unknown}; known keys: "
-                "['rules', 'seed']"
-            )
-        rules_payload = payload.get("rules", [])
-        if isinstance(rules_payload, (str, Mapping)) or not isinstance(
-            rules_payload, Sequence
-        ):
-            raise ConfigurationError(
-                "a fault plan's 'rules' must be a list of rule objects"
-            )
-        return cls(
-            rules=tuple(
-                FaultRule.from_dict(rule) for rule in rules_payload
-            ),
-            seed=int(payload.get("seed", 0)),
-        )
+        rules = payload.get("rules") if isinstance(payload, Mapping) else None
+        if isinstance(rules, (list, tuple)):
+            payload = {**payload, "rules": [FaultRule.from_dict(r) for r in rules]}
+        return from_dict(cls, payload, "fault plan")
 
     @classmethod
     def from_file(cls, path: str | Path) -> "FaultPlan":

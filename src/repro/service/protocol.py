@@ -101,7 +101,11 @@ def error_response(code: str, message: str) -> dict[str, Any]:
 
 
 def parse_records(payload: Any) -> list[StreamRecord]:
-    """Parse the wire form of a record chunk into :class:`StreamRecord` s."""
+    """Parse the wire form of a record chunk into :class:`StreamRecord` s.
+
+    Fields reach :class:`StreamRecord` as sent, so its type rule refuses a
+    float index, a bool or a string (``bad_request`` naming the record).
+    """
     if not isinstance(payload, list):
         raise ServiceError(
             "bad_request",
@@ -111,13 +115,7 @@ def parse_records(payload: Any) -> list[StreamRecord]:
     for position, item in enumerate(payload):
         try:
             indices, value, time = item
-            records.append(
-                StreamRecord(
-                    indices=tuple(int(i) for i in indices),
-                    value=float(value),
-                    time=float(time),
-                )
-            )
+            records.append(StreamRecord(indices=indices, value=value, time=time))
         except (TypeError, ValueError, ReproError) as error:
             raise ServiceError(
                 "bad_request", f"record {position} is malformed: {error}"

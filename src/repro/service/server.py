@@ -83,6 +83,7 @@ from repro.service.protocol import (
     parse_records,
 )
 from repro.stream import checkpoint as checkpoint_module
+from repro.validation import matches
 
 #: Lock-discipline contract, enforced by ``repro lint``: every mention of
 #: ``<receiver>.<method>`` below must sit inside an ``async with
@@ -833,12 +834,10 @@ class StreamingServer:
         raw = request.get("seq")
         if raw is None:
             return None, None
-        try:
-            seq = int(raw)
-        except (TypeError, ValueError):
-            raise ServiceError(
-                "bad_request", f"seq must be an integer, got {raw!r}"
-            ) from None
+        if not matches(raw, int):
+            # 2.7 is not seq 2: truncated, it would read as a duplicate.
+            raise ServiceError("bad_request", f"seq must be an integer, got {raw!r}")
+        seq = int(raw)
         if seq < 1:
             raise ServiceError(
                 "bad_request", f"seq must be >= 1, got {seq}"

@@ -560,11 +560,7 @@ class StreamSession:
         if phase == PHASE_BUFFERING:
             try:
                 session._buffer = [
-                    StreamRecord(
-                        indices=tuple(int(i) for i in indices),
-                        value=float(value),
-                        time=float(record_time),
-                    )
+                    StreamRecord(indices=indices, value=value, time=record_time)
                     for indices, value, record_time in meta["buffer"]
                 ]
             except (TypeError, ValueError, ReproError) as error:

@@ -60,7 +60,6 @@ import dataclasses
 import json
 import os
 import shutil
-import typing
 from collections.abc import Mapping
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
@@ -73,6 +72,7 @@ from repro.stream.processor import ContinuousStreamProcessor
 from repro.stream.scheduler import EventScheduler, RawEvent
 from repro.stream.window import TensorWindow, WindowConfig
 from repro.tensor.sparse import SparseTensor
+from repro.validation import matches
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.core.base import ContinuousCPD
@@ -122,21 +122,6 @@ _MODEL_KEYS = {
 }
 
 
-def _matches(value: Any, kind: Any) -> bool:
-    """Whether the JSON ``value`` has type ``kind`` (see :func:`require_keys`)."""
-    origin = typing.get_origin(kind)
-    if origin is list:
-        (item,) = typing.get_args(kind)
-        return isinstance(value, list) and all(_matches(v, item) for v in value)
-    if origin is not None:  # a union such as ``float | None``
-        return any(_matches(value, option) for option in typing.get_args(kind))
-    if kind is int or kind is float:
-        # JSON has one number type: an integer is a float, a bool is neither.
-        numbers = int if kind is int else (int, float)
-        return isinstance(value, numbers) and not isinstance(value, bool)
-    return isinstance(value, kind)
-
-
 def require_keys(
     payload: Any, keys: Mapping[str, Any], where: str
 ) -> dict[str, Any]:
@@ -144,8 +129,9 @@ def require_keys(
 
     ``keys`` maps every key a writer always writes to the type of its JSON
     value: a class (``object`` takes anything), ``list[item]``, or a union
-    such as ``float | None``.  ``float`` takes any JSON number, and a bool
-    is neither an ``int`` nor a ``float``.  A payload that is not a JSON
+    such as ``float | None``, checked by the rule of :mod:`repro.validation`
+    (``float`` takes any JSON number, non-finite ones included, and a bool
+    is neither an ``int`` nor a ``float``).  A payload that is not a JSON
     object, or that has a missing, unknown or mistyped key, raises
     :class:`CheckpointError` naming ``where`` and the key — never a
     ``KeyError``, ``TypeError`` or ``ValueError`` — so a reader that
@@ -162,7 +148,7 @@ def require_keys(
     if unknown:
         raise CheckpointError(f"{where} has unknown key(s) {unknown}")
     for key, kind in keys.items():
-        if not _matches(payload[key], kind):
+        if not matches(payload[key], kind):
             name = kind.__name__ if isinstance(kind, type) else str(kind)
             raise CheckpointError(
                 f"{where} has {key!r} = {payload[key]!r}; expected {name}"
@@ -576,7 +562,7 @@ def restore_processor(checkpoint: StreamCheckpoint) -> ContinuousStreamProcessor
     window_manifest = manifest["window"]
     processor_manifest = manifest["processor"]
     config = WindowConfig(
-        mode_sizes=tuple(window_manifest["mode_sizes"]),
+        mode_sizes=window_manifest["mode_sizes"],
         window_length=window_manifest["window_length"],
         period=window_manifest["period"],
     )

@@ -10,11 +10,11 @@ semantics.
 :class:`DeltaBatch` is the batched counterpart: the coalesced ``ΔX`` of a
 whole *group* of chronologically consecutive events, stored in COO style
 (categorical ``indices`` array, time-mode ``units`` array, ``values`` array)
-so the window can absorb the group with one vectorized scatter-add and the
-batched update rules can group entries by mode index.  The per-event
-:class:`Delta` objects remain recoverable (lazily) for algorithms that need
-exact per-event semantics, so batched processing never loses information
-relative to the per-event path.
+so the window can absorb the group in one call and the batched update rules
+can group entries by mode index.  The per-event :class:`Delta` objects
+remain recoverable (lazily) for algorithms that need exact per-event
+semantics, so batched processing never loses information relative to the
+per-event path.
 """
 
 from __future__ import annotations

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-import math
 
 from repro.exceptions import ShapeError
+from repro.validation import check_fields
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -40,21 +40,14 @@ class StreamRecord:
     time: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "indices", tuple(int(i) for i in self.indices))
+        # A float index is refused, not truncated.  A NaN time would drain
+        # the whole schedule at once, an infinite one freeze the clock, and
+        # a NaN value poison the fit; NaN and Infinity parse from JSON.
+        check_fields(self)
         if len(self.indices) == 0:
             raise ShapeError("a stream record needs at least one categorical index")
-        if any(i < 0 for i in self.indices):
+        if min(self.indices) < 0:
             raise ShapeError(f"negative categorical index in {self.indices}")
-        object.__setattr__(self, "value", float(self.value))
-        object.__setattr__(self, "time", float(self.time))
-        # NaN and Infinity parse from JSON.  A NaN time compares false
-        # against every event and drains the whole schedule at once, an
-        # infinite one freezes the clock, and a NaN value poisons the fit.
-        if not (math.isfinite(self.value) and math.isfinite(self.time)):
-            raise ShapeError(
-                f"record value and time must be finite, got value "
-                f"{self.value} at time {self.time}"
-            )
 
 
 class EventKind(enum.Enum):

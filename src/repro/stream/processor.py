@@ -19,7 +19,7 @@ the schedule in that order and builds their ``ΔX`` as a
 * :meth:`ContinuousStreamProcessor.iter_batches` (and :meth:`run_batched`)
   drains every event inside a batch window — arrivals, shifts and expiries
   between consecutive update points — in one pull, and leaves applying the
-  batch to the consumer: one scatter into the window (pure replay) or a
+  batch to the consumer: one ``apply_batch`` on the window (pure replay) or a
   model's ``update_batch``.
 * :meth:`ContinuousStreamProcessor.events` (and :meth:`run`) drains batches
   of one and yields ``(event, delta)`` pairs *after* applying the delta to
@@ -365,7 +365,11 @@ class ContinuousStreamProcessor:
             self._iterating = False
 
     def _drain_group(
-        self, end_time: float | None, budget: int | None, batch_window: float
+        self,
+        end_time: float | None,
+        budget: int | None,
+        batch_window: float,
+        whole: bool = False,
     ) -> DeltaBatch | None:
         """Pop the next group of events off the schedule as one batch.
 
@@ -374,7 +378,9 @@ class ContinuousStreamProcessor:
         after ``end_time`` — at most ``budget`` of them (``None``: no cap).
         Each popped event schedules its record's next one as the group is
         drained, so chains within a group are respected.  Returns ``None``
-        when no event is due by ``end_time``.
+        when no event is due by ``end_time``, and — with ``whole`` — when
+        ``budget`` would cut the group short; the group is then put back and
+        the schedule left as it was.
         """
         first_time = self.next_event_time
         if first_time is None or (end_time is not None and first_time > end_time):
@@ -400,6 +406,7 @@ class ContinuousStreamProcessor:
         # Inlined drain: operate on the raw heap and a local sequence
         # counter (handed back below) to avoid per-event method calls.
         heap, sequence = self._scheduler.begin_drain()
+        heap_before = heap.copy() if whole else None
         while budget is None or len(raw_events) < budget:
             # Scheduled (shift/expiry) events win ties against new arrivals
             # so old mass has moved before a simultaneous new arrival is
@@ -441,6 +448,15 @@ class ContinuousStreamProcessor:
                 )
                 sequence += 1
             append_event(entry)
+        if whole and len(raw_events) == budget and group_end >= min(
+            heap[0][0] if heap else math.inf,
+            records[-1].time if records else math.inf,
+        ):
+            # The budget cut the group short: put it back (the sequence
+            # counter is not handed back, so it stays where it was).
+            heap[:] = heap_before
+            records.extend(reversed([entry[3] for entry in raw_events if not entry[4]]))
+            return None
         self._scheduler.end_drain(sequence)
         self._n_events_emitted += len(raw_events)
         return DeltaBatch(raw_events, coordinates, values, window_length, trusted=True)
@@ -496,6 +512,7 @@ class ContinuousStreamProcessor:
         end_time: float | None = None,
         max_events: int | None = None,
         batch_window: float | None = None,
+        whole_batches: bool = False,
     ) -> Iterator[DeltaBatch]:
         """Drain events in groups and yield one :class:`DeltaBatch` per group.
 
@@ -522,6 +539,9 @@ class ContinuousStreamProcessor:
             Length of the grouping window, in stream time units.  Defaults to
             the tensor-unit period ``T``.  ``0.0`` groups only simultaneous
             events.
+        whole_batches:
+            Stop before the batch that ``max_events`` would cut short and
+            leave it scheduled, so the processor rests at a batch end.
         """
         if batch_window is None:
             batch_window = self._config.period
@@ -536,7 +556,7 @@ class ContinuousStreamProcessor:
             emitted = 0
             while max_events is None or emitted < max_events:
                 budget = None if max_events is None else max_events - emitted
-                batch = self._drain_group(end_time, budget, batch_window)
+                batch = self._drain_group(end_time, budget, batch_window, whole_batches)
                 if batch is None:
                     return
                 emitted += batch.n_events
@@ -551,8 +571,9 @@ class ContinuousStreamProcessor:
     ) -> int:
         """Replay events batch by batch; return the number of events applied.
 
-        Without a ``model`` each batch is scattered into the window in one
-        vectorized pass, producing a window bit-identical to :meth:`run`.
+        Without a ``model`` each batch is applied to the window in one call,
+        producing a window bit-identical to :meth:`run`, down to the storage
+        order of its entries.
         With a ``model`` (a :class:`~repro.core.base.ContinuousCPD` that was
         initialised on :attr:`window`), each batch is handed to the model's
         ``update_batch``, which applies the window changes itself so that its

@@ -66,17 +66,22 @@ class MultiAspectStream:
         mode_names: Sequence[str] | None = None,
         sort: bool = False,
     ) -> "MultiAspectStream":
-        """Build a stream from an ``(n, M-1)`` index array plus value/time arrays."""
-        indices = np.asarray(indices, dtype=np.int64)
-        values = np.asarray(values, dtype=np.float64)
-        times = np.asarray(times, dtype=np.float64)
+        """Build a stream from an ``(n, M-1)`` index array plus value/time arrays.
+
+        Entries keep their types: a float index array is refused, not truncated.
+        """
+        indices = np.asarray(indices)
+        values = np.asarray(values)
+        times = np.asarray(times)
         if indices.ndim != 2:
             raise ShapeError("indices must be a 2-D array of shape (n, M-1)")
         if not (indices.shape[0] == values.shape[0] == times.shape[0]):
             raise ShapeError("indices, values, and times must have equal lengths")
         records = [
-            StreamRecord(tuple(int(i) for i in row), float(value), float(time))
-            for row, value, time in zip(indices, values, times)
+            StreamRecord(tuple(row), value, time)
+            for row, value, time in zip(
+                indices.tolist(), values.tolist(), times.tolist()
+            )
         ]
         return cls(records, mode_sizes=mode_sizes, mode_names=mode_names, sort=sort)
 

@@ -8,8 +8,8 @@ entries move; the window merely applies the resulting
 :class:`~repro.stream.deltas.Delta` objects — one at a time via
 :meth:`TensorWindow.apply_delta`, or a whole coalesced
 :class:`~repro.stream.deltas.DeltaBatch` at once via
-:meth:`TensorWindow.apply_batch` (bit-identical result, one grouped
-scatter-add) — and answers queries about its contents.
+:meth:`TensorWindow.apply_batch` (bit-identical result, one call per
+batch) — and answers queries about its contents.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from collections.abc import Iterator, Sequence
 from repro.exceptions import ConfigurationError, ShapeError
 from repro.stream.deltas import Delta, DeltaBatch
 from repro.tensor.sparse import SparseTensor
+from repro.validation import check_fields
 
 Coordinate = tuple[int, ...]
 
@@ -43,23 +44,19 @@ class WindowConfig:
     period: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "mode_sizes", tuple(int(n) for n in self.mode_sizes)
-        )
+        check_fields(self)
         if len(self.mode_sizes) == 0:
             raise ConfigurationError("a window needs at least one categorical mode")
         if any(n <= 0 for n in self.mode_sizes):
             raise ConfigurationError(
                 f"all categorical mode sizes must be positive, got {self.mode_sizes}"
             )
-        if int(self.window_length) <= 0:
+        if self.window_length <= 0:
             raise ConfigurationError(
                 f"window_length must be positive, got {self.window_length}"
             )
-        object.__setattr__(self, "window_length", int(self.window_length))
-        if float(self.period) <= 0.0:
+        if self.period <= 0.0:
             raise ConfigurationError(f"period must be positive, got {self.period}")
-        object.__setattr__(self, "period", float(self.period))
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -180,18 +177,18 @@ class TensorWindow:
         self._n_deltas_applied += 1
 
     def apply_batch(self, batch: DeltaBatch) -> None:
-        """Apply a coalesced batch of event deltas in one scatter-add.
+        """Apply a coalesced batch of event deltas in one pass.
 
-        Equivalent — bit for bit — to calling :meth:`apply_delta` for each of
-        the batch's per-event deltas in order (see
-        :meth:`repro.tensor.sparse.SparseTensor.add_batch` for why), but each
-        distinct coordinate costs one storage update regardless of how many
-        of the batch's events touch it.
+        Equivalent — bit for bit, storage order included — to calling
+        :meth:`apply_delta` for each of the batch's per-event deltas in
+        order (see :meth:`repro.tensor.sparse.SparseTensor.add_batch`).
         """
         if batch.trusted:
             # Batches built by the event engine carry validated int-tuple
             # coordinates, so per-entry validation is skipped.
-            self._tensor._add_batch_trusted(batch.coordinates, batch.raw_values)
+            add = self._tensor._add_trusted
+            for coordinate, value in zip(batch.coordinates, batch.raw_values):
+                add(coordinate, value)
         else:
             self._tensor.add_batch(batch.coordinates, batch.raw_values)
         self._n_deltas_applied += batch.n_events

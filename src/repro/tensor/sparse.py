@@ -227,8 +227,8 @@ class SparseTensor:
     def _add_trusted(self, coordinate: Coordinate, delta: float) -> float:
         """Core of :meth:`add` for callers with pre-validated int tuples.
 
-        Internal fast path (mirroring :meth:`_add_batch_trusted`) used by the
-        event engine, whose coordinates are validated by construction.
+        Internal fast path used by the event engine, whose coordinates are
+        validated by construction.
         """
         self._version += 1
         old = self._data.get(coordinate)
@@ -249,17 +249,13 @@ class SparseTensor:
         coordinates: Iterable[Coordinate] | np.ndarray,
         values: Iterable[float] | np.ndarray,
     ) -> None:
-        """Apply many ``add`` operations in one grouped pass.
+        """Apply many ``add`` operations in one pass.
 
         Exactly equivalent — bit for bit — to calling :meth:`add` once per
-        ``(coordinate, value)`` pair in order: per coordinate the running
-        value accumulates in the same float order, and intermediate values
-        whose magnitude falls below :data:`DROP_TOLERANCE` snap to exactly
-        ``0.0`` just as a sequential add-then-remove would.  The speedup
-        comes from bookkeeping: bounds are validated vectorially, each
-        distinct coordinate costs one storage lookup and at most one
-        inverted-index mutation regardless of how many entries touch it, and
-        per-entry coordinate re-validation is skipped.
+        ``(coordinate, value)`` pair in order: the values, the storage and
+        bucket order (an entry that snaps to zero and comes back moves to
+        the end) and the squared norm are those of the sequential adds.
+        Bounds are validated once, vectorially, instead of per entry.
         """
         if isinstance(coordinates, np.ndarray):
             index_array = np.asarray(coordinates, dtype=np.int64)
@@ -294,42 +290,9 @@ class SparseTensor:
         if not coordinate_list:
             return
         self._check_bounds_array(index_array)
-        self._add_batch_trusted(coordinate_list, value_list)
-
-    def _add_batch_trusted(
-        self, coordinates: list[Coordinate], values: list[float]
-    ) -> None:
-        """Grouped-add core: coordinates must be validated int tuples.
-
-        Internal fast path for callers that construct coordinates themselves
-        (the batched event engine builds them from already-validated stream
-        records), skipping per-entry conversion and bounds checks.
-        """
-        data = self._data
-        tolerance = DROP_TOLERANCE
-        self._version += 1
-        pending: dict[Coordinate, float] = {}
-        pending_get = pending.get
-        data_get = data.get
-        for coordinate, value in zip(coordinates, values):
-            running = pending_get(coordinate)
-            if running is None:
-                running = data_get(coordinate, 0.0)
-            running += value
-            if -tolerance <= running <= tolerance:
-                running = 0.0
-            pending[coordinate] = running
-        for coordinate, running in pending.items():
-            if running == 0.0:
-                self._remove(coordinate)
-            else:
-                old = data_get(coordinate)
-                if old is None:
-                    self._index_add(coordinate)
-                else:
-                    self._squared_norm -= old * old
-                self._squared_norm += running * running
-                data[coordinate] = running
+        add = self._add_trusted
+        for coordinate, value in zip(coordinate_list, value_list):
+            add(coordinate, value)
 
     def _remove(self, coordinate: Coordinate) -> None:
         old = self._data.get(coordinate)

@@ -13,6 +13,7 @@ from repro.experiments.config import (
     table_iii_rows,
 )
 from repro.experiments.reporting import format_series, format_table
+from repro.experiments.theta_sweep import ThetaSweepResult, format_theta_sweep
 
 
 class TestExperimentSettings:
@@ -81,3 +82,16 @@ class TestReporting:
         text = format_series("SNS", [0.0, 10.0], [0.5, 0.75], unit="fitness")
         assert text.startswith("SNS [fitness]:")
         assert "(10, 0.750)" in text
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_update_times_from_a_pool_carry_a_note(self, n_workers):
+        result = ThetaSweepResult(
+            dataset="nyc_taxi",
+            thetas=[5],
+            relative_fitness={"sns_rnd": [0.9]},
+            update_microseconds={"sns_rnd": [120.0]},
+            n_workers=n_workers,
+        )
+        lines = format_theta_sweep(result).splitlines()
+        noted = lines[-1].startswith("note: update times are wall-clock")
+        assert noted == (n_workers > 1)

@@ -8,6 +8,7 @@ the benchmarks produce the full-size reproductions.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -18,7 +19,7 @@ from repro.anomaly.detector import SCOREBOARD_SIZE
 from repro.anomaly.scoring import score_batch
 from repro.data.datasets import DATASETS, get_dataset_spec
 from repro.exceptions import ConfigurationError
-from repro.experiments import anomaly_experiment, runner
+from repro.experiments import anomaly_experiment, runner, scalability
 from repro.experiments.anomaly_experiment import (
     format_anomaly_experiment,
     run_anomaly_experiment,
@@ -131,6 +132,32 @@ class TestScalability:
         assert series[0] < series[-1]
         assert result.linearity("sns_vec_plus") > 0.8
         assert "Fig. 6" in format_scalability(result)
+
+    def test_relaxed_points_replay_the_events_they_are_plotted_at(
+        self, monkeypatch
+    ):
+        # A relaxed replay solves whole batches, yet each point must replay
+        # exactly its event count, or the series and its line fit would
+        # describe other runs than the labels say.
+        settings = dataclasses.replace(TINY, relaxed=True)
+        counts = (50, 150, 300)
+        stream, _, window_config, _, _ = runner.prepare_experiment(settings)
+        probe = ContinuousStreamProcessor(stream, window_config)
+        batch_ends = itertools.accumulate(b.n_events for b in probe.iter_batches())
+        assert not set(counts) & set(batch_ends)
+        outcomes = {}
+
+        def recording(*args, _run_sweep=scalability.run_sweep, **kwargs):
+            result = _run_sweep(*args, **kwargs)
+            outcomes.update(result.methods)
+            return result
+
+        monkeypatch.setattr(scalability, "run_sweep", recording)
+        result = run_scalability(settings, methods=("sns_vec",), event_counts=counts)
+        assert result.event_counts == list(counts)
+        assert [outcomes[f"sns_vec@events={c}"].n_events for c in counts] == list(
+            counts
+        )
 
 
 class TestThetaSweep:

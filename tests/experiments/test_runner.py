@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 
 import numpy as np
@@ -27,6 +28,7 @@ from repro.experiments.runner import (
     method_label,
     run_method,
 )
+from repro.stream.checkpoint import restore_run
 from repro.stream.processor import ContinuousStreamProcessor
 from repro.stream.window import WindowConfig
 
@@ -367,32 +369,46 @@ class TestCheckpointResume:
     ):
         stream, window_config, initial, _ = runner_setup
         kwargs = dict(
-            initial_factors=initial, rank=5, theta=5,
-            max_events=300, fitness_every=100, relaxed=relaxed,
+            initial_factors=initial, rank=5, theta=5, fitness_every=100,
+            relaxed=relaxed,
         )
-        reference = run_method(stream, window_config, "sns_rnd_plus", **kwargs)
-        # A relaxed update solves a batch as a whole, so the interruption
-        # falls where a batch of the uninterrupted run ends: the first
-        # batch end at or past event 150.
+        reference = run_method(
+            stream, window_config, "sns_rnd_plus", max_events=600,
+            checkpoint_dir=tmp_path / "reference", **kwargs,
+        )
+        # Events 450 and 600 fall inside batches.  A relaxed update solves
+        # a batch as a whole, so the interrupted run's checkpoint is taken
+        # at the last batch end before event 450, which the uninterrupted
+        # run passes too, and the resumed run replays at least one whole
+        # batch before the one event 600 cuts short.
         probe = ContinuousStreamProcessor(stream, window_config)
-        interruption = 0
-        for batch in probe.iter_batches(max_events=300):
-            probe.window.apply_batch(batch)
-            interruption += batch.n_events
-            if interruption >= 150:
-                break
-        assert interruption < 300
-        interrupted = dict(kwargs, max_events=interruption, checkpoint_dir=tmp_path)
-        run_method(stream, window_config, "sns_rnd_plus", **interrupted)
-        assert (tmp_path / "sns_rnd_plus").is_dir()
-        resumed = run_method(
-            stream, window_config, "sns_rnd_plus",
-            checkpoint_dir=tmp_path, resume=True, **kwargs,
+        batch_ends = list(
+            itertools.accumulate(batch.n_events for batch in probe.iter_batches())
         )
-        assert resumed.n_events == reference.n_events == 300
+        assert 450 not in batch_ends and 600 not in batch_ends
+        saved_at = max(end for end in batch_ends if end < 450) if relaxed else 450
+        assert any(saved_at < end < 600 for end in batch_ends)
+        interrupted = run_method(
+            stream, window_config, "sns_rnd_plus", max_events=450,
+            checkpoint_dir=tmp_path / "resumed", **kwargs,
+        )
+        assert interrupted.n_events == 450
+        extra = restore_run(tmp_path / "resumed" / "sns_rnd_plus")[2]
+        assert extra["n_events"] == saved_at
+        resumed = run_method(
+            stream, window_config, "sns_rnd_plus", max_events=600,
+            checkpoint_dir=tmp_path / "resumed", resume=True, **kwargs,
+        )
+        assert resumed.n_events == reference.n_events == 600
         assert resumed.final_fitness == reference.final_fitness
         assert resumed.fitness_series == reference.fitness_series
         assert resumed.checkpoint_times == reference.checkpoint_times
+        expected, model = (
+            restore_run(tmp_path / run / "sns_rnd_plus")[1]
+            for run in ("reference", "resumed")
+        )
+        for factor, expected_factor in zip(model.factors, expected.factors):
+            assert np.array_equal(factor, expected_factor)
 
     def test_completed_run_resumes_to_larger_horizon(self, runner_setup, tmp_path):
         stream, window_config, initial, _ = runner_setup

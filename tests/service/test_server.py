@@ -233,6 +233,60 @@ class TestNonFiniteInput:
             assert error.startswith("bad_request") and "finite" in error
 
 
+class TestMistypedRecords:
+    """A record's fields reach ``StreamRecord`` as sent: a float index, a
+    bool or a string is refused, never truncated or converted."""
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            [[2.7, 1], 1.0, 5.0],
+            [[True, 0], True, 5.0],
+            [["3", 0], "1.5", "5"],
+            [[1, 2], 1.0, True],
+            [(1, 2), "1.0", 21.0],
+            ["12", 1.0, 21.0],
+        ],
+        ids=["float-index", "bool-index-and-value", "strings", "bool-time",
+             "string-value", "string-indices"],
+    )
+    def test_is_refused_naming_the_record(self, record):
+        config = tiny_config(mode_sizes=(8, 6), window_length=4)
+        warm = make_records(40, start=0.0, spacing=0.5, seed=1, mode_sizes=(8, 6))
+
+        def state(server):
+            processor = server.manager.get("s")._processor
+            return (
+                sorted(processor.window.tensor.items()),
+                len(processor._scheduler),
+                server.manager.get("s").clock,
+            )
+
+        async def scenario():
+            server = StreamingServer(ServiceManager(ServiceConfig()))
+            await dispatch(
+                server, "create_stream", stream="s", config=config.to_dict()
+            )
+            await dispatch(server, "ingest", stream="s", records=wire_records(warm))
+            await dispatch(server, "start_stream", stream="s")
+            before = state(server)
+            valid = [[1, 2], 1.0, 21.0]
+            line = json.dumps(
+                {"op": "ingest", "stream": "s", "records": [valid, record]}
+            ).encode() + b"\n"
+            response = await server._dispatch_safely(line)
+            await dispatch(server, "flush", stream="s")
+            after = state(server)
+            await server.stop()
+            return before, response, after
+
+        before, response, after = asyncio.run(scenario())
+        assert not response["ok"] and response["error"] == "bad_request"
+        assert "record 1 is malformed" in response["message"]
+        # Nothing of the chunk was applied, the valid record included.
+        assert after == before
+
+
 class TestConcurrentTenants:
     N_STREAMS = 6
 
@@ -587,6 +641,32 @@ class TestIdempotentIngest:
         reference = sequential_reference(warm, [chunk])
         for fa, fb in zip(factors["factors"], reference.factors()["factors"]):
             assert np.array_equal(np.array(fa), np.array(fb))
+
+    @pytest.mark.parametrize("seq", [1.5, True, "2"])
+    def test_a_seq_that_is_not_an_integer_is_refused(self, seq):
+        """Truncated, seq 1.5 would read as a duplicate of seq 1 and its
+        chunk would be dropped."""
+        warm = warm_records(seed=84)
+        chunks = live_chunks(2, seed=85)
+
+        async def scenario():
+            server = StreamingServer(ServiceManager(ServiceConfig()))
+            await create_and_start(server, "s", warm)
+            await dispatch(
+                server, "ingest", stream="s",
+                records=wire_records(chunks[0]), seq=1,
+            )
+            line = json.dumps(
+                {"op": "ingest", "stream": "s",
+                 "records": wire_records(chunks[1]), "seq": seq}
+            ).encode() + b"\n"
+            response = await server._dispatch_safely(line)
+            await server.stop()
+            return response
+
+        response = asyncio.run(scenario())
+        assert not response["ok"] and response["error"] == "bad_request"
+        assert "seq must be an integer" in response["message"]
 
     def test_enqueued_but_unapplied_seq_also_deduplicates(self):
         """The dedup window covers acked-but-not-yet-applied chunks, not
