@@ -13,7 +13,9 @@ the numbers to ``results/BENCH_update_micro.json``.  Pure replay is timed on
 three drains: the reference per-event loop (``benchmarks/reference_drain.py``,
 the bar's denominator), the per-event engine (``run()``: batches of one from
 the processor's one drain) and the batched engine, each repeated within a
-timed round until the round lasts ``MIN_ROUND_SECONDS``.  Its ``randomized``
+timed round until the round lasts ``MIN_ROUND_SECONDS``, over
+``ENGINE_ROUNDS`` alternating rounds; the bar is the median of the per-round
+batched / reference ratios.  Its ``randomized``
 section measures the SNS-RND / SNS-RND+ per-event loop and engine path
 (vectorised flat-index sampling + batched updates) and enforces the >= 3x
 acceptance bar against the seed implementation's recorded per-event
@@ -25,6 +27,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+import statistics
 import time
 
 import pytest
@@ -94,18 +97,25 @@ def test_update_latency(benchmark, prepared_stream, name):
 #: load: one of five full-size runs read 2.60 against the 3.0 bar.
 MIN_ROUND_SECONDS = 0.5
 
+#: Timed rounds of the pure replays.  The engine-replay bar is the median of
+#: the per-round ratios: the best of each drain over three rounds let a load
+#: spike that hit only the batched rounds decide it (2.93 against 3.0 in one
+#: of twenty full-size runs on a shared 2-vCPU host).
+ENGINE_ROUNDS = 5
 
-def _best_of(
-    *functions, repetitions: int = 3, min_round_seconds: float = 0.0
-) -> tuple[list[float], list[int]]:
-    """Best wall-clock seconds per call of each function over ``repetitions`` rounds.
 
-    Each round runs every function in turn, so load that comes and goes
-    during the measurement falls on all of them alike instead of on
-    whichever one was being timed in its own block.  With
-    ``min_round_seconds`` a function is called, within one timed round, as
-    many times as one untimed call says it takes to last that long.
-    Returns the seconds per call and the calls per round.
+def _timed_rounds(
+    *functions, rounds: int = 3, min_round_seconds: float = 0.0
+) -> tuple[list[list[float]], list[int]]:
+    """Wall-clock seconds per call of each function, in each of ``rounds`` rounds.
+
+    Each round runs every function in turn, back to back, so load that comes
+    and goes during the measurement falls on all of them alike, and a ratio
+    of two functions' times taken within one round cancels load that spans
+    both.  With ``min_round_seconds`` a function is called, within one timed
+    round, as many times as one untimed call says it takes to last that
+    long.  Returns one list of seconds per call per function, and the calls
+    per round.
     """
     calls = [1] * len(functions)
     if min_round_seconds > 0:
@@ -114,15 +124,15 @@ def _best_of(
             function()
             elapsed = time.perf_counter() - start
             calls[position] = max(1, math.ceil(min_round_seconds / elapsed))
-    best = [float("inf")] * len(functions)
-    for _ in range(repetitions):
+    seconds: list[list[float]] = [[] for _ in functions]
+    for _ in range(rounds):
         for position, function in enumerate(functions):
             start = time.perf_counter()
             for _ in range(calls[position]):
                 function()
-            elapsed = (time.perf_counter() - start) / calls[position]
-            best[position] = min(best[position], elapsed)
-    return best, calls
+            elapsed = time.perf_counter() - start
+            seconds[position].append(elapsed / calls[position])
+    return seconds, calls
 
 
 def test_batched_vs_sequential_throughput(prepared_stream):
@@ -192,22 +202,32 @@ def test_batched_vs_sequential_throughput(prepared_stream):
     def run_batched() -> None:
         ContinuousStreamProcessor(stream, config).run_batched(max_events=n_events)
 
-    # The three drains alternate round by round.  "sequential" is the
-    # reference loop: the loop run() ran when the older baselines were
-    # recorded.
-    (sequential_seconds, batched_seconds, per_event_seconds), calls = _best_of(
+    # The three drains alternate round by round, the reference loop and the
+    # batched engine back to back.  "sequential" is the reference loop: the
+    # loop run() ran when the older baselines were recorded.  Rates are the
+    # median round's; the speedups are medians of per-round ratios.
+    (sequential_rounds, batched_rounds, per_event_rounds), calls = _timed_rounds(
         run_reference, run_batched, run_per_event,
-        min_round_seconds=MIN_ROUND_SECONDS,
+        rounds=ENGINE_ROUNDS, min_round_seconds=MIN_ROUND_SECONDS,
     )
+    round_speedups = [
+        sequential / batched
+        for sequential, batched in zip(sequential_rounds, batched_rounds)
+    ]
     engine = {
         "n_events": n_events,
         "min_round_seconds": MIN_ROUND_SECONDS,
+        "rounds": ENGINE_ROUNDS,
         "replays_per_round": dict(zip(("reference", "batched", "per_event"), calls)),
-        "sequential_events_per_second": n_events / sequential_seconds,
-        "per_event_events_per_second": n_events / per_event_seconds,
-        "batched_events_per_second": n_events / batched_seconds,
-        "speedup": sequential_seconds / batched_seconds,
-        "per_event_speedup": sequential_seconds / per_event_seconds,
+        "sequential_events_per_second": n_events / statistics.median(sequential_rounds),
+        "per_event_events_per_second": n_events / statistics.median(per_event_rounds),
+        "batched_events_per_second": n_events / statistics.median(batched_rounds),
+        "speedup": statistics.median(round_speedups),
+        "round_speedups": round_speedups,
+        "per_event_speedup": statistics.median(
+            sequential / per_event
+            for sequential, per_event in zip(sequential_rounds, per_event_rounds)
+        ),
     }
 
     variants = {}
@@ -229,9 +249,11 @@ def test_batched_vs_sequential_throughput(prepared_stream):
             model.initialize(processor.window, initial)
             processor.run_batched(model=model, max_events=n_model_events)
 
-        (model_sequential_seconds, model_batched_seconds), _ = _best_of(
+        (model_sequential_rounds, model_batched_rounds), _ = _timed_rounds(
             run_model_sequential, run_model_batched
         )
+        model_sequential_seconds = min(model_sequential_rounds)
+        model_batched_seconds = min(model_batched_rounds)
         variants[name] = {
             "n_events": n_model_events,
             "sequential_events_per_second": n_model_events
@@ -241,11 +263,11 @@ def test_batched_vs_sequential_throughput(prepared_stream):
         }
 
     lines = [
-        "batched event engine vs per-event replay "
-        "(events/sec, best of 3 alternating rounds)",
+        "batched event engine vs per-event replay (events/sec)",
         "",
         "pure replay: reference per-event loop, per-event engine, batched "
-        f"(each round >= {MIN_ROUND_SECONDS:g} s: "
+        f"(median of {ENGINE_ROUNDS} alternating rounds, each >= "
+        f"{MIN_ROUND_SECONDS:g} s: "
         + ", ".join(f"{n} x {name}" for name, n in engine["replays_per_round"].items())
         + ")",
         f"{'':<16}{'reference':>12}{'per-event':>12}{'batched':>12}",
@@ -256,8 +278,11 @@ def test_batched_vs_sequential_throughput(prepared_stream):
         f"{'vs reference':<16}{'':>12}"
         f"{engine['per_event_speedup']:>11.2f}x"
         f"{engine['speedup']:>11.2f}x",
+        "batched vs reference per round: "
+        + ", ".join(f"{ratio:.2f}x" for ratio in round_speedups),
         "",
-        "variants: per-event engine + update vs run_batched(model)",
+        "variants: per-event engine + update vs run_batched(model) "
+        "(best of 3 alternating rounds)",
         f"{'variant':<16}{'sequential':>12}{'batched':>12}{'speedup':>9}",
     ]
     for name, row in variants.items():

@@ -28,7 +28,8 @@ import math
 from collections.abc import Mapping
 from typing import Any
 
-from repro.exceptions import CheckpointError, ConfigurationError
+from repro.exceptions import ConfigurationError
+from repro.stream.checkpoint import require_keys
 from repro.validation import matches
 
 Coordinate = tuple[int, ...]
@@ -90,14 +91,23 @@ def _offer(board: list[_Entry], score: AnomalyScore, index: int) -> None:
         heapq.heapreplace(board, entry)
 
 
-def _score_from_dict(entry: Mapping[str, Any]) -> AnomalyScore:
-    return AnomalyScore(
-        coordinate=tuple(int(i) for i in entry["coordinate"]),
-        z_score=float(entry["z_score"]),
-        error=float(entry["error"]),
-        event_time=float(entry["event_time"]),
-        detection_time=float(entry["detection_time"]),
-    )
+#: :meth:`ZScoreDetector.state_dict` as it is written, for :func:`require_keys`.
+_STATE_KEYS = {
+    "warmup": int,
+    "count": int,
+    "finite_count": int,
+    "mean": float,
+    "m2": float,
+    "scoreboard": list[dict],
+}
+_SCORE_KEYS = {
+    "index": int,
+    "coordinate": list[int],
+    "z_score": float,
+    "error": float,
+    "event_time": float,
+    "detection_time": float,
+}
 
 
 class ZScoreDetector:
@@ -111,6 +121,8 @@ class ZScoreDetector:
     """
 
     def __init__(self, warmup: int = 30) -> None:
+        if not matches(warmup, int):
+            raise ConfigurationError(f"warmup must be an integer, got {warmup!r}")
         self._warmup = max(int(warmup), 1)
         self._count = 0
         # Observations in the mean and M2: the finite ones.
@@ -222,25 +234,26 @@ class ZScoreDetector:
     def load_state(self, state: Mapping[str, Any]) -> None:
         """Restore the running state saved by :meth:`state_dict`.
 
-        Every key :meth:`state_dict` writes is required; a missing or
-        unreadable one raises :class:`~repro.exceptions.CheckpointError`.
+        The payload is read as written (:func:`require_keys`): a missing,
+        unknown or mistyped key, in the state or in a scoreboard entry,
+        raises :class:`~repro.exceptions.CheckpointError` naming it.
         """
-        try:
-            warmup = max(int(state["warmup"]), 1)
-            count = int(state["count"])
-            finite_count = int(state["finite_count"])
-            mean = float(state["mean"])
-            m2 = float(state["m2"])
-            board: list[_Entry] = []
-            for entry in state["scoreboard"]:
-                _offer(board, _score_from_dict(entry), int(entry["index"]))
-        except (KeyError, TypeError, ValueError) as error:
-            raise CheckpointError(
-                f"detector state payload is unreadable: {error}"
-            ) from error
-        self._warmup, self._count = warmup, count
-        self._finite_count = finite_count
-        self._mean, self._m2 = mean, m2
+        require_keys(state, _STATE_KEYS, "detector state")
+        board: list[_Entry] = []
+        for position, entry in enumerate(state["scoreboard"]):
+            require_keys(entry, _SCORE_KEYS, f"detector scoreboard entry {position}")
+            score = AnomalyScore(
+                coordinate=tuple(entry["coordinate"]),
+                z_score=float(entry["z_score"]),
+                error=float(entry["error"]),
+                event_time=float(entry["event_time"]),
+                detection_time=float(entry["detection_time"]),
+            )
+            _offer(board, score, entry["index"])
+        self._warmup = max(state["warmup"], 1)
+        self._count = state["count"]
+        self._finite_count = state["finite_count"]
+        self._mean, self._m2 = float(state["mean"]), float(state["m2"])
         self._board = board
 
     @classmethod

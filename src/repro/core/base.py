@@ -434,10 +434,9 @@ class ContinuousCPD(abc.ABC):
         if self._config.relaxed:
             relaxed_update_batch(self, batch)
             return
-        window = self.window
-        trusted = batch.trusted
+        apply = self.window.apply_entry_changes
         for record, _step, entries in batch.entry_groups():
-            window.apply_entry_changes(entries, trusted=trusted)
+            apply(entries)
             self._update(entries, record.indices)
             self._n_updates += 1
 

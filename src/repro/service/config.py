@@ -18,9 +18,11 @@ from collections.abc import Mapping
 from pathlib import Path
 from typing import Any
 
+from repro.core.base import SNSConfig
 from repro.core.registry import ALGORITHMS
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, RankError
 from repro.service.faults import FaultPlan
+from repro.stream.window import WindowConfig
 from repro.validation import check_fields, from_dict
 
 
@@ -78,18 +80,6 @@ class StreamConfig:
 
     def __post_init__(self) -> None:
         check_fields(self)
-        if not self.mode_sizes or any(n <= 0 for n in self.mode_sizes):
-            raise ConfigurationError(
-                f"mode_sizes must be positive, got {self.mode_sizes}"
-            )
-        if self.window_length <= 0:
-            raise ConfigurationError(
-                f"window_length must be positive, got {self.window_length}"
-            )
-        if self.period <= 0:
-            raise ConfigurationError(f"period must be positive, got {self.period}")
-        if self.rank <= 0:
-            raise ConfigurationError(f"rank must be positive, got {self.rank}")
         if self.method not in ALGORITHMS:
             raise ConfigurationError(
                 f"unknown method {self.method!r}; choose one of "
@@ -103,6 +93,35 @@ class StreamConfig:
             raise ConfigurationError(
                 f"batch_window must be >= 0, got {self.batch_window}"
             )
+        # The window and the model check their own ranges, here at
+        # construction, so create_stream refuses what start would.
+        self.window_config
+        try:
+            self.sns_config
+        except RankError as error:
+            raise ConfigurationError(str(error)) from error
+
+    @property
+    def window_config(self) -> WindowConfig:
+        """The stream's window geometry."""
+        return WindowConfig(
+            mode_sizes=self.mode_sizes,
+            window_length=self.window_length,
+            period=self.period,
+        )
+
+    @property
+    def sns_config(self) -> SNSConfig:
+        """The hyper-parameters of the stream's model."""
+        return SNSConfig(
+            rank=self.rank,
+            theta=self.theta,
+            eta=self.eta,
+            regularization=self.regularization,
+            nonnegative=self.nonnegative,
+            seed=self.seed,
+            relaxed=self.relaxed,
+        )
 
     def to_dict(self) -> dict[str, Any]:
         """Plain JSON-serialisable representation."""

@@ -47,7 +47,6 @@ from typing import Any
 from repro.als.als import decompose
 from repro.anomaly.detector import ZScoreDetector
 from repro.anomaly.scoring import score_batch
-from repro.core.base import SNSConfig
 from repro.core.registry import create_algorithm
 from repro.exceptions import (
     CheckpointError,
@@ -66,7 +65,6 @@ from repro.stream.checkpoint import (
 from repro.stream.events import StreamRecord
 from repro.stream.processor import ContinuousStreamProcessor
 from repro.stream.stream import MultiAspectStream
-from repro.stream.window import WindowConfig
 
 _META_FORMAT = "slicenstitch-service-stream"
 _META_VERSION = 2
@@ -129,26 +127,6 @@ class StreamSession:
     def is_live(self) -> bool:
         """True once :meth:`start` has run."""
         return self.phase == PHASE_LIVE
-
-    @property
-    def window_config(self) -> WindowConfig:
-        """Window geometry derived from the stream config."""
-        return WindowConfig(
-            mode_sizes=self.config.mode_sizes,
-            window_length=self.config.window_length,
-            period=self.config.period,
-        )
-
-    def _sns_config(self) -> SNSConfig:
-        return SNSConfig(
-            rank=self.config.rank,
-            theta=self.config.theta,
-            eta=self.config.eta,
-            regularization=self.config.regularization,
-            nonnegative=self.config.nonnegative,
-            seed=self.config.seed,
-            relaxed=self.config.relaxed,
-        )
 
     # ------------------------------------------------------------------
     # Ingestion
@@ -312,7 +290,7 @@ class StreamSession:
                 self._buffer, mode_sizes=self.config.mode_sizes
             )
             processor = ContinuousStreamProcessor(
-                stream, self.window_config, start_time=start_time
+                stream, self.config.window_config, start_time=start_time
             )
             initial = decompose(
                 processor.window.tensor,
@@ -320,7 +298,7 @@ class StreamSession:
                 n_iterations=self.config.als_iterations,
                 seed=self.config.seed,
             ).decomposition
-            model = create_algorithm(self.config.method, self._sns_config())
+            model = create_algorithm(self.config.method, self.config.sns_config)
             model.initialize(processor.window, initial)
         except ServiceError:
             raise

@@ -66,7 +66,12 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from repro.exceptions import CheckpointError, ConfigurationError
+from repro.exceptions import (
+    CheckpointError,
+    ConfigurationError,
+    IndexOutOfBoundsError,
+    ShapeError,
+)
 from repro.stream.events import StreamRecord, WindowEvent
 from repro.stream.processor import ContinuousStreamProcessor
 from repro.stream.scheduler import EventScheduler, RawEvent
@@ -556,9 +561,15 @@ def restore_processor(checkpoint: StreamCheckpoint) -> ContinuousStreamProcessor
     from the entries, and the scheduler heap is adopted verbatim with its
     sequence counter — so continuing the run is exact (see the module
     docstring for the precise guarantee).
+
+    Each array is read as :func:`save_checkpoint` writes it: integer ids,
+    indices and steps, float values and times, aligned lengths, window
+    coordinates inside the window and unique, record indices inside the mode
+    sizes, record ids and steps in range.  Anything else raises
+    :class:`CheckpointError` naming the array, so a damaged file never
+    restores a window that an event would later leave out of bounds.
     """
     manifest = checkpoint.manifest
-    arrays = checkpoint.arrays
     window_manifest = manifest["window"]
     processor_manifest = manifest["processor"]
     config = WindowConfig(
@@ -566,35 +577,46 @@ def restore_processor(checkpoint: StreamCheckpoint) -> ContinuousStreamProcessor
         window_length=window_manifest["window_length"],
         period=window_manifest["period"],
     )
-    tensor = SparseTensor.from_coo(
-        config.shape,
-        arrays["window_indices"],
-        arrays["window_values"],
-        version=window_manifest["tensor_version"],
-    )
+    window_indices = _array(checkpoint, "window_indices", "iu", 2)
+    window_values = _array(checkpoint, "window_values", "f", 1)
+    try:
+        tensor = SparseTensor.from_coo(
+            config.shape,
+            window_indices,
+            window_values,
+            version=window_manifest["tensor_version"],
+        )
+    except (ShapeError, IndexOutOfBoundsError) as error:
+        raise CheckpointError(
+            f"checkpoint at {checkpoint.path} has a damaged window "
+            f"('window_indices', 'window_values'): {error}"
+        ) from error
     window = TensorWindow.from_tensor(
         config, tensor, n_deltas_applied=window_manifest["n_deltas_applied"]
     )
-    records = _restore_records(checkpoint, len(config.mode_sizes))
+    records = _restore_records(checkpoint, config.mode_sizes)
+    n_heap = len(_array(checkpoint, "heap_times", "f", 1))
+    heap_records = _ids(checkpoint, "heap_records", len(records), n_heap)
+    steps = _ids(checkpoint, "heap_steps", config.window_length + 1, n_heap, low=1)
     kind_by_step = tuple(
         WindowEvent.kind_for_step(step, config.window_length)
         for step in range(config.window_length + 1)
     )
-    heap_entries: list[RawEvent] = []
-    for time, sequence, record_id, step in zip(
-        arrays["heap_times"].tolist(),
-        arrays["heap_sequences"].tolist(),
-        arrays["heap_records"].tolist(),
-        arrays["heap_steps"].tolist(),
-    ):
-        heap_entries.append(
-            (time, sequence, kind_by_step[step], records[record_id], step)
+    heap_entries: list[RawEvent] = [
+        (time, sequence, kind_by_step[step], records[record_id], step)
+        for time, sequence, record_id, step in zip(
+            checkpoint.arrays["heap_times"].tolist(),
+            _ids(checkpoint, "heap_sequences", None, n_heap),
+            heap_records,
+            steps,
         )
+    ]
     scheduler = EventScheduler.from_snapshot(
         heap_entries, processor_manifest["scheduler_sequence"]
     )
     future_records = [
-        records[record_id] for record_id in arrays["future_records"].tolist()
+        records[record_id]
+        for record_id in _ids(checkpoint, "future_records", len(records))
     ]
     return ContinuousStreamProcessor._restore(
         config=config,
@@ -607,24 +629,70 @@ def restore_processor(checkpoint: StreamCheckpoint) -> ContinuousStreamProcessor
     )
 
 
+def _array(
+    checkpoint: StreamCheckpoint,
+    key: str,
+    kinds: str,
+    ndim: int,
+    length: int | None = None,
+) -> np.ndarray:
+    """Array ``key`` once it is as written.
+
+    That is ``ndim``-D, of a dtype kind in ``kinds`` (``"iu"`` integers,
+    ``"f"`` floats), and ``length`` rows long if ``length`` is given.
+    """
+    array = checkpoint.arrays[key]
+    if (
+        array.dtype.kind not in kinds
+        or array.ndim != ndim
+        or (length is not None and len(array) != length)
+    ):
+        expected = "integer" if kinds == "iu" else "float"
+        rows = "" if length is None else f" of {length} rows"
+        raise CheckpointError(
+            f"checkpoint at {checkpoint.path} has array {key!r} of dtype "
+            f"{array.dtype} and shape {array.shape}; expected a {ndim}-D "
+            f"{expected} array{rows}"
+        )
+    return array
+
+
+def _ids(
+    checkpoint: StreamCheckpoint,
+    key: str,
+    high: int | None,
+    length: int | None = None,
+    low: int = 0,
+) -> list[int]:
+    """The 1-D integer array ``key`` as a list, each entry in ``low..high - 1``."""
+    values = _array(checkpoint, key, "iu", 1, length).tolist()
+    if high is not None and values and not low <= min(values) <= max(values) < high:
+        bad = next(value for value in values if not low <= value < high)
+        raise CheckpointError(
+            f"checkpoint at {checkpoint.path} has array {key!r} holding {bad}, "
+            f"outside {low}..{high - 1}"
+        )
+    return values
+
+
 def _restore_records(
-    checkpoint: StreamCheckpoint, n_categorical: int
+    checkpoint: StreamCheckpoint, mode_sizes: tuple[int, ...]
 ) -> list[StreamRecord]:
     """Materialise the unique-record table (one shared object per row)."""
-    arrays = checkpoint.arrays
-    indices = np.asarray(arrays["records_indices"], dtype=np.int64)
-    if indices.size and indices.shape[1] != n_categorical:
-        raise ConfigurationError(
-            f"checkpointed records have {indices.shape[1]} categorical "
-            f"indices; the window has {n_categorical} categorical modes"
+    indices = _array(checkpoint, "records_indices", "iu", 2)
+    n_records = len(indices)
+    values = _array(checkpoint, "records_values", "f", 1, n_records)
+    times = _array(checkpoint, "records_times", "f", 1, n_records)
+    if indices.shape[1] != len(mode_sizes) or (
+        n_records and ((indices < 0) | (indices >= np.asarray(mode_sizes))).any()
+    ):
+        raise CheckpointError(
+            f"checkpoint at {checkpoint.path} has array 'records_indices' of "
+            f"shape {indices.shape} with entries outside the mode sizes {mode_sizes}"
         )
     return [
         StreamRecord(indices=tuple(row), value=value, time=time)
-        for row, value, time in zip(
-            indices.tolist(),
-            arrays["records_values"].tolist(),
-            arrays["records_times"].tolist(),
-        )
+        for row, value, time in zip(indices.tolist(), values.tolist(), times.tolist())
     ]
 
 

@@ -8,21 +8,18 @@ online update rules can iterate over them without re-deriving the event
 semantics.
 
 :class:`DeltaBatch` is the batched counterpart: the coalesced ``ΔX`` of a
-whole *group* of chronologically consecutive events, stored in COO style
-(categorical ``indices`` array, time-mode ``units`` array, ``values`` array)
-so the window can absorb the group in one call and the batched update rules
-can group entries by mode index.  The per-event :class:`Delta` objects
-remain recoverable (lazily) for algorithms that need exact per-event
-semantics, so batched processing never loses information relative to the
-per-event path.
+whole *group* of chronologically consecutive events, as the event engine
+builds it (:meth:`ContinuousStreamProcessor._drain_group
+<repro.stream.processor.ContinuousStreamProcessor._drain_group>`).  It holds
+every entry change in event order, and :meth:`DeltaBatch.entry_groups` slices
+them per event, so batched processing keeps exact per-event semantics
+without building per-event :class:`Delta` objects.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from collections.abc import Iterator
-
-import numpy as np
 
 from repro.exceptions import ShapeError
 from repro.stream.events import EventKind, StreamRecord, WindowEvent
@@ -112,12 +109,14 @@ class Delta:
 class DeltaBatch:
     """The coalesced ``ΔX`` of a group of consecutive window events.
 
-    Built by :meth:`ContinuousStreamProcessor.iter_batches` from the raw
-    scheduler entries of one batch window.  The batch stores the entry-level
-    changes of all its events *in event order* — event order is what makes
-    window application bit-identical to the per-event path — plus enough
-    event metadata to lazily reconstruct the individual
-    :class:`~repro.stream.events.WindowEvent` / :class:`Delta` objects.
+    Built only by the event engine (:meth:`ContinuousStreamProcessor._drain_group
+    <repro.stream.processor.ContinuousStreamProcessor._drain_group>`), from the
+    raw scheduler entries of one batch window, so its coordinates are in
+    bounds by construction and consumers apply them unchecked.  The batch
+    stores the entry-level changes of all its events *in event order* —
+    event order is what makes window application bit-identical to the
+    per-event path — plus the event metadata :meth:`entry_groups` and
+    :attr:`events` need.
 
     Parameters
     ----------
@@ -130,25 +129,10 @@ class DeltaBatch:
     values:
         The signed change at each coordinate, aligned with ``coordinates``.
     window_length:
-        The window length ``W`` (needed to rebuild per-event deltas).
-    trusted:
-        Set by the event engine, whose coordinates are validated by
-        construction; consumers skip re-validation for trusted batches and
-        bounds-check untrusted (hand-built) ones.
+        The window length ``W`` (tells a shift's two entries from one).
     """
 
-    __slots__ = (
-        "_raw_events",
-        "_coordinates",
-        "_values",
-        "_window_length",
-        "_trusted",
-        "_events",
-        "_deltas",
-        "_indices_array",
-        "_units_array",
-        "_values_array",
-    )
+    __slots__ = ("_raw_events", "_coordinates", "_values", "_window_length", "_events")
 
     def __init__(
         self,
@@ -156,22 +140,12 @@ class DeltaBatch:
         coordinates: list[Coordinate],
         values: list[float],
         window_length: int,
-        trusted: bool = False,
     ) -> None:
-        if len(coordinates) != len(values):
-            raise ShapeError(
-                f"{len(coordinates)} coordinates for {len(values)} values"
-            )
         self._raw_events = raw_events
         self._coordinates = coordinates
         self._values = values
-        self._window_length = int(window_length)
-        self._trusted = bool(trusted)
+        self._window_length = window_length
         self._events: tuple[WindowEvent, ...] | None = None
-        self._deltas: tuple[Delta, ...] | None = None
-        self._indices_array: np.ndarray | None = None
-        self._units_array: np.ndarray | None = None
-        self._values_array: np.ndarray | None = None
 
     # ------------------------------------------------------------------
     # Sizes and time span
@@ -204,13 +178,8 @@ class DeltaBatch:
         """Window length ``W`` the batch was generated for."""
         return self._window_length
 
-    @property
-    def trusted(self) -> bool:
-        """True when the coordinates were validated by the event engine."""
-        return self._trusted
-
     # ------------------------------------------------------------------
-    # COO view (vectorized consumers)
+    # Entry changes
     # ------------------------------------------------------------------
     @property
     def coordinates(self) -> list[Coordinate]:
@@ -222,49 +191,16 @@ class DeltaBatch:
         """Entry-change values aligned with :attr:`coordinates`."""
         return self._values
 
-    @property
-    def indices(self) -> np.ndarray:
-        """Categorical indices of every entry as an ``(nnz, M-1)`` array."""
-        if self._indices_array is None:
-            self._build_arrays()
-        return self._indices_array  # type: ignore[return-value]
-
-    @property
-    def units(self) -> np.ndarray:
-        """Time-mode index of every entry as an ``(nnz,)`` array."""
-        if self._units_array is None:
-            self._build_arrays()
-        return self._units_array  # type: ignore[return-value]
-
-    @property
-    def values(self) -> np.ndarray:
-        """Entry-change values as an ``(nnz,)`` float64 array."""
-        if self._values_array is None:
-            self._build_arrays()
-        return self._values_array  # type: ignore[return-value]
-
-    def _build_arrays(self) -> None:
-        if self._coordinates:
-            full = np.asarray(self._coordinates, dtype=np.int64)
-        else:  # batches are non-empty by construction; keep shapes sensible anyway
-            full = np.empty((0, 1), dtype=np.int64)
-        self._indices_array = full[:, :-1]
-        self._units_array = full[:, -1]
-        self._values_array = np.asarray(self._values, dtype=np.float64)
-
-    # ------------------------------------------------------------------
-    # Per-event views (exact-semantics consumers)
-    # ------------------------------------------------------------------
     def entry_groups(
         self,
     ) -> Iterator[tuple[StreamRecord, int, tuple[tuple[Coordinate, float], ...]]]:
         """Yield ``(record, step, entries)`` per event, in event order.
 
         The flat per-event view of the batch: ``entries`` is exactly what the
-        corresponding :class:`Delta` would carry, sliced out of the batch's
-        entry arrays without materialising :class:`WindowEvent` / ``Delta``
-        objects.  :meth:`repro.core.base.ContinuousCPD.update_batch` iterates
-        this to keep exact per-event semantics at batch speed.
+        event's :class:`Delta` (:meth:`Delta.from_event`) carries, sliced out
+        of the batch's entry lists.
+        :meth:`repro.core.base.ContinuousCPD.update_batch` iterates this to
+        keep exact per-event semantics at batch speed.
         """
         coordinates = self._coordinates
         values = self._values
@@ -293,20 +229,6 @@ class DeltaBatch:
                 for time, sequence, kind, record, step in self._raw_events
             )
         return self._events
-
-    @property
-    def deltas(self) -> tuple[Delta, ...]:
-        """Per-event ``ΔX`` objects, materialised lazily in event order.
-
-        Iterating these and applying/updating one at a time reproduces the
-        per-event path exactly.
-        """
-        if self._deltas is None:
-            window_length = self._window_length
-            self._deltas = tuple(
-                Delta.from_event(event, window_length) for event in self.events
-            )
-        return self._deltas
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"DeltaBatch(n_events={self.n_events}, nnz={self.nnz})"

@@ -15,6 +15,9 @@ against a :class:`~repro.stream.window.TensorWindow`:
 One method, :meth:`ContinuousStreamProcessor._drain_group`, pops events off
 the schedule in that order and builds their ``ΔX`` as a
 :class:`~repro.stream.deltas.DeltaBatch`; both engines are views of it.
+Nothing else builds batches, and their coordinates are in bounds by
+construction (record indices checked against the mode sizes on the way in,
+time indices in ``[0, W)``), so the window applies them unchecked.
 
 * :meth:`ContinuousStreamProcessor.iter_batches` (and :meth:`run_batched`)
   drains every event inside a batch window — arrivals, shifts and expiries
@@ -459,7 +462,7 @@ class ContinuousStreamProcessor:
             return None
         self._scheduler.end_drain(sequence)
         self._n_events_emitted += len(raw_events)
-        return DeltaBatch(raw_events, coordinates, values, window_length, trusted=True)
+        return DeltaBatch(raw_events, coordinates, values, window_length)
 
     def events(
         self,
@@ -491,7 +494,7 @@ class ContinuousStreamProcessor:
                     return
                 event = batch.events[0]
                 entries = tuple(zip(batch.coordinates, batch.raw_values))
-                apply(entries, trusted=True)
+                apply(entries)
                 emitted += 1
                 yield event, Delta(entries, event.record, event.step, event.kind)
 
@@ -596,12 +599,3 @@ def _check_end_time(end_time: float | None) -> None:
     if end_time is not None and math.isnan(end_time):
         raise ConfigurationError("end_time must not be NaN")
 
-
-def bootstrap_window(
-    stream: MultiAspectStream,
-    config: WindowConfig,
-    start_time: float | None = None,
-) -> tuple[TensorWindow, ContinuousStreamProcessor]:
-    """Convenience helper: build the initial window and its processor."""
-    processor = ContinuousStreamProcessor(stream, config, start_time=start_time)
-    return processor.window, processor

@@ -17,6 +17,7 @@ import numpy as np
 
 from repro.exceptions import IndexOutOfBoundsError, ShapeError, StreamOrderError
 from repro.stream.events import StreamRecord
+from repro.validation import matches
 
 
 class MultiAspectStream:
@@ -146,15 +147,15 @@ class MultiAspectStream:
 
     def _resolve_mode_sizes(self, mode_sizes: Sequence[int] | None) -> tuple[int, ...]:
         if mode_sizes is not None:
-            sizes = tuple(int(n) for n in mode_sizes)
+            sizes = tuple(mode_sizes)
             if self._records and len(sizes) != self._n_categorical:
                 raise ShapeError(
                     f"mode_sizes has {len(sizes)} entries but records have "
                     f"{self._n_categorical} categorical indices"
                 )
-            if any(n <= 0 for n in sizes):
-                raise ShapeError(f"mode sizes must be positive, got {sizes}")
-            return sizes
+            if not all(matches(n, int) and n > 0 for n in sizes):
+                raise ShapeError(f"mode sizes must be positive integers, got {sizes}")
+            return tuple(map(int, sizes))
         if not self._records:
             return ()
         maxima = [0] * self._n_categorical
@@ -249,6 +250,8 @@ class MultiAspectStream:
 
     def head(self, n_records: int) -> "MultiAspectStream":
         """Return the first ``n_records`` records as a new stream."""
+        if not matches(n_records, int):
+            raise ShapeError(f"n_records must be an integer, got {n_records!r}")
         return MultiAspectStream(
             self._records[: int(n_records)],
             mode_sizes=self._mode_sizes,

@@ -4,12 +4,18 @@ A :class:`TensorWindow` is the order-``M`` sparse tensor obtained by
 concatenating the ``W`` most recent tensor units.  The window itself is
 agnostic of wall-clock time: the event-driven processor
 (:class:`repro.stream.processor.ContinuousStreamProcessor`) decides *when*
-entries move; the window merely applies the resulting
-:class:`~repro.stream.deltas.Delta` objects — one at a time via
-:meth:`TensorWindow.apply_delta`, or a whole coalesced
-:class:`~repro.stream.deltas.DeltaBatch` at once via
-:meth:`TensorWindow.apply_batch` (bit-identical result, one call per
-batch) — and answers queries about its contents.
+entries move; the window applies the resulting entry changes and answers
+queries about its contents.
+
+Each source of entry changes has one way in.  Changes the event engine builds
+(a :class:`~repro.stream.deltas.DeltaBatch`, applied whole by
+:meth:`TensorWindow.apply_batch` or per event by
+:meth:`TensorWindow.apply_entry_changes`) are in bounds by construction and
+are applied unchecked.  Changes a caller builds (:meth:`TensorWindow.add_entry`,
+or a hand-made :class:`~repro.stream.deltas.Delta` through
+:meth:`TensorWindow.apply_delta`) go through :meth:`SparseTensor.add
+<repro.tensor.sparse.SparseTensor.add>`, which refuses a coordinate that is
+not a tuple of in-bounds integers.
 """
 
 from __future__ import annotations
@@ -45,11 +51,9 @@ class WindowConfig:
 
     def __post_init__(self) -> None:
         check_fields(self)
-        if len(self.mode_sizes) == 0:
-            raise ConfigurationError("a window needs at least one categorical mode")
-        if any(n <= 0 for n in self.mode_sizes):
+        if not self.mode_sizes or any(n <= 0 for n in self.mode_sizes):
             raise ConfigurationError(
-                f"all categorical mode sizes must be positive, got {self.mode_sizes}"
+                f"mode_sizes must be positive, got {self.mode_sizes}"
             )
         if self.window_length <= 0:
             raise ConfigurationError(
@@ -139,68 +143,43 @@ class TensorWindow:
     # Mutation
     # ------------------------------------------------------------------
     def apply_delta(self, delta: Delta) -> None:
-        """Apply the entry changes of one event to the window."""
+        """Apply the entry changes of one event, each checked, to the window."""
+        add = self._tensor.add
         for coordinate, value in delta.entries:
-            if len(coordinate) != self.order:
-                raise ShapeError(
-                    f"delta coordinate {coordinate} does not match window order {self.order}"
-                )
-            self._tensor.add(coordinate, value)
+            add(coordinate, value)
         self._n_deltas_applied += 1
 
-    def apply_entry_changes(
-        self,
-        entries: Sequence[tuple[Coordinate, float]],
-        trusted: bool = False,
-    ) -> None:
-        """Apply one event's entry changes given as ``((coordinate, value), ...)``.
+    def apply_entry_changes(self, entries: Sequence[tuple[Coordinate, float]]) -> None:
+        """Apply one engine-built event's entry changes ``((coordinate, value), ...)``.
 
-        Equivalent to :meth:`apply_delta` on a delta carrying ``entries``;
-        consumers of :meth:`DeltaBatch.entry_groups` use it to mutate the
-        window per event without materialising ``Delta`` objects.  With
-        ``trusted=True`` (engine-built batches: coordinates validated by
-        construction) per-entry validation is skipped.
+        :meth:`apply_delta` without the checks, for the entries of
+        :meth:`DeltaBatch.entry_groups`: the event engine builds them in
+        bounds, so the window mutates per event without ``Delta`` objects.
         """
-        tensor = self._tensor
-        if trusted:
-            for coordinate, value in entries:
-                tensor._add_trusted(coordinate, value)
-        else:
-            order = self.order
-            for coordinate, value in entries:
-                if len(coordinate) != order:
-                    raise ShapeError(
-                        f"entry coordinate {coordinate} does not match window "
-                        f"order {order}"
-                    )
-                tensor.add(coordinate, value)
+        add = self._tensor._add_trusted
+        for coordinate, value in entries:
+            add(coordinate, value)
         self._n_deltas_applied += 1
 
     def apply_batch(self, batch: DeltaBatch) -> None:
-        """Apply a coalesced batch of event deltas in one pass.
+        """Apply an engine-built batch of event deltas in one pass.
 
         Equivalent — bit for bit, storage order included — to calling
-        :meth:`apply_delta` for each of the batch's per-event deltas in
-        order (see :meth:`repro.tensor.sparse.SparseTensor.add_batch`).
+        :meth:`apply_delta` for each of the batch's events in order: the
+        adds are the same, pair by pair, minus the checks.
         """
-        if batch.trusted:
-            # Batches built by the event engine carry validated int-tuple
-            # coordinates, so per-entry validation is skipped.
-            add = self._tensor._add_trusted
-            for coordinate, value in zip(batch.coordinates, batch.raw_values):
-                add(coordinate, value)
-        else:
-            self._tensor.add_batch(batch.coordinates, batch.raw_values)
+        add = self._tensor._add_trusted
+        for coordinate, value in zip(batch.coordinates, batch.raw_values):
+            add(coordinate, value)
         self._n_deltas_applied += batch.n_events
 
     def add_entry(self, categorical: Sequence[int], unit: int, value: float) -> None:
         """Add ``value`` at (categorical indices, time-unit ``unit``).
 
-        The validated form of what the processor's bootstrap does per
-        historical record (it skips validation for already-checked records).
+        The checked form of what the processor's bootstrap does per
+        historical record (it skips the checks for already-checked records).
         """
-        coordinate = (*tuple(int(i) for i in categorical), int(unit))
-        self._tensor.add(coordinate, value)
+        self._tensor.add((*categorical, unit), value)
 
     def clear(self) -> None:
         """Reset the window to an all-zero tensor."""

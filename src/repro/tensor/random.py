@@ -73,7 +73,7 @@ def random_sparse_tensor(
     """
     if not 0.0 <= density <= 1.0:
         raise ShapeError(f"density must lie in [0, 1], got {density}")
-    shape = tuple(int(n) for n in shape)
+    shape = tuple(shape)
     rng = _require_rng(rng)
     tensor = SparseTensor(shape)
     total = int(np.prod(shape, dtype=np.int64))

@@ -21,6 +21,7 @@ import math
 import numpy as np
 
 from repro.exceptions import IndexOutOfBoundsError, ShapeError
+from repro.validation import matches
 
 Coordinate = tuple[int, ...]
 
@@ -63,11 +64,12 @@ class SparseTensor:
         shape: Iterable[int],
         entries: Mapping[Coordinate, float] | None = None,
     ) -> None:
-        shape = tuple(int(n) for n in shape)
+        shape = tuple(shape)
         if len(shape) == 0:
             raise ShapeError("a tensor must have at least one mode")
-        if any(n <= 0 for n in shape):
-            raise ShapeError(f"all mode lengths must be positive, got {shape}")
+        if not all(matches(n, int) and n > 0 for n in shape):
+            raise ShapeError(f"all mode lengths must be positive integers, got {shape}")
+        shape = tuple(map(int, shape))
         self._shape: tuple[int, ...] = shape
         self._data: dict[Coordinate, float] = {}
         # _mode_index[m][i] holds the coordinates whose m-th index is i, as an
@@ -136,12 +138,38 @@ class SparseTensor:
     # Entry access
     # ------------------------------------------------------------------
     def _validate(self, coordinate: Coordinate) -> Coordinate:
-        coordinate = tuple(int(i) for i in coordinate)
+        """``coordinate`` as a tuple of ints inside the shape, or raise.
+
+        The one check of caller-built coordinates.  An index must be an
+        integer under :mod:`repro.validation`'s rule: a numpy integer is
+        stored as ``int``, and a float, bool or string raises
+        :class:`ShapeError` naming the coordinate instead of being
+        truncated.
+        """
+        coordinate = tuple(coordinate)
+        shape = self._shape
+        if len(coordinate) == len(shape):
+            for index, length in zip(coordinate, shape):
+                if type(index) is not int or not 0 <= index < length:
+                    break
+            else:
+                return coordinate
+        return self._checked(coordinate)
+
+    def _checked(self, coordinate: Coordinate) -> Coordinate:
+        """:meth:`_validate` for a coordinate that is not plain in-bounds ints."""
         if len(coordinate) != self.order:
             raise ShapeError(
                 f"coordinate {coordinate} has {len(coordinate)} indices but the "
                 f"tensor has {self.order} modes"
             )
+        for mode, index in enumerate(coordinate):
+            if not matches(index, int):
+                raise ShapeError(
+                    f"coordinate {coordinate!r} must hold integers; mode {mode} "
+                    f"has {index!r}"
+                )
+        coordinate = tuple(map(int, coordinate))
         for mode, (index, length) in enumerate(zip(coordinate, self._shape)):
             if not 0 <= index < length:
                 raise IndexOutOfBoundsError(
@@ -153,42 +181,10 @@ class SparseTensor:
         """Return the value stored at ``coordinate`` (0.0 if absent)."""
         return self._data.get(self._validate(coordinate), 0.0)
 
-    def get_batch(self, coordinates: np.ndarray) -> np.ndarray:
+    def _get_batch_trusted(self, coordinates: np.ndarray) -> np.ndarray:
         """Values at an ``(n, order)`` integer coordinate array (0.0 where absent).
 
-        Vectorised gather used by the randomised update rules: bounds are
-        validated once for the whole array and each lookup is a bare dict
-        access, instead of the per-coordinate validation of :meth:`get`.
-        """
-        index_array = np.asarray(coordinates, dtype=np.int64)
-        if index_array.ndim != 2 or index_array.shape[1] != self.order:
-            raise ShapeError(
-                f"coordinate array of shape {index_array.shape} does not "
-                f"match an order-{self.order} tensor"
-            )
-        if index_array.shape[0] == 0:
-            return np.empty(0, dtype=np.float64)
-        self._check_bounds_array(index_array)
-        return self._get_batch_trusted(index_array)
-
-    def _check_bounds_array(self, index_array: np.ndarray) -> None:
-        """Vectorised bounds check; reports the first offending coordinate."""
-        if (index_array < 0).any() or (
-            index_array >= np.asarray(self._shape, dtype=np.int64)
-        ).any():
-            bad = next(
-                tuple(row)
-                for row in index_array.tolist()
-                if any(not 0 <= i < n for i, n in zip(row, self._shape))
-            )
-            raise IndexOutOfBoundsError(
-                f"coordinate {bad} out of bounds for {self._shape}"
-            )
-
-    def _get_batch_trusted(self, coordinates: np.ndarray) -> np.ndarray:
-        """Gather core of :meth:`get_batch`, skipping validation.
-
-        Internal fast path for callers whose coordinates are in bounds by
+        Unchecked gather for callers whose coordinates are in bounds by
         construction (the vectorised slice sampler unranks offsets that
         cannot leave the tensor's box).
         """
@@ -225,10 +221,10 @@ class SparseTensor:
         return self._add_trusted(self._validate(coordinate), delta)
 
     def _add_trusted(self, coordinate: Coordinate, delta: float) -> float:
-        """Core of :meth:`add` for callers with pre-validated int tuples.
+        """:meth:`add` without the checks, for an in-bounds tuple of ints.
 
-        Internal fast path used by the event engine, whose coordinates are
-        validated by construction.
+        The event engine's one way into the window: it builds its
+        coordinates in bounds.
         """
         self._version += 1
         old = self._data.get(coordinate)
@@ -243,56 +239,6 @@ class SparseTensor:
         self._squared_norm += new_value * new_value
         self._data[coordinate] = new_value
         return new_value
-
-    def add_batch(
-        self,
-        coordinates: Iterable[Coordinate] | np.ndarray,
-        values: Iterable[float] | np.ndarray,
-    ) -> None:
-        """Apply many ``add`` operations in one pass.
-
-        Exactly equivalent — bit for bit — to calling :meth:`add` once per
-        ``(coordinate, value)`` pair in order: the values, the storage and
-        bucket order (an entry that snaps to zero and comes back moves to
-        the end) and the squared norm are those of the sequential adds.
-        Bounds are validated once, vectorially, instead of per entry.
-        """
-        if isinstance(coordinates, np.ndarray):
-            index_array = np.asarray(coordinates, dtype=np.int64)
-            if index_array.ndim != 2 or index_array.shape[1] != self.order:
-                raise ShapeError(
-                    f"coordinate array of shape {index_array.shape} does not "
-                    f"match an order-{self.order} tensor"
-                )
-            coordinate_list = [tuple(row) for row in index_array.tolist()]
-        else:
-            coordinate_list = [tuple(int(i) for i in c) for c in coordinates]
-            for coordinate in coordinate_list:
-                if len(coordinate) != self.order:
-                    raise ShapeError(
-                        f"coordinate {coordinate} has {len(coordinate)} indices "
-                        f"but the tensor has {self.order} modes"
-                    )
-            index_array = (
-                np.asarray(coordinate_list, dtype=np.int64)
-                if coordinate_list
-                else np.empty((0, self.order), dtype=np.int64)
-            )
-        value_list = (
-            values.tolist()
-            if isinstance(values, np.ndarray)
-            else [float(v) for v in values]
-        )
-        if len(coordinate_list) != len(value_list):
-            raise ShapeError(
-                f"{len(coordinate_list)} coordinates for {len(value_list)} values"
-            )
-        if not coordinate_list:
-            return
-        self._check_bounds_array(index_array)
-        add = self._add_trusted
-        for coordinate, value in zip(coordinate_list, value_list):
-            add(coordinate, value)
 
     def _remove(self, coordinate: Coordinate) -> None:
         old = self._data.get(coordinate)
@@ -486,7 +432,12 @@ class SparseTensor:
                 f"{value_array.shape[0]} values"
             )
         if index_array.shape[0]:
-            tensor._check_bounds_array(index_array)
+            outside = (index_array < 0) | (index_array >= np.asarray(tensor.shape))
+            if outside.any():
+                bad = tuple(index_array[outside.any(axis=1)][0].tolist())
+                raise IndexOutOfBoundsError(
+                    f"coordinate {bad} out of bounds for {tensor.shape}"
+                )
             data = tensor._data
             for row, value in zip(index_array.tolist(), value_array.tolist()):
                 coordinate = tuple(row)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import json
 
 import numpy as np
@@ -41,15 +42,25 @@ def version_1(directory):
     edit_manifest(directory, lambda manifest: manifest.update(version=1))
 
 
-def truncate_factor_0(directory):
+def edit_arrays(directory, change):
     path = directory / "state" / "state.npz"
     with np.load(path) as payload:
         arrays = dict(payload)
-    arrays["model_factor_0"] = arrays["model_factor_0"][:, :1]
+    change(arrays)
     np.savez(path, **arrays)
 
 
-#: A stream directory written before format 2, and six damaged ones:
+def set_entry(key, position, value):
+    """An edit that writes ``value`` at ``position`` of array ``key``."""
+    return lambda d: edit_arrays(d, lambda a: a[key].__setitem__(position, value))
+
+
+def replace_array(key, change):
+    """An edit that replaces array ``key`` with ``change(array)``."""
+    return lambda d: edit_arrays(d, lambda a: a.__setitem__(key, change(a[key])))
+
+
+#: A stream directory written before format 2, and damaged ones:
 #: kind -> (edit of the stream directory, what the failure reason names).
 DAMAGE = {
     "version 1": (version_1, "version 1"),
@@ -57,7 +68,10 @@ DAMAGE = {
         lambda d: edit_manifest(d, lambda m: m["model"].update(name="sns_typo")),
         "sns_typo",
     ),
-    "truncated factor": (truncate_factor_0, "model_factor_0"),
+    "truncated factor": (
+        replace_array("model_factor_0", lambda factor: factor[:, :1]),
+        "model_factor_0",
+    ),
     "factor count": (
         lambda d: edit_manifest(d, lambda m: m["model"].update(n_factors=1)),
         "1 factor matrices",
@@ -73,6 +87,40 @@ DAMAGE = {
     "config not an object": (
         lambda d: edit_meta(d, lambda meta: meta.update(config="nope")),
         "config",
+    ),
+    # The run checkpoint's arrays, each read as written.
+    "window index out of bounds": (
+        set_entry("window_indices", (0, 0), 99),
+        "window_indices",
+    ),
+    "duplicate window coordinate": (
+        replace_array("window_indices", lambda w: np.concatenate([w[:1], w[:-1]])),
+        "window_indices",
+    ),
+    "short window values": (
+        replace_array("window_values", lambda values: values[:-1]),
+        "window_values",
+    ),
+    "float window indices": (
+        replace_array("window_indices", lambda w: w.astype(np.float64) + 0.5),
+        "window_indices",
+    ),
+    "heap record id out of range": (
+        set_entry("heap_records", 0, 99),
+        "heap_records",
+    ),
+    "future record id out of range": (
+        replace_array("future_records", lambda ids: np.append(ids, 99)),
+        "future_records",
+    ),
+    "heap step out of range": (set_entry("heap_steps", 0, 99), "heap_steps"),
+    "negative record index": (
+        set_entry("records_indices", (0, 0), -1),
+        "records_indices",
+    ),
+    "record index outside its mode": (
+        set_entry("records_indices", (0, 0), 99),
+        "records_indices",
     ),
 }
 
@@ -192,8 +240,9 @@ class TestDurability:
         assert_recovers_only_the_intact_stream(service_config, {"tenant-1": kind})
 
     def test_recover_reports_old_and_damaged_streams_together(self, service_config):
+        # One tenant per kind, plus the intact one.
         assert_recovers_only_the_intact_stream(
-            service_config,
+            dataclasses.replace(service_config, max_streams=len(DAMAGE) + 1),
             {f"tenant-{n}": kind for n, kind in enumerate(sorted(DAMAGE), start=1)},
         )
 

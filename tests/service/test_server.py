@@ -114,6 +114,16 @@ class TestOps:
         assert not response["ok"] and response["error"] == "bad_request"
         assert key in response["message"] and streams == []
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("theta", 0), ("eta", -1.0), ("regularization", -1.0), ("rank", 0)],
+    )
+    def test_create_stream_refuses_a_model_value_out_of_range(self, key, value):
+        # Refused before a record is buffered, not at start_stream.
+        response, streams = self._create(dict(tiny_config().to_dict(), **{key: value}))
+        assert not response["ok"] and response["error"] == "bad_request"
+        assert response["message"].startswith(f"{key} must be") and streams == []
+
     @pytest.mark.parametrize("config", ["nope", 5, [1, 2]])
     def test_create_stream_refuses_a_config_that_is_not_an_object(self, config):
         response, streams = self._create(config)

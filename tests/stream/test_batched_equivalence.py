@@ -37,11 +37,11 @@ from repro.als.als import decompose
 from repro.core.base import SNSConfig
 from repro.core.registry import ALGORITHMS, create_algorithm
 from repro.data.generators import generate_dataset
+from repro.stream.deltas import Delta
 from repro.stream.events import StreamRecord
 from repro.stream.processor import ContinuousStreamProcessor
 from repro.stream.stream import MultiAspectStream
 from repro.stream.window import WindowConfig
-from repro.tensor.sparse import SparseTensor
 
 import pytest
 
@@ -191,11 +191,12 @@ def test_both_engines_match_the_reference_event_stream(case):
     for batch in batched.iter_batches(batch_window=batch_window):
         assert batch.n_events > 0
         assert batch.start_time <= batch.end_time
-        keys.extend(event_key(event) for event in batch.events)
-        deltas.extend(batch.deltas)
-        # One event at a time, as update_batch applies a batch.
-        for _, _, entries in batch.entry_groups():
-            batched.window.apply_entry_changes(entries, trusted=True)
+        groups = zip(batch.events, batch.entry_groups(), strict=True)
+        for event, (record, step, entries) in groups:
+            keys.append(event_key(event))
+            deltas.append(Delta(entries, record, step, event.kind))
+            # One event at a time, as update_batch applies a batch.
+            batched.window.apply_entry_changes(entries)
     assert keys == expected_keys
     assert deltas == expected_deltas
     assert list(batched.window.tensor.items()) == expected_items
@@ -230,19 +231,17 @@ def test_batch_deltas_match_per_event_deltas(case):
     observed = []
     entry_total = 0
     for batch in batched.iter_batches(batch_window=batch_window):
-        observed.extend(delta.entries for delta in batch.deltas)
-        # The COO view carries exactly the per-delta entries, in event order.
-        flattened = [
-            ((*index_row, int(unit)), value)
-            for index_row, unit, value in zip(
-                batch.indices.tolist(), batch.units.tolist(), batch.values.tolist()
-            )
+        groups = [entries for _, _, entries in batch.entry_groups()]
+        # Each event's entries are those of its Definition 6 delta...
+        assert groups == [
+            Delta.from_event(event, config.window_length).entries
+            for event in batch.events
         ]
-        assert flattened == [
-            (coordinate, value)
-            for delta in batch.deltas
-            for coordinate, value in delta.entries
+        # ...and the batch's flat entry lists carry exactly them, in order.
+        assert list(zip(batch.coordinates, batch.raw_values)) == [
+            entry for entries in groups for entry in entries
         ]
+        observed.extend(groups)
         entry_total += batch.nnz
         batched.window.apply_batch(batch)
     assert observed == expected
@@ -346,86 +345,6 @@ def test_run_batched_respects_end_time(case, horizon):
         assert processor.n_pending_records == expected.n_pending_records
         assert processor.has_pending_events == expected.has_pending_events
         assert processor.next_event_time == expected.next_event_time
-
-
-@given(
-    st.lists(
-        st.tuples(
-            st.integers(min_value=0, max_value=2),
-            st.integers(min_value=0, max_value=2),
-            st.one_of(
-                st.floats(
-                    min_value=-5.0, max_value=5.0, allow_nan=False, allow_infinity=False
-                ),
-                # Adversarial near-drop-tolerance magnitudes.
-                st.floats(
-                    min_value=-1e-11, max_value=1e-11, allow_nan=False
-                ),
-            ),
-        ),
-        min_size=0,
-        max_size=40,
-    )
-)
-@settings(max_examples=80, deadline=None)
-def test_add_batch_matches_sequential_adds(entries):
-    shape = (3, 3)
-    sequential = SparseTensor(shape)
-    for i, j, value in entries:
-        sequential.add((i, j), value)
-    batched = SparseTensor(shape)
-    batched.add_batch([(i, j) for i, j, _ in entries], [v for _, _, v in entries])
-    # Values, storage order, the inverted index's bucket order and the
-    # incrementally kept squared norm all match the sequential adds.
-    assert storage(batched) == storage(sequential)
-
-
-def test_add_batch_moves_a_re_inserted_entry_to_the_end():
-    sequential = SparseTensor((2, 2))
-    batched = SparseTensor((2, 2))
-    for tensor in (sequential, batched):
-        tensor.add((0, 0), 1.0)
-        tensor.add((0, 1), 2.0)
-    for coordinate, value in (((0, 0), -1.0), ((0, 0), 3.0)):
-        sequential.add(coordinate, value)
-    batched.add_batch([(0, 0), (0, 0)], [-1.0, 3.0])
-    assert list(batched.items()) == [((0, 1), 2.0), ((0, 0), 3.0)]
-    assert storage(batched) == storage(sequential)
-
-
-def test_add_batch_validates_input():
-    from repro.exceptions import IndexOutOfBoundsError, ShapeError
-
-    tensor = SparseTensor((2, 2))
-    with pytest.raises(ShapeError):
-        tensor.add_batch([(0, 0, 0)], [1.0])
-    with pytest.raises(ShapeError):
-        tensor.add_batch([(0, 0)], [1.0, 2.0])
-    with pytest.raises(IndexOutOfBoundsError):
-        tensor.add_batch([(0, 5)], [1.0])
-    with pytest.raises(IndexOutOfBoundsError):
-        tensor.add_batch(np.array([[0, -1]]), np.array([1.0]))
-    tensor.add_batch(np.array([[0, 1]]), np.array([2.5]))
-    assert tensor.get((0, 1)) == 2.5
-
-
-def test_apply_batch_validates_untrusted_batches():
-    from repro.exceptions import IndexOutOfBoundsError
-    from repro.stream.deltas import DeltaBatch
-    from repro.stream.events import EventKind
-    from repro.stream.window import TensorWindow
-
-    window = TensorWindow(WindowConfig(mode_sizes=(2,), window_length=2, period=1.0))
-    record = StreamRecord(indices=(0,), value=1.0, time=0.0)
-    raw = [(0.0, 0, EventKind.ARRIVAL, record, 0)]
-    # Engine batches are trusted; hand-built ones must be bounds-checked.
-    bad = DeltaBatch(raw, [(0, 5)], [1.0], window_length=2)
-    assert not bad.trusted
-    with pytest.raises(IndexOutOfBoundsError):
-        window.apply_batch(bad)
-    good = DeltaBatch(raw, [(0, 1)], [1.0], window_length=2)
-    window.apply_batch(good)
-    assert window.tensor.get((0, 1)) == 1.0
 
 
 @pytest.mark.parametrize(

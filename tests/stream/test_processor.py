@@ -8,7 +8,7 @@ import pytest
 
 from repro.exceptions import ConfigurationError
 from repro.stream.events import EventKind, StreamRecord
-from repro.stream.processor import ContinuousStreamProcessor, bootstrap_window
+from repro.stream.processor import ContinuousStreamProcessor
 from repro.stream.stream import MultiAspectStream
 from repro.stream.window import WindowConfig
 from repro.tensor.sparse import SparseTensor
@@ -58,11 +58,6 @@ class TestBootstrap:
         config = WindowConfig(mode_sizes=(4, 4), window_length=3, period=10.0)
         with pytest.raises(ConfigurationError):
             ContinuousStreamProcessor(tiny_stream, config)
-
-    def test_bootstrap_window_helper(self, tiny_stream):
-        config = WindowConfig(mode_sizes=(3, 2), window_length=3, period=10.0)
-        window, processor = bootstrap_window(tiny_stream, config, start_time=25.0)
-        assert window is processor.window
 
 
 class TestEventReplay:

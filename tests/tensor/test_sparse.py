@@ -149,10 +149,12 @@ class TestReductions:
 
 
 class TestGetBatch:
+    """``_get_batch_trusted``: the sampler's unchecked gather."""
+
     def test_values_and_zeros(self):
         tensor = SparseTensor((3, 3), entries={(0, 1): 2.0, (2, 2): -1.5})
         coordinates = np.array([[0, 1], [1, 1], [2, 2]], dtype=np.int64)
-        values = tensor.get_batch(coordinates)
+        values = tensor._get_batch_trusted(coordinates)
         assert values.dtype == np.float64
         assert values.tolist() == [2.0, 0.0, -1.5]
 
@@ -160,25 +162,14 @@ class TestGetBatch:
         coordinates = np.column_stack(
             [rng.integers(0, n, size=50) for n in small_tensor.shape]
         )
-        values = small_tensor.get_batch(coordinates)
+        values = small_tensor._get_batch_trusted(coordinates)
         expected = [small_tensor.get(tuple(row)) for row in coordinates.tolist()]
         assert values.tolist() == expected
 
     def test_empty(self):
         tensor = SparseTensor((2, 2))
-        assert tensor.get_batch(np.empty((0, 2), dtype=np.int64)).shape == (0,)
-
-    def test_wrong_shape_rejected(self):
-        tensor = SparseTensor((2, 2))
-        with pytest.raises(ShapeError):
-            tensor.get_batch(np.zeros((3, 3), dtype=np.int64))
-
-    def test_out_of_bounds_rejected(self):
-        tensor = SparseTensor((2, 2))
-        with pytest.raises(IndexOutOfBoundsError):
-            tensor.get_batch(np.array([[0, 2]], dtype=np.int64))
-        with pytest.raises(IndexOutOfBoundsError):
-            tensor.get_batch(np.array([[-1, 0]], dtype=np.int64))
+        empty = np.empty((0, 2), dtype=np.int64)
+        assert tensor._get_batch_trusted(empty).shape == (0,)
 
 
 class TestIncrementalSquaredNorm:
@@ -222,23 +213,6 @@ class TestIncrementalSquaredNorm:
         )
         assert tensor.norm() == pytest.approx(
             math.sqrt(self._exact(tensor)), rel=1e-9, abs=1e-12
-        )
-
-    def test_add_batch_churn(self, rng):
-        tensor = SparseTensor((4, 4))
-        for _ in range(50):
-            coordinates = [
-                (int(i), int(j))
-                for i, j in zip(rng.integers(0, 4, size=40), rng.integers(0, 4, size=40))
-            ]
-            values = rng.normal(size=40).tolist()
-            # Fold in exact cancellations of existing entries.
-            for coordinate, value in list(tensor.items())[:5]:
-                coordinates.append(coordinate)
-                values.append(-value)
-            tensor.add_batch(coordinates, values)
-        assert tensor.squared_norm() == pytest.approx(
-            self._exact(tensor), rel=1e-9, abs=1e-12
         )
 
     def test_emptied_tensor_has_exactly_zero_norm(self):
@@ -340,7 +314,7 @@ class TestCooCache:
         tensor.add((0, 1), 2.0)
         assert tensor.version > version
         version = tensor.version
-        tensor.add_batch([(1, 1)], [3.0])
+        tensor._add_trusted((1, 1), 3.0)
         assert tensor.version > version
         version = tensor.version
         tensor.set((0, 0), 0.0)  # removal path

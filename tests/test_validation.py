@@ -3,27 +3,33 @@
 Each config is built from valid keyword arguments with one field replaced.
 An integer field refuses a float and a bool, a float field refuses NaN, ±inf
 and a bool, and every refusal is a ``ConfigurationError`` naming the field.
-A numpy integer is accepted and stored as a plain ``int``.
+A numpy integer is accepted and stored as a plain ``int``.  The tensor API's
+checked way in for caller-built coordinates and sizes, ``MultiAspectStream``
+and ``ZScoreDetector`` (and its saved state) follow the same rule.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 from repro.als.als import ALSConfig
+from repro.anomaly.detector import ZScoreDetector
 from repro.baselines.base import BaselineConfig
 from repro.core.base import SNSConfig
 from repro.data.generators import SyntheticStreamConfig
-from repro.exceptions import ConfigurationError
+from repro.exceptions import CheckpointError, ConfigurationError, ShapeError
 from repro.experiments.config import ExperimentSettings
 from repro.service.config import ServiceConfig, StreamConfig
 from repro.service.faults import FaultPlan, FaultRule
-from repro.stream.events import StreamRecord
-from repro.stream.window import WindowConfig
+from repro.stream.deltas import Delta
+from repro.stream.events import EventKind, StreamRecord
+from repro.stream.window import TensorWindow, WindowConfig
+from repro.tensor.sparse import SparseTensor
 from repro.validation import matches
 
 #: Per config: valid keyword arguments, then its integer fields, its fields
@@ -237,3 +243,100 @@ def test_a_stream_from_float_index_arrays_is_refused():
 )
 def test_saved_json_admits_non_finite_numbers(value, kind, expected):
     assert matches(value, kind) is expected
+
+
+def _added(coordinate):
+    tensor = SparseTensor((3, 3))
+    tensor.add(coordinate, 1.0)
+    return tensor
+
+
+def _set(coordinate):
+    tensor = SparseTensor((3, 3))
+    tensor.set(coordinate, 2.0)
+    return tensor
+
+
+def _read(coordinate):
+    tensor = SparseTensor((3, 3), entries={(1, 1): 4.0})
+    assert tensor.get(coordinate) == 4.0
+    return tensor
+
+
+def _window():
+    return TensorWindow(WindowConfig(mode_sizes=(3, 3), window_length=2, period=1.0))
+
+
+def _entry_added(categorical):
+    window = _window()
+    window.add_entry(categorical, 1, 1.0)
+    return window.tensor
+
+
+def _delta_applied(coordinate):
+    window = _window()
+    record = StreamRecord(indices=(0, 1), value=1.0, time=0.0)
+    window.apply_delta(Delta(((coordinate, 1.0),), record, 0, EventKind.ARRIVAL))
+    return window.tensor
+
+
+@pytest.mark.parametrize(
+    "call, bad, good",
+    [
+        pytest.param(_added, (0.7, 1), (np.int64(0), 1), id="add"),
+        pytest.param(_set, (True, 1), (np.int64(1), 1), id="set"),
+        pytest.param(_read, (1.9, 1), (np.int64(1), np.int32(1)), id="get"),
+        pytest.param(SparseTensor, (2.9, 3), (np.int64(2), 3), id="shape"),
+        pytest.param(SparseTensor, ("2", 3), (2, np.uint8(3)), id="shape-str"),
+        pytest.param(_entry_added, (0.7, 1), (np.int64(0), 1), id="add_entry"),
+        pytest.param(
+            _delta_applied, (0, 1.0, 1), (0, np.int64(1), 1), id="apply_delta"
+        ),
+    ],
+)
+def test_a_coordinate_is_refused_not_truncated(call, bad, good):
+    offending = next(i for i in bad if type(i) is not int)
+    with pytest.raises(ShapeError, match=re.escape(repr(offending))):
+        call(bad)
+    tensor = call(good)
+    assert all(type(n) is int for n in tensor.shape)
+    assert all(type(i) is int for key in tensor.coordinates() for i in key)
+
+
+@pytest.mark.parametrize("warmup", [2.7, True, "5"])
+def test_a_detector_warmup_is_refused_not_truncated(warmup):
+    with pytest.raises(ConfigurationError, match="warmup must be an integer"):
+        ZScoreDetector(warmup=warmup)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("count", 2.5), ("warmup", True), ("mean", "0.5"), ("bogus", 1)],
+)
+def test_a_detector_state_is_read_as_written(key, value):
+    state = {**ZScoreDetector(warmup=3).state_dict(), key: value}
+    with pytest.raises(CheckpointError, match=key):
+        ZScoreDetector.from_state(state)
+
+
+def test_a_scoreboard_entry_is_read_as_written():
+    detector = ZScoreDetector(warmup=1)
+    for error in (1.0, 2.0, 9.0):
+        detector.observe((0, 1), error, 0.0)
+    state = detector.state_dict()
+    state["scoreboard"][0]["coordinate"] = [0.5, 1]
+    with pytest.raises(CheckpointError, match="coordinate"):
+        ZScoreDetector.from_state(state)
+
+
+def test_a_stream_is_refused_not_truncated():
+    from repro.stream.stream import MultiAspectStream
+
+    records = [StreamRecord(indices=(1, 2), value=1.0, time=float(t)) for t in range(3)]
+    with pytest.raises(ShapeError, match="8.9"):
+        MultiAspectStream(records, mode_sizes=(8.9, 6))
+    stream = MultiAspectStream(records, mode_sizes=(np.int64(8), 6))
+    assert stream.mode_sizes == (8, 6) and type(stream.mode_sizes[0]) is int
+    with pytest.raises(ShapeError, match="1.7"):
+        stream.head(1.7)
+    assert len(stream.head(np.int64(1))) == 1
